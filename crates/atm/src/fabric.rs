@@ -544,7 +544,9 @@ mod tests {
         assert!(f.contention_waits() > 0);
     }
 
+    // `send_pdu` checks its endpoints with a `debug_assert!`.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "to self")]
     fn self_send_rejected() {
         let mut f = fabric();

@@ -8,11 +8,20 @@
 //! charged with [`ProcCtx::compute`] and batched locally, so the handshake
 //! cost is paid per simulated *communication event*, not per arithmetic
 //! operation (the execution-driven trade Proteus made).
+//!
+//! The fast path finds a page through a dense per-processor table indexed
+//! by [`PageId`]: the world allocates page ids contiguously from 0, so the
+//! table is sized once to the segment and a hit is one bounds-checked slot
+//! load — no hashing, no refcount traffic. A slot is filled on the
+//! processor's first touch of the page with the node's [`PageHandle`], a
+//! single `Arc` over the page's words and access state. The DSM protocol
+//! mutates that page in place (state changes, diffs, page fills) and never
+//! replaces it, so a handle cached for the whole run stays current. An
+//! address outside the segment panics.
 
 use cni_dsm::NodeSpace;
-use cni_dsm::{access, LockId, PageHandle, PageId, VAddr};
+use cni_dsm::{access, LockId, Page, PageHandle, PageId, VAddr, SHARED_BASE};
 use cni_sim::Port;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Operations that reach the simulation engine.
@@ -98,32 +107,31 @@ pub struct ProcCtx<'a> {
     line_bytes: usize,
     costs: AccessCosts,
     space: Arc<NodeSpace>,
-    mru: Option<(u32, PageHandle)>,
-    cache: HashMap<u32, PageHandle>,
+    /// Slot `i` caches this node's handle to page `i` once touched.
+    pages: Box<[Option<PageHandle>]>,
     pending: u64,
     port: &'a mut Port<YieldMsg, Reply>,
 }
 
 impl<'a> ProcCtx<'a> {
     /// Engine-side constructor (used by the world's program wrapper).
+    /// `pages` is the size of the shared segment in pages.
     pub fn new(
         me: u32,
         procs: u32,
-        page_bytes: usize,
-        line_bytes: usize,
         costs: AccessCosts,
         space: Arc<NodeSpace>,
+        pages: usize,
         port: &'a mut Port<YieldMsg, Reply>,
     ) -> Self {
         ProcCtx {
             me,
             procs,
-            page_bytes,
-            line_bytes,
+            page_bytes: space.page_bytes(),
+            line_bytes: space.line_bytes(),
             costs,
             space,
-            mru: None,
-            cache: HashMap::new(),
+            pages: (0..pages).map(|_| None).collect(),
             pending: 0,
             port,
         }
@@ -161,39 +169,50 @@ impl<'a> ProcCtx<'a> {
         })
     }
 
+    /// The page slot and byte offset of `addr`. An address below the
+    /// segment wraps to a slot past its end, so [`ProcCtx::first_touch`]
+    /// rejects it too.
     #[inline]
-    fn handle(&mut self, page: u32) -> &PageHandle {
-        if let Some((mp, _)) = &self.mru {
-            if *mp == page {
-                // NLL limitation workaround: re-borrow through the Option.
-                return &self.mru.as_ref().expect("just checked").1;
-            }
-        }
-        let h = match self.cache.get(&page) {
-            Some(h) => h.clone(),
-            None => {
-                let h = self.space.page(PageId(page));
-                self.cache.insert(page, h.clone());
-                h
-            }
-        };
-        self.mru = Some((page, h));
-        &self.mru.as_ref().expect("just set").1
+    fn locate(&self, addr: VAddr) -> (usize, usize) {
+        let off = addr.0.wrapping_sub(SHARED_BASE);
+        let page_bytes = self.page_bytes as u64;
+        let slot = usize::try_from(off / page_bytes).unwrap_or(usize::MAX);
+        (slot, (off % page_bytes) as usize)
+    }
+
+    /// The cached page in `slot`, if this processor touched it before.
+    #[inline]
+    fn cached(&self, slot: usize) -> Option<&Page> {
+        self.pages.get(slot)?.as_deref()
+    }
+
+    /// Fill `slot` on this processor's first access to its page.
+    #[cold]
+    #[inline(never)]
+    fn first_touch(&mut self, addr: VAddr, slot: usize) {
+        let segment = self.pages.len();
+        assert!(
+            slot < segment,
+            "shared address {addr:?} is outside the allocated segment of {segment} pages"
+        );
+        self.pages[slot] = Some(self.space.page(PageId(slot as u32)));
     }
 
     /// Read a shared 64-bit word. Faults transparently.
     #[inline]
     pub fn read_u64(&mut self, addr: VAddr) -> u64 {
-        let page = addr.page(self.page_bytes);
-        let word = addr.word(self.page_bytes);
+        let (slot, off) = self.locate(addr);
         loop {
-            let h = self.handle(page.0);
-            if h.flags.state() != access::INVALID {
-                let v = h.frame.load(word);
+            let Some(p) = self.cached(slot) else {
+                self.first_touch(addr, slot);
+                continue;
+            };
+            if p.flags.state() != access::INVALID {
+                let v = p.frame.load(off / 8);
                 self.pending += self.costs.read;
                 return v;
             }
-            self.yield_op(Op::ReadFault(page));
+            self.yield_op(Op::ReadFault(PageId(slot as u32)));
         }
     }
 
@@ -201,18 +220,19 @@ impl<'a> ProcCtx<'a> {
     /// dirty cache line for the flush model.
     #[inline]
     pub fn write_u64(&mut self, addr: VAddr, v: u64) {
-        let page = addr.page(self.page_bytes);
-        let word = addr.word(self.page_bytes);
-        let line = addr.offset(self.page_bytes) / self.line_bytes;
+        let (slot, off) = self.locate(addr);
         loop {
-            let h = self.handle(page.0);
-            if h.flags.state() == access::WRITE {
-                h.frame.store(word, v);
-                h.flags.mark_dirty(line);
+            let Some(p) = self.cached(slot) else {
+                self.first_touch(addr, slot);
+                continue;
+            };
+            if p.flags.state() == access::WRITE {
+                p.frame.store(off / 8, v);
+                p.flags.mark_dirty(off / self.line_bytes);
                 self.pending += self.costs.write;
                 return;
             }
-            self.yield_op(Op::WriteFault(page));
+            self.yield_op(Op::WriteFault(PageId(slot as u32)));
         }
     }
 
@@ -320,5 +340,76 @@ impl<'a> ProcCtx<'a> {
     /// program wrapper after the user closure returns.
     pub fn finish(&mut self) {
         self.yield_op(Op::Done);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cni_sim::{CoThread, Yield};
+
+    const PAGE: usize = 64;
+
+    /// A one-processor program over a `pages`-page segment of `space`.
+    fn spawn(
+        space: Arc<NodeSpace>,
+        pages: usize,
+        prog: impl FnOnce(&mut ProcCtx) + Send + 'static,
+    ) -> CoThread<YieldMsg, Reply> {
+        CoThread::spawn("cpu0", move |port| {
+            let costs = AccessCosts { read: 1, write: 1 };
+            let mut ctx = ProcCtx::new(0, 1, costs, space, pages, port);
+            prog(&mut ctx);
+            ctx.finish();
+        })
+    }
+
+    fn op(y: Yield<YieldMsg>) -> Op {
+        match y {
+            Yield::Request(m) => m.op,
+            Yield::Finished => panic!("program finished early"),
+        }
+    }
+
+    #[test]
+    fn in_place_invalidation_reaches_a_cached_page() {
+        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let addr = VAddr::of_page(PageId(1), PAGE).add(8);
+        let mut co = spawn(space.clone(), 2, move |ctx| {
+            assert_eq!(ctx.read_u64(addr), 7);
+            ctx.barrier();
+            assert_eq!(ctx.read_u64(addr), 9);
+        });
+        assert_eq!(op(co.start()), Op::ReadFault(PageId(1)));
+        let page = space.page(PageId(1));
+        page.frame.store(1, 7);
+        page.flags.set_state(access::READ);
+        assert_eq!(op(co.resume(Reply::Ok)), Op::Barrier);
+        // A write notice: the DSM node invalidates the copy in place, so
+        // the processor's cached slot must fault on its next read.
+        page.flags.set_state(access::INVALID);
+        assert_eq!(op(co.resume(Reply::Ok)), Op::ReadFault(PageId(1)));
+        page.frame.store(1, 9);
+        page.flags.set_state(access::READ);
+        assert_eq!(op(co.resume(Reply::Ok)), Op::Done);
+        assert!(matches!(co.resume(Reply::Ok), Yield::Finished));
+    }
+
+    #[test]
+    #[should_panic(expected = "VAddr(0x80000080) is outside the allocated segment of 2 pages")]
+    fn read_past_the_segment_panics() {
+        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let mut co = spawn(space, 2, |ctx| {
+            ctx.read_u64(VAddr::of_page(PageId(2), PAGE));
+        });
+        let _ = co.start();
+    }
+
+    #[test]
+    #[should_panic(expected = "VAddr(0x40) is outside the allocated segment")]
+    fn write_below_the_segment_panics() {
+        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let mut co = spawn(space, 2, |ctx| ctx.write_u64(VAddr(0x40), 1));
+        let _ = co.start();
     }
 }

@@ -759,14 +759,13 @@ impl World {
             read: self.cfg.costs.shared_read_cycles,
             write: self.cfg.costs.shared_write_cycles,
         };
-        let page_bytes = self.cfg.page_bytes;
-        let line_bytes = self.cfg.nic.cache_line_bytes;
         let procs = self.cfg.procs as u32;
+        let pages = self.next_page as usize;
         for (p, prog) in programs.into_iter().enumerate() {
             let space = self.spaces[p].clone();
             let me = p as u32;
             let mut thread = CoThread::spawn(&format!("cpu{p}"), move |port| {
-                let mut ctx = ProcCtx::new(me, procs, page_bytes, line_bytes, costs, space, port);
+                let mut ctx = ProcCtx::new(me, procs, costs, space, pages, port);
                 prog(&mut ctx);
                 ctx.finish();
             });

@@ -57,22 +57,23 @@ impl Diff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::NodeSpace;
+    use crate::space::{NodeSpace, PageHandle};
     use crate::types::PageId;
 
-    fn frame(words: usize) -> std::sync::Arc<Frame> {
+    /// A fresh page of `words` words; the tests work on its `frame`.
+    fn page(words: usize) -> PageHandle {
         let ns = NodeSpace::new(words * 8, 32.min(words * 8));
-        ns.page(PageId(0)).frame
+        ns.page(PageId(0))
     }
 
     #[test]
     fn create_records_only_changes() {
-        let f = frame(8);
+        let f = &page(8).frame;
         f.fill_from(&[0, 1, 2, 3, 4, 5, 6, 7]);
         let twin = f.snapshot();
         f.store(2, 99);
         f.store(7, 100);
-        let d = Diff::create(&twin, &f);
+        let d = Diff::create(&twin, f);
         assert_eq!(d.entries, vec![(2, 99), (7, 100)]);
         assert_eq!(d.words(), 2);
         assert_eq!(d.wire_bytes(), 24);
@@ -80,14 +81,14 @@ mod tests {
 
     #[test]
     fn apply_reproduces_writer_state() {
-        let w = frame(8);
+        let w = &page(8).frame;
         let twin = w.snapshot();
         w.store(1, 11);
         w.store(5, 55);
-        let d = Diff::create(&twin, &w);
+        let d = Diff::create(&twin, w);
 
-        let r = frame(8);
-        d.apply(&r);
+        let r = &page(8).frame;
+        d.apply(r);
         assert_eq!(r.load(1), 11);
         assert_eq!(r.load(5), 55);
         assert_eq!(r.load(0), 0);
@@ -96,26 +97,26 @@ mod tests {
     #[test]
     fn disjoint_diffs_merge_commutatively() {
         // Concurrent write sharing: A writes words 0..4, B writes 4..8.
-        let a = frame(8);
+        let a = &page(8).frame;
         let ta = a.snapshot();
         for i in 0..4 {
             a.store(i, 100 + i as u64);
         }
-        let da = Diff::create(&ta, &a);
+        let da = Diff::create(&ta, a);
 
-        let b = frame(8);
+        let b = &page(8).frame;
         let tb = b.snapshot();
         for i in 4..8 {
             b.store(i, 200 + i as u64);
         }
-        let db = Diff::create(&tb, &b);
+        let db = Diff::create(&tb, b);
 
-        let r1 = frame(8);
-        da.apply(&r1);
-        db.apply(&r1);
-        let r2 = frame(8);
-        db.apply(&r2);
-        da.apply(&r2);
+        let r1 = &page(8).frame;
+        da.apply(r1);
+        db.apply(r1);
+        let r2 = &page(8).frame;
+        db.apply(r2);
+        da.apply(r2);
         assert_eq!(r1.snapshot(), r2.snapshot());
         assert_eq!(r1.load(0), 100);
         assert_eq!(r1.load(7), 207);
@@ -123,9 +124,9 @@ mod tests {
 
     #[test]
     fn unchanged_page_yields_empty_diff() {
-        let f = frame(8);
+        let f = &page(8).frame;
         let twin = f.snapshot();
-        let d = Diff::create(&twin, &f);
+        let d = Diff::create(&twin, f);
         assert!(d.is_empty());
         assert_eq!(d.wire_bytes(), 0);
     }
@@ -135,11 +136,11 @@ mod tests {
         // Word-level diffs define "change" by value, not by access: writing
         // the value already present produces no diff entry. (This is the
         // standard TreadMarks behaviour.)
-        let f = frame(4);
+        let f = &page(4).frame;
         f.fill_from(&[9, 9, 9, 9]);
         let twin = f.snapshot();
         f.store(2, 9);
-        assert!(Diff::create(&twin, &f).is_empty());
+        assert!(Diff::create(&twin, f).is_empty());
     }
 }
 
@@ -157,17 +158,17 @@ mod proptests {
             writes in proptest::collection::vec((0usize..16, any::<u64>()), 0..32),
         ) {
             let ns = NodeSpace::new(16 * 8, 32);
-            let w = ns.page(PageId(0)).frame.clone();
+            let w = &ns.page(PageId(0)).frame;
             w.fill_from(&base);
             let twin = w.snapshot();
             for &(i, v) in &writes {
                 w.store(i, v);
             }
-            let d = Diff::create(&twin, &w);
+            let d = Diff::create(&twin, w);
 
-            let r = ns.page(PageId(1)).frame.clone();
+            let r = &ns.page(PageId(1)).frame;
             r.fill_from(&base);
-            d.apply(&r);
+            d.apply(r);
             prop_assert_eq!(r.snapshot(), w.snapshot());
         }
 
@@ -176,12 +177,12 @@ mod proptests {
             writes in proptest::collection::vec((0usize..16, any::<u64>()), 0..64),
         ) {
             let ns = NodeSpace::new(16 * 8, 32);
-            let w = ns.page(PageId(0)).frame.clone();
+            let w = &ns.page(PageId(0)).frame;
             let twin = w.snapshot();
             for &(i, v) in &writes {
                 w.store(i, v);
             }
-            let d = Diff::create(&twin, &w);
+            let d = Diff::create(&twin, w);
             for pair in d.entries.windows(2) {
                 prop_assert!(pair[0].0 < pair[1].0);
             }

@@ -39,5 +39,5 @@ pub use cluster::DsmCluster;
 pub use diff::Diff;
 pub use node::{DsmConfig, DsmNode, DsmStats, HandleResult, Wakeup, Work};
 pub use protocol::{Msg, Payload};
-pub use space::{access, Frame, NodeSpace, PageFlags, PageHandle};
+pub use space::{access, Frame, NodeSpace, Page, PageFlags, PageHandle};
 pub use types::{LockId, PageId, ProcId, VAddr, VClock, WriteNotice, SHARED_BASE};

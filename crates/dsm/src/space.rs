@@ -133,14 +133,20 @@ impl PageFlags {
     }
 }
 
-/// A cheaply clonable handle to one (node, page): frame + flags.
-#[derive(Clone)]
-pub struct PageHandle {
+/// One node's copy of one shared page: data words plus access state,
+/// behind a single refcount.
+pub struct Page {
     /// The data words.
-    pub frame: Arc<Frame>,
+    pub frame: Frame,
     /// Access state and dirty bits.
-    pub flags: Arc<PageFlags>,
+    pub flags: PageFlags,
 }
+
+/// A cheaply clonable handle to one (node, page): one pointer, one
+/// refcount. A page is mutated in place for its whole life — the protocol
+/// changes its state and words, never swaps the allocation — so a handle
+/// taken once stays current.
+pub type PageHandle = Arc<Page>;
 
 /// One node's view of the shared segment.
 pub struct NodeSpace {
@@ -168,6 +174,11 @@ impl NodeSpace {
         self.page_bytes
     }
 
+    /// Cache-line size in bytes.
+    pub fn line_bytes(&self) -> usize {
+        self.line_bytes
+    }
+
     /// Words per page.
     pub fn page_words(&self) -> usize {
         self.page_bytes / 8
@@ -192,9 +203,11 @@ impl NodeSpace {
         }
         let mut w = self.pages.write();
         w.entry(page)
-            .or_insert_with(|| PageHandle {
-                frame: Arc::new(Frame::new(self.page_words())),
-                flags: Arc::new(PageFlags::new(self.page_lines())),
+            .or_insert_with(|| {
+                Arc::new(Page {
+                    frame: Frame::new(self.page_words()),
+                    flags: PageFlags::new(self.page_lines()),
+                })
             })
             .clone()
     }
@@ -225,7 +238,9 @@ mod tests {
         assert_eq!(f.len(), 4);
     }
 
+    // `fill_from` checks its length with a `debug_assert!`.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "size mismatch")]
     fn fill_rejects_wrong_size() {
         Frame::new(4).fill_from(&[1, 2]);
@@ -270,7 +285,7 @@ mod tests {
         assert_eq!(ns.frames(), 1);
         // Same handle identity on re-fetch.
         let h2 = ns.page(PageId(5));
-        assert!(Arc::ptr_eq(&h.frame, &h2.frame));
+        assert!(Arc::ptr_eq(&h, &h2));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! At any instant at most one of {engine, one program thread} is running,
 //! so the simulation stays deterministic even though application data lives
-//! in shared memory. The handshake costs roughly a microsecond per
-//! switch — cheap because programs only yield on *simulated communication*,
+//! in shared memory. One engine → program → engine round trip costs about
+//! 4 µs with both threads on one CPU and 11–15 µs across cores (measured on
+//! a 2-vCPU 2 GHz Xeon guest; `cni-bench/BENCHMARK.md`, Measured facts) —
+//! affordable because programs only yield on *simulated communication*,
 //! never on ordinary computation.
 //!
 //! Dropping a [`CoThread`] before the program finishes cancels it: the next
