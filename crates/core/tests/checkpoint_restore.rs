@@ -272,3 +272,59 @@ fn probe_event_counts() {
         println!("{name}: {} events", w.events_dispatched());
     }
 }
+
+/// The first snapshot a run takes after `at` events.
+fn first_snapshot(cfg: Config, mk: &dyn Fn(VAddr) -> Vec<Program>, at: u64) -> serde::Value {
+    let (_, snaps) = checkpointed_run(cfg, mk, at);
+    snaps
+        .into_iter()
+        .next()
+        .expect("the run reaches the pinned event count")
+}
+
+/// Byte length and CRC-32 of a snapshot under the snapshot codec: the
+/// exact bytes a checkpoint file carries.
+fn pin(snap: &serde::Value) -> (usize, u32) {
+    let bytes = cni_snap::value_to_bytes(snap);
+    (bytes.len(), cni_snap::crc32(&bytes))
+}
+
+/// Snapshot bytes are pinned, not just round-tripped: the engine state a
+/// checkpoint captures at a fixed event count (queue, clocks, NIC and
+/// fabric registers, jitter streams, journal) must encode to the same
+/// length and CRC-32 on every build that keeps `SNAPSHOT_SCHEMA`. An
+/// engine refactor that reorders fields, renames a key or perturbs any
+/// piece of state fails here even when resume still happens to agree.
+#[test]
+fn snapshot_bytes_are_pinned_lossless() {
+    assert_eq!(cni::SNAPSHOT_SCHEMA, 3);
+    let cfg = Config::paper_default().with_procs(4);
+    let snap = first_snapshot(cfg, &neighbour_exchange(4, 3), 120);
+    assert_eq!(pin(&snap), (27_400, 3_046_792_036));
+}
+
+/// The same pin under cell loss and corruption, at a point where
+/// go-back-N channels are materialised and the fault injector's stream
+/// has moved.
+#[test]
+fn snapshot_bytes_are_pinned_lossy() {
+    assert_eq!(cni::SNAPSHOT_SCHEMA, 3);
+    let mut plan = FaultPlan::none();
+    plan.drop_prob = 0.05;
+    plan.corrupt_prob = 0.01;
+    let cfg = Config::paper_default().with_procs(4).with_faults(plan);
+    let snap = first_snapshot(cfg, &neighbour_exchange(4, 2), 150);
+    let serde::Value::Object(m) = &snap else {
+        panic!("snapshot root is an object");
+    };
+    let non_empty = |k: &str| matches!(m.get(k), Some(serde::Value::Array(a)) if !a.is_empty());
+    assert!(
+        non_empty("rel_tx") && non_empty("rel_rx"),
+        "go-back-N state is live"
+    );
+    assert!(
+        !matches!(m.get("injector"), Some(serde::Value::Null) | None),
+        "injector state is live"
+    );
+    assert_eq!(pin(&snap), (22_675, 3_964_607_220));
+}
