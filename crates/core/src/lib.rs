@@ -32,7 +32,9 @@
 
 pub mod config;
 pub mod ctx;
-pub(crate) mod pdes;
+mod gbn;
+mod node;
+mod pdes;
 pub mod report;
 pub mod snapshot;
 pub mod world;

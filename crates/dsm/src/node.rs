@@ -944,14 +944,6 @@ impl DsmNode {
 
     /// Handle an incoming protocol message.
     pub fn on_message(&mut self, msg: Msg) -> HandleResult {
-        if trace_enabled() {
-            eprintln!(
-                "[{:?}] <- {:?} : {}",
-                self.me,
-                msg.src,
-                trace_payload(&msg.payload)
-            );
-        }
         debug_assert_eq!(msg.dst, self.me, "misrouted message");
         self.trace.emit(
             self.me.0,
@@ -1266,46 +1258,6 @@ fn merge_diffs(earlier: Diff, later: Diff) -> Diff {
     }
     Diff {
         entries: map.into_iter().collect(),
-    }
-}
-
-/// Is `CNI_DSM_TRACE` set? Checked once; tracing is a debugging aid for
-/// protocol investigations (prints every delivered protocol message).
-fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("CNI_DSM_TRACE").is_some())
-}
-
-fn trace_payload(p: &Payload) -> String {
-    match p {
-        Payload::PageResp {
-            page,
-            version,
-            data,
-        } => {
-            format!(
-                "PageResp page={page:?} ver={version:?} words={}",
-                data.len()
-            )
-        }
-        Payload::DiffResp {
-            page,
-            writer,
-            intervals,
-            diffs,
-            ..
-        } => {
-            let sizes: Vec<String> = diffs
-                .iter()
-                .zip(intervals)
-                .map(|(d, i)| format!("i{i}:{}w", d.words()))
-                .collect();
-            format!("DiffResp page={page:?} from={writer:?} {sizes:?}")
-        }
-        other => {
-            let full = format!("{other:?}");
-            full.chars().take(140).collect()
-        }
     }
 }
 

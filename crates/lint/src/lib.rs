@@ -11,8 +11,8 @@
 //! 1. [`lex`]/[`parse`] — a lightweight tokenizer and item-level parser
 //!    producing per-file function, field, and comment models;
 //! 2. [`taint`] — per-function fact sets: panic sites, host-time and
-//!    randomness sources, flow-tracked hash-collection uses, call
-//!    sites, and per-node index expressions;
+//!    randomness sources, flow-tracked hash-collection uses, and call
+//!    sites;
 //! 3. [`callgraph`] — a workspace call graph over which the rules run
 //!    interprocedurally, with full call chains in the diagnostics.
 //!
@@ -23,8 +23,7 @@
 //! | D3 | `ambient-rng`      | no `thread_rng`/`from_entropy`/`RandomState` in sim crates, including transitively |
 //! | D4 | `snap-nondet`      | no hashed iteration or host timestamps on snapshot encode/decode paths |
 //! | P1 | `panic-path`       | no panicking operators reachable from protocol receive roots (BFS over the call graph) |
-//! | C1 | `shard-isolation`  | per-node state is reached through exactly one owning node index; cross-shard work rides the event queue or a designated mediator |
-//! | U1 | `unsafe-no-safety` | every `unsafe` carries a `// SAFETY:` comment |
+//! | T1 | `host-thread`      | no `Mutex`/`RwLock`/`Condvar`/`mpsc`/`thread::spawn` in sim crates outside the executor and co-thread modules |
 //! | S1 | `bad-suppression`  | malformed waiver comments |
 //! | S2 | `unused-suppression` | stale waiver comments |
 //!

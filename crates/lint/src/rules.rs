@@ -6,17 +6,14 @@
 //! 1. **Crate classification** from each file's workspace-relative
 //!    path: which rules apply at all (D1/D3 only bite in the
 //!    determinism-sensitive simulation crates; D2 exempts the
-//!    designated host-timing modules; D4 covers snapshot paths; C1
-//!    covers the shardable per-node crates).
+//!    designated host-timing modules; D4 covers snapshot paths).
 //! 2. **Per-function fact sets** from [`crate::taint`]: panic sites,
 //!    host-time and randomness sources, hash-ordered collection uses
-//!    tracked through locals/fields/params, call sites, and per-node
-//!    index expressions.
+//!    tracked through locals/fields/params, and call sites.
 //! 3. **The workspace call graph** from [`crate::callgraph`]: P1
 //!    panic-reachability is a BFS from the protocol receive roots; the
 //!    D-family rules propagate source facts along call edges so a
-//!    helper cannot launder a clock read or a hash iteration; C1 walks
-//!    everything reachable from the event dispatcher.
+//!    helper cannot launder a clock read or a hash iteration.
 //!
 //! Findings carry the full call chain in their message when the
 //! violation is interprocedural, so the diagnostic explains *why* the
@@ -52,16 +49,11 @@ const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
 const SNAPSHOT_PATHS: &[&str] = &["crates/snap/", "crates/core/src/snapshot.rs"];
 
 /// Files allowed to use host threading primitives (T1): the parallel
-/// executor itself, its `World` driver, and the co-thread runtime —
-/// the three places where the engine deliberately meets the host's
-/// scheduler. Everywhere else in the sim crates, a mutex or channel is
-/// either dead weight on the serial path or an invitation to leak host
-/// scheduling order into results.
-const THREAD_EXEMPT: &[&str] = &[
-    "crates/sim/src/pdes.rs",
-    "crates/sim/src/cothread.rs",
-    "crates/core/src/pdes.rs",
-];
+/// executor and the co-thread runtime — the two places where the engine
+/// deliberately meets the host's scheduler. Everywhere else in the sim
+/// crates, a mutex or channel is either dead weight on the serial path
+/// or an invitation to leak host scheduling order into results.
+pub const THREAD_EXEMPT: &[&str] = &["crates/sim/src/pdes.rs", "crates/sim/src/cothread.rs"];
 
 /// Protocol receive/reassembly roots: (file suffix, function names).
 /// Corrupt input is expected on these paths post-PR2; P1 bans
@@ -84,18 +76,14 @@ pub const PANIC_PATH_REGIONS: &[(&str, &[&str])] = &[
     ),
     // Multi-switch forwarding walks the routed path per cell head.
     ("crates/atm/src/fabric.rs", &["forward_head"]),
+    // Go-back-N frame and acknowledgement receive.
+    ("crates/core/src/gbn.rs", &["on_frame_rx", "on_ack_rx"]),
     // Span-recording helpers run inside the frame/ack receive paths, so
     // they inherit the same corrupt-input exposure; arrive_proto hosts
     // the NIC-collective dispatch on the message receive path.
     (
-        "crates/core/src/world.rs",
-        &[
-            "on_frame_rx",
-            "on_ack_rx",
-            "record_rx_span",
-            "close_span",
-            "arrive_proto",
-        ],
+        "crates/core/src/node.rs",
+        &["record_rx_span", "close_span", "arrive_proto"],
     ),
     (
         "crates/pathfinder/src/classifier.rs",
@@ -117,54 +105,6 @@ pub const PANIC_PATH_REGIONS: &[(&str, &[&str])] = &[
 /// receive-path hazard. Documented in LINT.md.
 const P1_BOUNDARY_FNS: &[&str] = &["resume", "wake"];
 
-/// The crates C1 guards: everything that lives inside a shard now that
-/// the event queue is partitioned per node (the cni-pdes engine).
-pub const C1_CRATES: &[&str] = &["core", "nic", "dsm"];
-
-/// C1 walk roots: (file suffix, function name). The serial event loop's
-/// dispatcher and the parallel executor's per-shard dispatch entry — the
-/// latter is the root that matters under `--engine-workers N`, where a
-/// cross-shard access is no longer merely nondeterministic but a data
-/// race.
-pub const C1_ROOTS: &[(&str, &str)] = &[
-    ("crates/core/src/world.rs", "dispatch"),
-    ("crates/core/src/pdes.rs", "dispatch"),
-];
-
-/// Per-node state containers on `World` (and mirrors reached through
-/// free functions taking the world): C1 verifies each function
-/// reachable from `dispatch` indexes these through exactly one node
-/// root, with no literals and no index arithmetic.
-pub const PER_NODE_FIELDS: &[&str] = &[
-    "nics",
-    "dsm",
-    "spaces",
-    "cpus",
-    "metrics_prev",
-    "util_prev",
-    "ring_hw",
-    "ring_used",
-    // Parallel-engine additions: the per-node jitter streams, the
-    // per-sender/per-receiver reliability channel maps, and the
-    // per-shard outbox lanes (`pdes.out`) a dispatch appends to.
-    "jitter",
-    "rel_tx",
-    "rel_rx",
-    "out",
-];
-
-/// Designated mediators: (file suffix, function name) pairs allowed to
-/// touch more than one node's state. Every entry must carry a
-/// justification in LINT.md §C1 — the allowlist *is* the sharding
-/// design's list of cross-shard synchronization points.
-///
-/// Currently empty: every function reachable from `World::dispatch`
-/// resolves the owning node's index exactly once (`dst`, `src`, or the
-/// resumed proc `p`) and never reaches across. Cross-node effects all
-/// ride the event queue. Keep it that way; add entries here only
-/// together with a LINT.md justification.
-pub const C1_MEDIATORS: &[(&str, &str)] = &[];
-
 /// A lint rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -182,13 +122,9 @@ pub enum Rule {
     SnapNondet,
     /// P1: panicking operators reachable from protocol receive roots.
     PanicPath,
-    /// C1: per-node state reached outside the owning node's index.
-    ShardIsolation,
     /// T1: host threading primitives outside the designated executor
     /// modules.
     HostThread,
-    /// U1: `unsafe` without a `// SAFETY:` comment.
-    UnsafeNoSafety,
     /// A malformed suppression comment (unknown rule, missing `--`
     /// justification).
     BadSuppression,
@@ -205,9 +141,7 @@ impl Rule {
             Rule::AmbientRng => "D3",
             Rule::SnapNondet => "D4",
             Rule::PanicPath => "P1",
-            Rule::ShardIsolation => "C1",
             Rule::HostThread => "T1",
-            Rule::UnsafeNoSafety => "U1",
             Rule::BadSuppression => "S1",
             Rule::UnusedSuppression => "S2",
         }
@@ -221,9 +155,7 @@ impl Rule {
             Rule::AmbientRng => "ambient-rng",
             Rule::SnapNondet => "snap-nondet",
             Rule::PanicPath => "panic-path",
-            Rule::ShardIsolation => "shard-isolation",
             Rule::HostThread => "host-thread",
-            Rule::UnsafeNoSafety => "unsafe-no-safety",
             Rule::BadSuppression => "bad-suppression",
             Rule::UnusedSuppression => "unused-suppression",
         }
@@ -237,9 +169,7 @@ impl Rule {
             Rule::AmbientRng,
             Rule::SnapNondet,
             Rule::PanicPath,
-            Rule::ShardIsolation,
             Rule::HostThread,
-            Rule::UnsafeNoSafety,
             Rule::BadSuppression,
             Rule::UnusedSuppression,
         ]
@@ -254,9 +184,7 @@ impl Rule {
             "ambient-rng" => Some(Rule::AmbientRng),
             "snap-nondet" => Some(Rule::SnapNondet),
             "panic-path" => Some(Rule::PanicPath),
-            "shard-isolation" => Some(Rule::ShardIsolation),
             "host-thread" => Some(Rule::HostThread),
-            "unsafe-no-safety" => Some(Rule::UnsafeNoSafety),
             _ => None,
         }
     }
@@ -280,16 +208,10 @@ impl Rule {
                 "corrupt input is expected here: return an error or count-and-drop instead of \
                  panicking"
             }
-            Rule::ShardIsolation => {
-                "reach per-node state only through the owning node's index or EventQueue \
-                 scheduling; designated mediators are listed in LINT.md"
-            }
             Rule::HostThread => {
                 "host threading primitives live only in the designated executor modules \
-                 (sim::pdes, sim::cothread, core::pdes); route cross-shard effects through \
-                 the event queue"
+                 (sim::pdes, sim::cothread); route cross-shard effects through the event queue"
             }
-            Rule::UnsafeNoSafety => "add a `// SAFETY:` comment on or directly above the block",
             Rule::BadSuppression => {
                 "grammar: `// cni-lint: allow(<rule-slug>) -- <non-empty justification>`"
             }
@@ -370,46 +292,23 @@ impl Rule {
                  receive-path hazards. Fix: validate lengths, return\n\
                  Result/Option, count-and-drop."
             }
-            Rule::ShardIsolation => {
-                "C1 shard-isolation — the static precondition for the parallel DES.\n\
-                 \n\
-                 ROADMAP item 2 shards the event queue per node/switch; after\n\
-                 that, any access to another node's state outside the event\n\
-                 queue is a cross-shard data race that silently breaks\n\
-                 bit-identity. C1 walks every function reachable from\n\
-                 `World::dispatch` inside cni-core/cni-nic/cni-dsm and verifies\n\
-                 each per-node container (`nics`, `dsm`, `spaces`, `cpus`,\n\
-                 `metrics_prev`, `util_prev`, `ring_hw`, `ring_used`) is indexed\n\
-                 through exactly one node root per function — no literal\n\
-                 indices, no index arithmetic (`p + 1` reaches a neighbour), no\n\
-                 mixing two roots (`src` and `dst` in one function). Functions\n\
-                 that legitimately span nodes are designated mediators,\n\
-                 allowlisted in the rule with a justification in LINT.md §C1;\n\
-                 everything else must route cross-node effects through\n\
-                 EventQueue scheduling."
-            }
             Rule::HostThread => {
                 "T1 host-thread — host threading primitives outside the executor.\n\
                  \n\
                  The parallel engine's determinism rests on exactly one piece of\n\
                  host concurrency: the conservative-lookahead executor and its\n\
-                 replay barrier (sim::pdes, driven through core::pdes), plus the\n\
-                 co-thread runtime that implements execution-driven processors\n\
-                 (sim::cothread). A `Mutex`, `RwLock`, `Condvar`, `mpsc` channel\n\
-                 or `thread::spawn` anywhere else in the sim crates either does\n\
+                 replay barrier (sim::pdes), plus the co-thread runtime that\n\
+                 implements execution-driven processors (sim::cothread). The\n\
+                 executor hands each worker its shards' nodes by `&mut`, so the\n\
+                 borrow checker keeps dispatches apart. A `Mutex`, `RwLock`,\n\
+                 `Condvar`, `mpsc` channel or `thread::spawn` anywhere else in\n\
+                 the sim crates either does\n\
                  nothing on the serial path or — worse — invites ad-hoc\n\
                  cross-shard communication whose ordering depends on the host\n\
                  scheduler, silently breaking byte-identity at worker counts\n\
                  above one. Route cross-shard effects through the event queue\n\
                  and `SendIntent` commits; shared read-only state may be waived\n\
                  with a justification."
-            }
-            Rule::UnsafeNoSafety => {
-                "U1 unsafe-no-safety — undocumented unsafe.\n\
-                 \n\
-                 Every `unsafe` block or function must carry a `// SAFETY:`\n\
-                 comment on the same line or within the three lines above,\n\
-                 stating the invariant that makes it sound."
             }
             Rule::BadSuppression => {
                 "S1 bad-suppression — malformed waiver comment.\n\
@@ -491,10 +390,6 @@ fn crate_dir(path: &str) -> Option<&str> {
 
 fn is_sim_crate(path: &str) -> bool {
     crate_dir(path).is_some_and(|c| SIM_CRATES.contains(&c))
-}
-
-fn is_c1_crate(path: &str) -> bool {
-    crate_dir(path).is_some_and(|c| C1_CRATES.contains(&c))
 }
 
 fn is_host_time_exempt(path: &str) -> bool {
@@ -593,7 +488,6 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> WorkspaceAnalysis {
     };
     direct_token_rules(&ws, &mut cand);
     rule_p1(&ws, &mut cand);
-    rule_c1(&ws, &mut cand);
     rule_hash_flow(&ws, &mut cand);
     rule_cross_crate_sources(&ws, &mut cand);
 
@@ -682,7 +576,7 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
 
 /// The token-level direct rules that need no dataflow: D2 direct clock
 /// reads, D3 direct randomness, D4 host-time presence on snapshot
-/// paths, U1 undocumented unsafe.
+/// paths, T1 host threading.
 fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
     for file in &ws.files {
         let path = file.path.as_str();
@@ -749,22 +643,6 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
                         format!("ambient randomness source `{id}` in a sim crate"),
                     );
                 }
-                "unsafe" => {
-                    let covered = file.comments.iter().any(|c| {
-                        c.text.contains("SAFETY:")
-                            && c.end_line <= t.line
-                            && c.end_line + 3 >= t.line
-                    });
-                    if !covered {
-                        cand.push(
-                            Rule::UnsafeNoSafety,
-                            path,
-                            t.line,
-                            t.col,
-                            "`unsafe` without a `// SAFETY:` comment".to_string(),
-                        );
-                    }
-                }
                 _ => {}
             }
         }
@@ -814,81 +692,6 @@ fn rule_p1(ws: &Workspace, cand: &mut Candidates) {
                     "range-slice indexing on a protocol receive path (panics on short input)"
                         .to_string(),
                 );
-            }
-        }
-    }
-}
-
-/// C1: shard isolation over everything reachable from the dispatch
-/// roots (the serial loop's dispatcher and the parallel driver's entry).
-fn rule_c1(ws: &Workspace, cand: &mut Candidates) {
-    let mut roots = Vec::new();
-    for (suffix, name) in C1_ROOTS {
-        roots.extend(ws.find(suffix, name));
-    }
-    let parents = ws.bfs(&roots, |m| is_c1_crate(ws.path(m)) && !ws.def(m).in_test);
-    for (&n, _) in parents.iter() {
-        let path = ws.path(n).to_string();
-        let def = ws.def(n);
-        if C1_MEDIATORS
-            .iter()
-            .any(|(suffix, name)| path.ends_with(suffix) && def.name == *name)
-        {
-            continue;
-        }
-        let chain = ws.chain(&parents, n).join(" → ");
-        let fn_name = ws.name(n);
-        let sites: Vec<_> = ws.facts[n]
-            .indexes
-            .iter()
-            .filter(|s| PER_NODE_FIELDS.contains(&s.field.as_str()))
-            .collect();
-        let mut seen_roots: Vec<String> = Vec::new();
-        for s in &sites {
-            if s.literal {
-                cand.push(
-                    Rule::ShardIsolation,
-                    &path,
-                    s.line,
-                    s.col,
-                    format!(
-                        "per-node state `{}` indexed by a literal in `{fn_name}` (reachable via {chain})",
-                        s.field
-                    ),
-                );
-            }
-            if s.arith {
-                cand.push(
-                    Rule::ShardIsolation,
-                    &path,
-                    s.line,
-                    s.col,
-                    format!(
-                        "per-node state `{}` indexed by an arithmetic expression in `{fn_name}` \
-                         (reachable via {chain}); derive the owning node's index, don't compute \
-                         a neighbour's",
-                        s.field
-                    ),
-                );
-            }
-            for r in &s.roots {
-                if !seen_roots.contains(r) {
-                    if !seen_roots.is_empty() {
-                        cand.push(
-                            Rule::ShardIsolation,
-                            &path,
-                            s.line,
-                            s.col,
-                            format!(
-                                "per-node state reached through multiple index roots (`{}`, `{r}`) \
-                                 in `{fn_name}` (reachable via {chain}); cross-shard access must \
-                                 go through EventQueue scheduling or a designated mediator",
-                                seen_roots.join("`, `")
-                            ),
-                        );
-                    }
-                    seen_roots.push(r.clone());
-                }
             }
         }
     }
@@ -1081,8 +884,8 @@ mod tests {
         let ok = parse_suppression("cni-lint: allow(nondet-map) -- keyed lookups only");
         assert!(matches!(ok, Some(Ok((Rule::NondetMap, _)))));
         assert!(matches!(
-            parse_suppression("cni-lint: allow(shard-isolation) -- mediator"),
-            Some(Ok((Rule::ShardIsolation, _)))
+            parse_suppression("cni-lint: allow(host-thread) -- shared read-only"),
+            Some(Ok((Rule::HostThread, _)))
         ));
         assert!(matches!(
             parse_suppression("cni-lint: allow(nondet-map)"),
@@ -1117,8 +920,6 @@ mod tests {
         assert!(is_test_path("crates/nic/tests/msgcache_model.rs"));
         assert!(is_test_path("tests/byte_identity.rs"));
         assert!(!is_test_path("crates/nic/src/msgcache.rs"));
-        assert!(is_c1_crate("crates/nic/src/device.rs"));
-        assert!(!is_c1_crate("crates/atm/src/fabric.rs"));
     }
 
     #[test]

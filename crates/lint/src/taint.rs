@@ -5,7 +5,7 @@
 //! which calls it makes (with enough receiver/path context for
 //! [`crate::callgraph`] to resolve them), how it uses hash-ordered
 //! collections (tracked through locals, fields, parameters and
-//! returns), and which per-node state it indexes by what. The rules in
+//! returns). The rules in
 //! [`crate::rules`] are then evaluated over facts, not raw tokens —
 //! which is what makes them flow-sensitive (a keyed-only `HashMap`
 //! produces no facts worth flagging) and interprocedural (facts
@@ -17,7 +17,7 @@
 
 use crate::lex::Token;
 use crate::parse::{FileModel, FnDef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One location-plus-description fact.
 #[derive(Clone, Debug)]
@@ -78,25 +78,6 @@ pub struct CallSite {
     pub hash_param_args: Vec<String>,
 }
 
-/// One indexing of a struct field (`recv.field[expr]`), kept for every
-/// field so the shard-isolation rule can filter by its registry.
-#[derive(Clone, Debug)]
-pub struct IndexSite {
-    /// 1-based line of the `[`.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// The indexed field's name.
-    pub field: String,
-    /// Root identifiers of the index expression, resolved through
-    /// simple local aliases (`let d = dst;` ⇒ `dst`).
-    pub roots: Vec<String>,
-    /// The index is a bare literal (`state[0]`).
-    pub literal: bool,
-    /// The index expression applies arithmetic to its roots (`p + 1`).
-    pub arith: bool,
-}
-
 /// Everything the rules need to know about one function body.
 #[derive(Clone, Debug, Default)]
 pub struct FnFacts {
@@ -116,8 +97,6 @@ pub struct FnFacts {
     pub hash_uses: Vec<HashUse>,
     /// Call sites, in source order.
     pub calls: Vec<CallSite>,
-    /// Field index sites (for the shard-isolation rule).
-    pub indexes: Vec<IndexSite>,
     /// The function observes the hashed order of one of its own
     /// hash-typed parameters (directly; the transitive closure is
     /// computed over the call graph).
@@ -240,8 +219,6 @@ struct Scan<'a> {
     hash_fields: BTreeSet<String>,
     /// Hash-typed parameter names of this function.
     hash_params: BTreeSet<String>,
-    /// Simple local aliases for index-root resolution.
-    aliases: BTreeMap<String, String>,
     /// Token positions consumed as call arguments (classified at the
     /// call site, not re-reported as bare uses).
     arg_positions: BTreeSet<usize>,
@@ -279,7 +256,6 @@ pub fn fn_facts(
             .filter(|p| p.hash_typed)
             .map(|p| p.name.clone())
             .collect(),
-        aliases: BTreeMap::new(),
         arg_positions: BTreeSet::new(),
     };
     collect_locals(&mut scan, returns_hash_fns);
@@ -289,7 +265,7 @@ pub fn fn_facts(
 }
 
 /// Pass 1: `let` bindings — hash taint through ascriptions and
-/// initializers, and simple aliases for index-root resolution.
+/// initializers.
 fn collect_locals(scan: &mut Scan<'_>, returns_hash_fns: &BTreeSet<String>) {
     let toks = scan.toks;
     let mut i = scan.lo;
@@ -340,21 +316,12 @@ fn collect_locals(scan: &mut Scan<'_>, returns_hash_fns: &BTreeSet<String>) {
                     {
                         hash = true;
                     } else {
-                        // `let w = self.pages.write();` / `let d = dst as usize;`
+                        // `let w = self.pages.write();`
                         let (root, stop) = chain_root(scan, m);
-                        if let Some(root) = &root {
-                            if scan.is_hash_name(root) && chain_is_passthrough(scan, m, stop) {
-                                hash = true;
-                            }
-                            // Plain alias: `let d = dst;` / `let d = dst as usize;`
-                            if is_plain_alias(toks, m, stop, scan.hi) {
-                                let resolved = scan
-                                    .aliases
-                                    .get(root)
-                                    .cloned()
-                                    .unwrap_or_else(|| root.clone());
-                                scan.aliases.insert(name.clone(), resolved);
-                            }
+                        if root.is_some_and(|r| scan.is_hash_name(&r))
+                            && chain_is_passthrough(scan, m, stop)
+                        {
+                            hash = true;
                         }
                     }
                 }
@@ -386,22 +353,6 @@ fn chain_root(scan: &Scan<'_>, m: usize) -> (Option<String>, usize) {
         Some(id) if !is_keyword(id) => (Some(id.to_string()), m + 1),
         _ => (None, m),
     }
-}
-
-/// Is the initializer starting at `m` (name ending at `stop`) a plain
-/// alias — just the name, optionally with an `as <int>` cast?
-fn is_plain_alias(toks: &[Token], m: usize, stop: usize, hi: usize) -> bool {
-    if toks.get(m).and_then(|t| t.ident()) == Some("self") {
-        return false;
-    }
-    let mut k = stop;
-    if toks.get(k).and_then(|t| t.ident()) == Some("as") {
-        k += 1;
-        if toks.get(k).and_then(|t| t.ident()).is_some() {
-            k += 1;
-        }
-    }
-    k <= hi && toks.get(k).is_some_and(|t| t.is_punct(';'))
 }
 
 /// From `stop` (just past the chain's leading name) follow `.method(..)`
@@ -653,11 +604,8 @@ fn collect_sites(scan: &mut Scan<'_>, facts: &mut FnFacts) {
                 });
             }
             "self" if toks.get(i + 1).is_some_and(|n| n.is_punct('.')) => {
-                // `self.field[..]` index sites and `self.field` hash uses.
+                // `self.field` hash uses.
                 if let Some(field) = toks.get(i + 2).and_then(|n| n.ident()) {
-                    if toks.get(i + 3).is_some_and(|n| n.is_punct('[')) {
-                        record_index(scan, facts, field, i + 3);
-                    }
                     if scan.hash_fields.contains(field) && !scan.arg_positions.contains(&(i + 2)) {
                         classify_hash_use(scan, facts, field, i + 2, i + 3);
                     }
@@ -674,80 +622,11 @@ fn collect_sites(scan: &mut Scan<'_>, facts: &mut FnFacts) {
                 if !preceded_by_dot && !declares && !scan.arg_positions.contains(&i) {
                     classify_hash_use(scan, facts, name, i, i + 1);
                 }
-                // `recv.field[..]` for non-self receivers is still an
-                // index site when the *field* position matches below.
             }
             _ => {}
         }
-        // Non-self receivers: `world.cpus[..]`.
-        if toks.get(i + 1).is_some_and(|n| n.is_punct('.')) && id != "self" && !is_keyword(id) {
-            if let Some(field) = toks.get(i + 2).and_then(|n| n.ident()) {
-                if toks.get(i + 3).is_some_and(|n| n.is_punct('[')) {
-                    record_index(scan, facts, field, i + 3);
-                }
-            }
-        }
         i += 1;
     }
-}
-
-/// Record the `field[..]` index opening at `toks[open] == '['`.
-fn record_index(scan: &Scan<'_>, facts: &mut FnFacts, field: &str, open: usize) {
-    let toks = scan.toks;
-    let mut roots = Vec::new();
-    let mut arith = false;
-    let mut saw_number = false;
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('[') || t.is_punct('(') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(']') || t.is_punct(')') || t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if let Some(id) = t.ident() {
-            if !matches!(
-                id,
-                "as" | "usize" | "u32" | "u64" | "u16" | "u8" | "i32" | "i64"
-            ) && !is_keyword(id)
-            {
-                // Skip tuple/field projections after a dot (`owner.0`).
-                let after_dot = j > open + 1 && toks[j - 1].is_punct('.');
-                if !after_dot {
-                    let root = scan
-                        .aliases
-                        .get(id)
-                        .cloned()
-                        .unwrap_or_else(|| id.to_string());
-                    if !roots.contains(&root) {
-                        roots.push(root);
-                    }
-                }
-            }
-        } else if matches!(t.kind, crate::lex::TokKind::Number) {
-            saw_number = true;
-        } else if depth == 1
-            && (t.is_punct('+')
-                || t.is_punct('-')
-                || t.is_punct('*')
-                || t.is_punct('%')
-                || t.is_punct('^'))
-        {
-            arith = true;
-        }
-        j += 1;
-    }
-    facts.indexes.push(IndexSite {
-        line: toks[open].line,
-        col: toks[open].col,
-        field: field.to_string(),
-        literal: roots.is_empty() && saw_number,
-        arith,
-        roots,
-    });
 }
 
 /// Classify the use of hash-tainted `name` whose chain continues at
@@ -1031,24 +910,6 @@ mod tests {
         assert_eq!(f.panic_unwraps.len(), 1);
         assert_eq!(f.time_now.len(), 1);
         assert_eq!(f.panic_macros.len(), 1);
-    }
-
-    #[test]
-    fn index_sites_resolve_aliases() {
-        let f = facts_of(
-            "fn f(&mut self, dst: usize) {\n\
-             let d = dst;\n\
-             self.cpus[d].run();\n\
-             self.nics[dst as usize].poke();\n\
-             self.ring_hw[0] = 1;\n\
-             self.cpus[dst + 1].run();\n\
-             }",
-        );
-        assert_eq!(f.indexes.len(), 4);
-        assert_eq!(f.indexes[0].roots, vec!["dst"]);
-        assert_eq!(f.indexes[1].roots, vec!["dst"]);
-        assert!(f.indexes[2].literal);
-        assert!(f.indexes[3].arith);
     }
 
     #[test]

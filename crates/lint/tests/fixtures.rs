@@ -191,7 +191,7 @@ fn p1_covers_span_recording_helpers_in_world() {
     // of scope.
     let src = fixture("p1_span_bad.rs");
     assert_eq!(
-        hits("crates/core/src/world.rs", &src),
+        hits("crates/core/src/node.rs", &src),
         vec![
             (Rule::PanicPath, 2), // spans[idx]
             (Rule::PanicPath, 7), // .unwrap()
@@ -202,7 +202,7 @@ fn p1_covers_span_recording_helpers_in_world() {
 #[test]
 fn p1_quiet_on_panic_free_span_helpers() {
     let src = fixture("p1_span_clean.rs");
-    assert!(hits("crates/core/src/world.rs", &src).is_empty());
+    assert!(hits("crates/core/src/node.rs", &src).is_empty());
 }
 
 #[test]
@@ -242,7 +242,7 @@ fn p1_covers_the_collective_dispatch_path() {
     // receive path; panics there are P1 findings.
     let src = fixture("p1_collective_bad.rs");
     assert_eq!(
-        hits("crates/core/src/world.rs", &src),
+        hits("crates/core/src/node.rs", &src),
         vec![
             (Rule::PanicPath, 3), // .unwrap()
             (Rule::PanicPath, 4), // notices[0..1]
@@ -297,12 +297,11 @@ fn t1_quiet_on_event_queue_style_code() {
 
 #[test]
 fn t1_quiet_in_the_designated_executor_modules() {
-    // The executor, its World driver, and the co-thread runtime are the
-    // three sanctioned host-concurrency sites.
+    // The executor and the co-thread runtime are the two sanctioned
+    // host-concurrency sites.
     let src = fixture("t1_bad.rs");
     assert!(hits("crates/sim/src/pdes.rs", &src).is_empty());
     assert!(hits("crates/sim/src/cothread.rs", &src).is_empty());
-    assert!(hits("crates/core/src/pdes.rs", &src).is_empty());
 }
 
 #[test]
@@ -322,21 +321,6 @@ fn t1_suppression_waives_and_is_reported_used() {
         assert_eq!(s.rule, Rule::HostThread);
         assert!(s.used, "suppression at line {} unused", s.line);
     }
-}
-
-#[test]
-fn u1_fires_on_unsafe_without_safety_comment() {
-    let src = fixture("u1_bad.rs");
-    assert_eq!(
-        hits("crates/nic/src/fixture.rs", &src),
-        vec![(Rule::UnsafeNoSafety, 2)]
-    );
-}
-
-#[test]
-fn u1_quiet_with_safety_comment() {
-    let src = fixture("u1_clean.rs");
-    assert!(hits("crates/nic/src/fixture.rs", &src).is_empty());
 }
 
 #[test]
@@ -360,19 +344,19 @@ fn s1_fires_on_malformed_suppressions() {
 #[test]
 fn p1_interproc_finds_panic_two_calls_below_a_receive_root() {
     let src = fixture("p1_interproc_bad.rs");
-    let analysis = analyze_source("crates/core/src/world.rs", &src);
+    let analysis = analyze_source("crates/core/src/gbn.rs", &src);
     let f: Vec<_> = analysis.findings.iter().collect();
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!((f[0].rule, f[0].line), (Rule::PanicPath, 15));
     // The diagnostic must carry the full call chain from the root.
     assert!(
-        f[0].message.contains("receive root `World::on_frame_rx`"),
+        f[0].message.contains("receive root `Node::on_frame_rx`"),
         "{}",
         f[0].message
     );
     assert!(
         f[0].message
-            .contains("World::on_frame_rx → World::validate_seq → World::window_slot"),
+            .contains("Node::on_frame_rx → Node::validate_seq → Node::window_slot"),
         "{}",
         f[0].message
     );
@@ -381,13 +365,13 @@ fn p1_interproc_finds_panic_two_calls_below_a_receive_root() {
 #[test]
 fn p1_interproc_quiet_when_the_leaf_returns_option() {
     let src = fixture("p1_interproc_clean.rs");
-    assert!(hits("crates/core/src/world.rs", &src).is_empty());
+    assert!(hits("crates/core/src/gbn.rs", &src).is_empty());
 }
 
 #[test]
 fn p1_interproc_suppression_at_the_leaf_waives() {
     let src = fixture("p1_interproc_suppressed.rs");
-    let analysis = analyze_source("crates/core/src/world.rs", &src);
+    let analysis = analyze_source("crates/core/src/gbn.rs", &src);
     assert!(analysis.findings.is_empty(), "{:?}", analysis.findings);
     assert_eq!(analysis.suppressions.len(), 1);
     assert!(analysis.suppressions[0].used);
@@ -437,41 +421,6 @@ fn d1_interproc_suppression_at_the_call_site_waives() {
     let analysis = with_helper("d1_interproc_suppressed.rs");
     assert!(analysis.findings.is_empty(), "{:?}", analysis.findings);
     assert_eq!(analysis.suppressions.len(), 1);
-    assert!(analysis.suppressions[0].used);
-}
-
-#[test]
-fn c1_interproc_finds_cross_node_access_via_a_free_function() {
-    let src = fixture("c1_interproc_bad.rs");
-    let analysis = analyze_source("crates/core/src/world.rs", &src);
-    let f: Vec<_> = analysis.findings.iter().collect();
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!((f[0].rule, f[0].line), (Rule::ShardIsolation, 13));
-    assert!(
-        f[0].message.contains("multiple index roots (`src`, `dst`)"),
-        "{}",
-        f[0].message
-    );
-    assert!(
-        f[0].message.contains("World::dispatch → forward"),
-        "{}",
-        f[0].message
-    );
-}
-
-#[test]
-fn c1_interproc_quiet_on_single_root_access() {
-    let src = fixture("c1_interproc_clean.rs");
-    assert!(hits("crates/core/src/world.rs", &src).is_empty());
-}
-
-#[test]
-fn c1_interproc_suppression_marks_a_mediator() {
-    let src = fixture("c1_interproc_suppressed.rs");
-    let analysis = analyze_source("crates/core/src/world.rs", &src);
-    assert!(analysis.findings.is_empty(), "{:?}", analysis.findings);
-    assert_eq!(analysis.suppressions.len(), 1);
-    assert_eq!(analysis.suppressions[0].rule, Rule::ShardIsolation);
     assert!(analysis.suppressions[0].used);
 }
 

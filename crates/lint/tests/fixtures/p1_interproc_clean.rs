@@ -1,8 +1,8 @@
-pub struct World {
+pub struct Node {
     slots: Vec<u64>,
 }
 
-impl World {
+impl Node {
     pub fn on_frame_rx(&mut self, seq: u64) {
         self.validate_seq(seq);
     }

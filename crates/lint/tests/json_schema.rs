@@ -31,7 +31,7 @@ impl T {
     }
 }
 "#;
-    let analysis = analyze_sources(&[("crates/core/src/world.rs".to_string(), caller.to_string())]);
+    let analysis = analyze_sources(&[("crates/core/src/gbn.rs".to_string(), caller.to_string())]);
     WorkspaceReport {
         findings: analysis.findings,
         suppressions: analysis.suppressions,

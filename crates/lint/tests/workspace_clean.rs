@@ -42,79 +42,50 @@ fn workspace_inputs(root: &Path) -> Vec<(String, String)> {
     inputs
 }
 
-/// The C1 gate must be a *verified* true negative: if `World::dispatch`
-/// stopped resolving or the per-node fields were renamed, C1 would fall
-/// silent and its "clean" verdict would be vacuous. This test pins the
-/// traversal itself: the BFS reaches a healthy slice of the core/nic/dsm
-/// crates, a known set of handlers actually touches per-node state, and
-/// every one of those handlers uses exactly one index root.
-#[test]
-fn c1_reachability_is_a_true_negative() {
-    use cni_lint::callgraph::{crate_of, Workspace};
-    use cni_lint::parse::parse_file;
-    use cni_lint::rules::{C1_CRATES, PER_NODE_FIELDS};
-
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
+        .expect("crates/lint has a workspace root two levels up")
+        .to_path_buf()
+}
+
+/// The lint's path-keyed configuration must point at real code. P1 names
+/// its receive roots by file suffix and function name and silently skips
+/// a root that no longer resolves, so moving a handler to another module
+/// would otherwise turn its panic check off without a finding. Likewise
+/// a `THREAD_EXEMPT` entry for a deleted file is dead configuration.
+#[test]
+fn lint_roots_and_exemptions_resolve() {
+    use cni_lint::callgraph::Workspace;
+    use cni_lint::parse::parse_file;
+    use cni_lint::rules::{PANIC_PATH_REGIONS, THREAD_EXEMPT};
+
+    let root = workspace_root();
     let files: Vec<_> = workspace_inputs(&root)
         .iter()
         .map(|(p, s)| parse_file(p, s))
         .collect();
     let ws = Workspace::build(files);
-    let roots = ws.find("crates/core/src/world.rs", "dispatch");
-    assert_eq!(roots.len(), 1, "World::dispatch must resolve uniquely");
-    let parents = ws.bfs(&roots, |m| {
-        C1_CRATES.contains(&crate_of(ws.path(m))) && !ws.def(m).in_test
-    });
-    assert!(
-        parents.len() >= 50,
-        "C1 BFS reached only {} fns from dispatch — the walk has gone silent",
-        parents.len()
-    );
-    let mut touching = Vec::new();
-    for (&n, _) in parents.iter() {
-        let roots_seen: std::collections::BTreeSet<&str> = ws.facts[n]
-            .indexes
-            .iter()
-            .filter(|s| PER_NODE_FIELDS.contains(&s.field.as_str()))
-            .flat_map(|s| s.roots.iter().map(String::as_str))
-            .collect();
-        if !roots_seen.is_empty() {
-            assert_eq!(
-                roots_seen.len(),
-                1,
-                "{} indexes per-node state through {roots_seen:?}",
-                ws.name(n)
+    for (suffix, names) in PANIC_PATH_REGIONS {
+        for name in *names {
+            assert!(
+                !ws.find(suffix, name).is_empty(),
+                "P1 receive root `{name}` in `{suffix}` resolves to no function"
             );
-            touching.push(ws.name(n));
         }
     }
-    // The known per-node handlers must be inside the walk; if dispatch's
-    // fan-out is ever refactored, update this list consciously.
-    for expected in [
-        "World::on_frame_rx",
-        "World::arrive_proto",
-        "World::handle_op",
-    ] {
+    for path in THREAD_EXEMPT {
         assert!(
-            touching.iter().any(|n| n == expected),
-            "{expected} no longer touches per-node state inside the C1 walk \
-             (saw: {touching:?})"
+            root.join(path).is_file(),
+            "THREAD_EXEMPT names `{path}`, which does not exist"
         );
     }
 }
 
 #[test]
 fn the_workspace_honors_the_determinism_contract() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/lint has a workspace root two levels up")
-        .to_path_buf();
-    let report = cni_lint::walk::analyze_workspace(&root).expect("workspace scan");
+    let report = cni_lint::walk::analyze_workspace(&workspace_root()).expect("workspace scan");
     assert!(
         report.files_scanned > 40,
         "scanned only {} files",

@@ -28,7 +28,6 @@
 //! observability fixture pins.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod critpath;
 mod decomp;

@@ -37,6 +37,14 @@
 //! replay, in serial order, so it evolves bit-identically to the serial
 //! engine no matter how the window's dispatches interleaved on the host.
 //!
+//! Shard isolation is enforced by types. Each shard's state is a
+//! [`Driver::Node`] that the executor hands to its lane by `&mut`, and
+//! [`Driver::dispatch`] is an associated function that sees only that
+//! node plus the run's read-only [`Driver::Env`]. The driver itself —
+//! queue, cross-shard state, global counters — is reachable only through
+//! `&mut self` methods the coordinating thread calls, so a dispatch that
+//! touched another shard's state or a shared counter would not compile.
+//!
 //! The worker pool mirrors cni-batch's work-stealing idiom (per-worker
 //! `Mutex<VecDeque>` deques, dealt round-robin, stolen from the back) —
 //! the dependency direction (cni-batch sits above the engine) prevents
@@ -92,6 +100,7 @@ impl<E, I> Outbox<E, I> {
     /// [`EventQueue::schedule_at`](crate::queue::EventQueue::schedule_at)
     /// applies on the serial path.
     pub fn local(&mut self, at: SimTime, ev: E) {
+        // cni-lint: allow(panic-path) -- the window-path twin of EventQueue::schedule_at's retrograde check: `at` is computed by the handler, not read off the wire, and an event in the past is a modelling bug
         assert!(
             at >= self.now,
             "event scheduled in the past: {:?} < {:?}",
@@ -117,33 +126,23 @@ impl<E, I> Outbox<E, I> {
 /// The trait splits the engine into the parts the executor must own (the
 /// global queue, via the `pop_if_before` / `alloc_seq` /
 /// `insert_with_seq` / `advance_now` quartet), the part that runs
-/// concurrently (`dispatch`), and the parts that must stay serial
-/// (`commit`, the window hooks).
-///
-/// # Safety
-///
-/// Implementors guarantee **shard isolation**: `dispatch(shard, …)` may
-/// be called from worker threads, concurrently for *distinct* shards, and
-/// must only read or write state owned by `shard` (plus the passed
-/// outbox). Any state reachable from two different shard values — the
-/// fabric, global counters, the fault injector, the queue — must only be
-/// touched from `commit` and the window hooks, which the executor calls
-/// exclusively from the coordinating thread. cni-lint's C1 shard-isolation
-/// rule checks the in-tree implementation mechanically.
-// SAFETY: the `# Safety` contract above (shard isolation) is what makes
-// the executor's concurrent `dispatch` calls sound.
-pub unsafe trait Driver {
+/// concurrently (`dispatch`, over one shard's [`Driver::Node`]), and the
+/// parts that must stay serial (`commit`, the window hooks). The shards'
+/// nodes are passed to [`Executor::run`] beside the driver, never through
+/// it.
+pub trait Driver {
     /// Event payload type of the global queue.
     type Ev: Send;
     /// Cross-shard side-effect description produced by `dispatch` and
     /// applied by `commit`.
     type Intent: Send;
+    /// One shard's private state: the only mutable state a dispatch sees.
+    type Node: Send;
+    /// State every dispatch may read and none may write.
+    type Env: Sync;
 
-    /// Number of shards. Events are partitioned by [`Driver::shard_of`]
-    /// into `0..shards()`.
-    fn shards(&self) -> usize;
-    /// The shard that owns `ev` — the only shard whose state its dispatch
-    /// may touch.
+    /// The shard that owns `ev`: the index of the node its dispatch
+    /// receives.
     fn shard_of(&self, ev: &Self::Ev) -> usize;
 
     /// Pop the earliest event strictly before `horizon` (with its
@@ -158,12 +157,12 @@ pub unsafe trait Driver {
     /// Advance the queue clock to `t` (replay only).
     fn advance_now(&mut self, t: SimTime);
 
-    /// Dispatch one event of `shard` at time `t`, capturing every queue
-    /// schedule and cross-shard effect in `out`. Called concurrently for
-    /// distinct shards; see the trait-level safety contract.
+    /// Dispatch one event at time `t` against its shard's `node`,
+    /// capturing every queue schedule and cross-shard effect in `out`.
+    /// Called from worker threads, concurrently for distinct nodes.
     fn dispatch(
-        &self,
-        shard: usize,
+        env: &Self::Env,
+        node: &mut Self::Node,
         t: SimTime,
         ev: Self::Ev,
         out: &mut Outbox<Self::Ev, Self::Intent>,
@@ -253,20 +252,23 @@ enum RecOut<E, I> {
     Send(Option<I>),
 }
 
-/// Per-shard window state: the lane heap plus the dispatch log.
-struct LaneState<E, I> {
-    heap: BinaryHeap<LaneEntry<E>>,
+/// Per-shard window state: the shard's node, the lane heap and the
+/// dispatch log.
+struct LaneState<'n, D: Driver> {
+    node: &'n mut D::Node,
+    heap: BinaryHeap<LaneEntry<D::Ev>>,
     next_prov: u32,
     log: Vec<Rec>,
-    outs: Vec<RecOut<E, I>>,
+    outs: Vec<RecOut<D::Ev, D::Intent>>,
     /// Provisional id → the sequence number replay assigned it.
     resolved: Vec<u64>,
-    outbox: Outbox<E, I>,
+    outbox: Outbox<D::Ev, D::Intent>,
 }
 
-impl<E, I> Default for LaneState<E, I> {
-    fn default() -> Self {
+impl<'n, D: Driver> LaneState<'n, D> {
+    fn new(node: &'n mut D::Node) -> Self {
         LaneState {
+            node,
             heap: BinaryHeap::new(),
             next_prov: 0,
             log: Vec::new(),
@@ -277,23 +279,22 @@ impl<E, I> Default for LaneState<E, I> {
     }
 }
 
+/// One lane per shard, each behind the mutex that hands it between the
+/// coordinator and the workers.
+type Lanes<'n, D> = [Mutex<LaneState<'n, D>>];
+
 /// Sequence-number sentinel for a provisional id not yet resolved.
 const UNRESOLVED: u64 = u64::MAX;
 
 /// Run one lane to the horizon: pop the lane heap in `(at, kind, n)`
-/// order, dispatch each entry against the driver, and fold its outbox
-/// into the log (window-local schedules re-enter the heap as provisional
-/// entries; everything else is deferred to replay).
-fn run_lane<D: Driver>(
-    d: &D,
-    shard: usize,
-    horizon: SimTime,
-    lane: &mut LaneState<D::Ev, D::Intent>,
-) {
+/// order, dispatch each entry against the lane's node, and fold its
+/// outbox into the log (window-local schedules re-enter the heap as
+/// provisional entries; everything else is deferred to replay).
+fn run_lane<D: Driver>(env: &D::Env, horizon: SimTime, lane: &mut LaneState<'_, D>) {
     while let Some(e) = lane.heap.pop() {
         debug_assert!(e.at < horizon);
         lane.outbox.now = e.at;
-        d.dispatch(shard, e.at, e.ev, &mut lane.outbox);
+        D::dispatch(env, lane.node, e.at, e.ev, &mut lane.outbox);
         let outs_start = lane.outs.len() as u32;
         let mut items = std::mem::take(&mut lane.outbox.items);
         for out in items.drain(..) {
@@ -338,23 +339,14 @@ fn run_lane<D: Driver>(
 }
 
 /// Coordinator/worker shared window control. `epoch` ticks once per
-/// published window; `dptr` is the driver for that window, valid for
-/// exactly as long as `remaining > 0` (see the safety argument on
-/// [`Executor::run`]).
-struct Ctl<D> {
+/// published window; `remaining` counts the workers still draining it.
+struct Ctl {
     epoch: u64,
     horizon: SimTime,
-    dptr: *const D,
     remaining: usize,
     shutdown: bool,
     panic: Option<Box<dyn Any + Send>>,
 }
-
-// `Ctl` crosses the worker-spawn boundary inside a `Mutex`; the raw
-// driver pointer it carries is only dereferenced under the window
-// protocol (below) and never stored past a window.
-// SAFETY: `D: Sync` makes the shared dereference itself sound, as above.
-unsafe impl<D: Sync> Send for Ctl<D> {}
 
 /// Claim the next lane: own deque front-first, then steal from the back
 /// of the next non-empty victim — cni-batch's `Pool::map` discipline.
@@ -395,21 +387,23 @@ impl Executor {
         Executor { workers, lookahead }
     }
 
-    /// Drive `d` to completion (empty queue), window by window. The
-    /// resulting dispatch order — and every serial side effect — is
-    /// byte-identical to the serial engine's at any worker count.
-    pub fn run<D: Driver + Sync>(&self, d: &mut D) {
-        let nshards = d.shards();
-        let lanes: Vec<Mutex<LaneState<D::Ev, D::Intent>>> = (0..nshards)
-            .map(|_| Mutex::new(LaneState::default()))
+    /// Drive `d` to completion (empty queue), window by window, with
+    /// `nodes[s]` as shard `s`'s state and `env` shared read-only by every
+    /// dispatch. The resulting dispatch order — and every serial side
+    /// effect — is byte-identical to the serial engine's at any worker
+    /// count.
+    pub fn run<D: Driver>(&self, d: &mut D, env: &D::Env, nodes: &mut [D::Node]) {
+        let lanes: Vec<Mutex<LaneState<'_, D>>> = nodes
+            .iter_mut()
+            .map(|node| Mutex::new(LaneState::new(node)))
             .collect();
-        let mut active: Vec<usize> = Vec::with_capacity(nshards);
+        let mut active: Vec<usize> = Vec::with_capacity(lanes.len());
 
         if self.workers == 1 {
             while let Some(t0) = d.peek_time() {
                 let h = self.open_window(d, t0, &lanes, &mut active);
                 for &s in &active {
-                    run_lane(d, s, h, &mut lanes[s].lock().unwrap());
+                    run_lane(env, h, &mut lanes[s].lock().unwrap());
                 }
                 self.replay_window(d, &lanes, &active);
             }
@@ -419,10 +413,9 @@ impl Executor {
         let deques: Vec<Mutex<VecDeque<usize>>> = (0..self.workers)
             .map(|_| Mutex::new(VecDeque::new()))
             .collect();
-        let ctl = Mutex::new(Ctl::<D> {
+        let ctl = Mutex::new(Ctl {
             epoch: 0,
             horizon: SimTime::ZERO,
-            dptr: std::ptr::null(),
             remaining: 0,
             shutdown: false,
             panic: None,
@@ -445,7 +438,7 @@ impl Executor {
                 scope.spawn(move || {
                     let mut seen = 0u64;
                     loop {
-                        let (dptr, horizon) = {
+                        let horizon = {
                             let mut g = ctl.lock().unwrap();
                             loop {
                                 if g.shutdown {
@@ -453,24 +446,14 @@ impl Executor {
                                 }
                                 if g.epoch > seen {
                                     seen = g.epoch;
-                                    break (g.dptr, g.horizon);
+                                    break g.horizon;
                                 }
                                 g = work_cv.wait(g).unwrap();
                             }
                         };
-                        // The coordinator published `dptr` for this epoch
-                        // and will not touch the driver mutably (nor let
-                        // `d` go out of scope) until every signed-up worker
-                        // has decremented `remaining`; the mutex hand-offs
-                        // order the accesses. Distinct lanes are distinct
-                        // shards, so concurrent `dispatch` calls are
-                        // covered by the Driver safety contract.
-                        // SAFETY: publication + shard isolation, as above.
-                        let dref: &D = unsafe { &*dptr };
                         while let Some(s) = next_lane(deques, w) {
                             let lane = &mut *lanes[s].lock().unwrap();
-                            let r =
-                                catch_unwind(AssertUnwindSafe(|| run_lane(dref, s, horizon, lane)));
+                            let r = catch_unwind(AssertUnwindSafe(|| run_lane(env, horizon, lane)));
                             if let Err(p) = r {
                                 let mut g = ctl.lock().unwrap();
                                 if g.panic.is_none() {
@@ -493,7 +476,7 @@ impl Executor {
                     // Inline fast path: nothing to parallelize, don't wake
                     // the pool. The mutexes are uncontended here.
                     for &s in &active {
-                        run_lane(&*d, s, h, &mut *lanes[s].lock().unwrap());
+                        run_lane(env, h, &mut lanes[s].lock().unwrap());
                     }
                 } else {
                     // Deal the active lanes round-robin; every claimant
@@ -501,22 +484,17 @@ impl Executor {
                     for (i, &s) in active.iter().enumerate() {
                         deques[i % self.workers].lock().unwrap().push_back(s);
                     }
-                    // Freeze the driver behind a shared reborrow for the
-                    // duration of the window; workers and coordinator read
-                    // through it, nobody mutates until `remaining == 0`.
-                    let dref: &D = &*d;
                     {
                         let mut g = ctl.lock().unwrap();
                         g.epoch += 1;
                         g.horizon = h;
-                        g.dptr = dref as *const D;
                         g.remaining = self.workers - 1;
                     }
                     work_cv.notify_all();
                     // The coordinator claims lanes too (deque 0).
                     while let Some(s) = next_lane(&deques, 0) {
                         let lane = &mut *lanes[s].lock().unwrap();
-                        let r = catch_unwind(AssertUnwindSafe(|| run_lane(dref, s, h, lane)));
+                        let r = catch_unwind(AssertUnwindSafe(|| run_lane(env, h, lane)));
                         if let Err(p) = r {
                             let mut g = ctl.lock().unwrap();
                             if g.panic.is_none() {
@@ -545,7 +523,7 @@ impl Executor {
         &self,
         d: &mut D,
         t0: SimTime,
-        lanes: &[Mutex<LaneState<D::Ev, D::Intent>>],
+        lanes: &Lanes<'_, D>,
         active: &mut Vec<usize>,
     ) -> SimTime {
         let h = SimTime::from_ps(t0.as_ps().saturating_add(self.lookahead.as_ps()));
@@ -575,12 +553,7 @@ impl Executor {
 
     /// Replay the window's per-lane logs in global serial order and apply
     /// every deferred side effect. Serial, coordinator only.
-    fn replay_window<D: Driver>(
-        &self,
-        d: &mut D,
-        lanes: &[Mutex<LaneState<D::Ev, D::Intent>>],
-        active: &[usize],
-    ) {
+    fn replay_window<D: Driver>(&self, d: &mut D, lanes: &Lanes<'_, D>, active: &[usize]) {
         let mut dispatched = 0u64;
         // Merge the lane logs by resolved key. A lane's log is already in
         // its own serial order, so a heap of lane fronts suffices; a
@@ -642,7 +615,7 @@ impl Executor {
 
 /// The resolved `(time, seq)` key of a lane-log record, packed exactly
 /// like the global queue's heap key so the merge reproduces its order.
-fn front_key<E, I>(lane: &LaneState<E, I>, i: usize) -> u128 {
+fn front_key<D: Driver>(lane: &LaneState<'_, D>, i: usize) -> u128 {
     let rec = &lane.log[i];
     let seq = if rec.kind == 0 {
         rec.n
@@ -659,12 +632,12 @@ fn front_key<E, I>(lane: &LaneState<E, I>, i: usize) -> u128 {
 
 /// Releases parked workers when the coordinator leaves its scope —
 /// normally or by unwinding — so `std::thread::scope` can join them.
-struct ShutdownGuard<'a, D> {
-    ctl: &'a Mutex<Ctl<D>>,
+struct ShutdownGuard<'a> {
+    ctl: &'a Mutex<Ctl>,
     work_cv: &'a Condvar,
 }
 
-impl<D> Drop for ShutdownGuard<'_, D> {
+impl Drop for ShutdownGuard<'_> {
     fn drop(&mut self) {
         // A lock poisoned by a panicking worker must not stop the
         // release, or the scope join would deadlock mid-unwind.
@@ -686,14 +659,14 @@ impl<D> Drop for ShutdownGuard<'_, D> {
 /// This is **not** the production serial path (the engine's own event
 /// loop is), but it is the executable specification the property tests
 /// compare the executor against.
-pub fn run_serial<D: Driver>(d: &mut D) {
+pub fn run_serial<D: Driver>(d: &mut D, env: &D::Env, nodes: &mut [D::Node]) {
     let mut out = Outbox::default();
     while let Some((at, _seq, ev)) = d.pop_if_before(SimTime::MAX) {
         d.advance_now(at);
         let shard = d.shard_of(&ev);
         d.replayed(shard, at);
         out.now = at;
-        d.dispatch(shard, at, ev, &mut out);
+        D::dispatch(env, &mut nodes[shard], at, ev, &mut out);
         let items = std::mem::take(&mut out.items);
         for o in items {
             match o {

@@ -10,7 +10,6 @@
 use cni_sim::pdes::{run_serial, Driver, Executor, Outbox};
 use cni_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// Cross-shard lookahead for every test, in picoseconds.
 const L: u64 = 1_000;
@@ -41,19 +40,14 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The toy driver. Per-shard state is a hash accumulator chained over
-/// the shard's own dispatch history — any reordering *within* a shard
-/// changes the final hashes, any reordering *across* shards changes the
-/// `order`/`commits` logs, and any sequence-allocation drift changes
-/// `q.next_seq()`; the test compares all of them against serial.
+/// The toy driver. Per-shard state (the executor's nodes) is a hash
+/// accumulator chained over the shard's own dispatch history — any
+/// reordering *within* a shard changes the final hashes, any reordering
+/// *across* shards changes the `order`/`commits` logs, and any
+/// sequence-allocation drift changes `q.next_seq()`; the test compares
+/// all of them against serial.
 struct Toy {
     q: EventQueue<ToyEv>,
-    shards: usize,
-    /// Per-shard accumulators — the only state `dispatch` touches. The
-    /// mutexes are uncontended (one event of one shard at a time) and
-    /// exist to make the concurrent-dispatch access pattern safe without
-    /// raw pointers in a test.
-    state: Vec<Mutex<u64>>,
     /// The reconstructed serial total order, from the `replayed` hook.
     order: Vec<(u64, usize)>,
     /// Commit order of cross-shard intents.
@@ -61,47 +55,38 @@ struct Toy {
     /// Horizon of the open window (the conservative-lookahead contract
     /// check in `commit`); `None` outside the parallel engine.
     horizon: Option<SimTime>,
+}
+
+/// What every dispatch reads.
+struct ToyEnv {
+    shards: usize,
     /// When true, `dispatch` emits sends *below* the horizon — a
     /// deliberate contract violation for the detection test.
     violate_lookahead: bool,
 }
 
 impl Toy {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         Toy {
             q: EventQueue::new(),
-            shards,
-            state: (0..shards).map(|_| Mutex::new(0)).collect(),
             order: Vec::new(),
             commits: Vec::new(),
             horizon: None,
-            violate_lookahead: false,
         }
     }
 
     /// Everything observable about a finished run.
-    fn fingerprint(self) -> Fingerprint {
-        let hashes = self.state.iter().map(|m| *m.lock().unwrap()).collect();
+    fn fingerprint(self, hashes: Vec<u64>) -> Fingerprint {
         (self.order, self.commits, hashes, self.q.next_seq())
     }
 }
 
-// Workers only ever call `dispatch`, which touches nothing but the
-// per-shard `Mutex`-protected accumulator; all other fields are reached
-// from `&mut self` methods the executor calls serially.
-// SAFETY: the shared state is sync-wrapped, as above.
-unsafe impl Sync for Toy {}
-
-// The per-shard accumulator is the only state `dispatch` touches, and it
-// is indexed by the dispatched shard — shard isolation holds by shape.
-// SAFETY: dispatch touches only state owned by `shard` (see above).
-unsafe impl Driver for Toy {
+impl Driver for Toy {
     type Ev = ToyEv;
     type Intent = ToyIntent;
+    type Node = u64;
+    type Env = ToyEnv;
 
-    fn shards(&self) -> usize {
-        self.shards
-    }
     fn shard_of(&self, ev: &ToyEv) -> usize {
         ev.shard
     }
@@ -121,11 +106,15 @@ unsafe impl Driver for Toy {
         self.q.advance_now(t)
     }
 
-    fn dispatch(&self, shard: usize, t: SimTime, ev: ToyEv, out: &mut Outbox<ToyEv, ToyIntent>) {
-        let mut st = self.state[shard].lock().unwrap();
-        *st = mix(*st ^ ev.id ^ t.as_ps());
-        let h = *st;
-        drop(st);
+    fn dispatch(
+        env: &ToyEnv,
+        node: &mut u64,
+        t: SimTime,
+        ev: ToyEv,
+        out: &mut Outbox<ToyEv, ToyIntent>,
+    ) {
+        *node = mix(*node ^ ev.id ^ t.as_ps());
+        let h = *node;
         if ev.gen == 0 {
             return;
         }
@@ -138,17 +127,17 @@ unsafe impl Driver for Toy {
             out.local(
                 SimTime::from_ps(t.as_ps() + d),
                 ToyEv {
-                    shard,
+                    shard: ev.shard,
                     id: mix(h ^ 0xAB),
                     gen: ev.gen - 1,
                 },
             );
         }
         if h & 4 != 0 {
-            let dst = (h >> 3) as usize % self.shards;
+            let dst = (h >> 3) as usize % env.shards;
             // `t + L` is the earliest legal arrival (== the horizon when
             // `t` opened the window); the violating driver undercuts it.
-            let d = if self.violate_lookahead {
+            let d = if env.violate_lookahead {
                 L / 2
             } else {
                 L + deltas[(h >> 5) as usize % 4]
@@ -196,7 +185,7 @@ type Seed = (u64, usize, u8, u64);
 type Fingerprint = (Vec<(u64, usize)>, Vec<(u64, usize, u64)>, Vec<u64>, u64);
 
 fn run_toy(seeds: &[Seed], shards: usize, workers: Option<usize>) -> Fingerprint {
-    let mut toy = Toy::new(shards);
+    let mut toy = Toy::new();
     for &(t, s, g, id) in seeds {
         toy.q.schedule_at(
             SimTime::from_ps(t),
@@ -207,11 +196,16 @@ fn run_toy(seeds: &[Seed], shards: usize, workers: Option<usize>) -> Fingerprint
             },
         );
     }
+    let env = ToyEnv {
+        shards,
+        violate_lookahead: false,
+    };
+    let mut nodes = vec![0u64; shards];
     match workers {
-        None => run_serial(&mut toy),
-        Some(w) => Executor::new(w, SimTime::from_ps(L)).run(&mut toy),
+        None => run_serial(&mut toy, &env, &mut nodes),
+        Some(w) => Executor::new(w, SimTime::from_ps(L)).run(&mut toy, &env, &mut nodes),
     }
-    toy.fingerprint()
+    toy.fingerprint(nodes)
 }
 
 proptest! {
@@ -267,8 +261,11 @@ fn all_ties_resolve_in_seq_order() {
 #[test]
 #[should_panic(expected = "lookahead violation")]
 fn undercut_lookahead_is_detected() {
-    let mut toy = Toy::new(2);
-    toy.violate_lookahead = true;
+    let mut toy = Toy::new();
+    let env = ToyEnv {
+        shards: 2,
+        violate_lookahead: true,
+    };
     // `gen > 0` guarantees dispatches emit; ids chosen so at least one
     // send fires in the first window (h & 4 is data-dependent, so seed
     // several).
@@ -282,5 +279,5 @@ fn undercut_lookahead_is_detected() {
             },
         );
     }
-    Executor::new(2, SimTime::from_ps(L)).run(&mut toy);
+    Executor::new(2, SimTime::from_ps(L)).run(&mut toy, &env, &mut [0u64; 2]);
 }
