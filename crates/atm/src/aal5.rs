@@ -179,15 +179,6 @@ impl Reassembler {
         }
     }
 
-    /// Fresh reassembler whose gather-buffer pool retains up to `retain`
-    /// buffers (the buffer-pool knob; see DESIGN.md §4.1).
-    pub fn with_pool_retain(retain: usize) -> Self {
-        Reassembler {
-            partial: BTreeMap::new(),
-            pool: BufPool::with_retain(retain),
-        }
-    }
-
     /// Accept one cell. Returns `Some(..)` when this cell completes a PDU:
     /// the user payload on success, or the detected error.
     pub fn push(&mut self, cell: &Cell) -> Option<Result<PduBuf, ReassemblyError>> {

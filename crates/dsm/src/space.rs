@@ -10,14 +10,22 @@
 //! Concurrency discipline: the simulation engine guarantees at most one
 //! thread (engine or one application co-thread) runs at a time, so the
 //! relaxed atomics here are about satisfying the compiler, not about
-//! cross-thread ordering.
+//! cross-thread ordering. The same guarantee means the page table's
+//! `RwLock` is never contended; it is there because co-threads share the
+//! [`NodeSpace`], so the table must be `Sync`. A poisoned lock is
+//! recovered, not propagated: each critical section is one map lookup or
+//! insert, so no panic can leave the table half-updated.
+//!
+//! The page table is a `BTreeMap` keyed by page id, not a dense `Vec`: a
+//! dense table is sized by the largest id touched, and a page id can come
+//! from decoded snapshot bytes.
 
 use crate::types::PageId;
-// cni-lint: allow(host-thread) -- page table shared with application co-threads; the engine runs at most one thread at a time (see module docs), the lock satisfies Send/Sync bounds
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+// cni-lint: allow(host-thread) -- page table shared with application co-threads; the engine runs at most one thread at a time (see module docs), the lock satisfies Send/Sync bounds
+use std::sync::RwLock;
+use std::sync::{Arc, PoisonError};
 
 /// Page access rights, stored per (node, page).
 pub mod access {
@@ -153,7 +161,7 @@ pub struct NodeSpace {
     page_bytes: usize,
     line_bytes: usize,
     // cni-lint: allow(host-thread) -- keyed-only page map handed to co-threads; never contended (one runnable thread) and never iterated
-    pages: RwLock<HashMap<PageId, PageHandle>>,
+    pages: RwLock<BTreeMap<PageId, PageHandle>>,
 }
 
 impl NodeSpace {
@@ -165,7 +173,7 @@ impl NodeSpace {
             page_bytes,
             line_bytes,
             // cni-lint: allow(host-thread) -- constructor for the waived field above
-            pages: RwLock::new(HashMap::new()),
+            pages: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -198,10 +206,10 @@ impl NodeSpace {
     /// Fetch the handle for `page`, creating an invalid zero frame on first
     /// touch.
     pub fn page(&self, page: PageId) -> PageHandle {
-        if let Some(h) = self.pages.read().get(&page) {
-            return h.clone();
+        if let Some(h) = self.try_page(page) {
+            return h;
         }
-        let mut w = self.pages.write();
+        let mut w = self.pages.write().unwrap_or_else(PoisonError::into_inner);
         w.entry(page)
             .or_insert_with(|| {
                 Arc::new(Page {
@@ -214,12 +222,14 @@ impl NodeSpace {
 
     /// Handle if the page has ever been touched on this node.
     pub fn try_page(&self, page: PageId) -> Option<PageHandle> {
-        self.pages.read().get(&page).cloned()
+        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
+        pages.get(&page).cloned()
     }
 
     /// Number of locally materialised frames.
     pub fn frames(&self) -> usize {
-        self.pages.read().len()
+        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
+        pages.len()
     }
 }
 
@@ -286,6 +296,20 @@ mod tests {
         // Same handle identity on re-fetch.
         let h2 = ns.page(PageId(5));
         assert!(Arc::ptr_eq(&h, &h2));
+    }
+
+    #[test]
+    fn page_table_survives_a_poisoned_lock() {
+        let ns = NodeSpace::new(2048, 32);
+        let h = ns.page(PageId(1));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _w = ns.pages.write().unwrap();
+            panic!("poison the page table");
+        }));
+        assert!(poisoned.is_err() && ns.pages.is_poisoned());
+        assert!(Arc::ptr_eq(&ns.try_page(PageId(1)).unwrap(), &h));
+        ns.page(PageId(2));
+        assert_eq!(ns.frames(), 2);
     }
 
     #[test]

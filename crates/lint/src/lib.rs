@@ -4,24 +4,24 @@
 //! The whole evaluation methodology — execution-driven simulation with
 //! byte-identical `RunReport`s for a given seed, at any worker count —
 //! is only as strong as the absence of hidden nondeterminism sources.
-//! v2 of the engine analyzes every first-party source file in three
-//! layers (still no network, no syn: consistent with the vendored
-//! `third_party/` policy):
+//! The engine analyzes every first-party source file in three layers
+//! (no network, no syn: consistent with the vendored `third_party/`
+//! policy):
 //!
 //! 1. [`lex`]/[`parse`] — a lightweight tokenizer and item-level parser
-//!    producing per-file function, field, and comment models;
-//! 2. [`taint`] — per-function fact sets: panic sites, host-time and
-//!    randomness sources, flow-tracked hash-collection uses, and call
+//!    producing per-file token, function, and comment models; the
+//!    presence rules (D1–D4, T1) run on these tokens directly;
+//! 2. [`taint`] — per-function fact sets for P1: panic sites and call
 //!    sites;
-//! 3. [`callgraph`] — a workspace call graph over which the rules run
+//! 3. [`callgraph`] — a workspace call graph over which P1 runs
 //!    interprocedurally, with full call chains in the diagnostics.
 //!
 //! | ID | slug               | rule |
 //! |----|--------------------|------|
-//! | D1 | `nondet-map`       | no *observed* hash iteration order in determinism-sensitive crates, directly or through helpers |
-//! | D2 | `host-time`        | no `Instant::now`/`SystemTime::now` outside host-timing modules, including transitively |
-//! | D3 | `ambient-rng`      | no `thread_rng`/`from_entropy`/`RandomState` in sim crates, including transitively |
-//! | D4 | `snap-nondet`      | no hashed iteration or host timestamps on snapshot encode/decode paths |
+//! | D1 | `nondet-map`       | no `HashMap`/`HashSet` in determinism-sensitive crates |
+//! | D2 | `host-time`        | no `Instant::now`/`SystemTime::now` outside host-timing modules |
+//! | D3 | `ambient-rng`      | no `thread_rng`/`from_entropy`/`RandomState` in sim crates |
+//! | D4 | `snap-nondet`      | no hash collections or host timestamps on snapshot encode/decode paths |
 //! | P1 | `panic-path`       | no panicking operators reachable from protocol receive roots (BFS over the call graph) |
 //! | T1 | `host-thread`      | no `Mutex`/`RwLock`/`Condvar`/`mpsc`/`thread::spawn` in sim crates outside the executor and co-thread modules |
 //! | S1 | `bad-suppression`  | malformed waiver comments |
@@ -37,8 +37,7 @@
 //! The justification is mandatory; suppressions without one, and
 //! suppressions that no longer match a finding, are themselves findings
 //! (`bad-suppression`, `unused-suppression`) so waivers cannot rot
-//! silently — flow-sensitivity in v2 retired every standing `nondet-map`
-//! waiver this way. Test code (`#[cfg(test)]` modules, `tests/`,
+//! silently. Test code (`#[cfg(test)]` modules, `tests/`,
 //! `benches/`, `examples/`) is exempt: determinism of the simulation,
 //! not of test scaffolding, is the contract.
 //!

@@ -2,10 +2,9 @@
 //!
 //! The analysis engine needs *structure*, not full syntax: which
 //! functions exist (and inside which `impl` block), where their bodies
-//! begin and end in the token stream, what their parameters and return
-//! types look like, and which struct fields carry hash-ordered
-//! collection types. Everything else — expressions, statements, calls —
-//! is recovered per-function by [`crate::taint`]'s body scanner.
+//! begin and end in the token stream, and which lines are test code.
+//! Everything else — expressions, statements, calls — is recovered
+//! per-function by [`crate::taint`]'s body scanner.
 //!
 //! Like the lexer, the parser is forgiving by construction: it never
 //! panics on code it does not understand, it just records less. A lint
@@ -18,8 +17,6 @@ use crate::lex::{tokenize, Comment, Token};
 pub struct Param {
     /// The binding name (patterns contribute their first identifier).
     pub name: String,
-    /// Whether the declared type mentions `HashMap`/`HashSet`.
-    pub hash_typed: bool,
 }
 
 /// One parsed `fn` item.
@@ -41,22 +38,8 @@ pub struct FnDef {
     pub end_line: u32,
     /// Declared parameters, in order. `self` receivers are not listed.
     pub params: Vec<Param>,
-    /// Whether the return type mentions `HashMap`/`HashSet`.
-    pub returns_hash: bool,
     /// Whether the item sits inside a `#[cfg(test)]`/`#[test]` region.
     pub in_test: bool,
-}
-
-/// One struct field whose declared type is relevant to the analysis.
-#[derive(Clone, Debug)]
-pub struct FieldDef {
-    /// The struct the field belongs to.
-    pub owner: String,
-    /// Field name.
-    pub name: String,
-    /// Whether the declared type mentions `HashMap`/`HashSet`
-    /// (including through wrappers: `RwLock<HashMap<..>>` counts).
-    pub hash_typed: bool,
 }
 
 /// The parsed model of one source file.
@@ -70,8 +53,6 @@ pub struct FileModel {
     pub comments: Vec<Comment>,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnDef>,
-    /// Hash-typed struct fields, for `self.field` taint resolution.
-    pub fields: Vec<FieldDef>,
     /// Line ranges (inclusive) of `#[cfg(test)]`/`#[test]`-gated items.
     pub test_ranges: Vec<(u32, u32)>,
 }
@@ -99,12 +80,6 @@ impl FileModel {
         }
         best
     }
-}
-
-/// Does a token slice mention a hash-ordered collection type?
-fn mentions_hash(toks: &[Token]) -> bool {
-    toks.iter()
-        .any(|t| matches!(t.ident(), Some("HashMap" | "HashSet")))
 }
 
 /// Token index of the `}` matching the `{` at `open`, if balanced.
@@ -205,11 +180,9 @@ fn parse_fn(toks: &[Token], i: usize, qual: Option<&str>) -> Option<(FnDef, usiz
     if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
         return None;
     }
-    // Parameters: at paren depth 1, each `ident :` introduces one; the
-    // type runs to the next `,` at depth 1 (or the closing paren).
+    // Parameters: at paren depth 1, each `ident :` introduces one.
     let mut params = Vec::new();
     let mut depth = 0i32;
-    let open = j;
     let mut close = j;
     while j < toks.len() {
         let t = &toks[j];
@@ -228,45 +201,18 @@ fn parse_fn(toks: &[Token], i: usize, qual: Option<&str>) -> Option<(FnDef, usiz
             && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
             && !toks.get(j + 2).is_some_and(|n| n.is_punct(':'))
         {
-            // Type tokens: up to the `,` back at depth 1.
-            let ty_start = j + 2;
-            let mut k = ty_start;
-            let mut d2 = depth;
-            while k < toks.len() {
-                let u = &toks[k];
-                if u.is_punct('(') || u.is_punct('[') {
-                    d2 += 1;
-                } else if u.is_punct(')') || u.is_punct(']') {
-                    d2 -= 1;
-                    if d2 == 0 {
-                        break;
-                    }
-                } else if u.is_punct(',') && d2 == 1 {
-                    break;
-                }
-                k += 1;
-            }
             params.push(Param {
                 name: t.ident().unwrap_or_default().to_string(),
-                hash_typed: mentions_hash(&toks[ty_start..k.min(toks.len())]),
             });
         }
         j += 1;
     }
-    let _ = open;
-    // Return type: tokens between `)` and the body `{`, a `;`, or a
-    // `where` clause (whose bounds are not part of the return type).
-    let mut k = close + 1;
-    let ret_start = k;
+    // The body is the first `{` after the parameters (past any return
+    // type and where clause); a `;` first means a bodiless declaration.
     let mut body = None;
     let mut end_line = toks[close.min(toks.len() - 1)].line;
-    let mut ret_end = ret_start;
-    while k < toks.len() {
-        let t = &toks[k];
+    for (k, t) in toks.iter().enumerate().skip(close + 1) {
         if t.is_punct('{') {
-            if ret_end == ret_start {
-                ret_end = k;
-            }
             if let Some(cb) = matching_brace(toks, k) {
                 body = Some((k, cb));
                 end_line = toks[cb].line;
@@ -274,18 +220,10 @@ fn parse_fn(toks: &[Token], i: usize, qual: Option<&str>) -> Option<(FnDef, usiz
             break;
         }
         if t.is_punct(';') {
-            if ret_end == ret_start {
-                ret_end = k;
-            }
             end_line = t.line;
             break;
         }
-        if t.ident() == Some("where") && ret_end == ret_start {
-            ret_end = k;
-        }
-        k += 1;
     }
-    let returns_hash = mentions_hash(&toks[ret_start..ret_end.min(toks.len())]);
     Some((
         FnDef {
             name,
@@ -295,61 +233,10 @@ fn parse_fn(toks: &[Token], i: usize, qual: Option<&str>) -> Option<(FnDef, usiz
             start_line: sig_line,
             end_line,
             params,
-            returns_hash,
             in_test: false,
         },
         close + 1,
     ))
-}
-
-/// Extract hash-typed fields from the struct body `{..}` at `open`.
-fn parse_struct_fields(toks: &[Token], owner: &str, open: usize, out: &mut Vec<FieldDef>) {
-    let Some(close) = matching_brace(toks, open) else {
-        return;
-    };
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < close {
-        let t = &toks[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 1
-            && t.ident().is_some()
-            && !matches!(t.ident(), Some("pub" | "crate" | "super" | "in"))
-            && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            && !toks.get(j + 2).is_some_and(|n| n.is_punct(':'))
-        {
-            // Field type runs to the `,` back at depth 1 or the close.
-            let ty_start = j + 2;
-            let mut k = ty_start;
-            let mut d2 = depth;
-            while k < close {
-                let u = &toks[k];
-                if u.is_punct('{') || u.is_punct('(') || u.is_punct('[') || u.is_punct('<') {
-                    d2 += 1;
-                } else if u.is_punct('}')
-                    || u.is_punct(')')
-                    || u.is_punct(']')
-                    || (u.is_punct('>') && !toks[k - 1].is_punct('-'))
-                {
-                    d2 -= 1;
-                } else if u.is_punct(',') && d2 == 1 {
-                    break;
-                }
-                k += 1;
-            }
-            out.push(FieldDef {
-                owner: owner.to_string(),
-                name: t.ident().unwrap_or_default().to_string(),
-                hash_typed: mentions_hash(&toks[ty_start..k]),
-            });
-            j = k;
-            continue;
-        }
-        j += 1;
-    }
 }
 
 /// Line ranges (inclusive) of `#[cfg(test)]`/`#[test]`-gated items.
@@ -445,7 +332,6 @@ pub fn parse_file(path: &str, src: &str) -> FileModel {
     let mut model = FileModel {
         path: path.to_string(),
         fns: Vec::new(),
-        fields: Vec::new(),
         test_ranges: excluded.clone(),
         toks: Vec::new(),
         comments,
@@ -472,24 +358,6 @@ pub fn parse_file(path: &str, src: &str) -> FileModel {
                     impls.push((name, depth));
                     i = open; // continue at `{` so depth tracking sees it
                     continue;
-                }
-            }
-            Some("struct") => {
-                if let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) {
-                    // Find the body brace, if it is a braced struct (skip
-                    // generics and where clauses; tuple/unit structs end
-                    // with `;` before any brace).
-                    let mut j = i + 2;
-                    while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                        if toks[j].is_punct('<') {
-                            j = skip_generics(&toks, j);
-                            continue;
-                        }
-                        j += 1;
-                    }
-                    if toks.get(j).is_some_and(|t| t.is_punct('{')) {
-                        parse_struct_fields(&toks, name, j, &mut model.fields);
-                    }
                 }
             }
             Some("fn") => {
@@ -545,31 +413,6 @@ mod tests {
         );
         assert_eq!(m.fns[0].params.len(), 2);
         assert!(m.fns.iter().all(|f| f.body.is_some()));
-    }
-
-    #[test]
-    fn hash_typed_params_returns_and_fields() {
-        let src = r#"
-            struct S {
-                map: HashMap<u64, u32>,
-                locked: RwLock<HashMap<u32, u32>>,
-                plain: Vec<u32>,
-            }
-            fn observe(m: &HashMap<u64, u32>, n: usize) -> u32 { n as u32 }
-            fn build() -> HashMap<u64, u32> { HashMap::new() }
-        "#;
-        let m = parse_file("crates/dsm/src/fixture.rs", src);
-        let hashes: Vec<_> = m
-            .fields
-            .iter()
-            .filter(|f| f.hash_typed)
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(hashes, vec!["map", "locked"]);
-        assert!(m.fns[0].params[0].hash_typed);
-        assert!(!m.fns[0].params[1].hash_typed);
-        assert!(m.fns[1].returns_hash);
-        assert!(!m.fns[0].returns_hash);
     }
 
     #[test]

@@ -1,27 +1,24 @@
 //! Rule definitions and the workspace analysis pass.
 //!
-//! v2 of the engine evaluates rules over three layers of context
-//! instead of raw tokens:
+//! Every rule starts from **crate classification**: each file's
+//! workspace-relative path decides which rules apply at all (D1/D3/T1
+//! only bite in the determinism-sensitive simulation crates; D2 exempts
+//! the designated host-timing modules; D4 covers snapshot paths).
+//! Then:
 //!
-//! 1. **Crate classification** from each file's workspace-relative
-//!    path: which rules apply at all (D1/D3 only bite in the
-//!    determinism-sensitive simulation crates; D2 exempts the
-//!    designated host-timing modules; D4 covers snapshot paths).
-//! 2. **Per-function fact sets** from [`crate::taint`]: panic sites,
-//!    host-time and randomness sources, hash-ordered collection uses
-//!    tracked through locals/fields/params, and call sites.
-//! 3. **The workspace call graph** from [`crate::callgraph`]: P1
-//!    panic-reachability is a BFS from the protocol receive roots; the
-//!    D-family rules propagate source facts along call edges so a
-//!    helper cannot launder a clock read or a hash iteration.
-//!
-//! Findings carry the full call chain in their message when the
-//! violation is interprocedural, so the diagnostic explains *why* the
-//! flagged line is on a hot path two files away from the root.
+//! * **Presence rules** (D1–D4, T1) match identifiers in the token
+//!   stream. Each needs only the file it is in: the sim crates depend
+//!   only on each other, so every function they can call is scanned
+//!   under the same rules.
+//! * **P1** is interprocedural: panic-reachability is a BFS from the
+//!   protocol receive roots over the workspace call graph of
+//!   [`crate::callgraph`], using the per-function panic facts of
+//!   [`crate::taint`]. Its findings carry the full call chain, so the
+//!   diagnostic explains *why* the flagged line is on a receive path
+//!   two files away from the root.
 
-use crate::callgraph::{Reach, Workspace, STD_METHODS};
+use crate::callgraph::Workspace;
 use crate::parse::{parse_file, FileModel};
-use crate::taint::{KEYED_SAFE, ORDER_OBSERVING, PASSTHROUGH};
 use std::collections::BTreeSet;
 
 /// The crates whose iteration order, randomness, and clocks can reach
@@ -108,16 +105,14 @@ const P1_BOUNDARY_FNS: &[&str] = &["resume", "wake"];
 /// A lint rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// D1: observed iteration order of unordered hash collections in
-    /// determinism-sensitive crates (flow-sensitive).
+    /// D1: unordered hash collections (`HashMap`/`HashSet`) in
+    /// determinism-sensitive crates.
     NondetMap,
-    /// D2: host clock reads outside designated host-timing modules,
-    /// directly or through calls out of the sim crates.
+    /// D2: host clock reads outside designated host-timing modules.
     HostTime,
-    /// D3: ambient (non-`Config`-seeded) randomness in sim crates,
-    /// directly or through calls out of the sim crates.
+    /// D3: ambient (non-`Config`-seeded) randomness in sim crates.
     AmbientRng,
-    /// D4: hashed-order iteration or host timestamps on snapshot
+    /// D4: hash collections or host timestamps on snapshot
     /// encode/decode paths.
     SnapNondet,
     /// P1: panicking operators reachable from protocol receive roots.
@@ -193,7 +188,7 @@ impl Rule {
     pub fn help(self) -> &'static str {
         match self {
             Rule::NondetMap => {
-                "use BTreeMap/BTreeSet (or keyed-only access), or add \
+                "use BTreeMap/BTreeSet, or add \
                  `// cni-lint: allow(nondet-map) -- <why iteration order cannot leak>`"
             }
             Rule::HostTime => {
@@ -201,7 +196,7 @@ impl Rule {
             }
             Rule::AmbientRng => "derive all randomness from Config seeds (SimRng/Pcg32)",
             Rule::SnapNondet => {
-                "snapshot bytes must be reproducible: iterate BTree/sorted orders, never hashed \
+                "snapshot bytes must be reproducible: use BTree collections, never hashed \
                  ones, and never embed Instant/SystemTime values in a checkpoint"
             }
             Rule::PanicPath => {
@@ -224,56 +219,46 @@ impl Rule {
     pub fn explain(self) -> &'static str {
         match self {
             Rule::NondetMap => {
-                "D1 nondet-map — hash-order observation in sim crates.\n\
+                "D1 nondet-map — hash collections in sim crates.\n\
                  \n\
                  `HashMap`/`HashSet` iteration order depends on the hasher and on\n\
                  insertion/capacity history, so any observed iteration order is a\n\
                  nondeterminism source that can leak into RunReport, traces, or\n\
-                 protocol decisions. The v2 rule is flow-sensitive: declaring or\n\
-                 storing a hash collection is fine; the finding fires where its\n\
-                 order is *observed*. Tracked through locals (`let w = self.pages\n\
-                 .write()`), struct fields, parameters, and returns. Flagged\n\
-                 operations: `iter`, `keys`, `values`, `into_iter`, `drain`,\n\
-                 `retain`, `for .. in`, plus any operation not on the keyed-safe\n\
-                 list (conservative), plus passing the collection to a function\n\
-                 that transitively observes its parameter's order. Keyed-only\n\
-                 access (`get`/`insert`/`remove`/`contains_key`/`len`/..) never\n\
-                 fires. Fix: iterate a BTree collection or a sorted key vector,\n\
-                 or keep access keyed."
+                 protocol decisions. A BTree collection iterates in key order, so\n\
+                 the rule is a presence rule: any `HashMap` or `HashSet`\n\
+                 identifier in non-test code of a sim crate is a finding, whether\n\
+                 or not the code iterates it. The sim crates depend only on each\n\
+                 other, so no helper outside them can iterate one of their maps on\n\
+                 their behalf. Fix: use BTreeMap or BTreeSet."
             }
             Rule::HostTime => {
                 "D2 host-time — wall-clock reads outside the designated modules.\n\
                  \n\
                  Simulation time is SimTime, advanced by the event queue. A host\n\
                  clock read (`Instant::now`, `SystemTime::now`) anywhere else can\n\
-                 leak scheduling jitter into results. Direct reads are flagged in\n\
-                 every first-party file except the designated host-timing modules\n\
-                 (batch::JobTiming, cni-bench). The v2 rule is also\n\
-                 interprocedural: a sim-crate function that calls out of the sim\n\
-                 crates into something that transitively reads the host clock is\n\
-                 flagged at the call site, with the laundering chain in the\n\
-                 message."
+                 leak scheduling jitter into results. Reads are flagged in every\n\
+                 first-party file except the designated host-timing modules\n\
+                 (batch::JobTiming, cni-bench). The sim crates cannot call into\n\
+                 those modules: they depend only on each other."
             }
             Rule::AmbientRng => {
                 "D3 ambient-rng — randomness not derived from Config seeds.\n\
                  \n\
                  All randomness must flow from the run's seeds (SimRng/Pcg32) so\n\
                  a seed fully determines the run. Ambient sources (`thread_rng`,\n\
-                 `from_entropy`, `RandomState`, `OsRng`) are flagged directly in\n\
-                 sim crates, and interprocedurally when a sim-crate function\n\
-                 calls out to a function that transitively draws ambient\n\
-                 randomness."
+                 `from_entropy`, `RandomState`, `OsRng`) are flagged wherever they\n\
+                 appear in sim crates, which depend only on each other."
             }
             Rule::SnapNondet => {
                 "D4 snap-nondet — nondeterministic bytes on snapshot paths.\n\
                  \n\
                  A checkpoint written twice from the same state must be\n\
                  byte-identical (deterministic restore, CI torn-write checks).\n\
-                 On snapshot encode/decode paths the rule therefore bans\n\
+                 On snapshot encode/decode paths the rule therefore bans the\n\
                  *presence* of host-time types (`Instant`, `SystemTime`,\n\
-                 `UNIX_EPOCH` — even stored or formatted), flags hash-order\n\
-                 observation with the same flow-sensitive engine as D1, and\n\
-                 flags calls into functions that transitively reach host time."
+                 `UNIX_EPOCH` — even stored or formatted) and of hash collections\n\
+                 (`HashMap`, `HashSet`). On `crates/core/src/snapshot.rs`, which\n\
+                 is also in a sim crate, D4 takes the place of D1."
             }
             Rule::PanicPath => {
                 "P1 panic-path — panics reachable from protocol receive roots.\n\
@@ -488,8 +473,6 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> WorkspaceAnalysis {
     };
     direct_token_rules(&ws, &mut cand);
     rule_p1(&ws, &mut cand);
-    rule_hash_flow(&ws, &mut cand);
-    rule_cross_crate_sources(&ws, &mut cand);
 
     // Drop candidates that land inside test-gated ranges (facts are
     // computed per fn and already skip `in_test` fns; the token pass
@@ -574,9 +557,9 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
     }
 }
 
-/// The token-level direct rules that need no dataflow: D2 direct clock
-/// reads, D3 direct randomness, D4 host-time presence on snapshot
-/// paths, T1 host threading.
+/// The presence rules, which need no dataflow: D1 hash collections in
+/// sim crates, D2 clock reads, D3 ambient randomness, D4 hash
+/// collections and host-time types on snapshot paths, T1 host threading.
 fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
     for file in &ws.files {
         let path = file.path.as_str();
@@ -590,6 +573,17 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
             }
             let Some(id) = t.ident() else { continue };
             match id {
+                "HashMap" | "HashSet" if snap || sim => {
+                    // D4 outranks D1 on snapshot paths: same hazard,
+                    // stricter contract.
+                    let (rule, place) = if snap {
+                        (Rule::SnapNondet, "on a snapshot encode/decode path")
+                    } else {
+                        (Rule::NondetMap, "in a sim crate")
+                    };
+                    let message = format!("hash collection `{id}` {place}");
+                    cand.push(rule, path, t.line, t.col, message);
+                }
                 // On snapshot paths any host-time type is banned outright —
                 // even stored or formatted, not just `::now()` reads.
                 "Instant" | "SystemTime" | "UNIX_EPOCH" if snap => {
@@ -691,183 +685,6 @@ fn rule_p1(ws: &Workspace, cand: &mut Candidates) {
                     site.col,
                     "range-slice indexing on a protocol receive path (panics on short input)"
                         .to_string(),
-                );
-            }
-        }
-    }
-}
-
-/// D1/D4 hash part: flow-sensitive order-observation findings plus
-/// interprocedural escapes into order-observing callees.
-fn rule_hash_flow(ws: &Workspace, cand: &mut Candidates) {
-    // Transitive "observes the order of its hash-typed params" with
-    // witness edges for chain reconstruction.
-    let mut obs: Vec<Reach> = (0..ws.nodes.len())
-        .map(|i| {
-            if ws.facts[i].observes_hash_param {
-                Reach::Direct
-            } else {
-                Reach::No
-            }
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..ws.nodes.len() {
-            if obs[i].holds() {
-                continue;
-            }
-            for &(ci, c) in &ws.resolved_calls[i] {
-                if obs[c].holds() && !ws.facts[i].calls[ci].hash_param_args.is_empty() {
-                    obs[i] = Reach::Via(c);
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    for n in 0..ws.nodes.len() {
-        let path = ws.path(n).to_string();
-        if ws.def(n).in_test {
-            continue;
-        }
-        let sim = is_sim_crate(&path);
-        let snap = is_snapshot_path(&path);
-        if !sim && !snap {
-            continue;
-        }
-        // D4 outranks D1 on snapshot paths: same hazard, stricter contract.
-        let rule = if snap {
-            Rule::SnapNondet
-        } else {
-            Rule::NondetMap
-        };
-        for u in &ws.facts[n].hash_uses {
-            cand.push(
-                rule,
-                &path,
-                u.site.line,
-                u.site.col,
-                format!("hash-ordered `{}`: {}", u.name, u.site.what),
-            );
-        }
-        // Escapes through calls.
-        let resolved: BTreeSet<usize> = ws.resolved_calls[n].iter().map(|&(ci, _)| ci).collect();
-        for &(ci, c) in &ws.resolved_calls[n] {
-            let call = &ws.facts[n].calls[ci];
-            if call.hash_args.is_empty() {
-                continue;
-            }
-            let cpath = ws.path(c);
-            // A callee in a guarded crate gets flagged at its own
-            // observation site; flagging the caller too is noise.
-            if obs[c].holds() && !is_sim_crate(cpath) && !is_snapshot_path(cpath) {
-                let chain = ws.reach_chain(&obs, c).join(" → ");
-                cand.push(
-                    rule,
-                    &path,
-                    call.line,
-                    call.col,
-                    format!(
-                        "hash-ordered `{}` passed to `{}`, which observes its iteration order \
-                         (via {chain})",
-                        call.hash_args.join("`, `"),
-                        ws.name(c)
-                    ),
-                );
-            }
-        }
-        for (ci, call) in ws.facts[n].calls.iter().enumerate() {
-            if resolved.contains(&ci) || call.hash_args.is_empty() {
-                continue;
-            }
-            // Constructors and vetted std operations are order-free or
-            // covered by the chain classifier; anything else unresolved
-            // is conservatively flagged.
-            if call.callee.chars().next().is_some_and(|c| c.is_uppercase())
-                || STD_METHODS.contains(&call.callee.as_str())
-                || KEYED_SAFE.contains(&call.callee.as_str())
-                || PASSTHROUGH.contains(&call.callee.as_str())
-                || ORDER_OBSERVING.contains(&call.callee.as_str())
-            {
-                continue;
-            }
-            cand.push(
-                rule,
-                &path,
-                call.line,
-                call.col,
-                format!(
-                    "hash-ordered `{}` passed to unresolved call `{}`; order-freedom cannot \
-                     be proven",
-                    call.hash_args.join("`, `"),
-                    call.callee
-                ),
-            );
-        }
-    }
-}
-
-/// D2/D3/D4 interprocedural: calls from guarded functions out of the
-/// guarded crates into functions that transitively reach a host clock
-/// or ambient randomness.
-fn rule_cross_crate_sources(ws: &Workspace, cand: &mut Candidates) {
-    let time_reach = ws.reaches(|i| !ws.facts[i].time_now.is_empty());
-    let rng_reach = ws.reaches(|i| !ws.facts[i].rng.is_empty());
-    for n in 0..ws.nodes.len() {
-        let path = ws.path(n).to_string();
-        if ws.def(n).in_test {
-            continue;
-        }
-        let sim = is_sim_crate(&path);
-        let snap = is_snapshot_path(&path);
-        if !sim && !snap {
-            continue;
-        }
-        let caller_name = ws.name(n);
-        for &(ci, c) in &ws.resolved_calls[n] {
-            let cpath = ws.path(c);
-            // Inside the guarded crates the callee is flagged at its own
-            // site (directly or by this same rule one level down).
-            if is_sim_crate(cpath) || is_snapshot_path(cpath) {
-                continue;
-            }
-            let call = &ws.facts[n].calls[ci];
-            if time_reach[c].holds() {
-                let chain = ws.reach_chain(&time_reach, c).join(" → ");
-                let rule = if snap {
-                    Rule::SnapNondet
-                } else {
-                    Rule::HostTime
-                };
-                cand.push(
-                    rule,
-                    &path,
-                    call.line,
-                    call.col,
-                    format!(
-                        "call into `{}` transitively reads the host clock \
-                         (via {caller_name} → {chain})",
-                        ws.name(c)
-                    ),
-                );
-            }
-            if sim && rng_reach[c].holds() {
-                let chain = ws.reach_chain(&rng_reach, c).join(" → ");
-                cand.push(
-                    Rule::AmbientRng,
-                    &path,
-                    call.line,
-                    call.col,
-                    format!(
-                        "call into `{}` transitively draws ambient randomness \
-                         (via {caller_name} → {chain})",
-                        ws.name(c)
-                    ),
                 );
             }
         }

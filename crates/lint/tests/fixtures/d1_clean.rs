@@ -1,7 +1,7 @@
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub struct FlowTable {
-    flows: HashMap<u32, u64>,
+    flows: BTreeMap<u32, u64>,
 }
 
 impl FlowTable {

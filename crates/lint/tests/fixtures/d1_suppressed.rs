@@ -1,12 +1,10 @@
-use std::collections::HashMap;
-
 pub struct Cache {
-    map: HashMap<u64, u32>,
+    // cni-lint: allow(nondet-map) -- keyed lookups only: the map is never iterated, so its order cannot leak
+    map: std::collections::HashMap<u64, u32>,
 }
 
 impl Cache {
-    pub fn purge(&mut self) {
-        // cni-lint: allow(nondet-map) -- retain's visit order is unobservable: the predicate is pure and survivors stay keyed
-        self.map.retain(|_, v| *v != 0);
+    pub fn get(&self, k: u64) -> Option<u32> {
+        self.map.get(&k).copied()
     }
 }

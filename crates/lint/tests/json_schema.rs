@@ -8,8 +8,8 @@ use cni_lint::walk::WorkspaceReport;
 use cni_lint::{render_json, Rule};
 use serde_json::Value;
 
-/// A small workspace with one finding of each interesting shape: a D1
-/// iteration, a P1 chain, and a used suppression.
+/// A small workspace with two D1 findings and a used suppression that
+/// waives a P1 finding one call below a receive root.
 fn sample_report() -> WorkspaceReport {
     let caller = r#"
 use std::collections::HashMap;
@@ -42,7 +42,8 @@ impl T {
 #[test]
 fn json_envelope_parses_and_is_schema_versioned() {
     let report = sample_report();
-    assert!(!report.findings.is_empty(), "sample must have findings");
+    let hits: Vec<_> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(hits, vec![(Rule::NondetMap, 2), (Rule::NondetMap, 5)]);
     assert!(
         !report.suppressions.is_empty(),
         "sample must use its waiver"

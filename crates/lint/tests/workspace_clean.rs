@@ -83,6 +83,82 @@ fn lint_roots_and_exemptions_resolve() {
     }
 }
 
+/// The entries of one `[table]` of a Cargo manifest, as `(key, value)`
+/// lines with comments and blank lines dropped.
+fn manifest_table<'a>(manifest: &'a str, table: &str) -> Vec<(&'a str, &'a str)> {
+    let header = format!("[{table}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim(), v.trim()))
+        .collect()
+}
+
+/// The determinism rules D1–D4 are presence rules: each checks only
+/// the file it is in. That misses nothing only while a guarded crate
+/// cannot call into unguarded first-party code, where a clock read, an
+/// ambient RNG or a hash iteration would go unseen. So every first-party
+/// package a sim crate depends on must itself be a sim crate. The same
+/// holds for `cni-snap`, which D4 guards. Dev-dependencies are test
+/// code, which no rule covers.
+#[test]
+fn sim_crates_depend_only_on_sim_crates() {
+    use cni_lint::rules::SIM_CRATES;
+
+    let root = workspace_root();
+    // Package name -> crate directory, for every first-party crate.
+    let mut dir_of = std::collections::BTreeMap::new();
+    for e in std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .flatten()
+    {
+        let Ok(manifest) = std::fs::read_to_string(e.path().join("Cargo.toml")) else {
+            continue;
+        };
+        let name = manifest_table(&manifest, "package")
+            .into_iter()
+            .find(|(k, _)| *k == "name")
+            .map(|(_, v)| v.trim_matches('"').to_string())
+            .expect("every crate manifest names its package");
+        dir_of.insert(name, e.file_name().to_string_lossy().into_owned());
+    }
+    assert_eq!(dir_of.get("cni").map(String::as_str), Some("core"));
+
+    for c in SIM_CRATES.iter().chain(&["snap"]) {
+        let path = root.join("crates").join(c).join("Cargo.toml");
+        let manifest = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("crate `{c}` has no manifest at {}: {e}", path.display()));
+        // Dependencies must sit in the one table read below, not in
+        // `[dependencies.<name>]` or `[target.'..'.dependencies]` tables.
+        for l in manifest.lines().filter(|l| l.starts_with('[')) {
+            assert!(
+                !l.contains("dependencies") || l == "[dependencies]" || l == "[dev-dependencies]",
+                "crates/{c}/Cargo.toml: unsupported dependency table `{l}`"
+            );
+        }
+        for (key, value) in manifest_table(&manifest, "dependencies") {
+            // A renamed dependency names its package in the value.
+            let package = value
+                .split_once("package")
+                .and_then(|(_, rest)| rest.trim_start().strip_prefix('='))
+                .and_then(|rest| rest.split('"').nth(1))
+                .unwrap_or(key);
+            if let Some(dep) = dir_of.get(package) {
+                assert!(
+                    SIM_CRATES.contains(&dep.as_str()),
+                    "crate `{c}` depends on `{package}` (crates/{dep}), which is not a sim \
+                     crate: the determinism rules would not see what it does on `{c}`'s behalf"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn the_workspace_honors_the_determinism_contract() {
     let report = cni_lint::walk::analyze_workspace(&workspace_root()).expect("workspace scan");

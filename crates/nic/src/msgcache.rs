@@ -23,7 +23,7 @@
 //! ([`crate::NicConfig::msg_cache_buffers`]).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Statistics of one Message Cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -124,7 +124,7 @@ impl Rtlb {
 /// ```
 pub struct MessageCache {
     slots: Vec<Slot>,
-    map: HashMap<u64, usize>,
+    map: BTreeMap<u64, usize>,
     hand: usize,
     rtlb: Rtlb,
     stats: MsgCacheStats,
@@ -142,7 +142,7 @@ impl MessageCache {
                 };
                 buffers
             ],
-            map: HashMap::with_capacity(buffers * 2),
+            map: BTreeMap::new(),
             hand: 0,
             rtlb: Rtlb::new(rtlb_entries),
             stats: MsgCacheStats::default(),
@@ -252,9 +252,9 @@ impl MessageCache {
 
     /// Capture the cache's complete mutable state for a checkpoint. The
     /// page→slot map is *not* captured: it is a pure index over the slot
-    /// array (whose order, with both CLOCK hands, is the real state) and is
-    /// rebuilt verbatim on restore — so no `HashMap` iteration order can
-    /// ever leak into snapshot bytes.
+    /// array (whose order, with both CLOCK hands, is the real state), so
+    /// [`MessageCache::restore_state`] rebuilds it from the slots and a
+    /// snapshot has exactly one encoding of each cache state.
     pub fn snapshot_state(&self) -> MsgCacheState {
         MsgCacheState {
             slots: self.slots.iter().map(|s| (s.page, s.referenced)).collect(),
@@ -448,5 +448,66 @@ mod tests {
             (hits as f64 / lookups as f64) < 0.5,
             "sequential sweep larger than CLOCK capacity must mostly miss"
         );
+    }
+
+    /// A full cache with mixed reference bits, a mid-array CLOCK hand, a
+    /// freed slot and a warm RTLB.
+    fn warmed() -> MessageCache {
+        let mut c = cache(4);
+        for p in [10, 11, 12, 13] {
+            c.insert(p);
+        }
+        c.insert(14); // sweeps every bit clear, evicts 10
+        assert!(c.lookup_tx(12));
+        assert!(c.invalidate(13));
+        c.snoop_write(11);
+        c.snoop_write(99);
+        c
+    }
+
+    #[test]
+    fn snapshot_round_trip_reproduces_hits_misses_and_the_next_victim() {
+        let mut orig = warmed();
+        let state = orig.snapshot_state();
+        let mut copy = cache(4);
+        copy.restore_state(&state).unwrap();
+        assert_eq!(copy.snapshot_state(), state);
+        for p in [10, 11, 12, 13, 14] {
+            assert_eq!(copy.lookup_tx(p), orig.lookup_tx(p), "page {p}");
+        }
+        assert_eq!(copy.snoop_write(99), orig.snoop_write(99));
+        for p in [20, 21, 22] {
+            assert_eq!(copy.insert(p), orig.insert(p), "victim for page {p}");
+        }
+        assert_eq!(copy.stats(), orig.stats());
+    }
+
+    #[test]
+    fn restore_rejects_a_slot_count_mismatch() {
+        let state = warmed().snapshot_state();
+        assert!(cache(2).restore_state(&state).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_hand_out_of_range() {
+        let mut state = warmed().snapshot_state();
+        state.hand = 4;
+        assert!(cache(4).restore_state(&state).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_an_rtlb_over_capacity() {
+        let mut state = warmed().snapshot_state();
+        state.rtlb_entries = (0..65).collect();
+        assert!(cache(4).restore_state(&state).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_page_bound_to_two_slots() {
+        let mut state = warmed().snapshot_state();
+        state.slots[0] = (Some(7), false);
+        state.slots[2] = (Some(7), true);
+        let err = cache(4).restore_state(&state).unwrap_err();
+        assert!(err.contains("page 7"), "{err}");
     }
 }

@@ -10,11 +10,11 @@
 //!
 //! Fragment handling mirrors the hardware: classify the first fragment,
 //! [`Classifier::bind_flow`] the verdict to the VCI, and route the
-//! remaining fragments through the binding table in O(1).
+//! remaining fragments through the binding table without a pattern walk.
 
 use crate::pattern::{FieldTest, Pattern, PatternId};
 use cni_trace::{TraceEvent, TraceSink};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A successful classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +67,7 @@ struct NodeChildren {
 pub struct Classifier<T> {
     installed: Vec<Installed<T>>,
     roots: Vec<Node>,
-    flows: HashMap<u16, T>,
+    flows: BTreeMap<u16, T>,
     classifications: u64,
     cells_total: u64,
 }
@@ -84,7 +84,7 @@ impl<T: Clone> Classifier<T> {
         Classifier {
             installed: Vec::new(),
             roots: Vec::new(),
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             classifications: 0,
             cells_total: 0,
         }
@@ -239,7 +239,7 @@ impl<T: Clone> Classifier<T> {
         self.flows.insert(vci, target);
     }
 
-    /// Constant-time lookup for a subsequent fragment of a bound flow.
+    /// Keyed lookup for a subsequent fragment of a bound flow.
     pub fn lookup_flow(&self, vci: u16) -> Option<&T> {
         self.flows.get(&vci)
     }

@@ -24,8 +24,8 @@
 //! the wrapper swallows, so aborted simulations don't leak threads.
 
 use cni_trace::{TraceEvent, TraceSink};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// What a resumed co-thread handed back to the engine.
@@ -50,7 +50,7 @@ struct Cancelled;
 /// The program-side endpoint: issue simulated-service requests with
 /// [`Port::call`].
 pub struct Port<Req, Resp> {
-    req_tx: Sender<Wire<Req>>,
+    req_tx: SyncSender<Wire<Req>>,
     resp_rx: Receiver<Resp>,
 }
 
@@ -74,8 +74,8 @@ impl<Req, Resp> Port<Req, Resp> {
 /// Engine-side handle to a suspended program.
 pub struct CoThread<Req, Resp> {
     req_rx: Option<Receiver<Wire<Req>>>,
-    resp_tx: Option<Sender<Resp>>,
-    start_tx: Option<Sender<()>>,
+    resp_tx: Option<SyncSender<Resp>>,
+    start_tx: Option<SyncSender<()>>,
     handle: Option<JoinHandle<()>>,
     name: String,
     started: bool,
@@ -91,9 +91,9 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
     where
         F: FnOnce(&mut Port<Req, Resp>) + Send + 'static,
     {
-        let (req_tx, req_rx) = bounded::<Wire<Req>>(1);
-        let (resp_tx, resp_rx) = bounded::<Resp>(1);
-        let (start_tx, start_rx) = bounded::<()>(1);
+        let (req_tx, req_rx) = sync_channel::<Wire<Req>>(1);
+        let (resp_tx, resp_rx) = sync_channel::<Resp>(1);
+        let (start_tx, start_rx) = sync_channel::<()>(1);
         let thread_name = name.to_string();
         let handle = std::thread::Builder::new()
             .name(thread_name.clone())

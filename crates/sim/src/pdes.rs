@@ -398,18 +398,6 @@ impl Executor {
             .map(|node| Mutex::new(LaneState::new(node)))
             .collect();
         let mut active: Vec<usize> = Vec::with_capacity(lanes.len());
-
-        if self.workers == 1 {
-            while let Some(t0) = d.peek_time() {
-                let h = self.open_window(d, t0, &lanes, &mut active);
-                for &s in &active {
-                    run_lane(env, h, &mut lanes[s].lock().unwrap());
-                }
-                self.replay_window(d, &lanes, &active);
-            }
-            return;
-        }
-
         let deques: Vec<Mutex<VecDeque<usize>>> = (0..self.workers)
             .map(|_| Mutex::new(VecDeque::new()))
             .collect();
