@@ -5,7 +5,7 @@
 //! concurrent writers of one page merge through diffs; pages migrate
 //! releaser → acquirer.
 
-use cni_dsm::{DsmCluster, DsmConfig, LockId, ProcId};
+use cni_dsm::{DsmCluster, DsmConfig, LockId, PageId, ProcId};
 
 fn cluster(procs: usize) -> DsmCluster {
     DsmCluster::new(DsmConfig {
@@ -416,4 +416,65 @@ fn tree_barrier_matches_central_message_pattern() {
     let central = run(false);
     let tree = run(true);
     assert!(tree > 0 && central > 0);
+}
+
+/// A 64-processor cluster on a combining tree of fan-out 16, the host-port
+/// count of a fat-tree leaf: wide enough that most writers of a page are
+/// far apart in id, and every barrier release carries dozens of notices.
+fn wide_tree_cluster() -> DsmCluster {
+    DsmCluster::new(DsmConfig {
+        procs: 64,
+        page_bytes: 2048,
+        line_bytes: 32,
+        tree_barrier: true,
+        barrier_arity: 16,
+    })
+}
+
+#[test]
+fn wide_tree_barrier_publishes_every_writer() {
+    let mut c = wide_tree_cluster();
+    let base = c.alloc(64 * 2048);
+    for round in 1..=3u64 {
+        for p in 0..64u64 {
+            c.write_u64(ProcId(p as u32), base.add(p * 2048), round * 1000 + p);
+        }
+        c.barrier_all();
+        for reader in 0..64u32 {
+            for p in 0..64u64 {
+                assert_eq!(
+                    c.read_u64(ProcId(reader), base.add(p * 2048)),
+                    round * 1000 + p,
+                    "round {round}: proc {reader} missed proc {p}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn far_apart_writers_of_one_page_merge_through_diffs() {
+    let mut c = wide_tree_cluster();
+    let base = c.alloc(2048);
+    for p in 0..64u32 {
+        assert_eq!(c.read_u64(ProcId(p), base), 0);
+    }
+    c.barrier_all();
+    let (a, b, reader) = (ProcId(3), ProcId(61), ProcId(40));
+    c.write_u64(a, base, 333);
+    c.write_u64(b, base.add(1024), 6161);
+    c.barrier_all();
+    let diffs_before = c.node(reader).stats().diff_fetches;
+    assert_eq!(c.read_u64(reader, base), 333);
+    assert_eq!(c.read_u64(reader, base.add(1024)), 6161);
+    // The whole page comes from one writer (the lower id on a tie of
+    // intervals) and the other writer's interval arrives as one diff.
+    assert_eq!(
+        c.node(reader).stats().diff_fetches,
+        diffs_before + 1,
+        "the second writer's words must be merged through exactly one diff"
+    );
+    assert!(c.node(a).has_written(PageId(0)));
+    assert!(c.node(b).has_written(PageId(0)));
+    assert!(!c.node(reader).has_written(PageId(0)));
 }
