@@ -36,76 +36,81 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// The `--help` text. Plain newlines, not `\` continuations (which strip
+/// the next line's leading whitespace), so option lines and their wrapped
+/// descriptions keep their indentation.
+const USAGE: &str = "\
+usage: cni-run --app <jacobi|water|cholesky|latency> [options]
+       cni-run --sweep <spec.json> [--jobs N] [options]
+
+sweep mode (parallel batch over a JSON run list):
+  --sweep PATH        JSON array of run objects; see docs of
+                      cni_apps::sweep for the format
+  --jobs N            worker threads (default: $CNI_JOBS, else
+                      the machine's available parallelism)
+  --out PATH          also write the batch report JSON to PATH
+  --trace-dir DIR     record each run's events to its own file
+                      DIR/<index>-<label>.<ext>
+  --resume-dir DIR    persist per-job reports under DIR and skip
+                      jobs a previous (interrupted) sweep already
+                      completed; with --checkpoint-every, partial
+                      jobs resume from their newest checkpoint
+  --json              print the batch report as JSON
+
+checkpoint / restore (single-run mode):
+  --checkpoint-every N  write a crash-safe snapshot after every N
+                      simulation events as DIR/ck-<events>.cnisnap
+  --checkpoint-dir DIR  snapshot directory (default cni-checkpoints)
+  --resume PATH       resume a run from a snapshot; the app and
+                      topology come from the snapshot, not flags.
+                      The finished report is byte-identical to the
+                      uninterrupted run's
+  --fork-at PATH      like --resume but a what-if branch: the
+                      command line's fault flags replace the
+                      snapshot's fault plan from this point on
+  --brownout L:S:E    with --fork-at: total cell loss on link L
+                      from S to E (virtual microseconds)
+
+common options:
+  --procs N           processors (default 8)
+  --nic <cni|standard>  interface (default cni)
+  --compare           run both interfaces and print both
+  --page-bytes N      shared page size (default 2048)
+  --msg-cache-bytes N Message Cache capacity (default 32768)
+  --jumbo             unrestricted ATM cell size
+  --topology LxDxU    2-level fat-tree: L leaf switches, D host
+                      ports and U uplinks each (e.g. 4x16x16 =
+                      64 hosts); `single` = one 32-port banyan
+                      (the default). See TOPOLOGY.md.
+  --tree-barrier      combining-tree barrier (extension)
+  --collectives       NIC-resident barrier/release combining
+                      (implies --tree-barrier; CNI only)
+  --seed N            timing-jitter seed (workloads are fixed)
+  --engine-workers N  parallel event-executor threads per run
+                      (default 1 = the exact serial engine).
+                      Reports are byte-identical at any count;
+                      traced/obs/checkpointing runs stay serial.
+                      See DESIGN.md section 4.11
+  --loss-prob P       per-cell drop probability in [0,1) (default 0)
+  --corrupt-prob P    per-cell bit-corruption probability (default 0)
+  --jitter-ps N       max per-cell delivery jitter in ps (default 0)
+  --fault-seed N      fault-injection RNG seed (default 1)
+  --json              machine-readable output
+  --obs               causal span tracing + analysis: stage
+                      decomposition, critical path, utilization
+                      (uses the default 100 us metrics sampler)
+  --trace PATH        record simulation events to PATH
+  --trace-format F    chrome (default; Perfetto-loadable) | jsonl
+  --metrics-interval-us N  metrics sample spacing in virtual us
+                      (default 100; 0 disables the sampler)
+
+jacobi:   --n N (grid, default 256)   --iters N (default 25)
+water:    --molecules N (default 216) --steps N (default 2)
+cholesky: --matrix <bcsstk14|bcsstk15> (default bcsstk14)
+latency:  --bytes N (message size, default 4096)";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: cni-run --app <jacobi|water|cholesky|latency> [options]\n\
-         \x20      cni-run --sweep <spec.json> [--jobs N] [options]\n\
-         \n\
-         sweep mode (parallel batch over a JSON run list):\n\
-           --sweep PATH        JSON array of run objects; see docs of\n\
-                               cni_apps::sweep for the format\n\
-           --jobs N            worker threads (default: $CNI_JOBS, else\n\
-                               the machine's available parallelism)\n\
-           --out PATH          also write the batch report JSON to PATH\n\
-           --trace-dir DIR     record each run's events to its own file\n\
-                               DIR/<index>-<label>.<ext>\n\
-           --resume-dir DIR    persist per-job reports under DIR and skip\n\
-                               jobs a previous (interrupted) sweep already\n\
-                               completed; with --checkpoint-every, partial\n\
-                               jobs resume from their newest checkpoint\n\
-           --json              print the batch report as JSON\n\
-         \n\
-         checkpoint / restore (single-run mode):\n\
-           --checkpoint-every N  write a crash-safe snapshot after every N\n\
-                               simulation events as DIR/ck-<events>.cnisnap\n\
-           --checkpoint-dir DIR  snapshot directory (default cni-checkpoints)\n\
-           --resume PATH       resume a run from a snapshot; the app and\n\
-                               topology come from the snapshot, not flags.\n\
-                               The finished report is byte-identical to the\n\
-                               uninterrupted run's\n\
-           --fork-at PATH      like --resume but a what-if branch: the\n\
-                               command line's fault flags replace the\n\
-                               snapshot's fault plan from this point on\n\
-           --brownout L:S:E    with --fork-at: total cell loss on link L\n\
-                               from S to E (virtual microseconds)\n\
-         \n\
-         common options:\n\
-           --procs N           processors (default 8)\n\
-           --nic <cni|standard>  interface (default cni)\n\
-           --compare           run both interfaces and print both\n\
-           --page-bytes N      shared page size (default 2048)\n\
-           --msg-cache-bytes N Message Cache capacity (default 32768)\n\
-           --jumbo             unrestricted ATM cell size\n\
-           --topology LxDxU    2-level fat-tree: L leaf switches, D host\n\
-                               ports and U uplinks each (e.g. 4x16x16 =\n\
-                               64 hosts); `single` = one 32-port banyan\n\
-                               (the default). See TOPOLOGY.md.\n\
-           --tree-barrier      combining-tree barrier (extension)\n\
-           --collectives       NIC-resident barrier/release combining\n\
-                               (implies --tree-barrier; CNI only)\n\
-           --seed N            timing-jitter seed (workloads are fixed)\n\
-           --engine-workers N  parallel event-executor threads per run\n\
-                               (default 1 = the exact serial engine).\n\
-                               Reports are byte-identical at any count;\n\
-                               traced/obs/checkpointing runs stay serial.\n\
-                               See DESIGN.md section 4.11\n\
-           --loss-prob P       per-cell drop probability in [0,1) (default 0)\n\
-           --corrupt-prob P    per-cell bit-corruption probability (default 0)\n\
-           --jitter-ps N       max per-cell delivery jitter in ps (default 0)\n\
-           --fault-seed N      fault-injection RNG seed (default 1)\n\
-           --json              machine-readable output\n\
-           --obs               causal span tracing + analysis: stage\n\
-                               decomposition, critical path, utilization\n\
-                               (uses the default 100 us metrics sampler)\n\
-           --trace PATH        record simulation events to PATH\n\
-           --trace-format F    chrome (default; Perfetto-loadable) | jsonl\n\
-           --metrics-interval-us N  metrics sample spacing in virtual us\n\
-                               (default 100; 0 disables the sampler)\n\
-         jacobi:   --n N (grid, default 256)   --iters N (default 25)\n\
-         water:    --molecules N (default 216) --steps N (default 2)\n\
-         cholesky: --matrix <bcsstk14|bcsstk15> (default bcsstk14)\n\
-         latency:  --bytes N (message size, default 4096)"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
