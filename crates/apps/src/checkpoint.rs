@@ -2,8 +2,10 @@
 //!
 //! This module glues the three layers of checkpoint/restore together:
 //!
-//! * `cni::snapshot` serializes the engine's complete state into a
-//!   [`serde::Value`] tree and replays it into a fresh [`World`];
+//! * `cni::snapshot` records a run's position — processor count, NIC
+//!   personality, allocated pages, event index, fault plan and a digest
+//!   of the report at that event — and resumes it by re-executing the
+//!   prefix in a fresh [`World`];
 //! * `cni-snap` owns the crash-safe on-disk container (magic, version,
 //!   length, CRC-32, atomic rename);
 //! * this module adds the **application metadata** — which [`App`] and
@@ -13,10 +15,12 @@
 //!
 //! A snapshot file's payload is an object `{ "meta": {...}, "state": ... }`
 //! where `meta` carries the app and full configuration and `state` is the
-//! engine tree from [`World::take_snapshot`]. Resuming re-runs the app's
-//! allocation sequence via [`crate::experiments::build_programs`] and hands the
-//! state tree to [`World::resume_run`]; the result is byte-identical to
-//! the uninterrupted run (`tests/checkpoint_apps.rs` pins this).
+//! record from [`World::take_snapshot`]. Resuming re-runs the app's
+//! allocation sequence via [`crate::experiments::build_programs`] and hands
+//! the record to [`World::resume_run`], which re-executes the run up to
+//! the checkpoint and finishes it, so a resume costs one plain run. The
+//! result is byte-identical to the uninterrupted run
+//! (`tests/checkpoint_apps.rs` pins this).
 //!
 //! Every error is returned pre-rendered as a rustc-style diagnostic
 //! (`error: ...\n  --> path\n  = help: ...`) ready to print to stderr;
@@ -116,8 +120,8 @@ fn app_from_value(v: &Value) -> Result<App, String> {
     }
 }
 
-/// Wrap an engine state tree with the app/config metadata that makes a
-/// snapshot self-describing.
+/// Wrap an engine checkpoint record with the app/config metadata that
+/// makes a snapshot self-describing.
 fn payload_value(app: App, cfg: &Config, state: Value) -> Value {
     let mut meta = Map::new();
     meta.insert("app".into(), app_to_value(app));
@@ -129,7 +133,7 @@ fn payload_value(app: App, cfg: &Config, state: Value) -> Value {
 }
 
 /// A snapshot read back from disk: the run's app, its full configuration
-/// and the engine state tree, plus the path for diagnostics.
+/// and the engine's checkpoint record, plus the path for diagnostics.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Application the checkpointed run was executing.
@@ -173,14 +177,14 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             Config::from_value(c)
                 .map_err(|e| semantic(&format!("snapshot configuration does not parse: {e}")))
         })?;
+    config
+        .check()
+        .map_err(|e| semantic(&format!("snapshot configuration is invalid: {e}")))?;
     let state = obj
         .get("state")
         .cloned()
         .ok_or_else(|| semantic("snapshot payload has no `state`"))?;
-    let events = state
-        .get("events_dispatched")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+    let events = state.get("events").and_then(Value::as_u64).unwrap_or(0);
     Ok(Snapshot {
         app,
         config,
@@ -199,20 +203,33 @@ impl Snapshot {
     }
 
     /// Resume under `cfg` instead of the stored configuration — the
-    /// `--fork-at` path. Topology-affecting fields (processor count, NIC
-    /// personality, page size) must match the snapshot; the fault plan is
-    /// the supported what-if axis and may differ freely (subject to the
-    /// engine's faulty-snapshot-needs-a-faulty-plan rule).
+    /// `--fork-at` path. `cfg` may differ from the stored configuration
+    /// only in the fault plan, the what-if axis (subject to the engine's
+    /// faulty-snapshot-needs-a-faulty-plan rule), and in the engine worker
+    /// count, an execution resource. Anything else is an error.
     pub fn resume_with(&self, cfg: Config) -> Result<RunReport, String> {
-        let mut world = World::new(cfg);
-        let progs = build_programs(&mut world, self.app);
-        world.resume_run(&self.state, progs).map_err(|e| {
+        let refuse = |msg: &str| {
             render_semantic(
                 &self.path,
-                &format!("cannot resume: {e}"),
+                &format!("cannot resume: {msg}"),
                 "the snapshot is intact but does not match this run's configuration",
             )
-        })
+        };
+        cfg.check().map_err(|e| refuse(&e))?;
+        let same_experiment = cfg
+            .with_faults(self.config.faults)
+            .with_engine_workers(self.config.engine_workers);
+        if same_experiment.to_value() != self.config.to_value() {
+            return Err(refuse(
+                "the configuration differs from the snapshot's in more than \
+                 the fault plan and engine workers",
+            ));
+        }
+        let mut world = World::new(cfg);
+        let progs = build_programs(&mut world, self.app);
+        world
+            .resume_run(&self.state, progs)
+            .map_err(|e| refuse(&e.to_string()))
     }
 }
 
@@ -267,7 +284,6 @@ pub fn run_app_checkpointed(
         )
     })?;
     let mut world = World::new(cfg);
-    world.enable_journal();
     let progs = build_programs(&mut world, app);
     let written: Rc<RefCell<Vec<PathBuf>>> = Rc::new(RefCell::new(Vec::new()));
     let failed: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));

@@ -14,9 +14,10 @@
 //! ]
 //! ```
 //!
-//! Parsing is strict: unknown keys, malformed values and out-of-range
-//! probabilities are reported with the run's index rather than silently
-//! ignored — a typo in a 100-run sweep must not cost a night of compute.
+//! Parsing is strict: unknown keys, malformed values and configurations
+//! that fail [`Config::check`] are reported with the run's index rather
+//! than silently ignored or left to panic — a typo in a 100-run sweep must
+//! not cost a night of compute.
 
 use crate::cholesky::CholeskyMatrix;
 use crate::experiments::App;
@@ -136,27 +137,18 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
     };
 
     let mut cfg = Config::paper_default();
-    let topology: cni_atm::Topology = match get_str(obj, "topology", "single")? {
+    cfg.atm.topology = match get_str(obj, "topology", "single")? {
         "single" => cni_atm::Topology::Single,
         s => s.parse()?,
     };
-    topology.validate(cfg.atm.ports)?;
-    cfg.atm.topology = topology;
-    let hosts = cfg.atm.hosts();
-
     let procs = get_u64(obj, "procs", 8)? as usize;
-    if !(1..=hosts).contains(&procs) {
-        return Err(format!(
-            "procs must be between 1 and {hosts} (the fabric serves {hosts} hosts), got {procs}"
-        ));
-    }
+    cfg.procs = procs;
     let nic = get_str(obj, "nic", "cni")?;
     if !matches!(nic, "cni" | "standard") {
         return Err(format!("unknown nic {nic:?} (cni|standard)"));
     }
 
     let mut cfg = cfg
-        .with_procs(procs)
         .with_page_bytes(get_u64(obj, "page_bytes", 2048)? as usize)
         .with_msg_cache_bytes(get_u64(obj, "msg_cache_bytes", 32 * 1024)? as usize);
     cfg.seed = get_u64(obj, "seed", 0x5EED)?;
@@ -175,9 +167,6 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
     plan.corrupt_prob = get_f64(obj, "corrupt_prob", 0.0)?;
     plan.jitter_ps = get_u64(obj, "jitter_ps", 0)?;
     plan.seed = get_u64(obj, "fault_seed", 1)?;
-    if !(0.0..1.0).contains(&plan.drop_prob) || !(0.0..1.0).contains(&plan.corrupt_prob) {
-        return Err("loss_prob and corrupt_prob must be in [0, 1)".to_string());
-    }
     cfg = cfg.with_faults(plan);
 
     cfg = if nic == "cni" {
@@ -185,6 +174,7 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
     } else {
         cfg.standard()
     };
+    cfg.check()?;
 
     let label = match obj.get("label") {
         Some(v) => v
@@ -288,6 +278,8 @@ mod tests {
             ),
             (r#"[{"app": "jacobi", "nic": "fast"}]"#, "unknown nic"),
             (r#"[{"app": "jacobi", "loss_prob": 1.5}]"#, "[0, 1)"),
+            (r#"[{"app": "jacobi", "procs": 0}]"#, "between 1 and 32"),
+            (r#"[{"app": "jacobi", "page_bytes": 0}]"#, "page_bytes"),
             (r#"[{"app": "jacobi", "n": "big"}]"#, "non-negative integer"),
             (r#"[{"app": "jacobi"}, {"app": 3}]"#, "run 1"),
         ] {

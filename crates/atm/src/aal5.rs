@@ -244,23 +244,6 @@ impl Reassembler {
         self.partial.len()
     }
 
-    /// Capture the in-flight partial PDUs for a checkpoint, in ascending
-    /// VCI order (the `BTreeMap` iteration order, so the capture is
-    /// deterministic). The gather-buffer pool is a pure performance cache
-    /// and is deliberately not part of the snapshot.
-    pub fn snapshot_partials(&self) -> Vec<(u16, Vec<u8>)> {
-        self.partial
-            .iter()
-            .map(|(vci, bytes)| (*vci, bytes.clone()))
-            .collect()
-    }
-
-    /// Restore partial PDUs captured with
-    /// [`Reassembler::snapshot_partials`], replacing any current ones.
-    pub fn restore_partials(&mut self, partials: Vec<(u16, Vec<u8>)>) {
-        self.partial = partials.into_iter().collect();
-    }
-
     /// Number of gather buffers currently retained by the pool.
     pub fn pooled(&self) -> usize {
         self.pool.retained()

@@ -36,7 +36,6 @@ pub mod crc;
 pub mod fabric;
 pub mod link;
 pub mod pipe;
-pub mod state;
 pub mod switch;
 pub mod topology;
 
@@ -46,6 +45,5 @@ pub use cell::{Cell, CellHeader, ATM_CELL_BYTES, ATM_HEADER_BYTES, ATM_PAYLOAD_B
 pub use fabric::{AtmConfig, Fabric, FaultyPduTiming, PduTiming};
 pub use link::Link;
 pub use pipe::{CellPipe, FaultModel, PipeOutcome};
-pub use state::{FabricState, LinkState, SwitchState};
 pub use switch::BanyanSwitch;
 pub use topology::{Route, Topology};

@@ -71,14 +71,6 @@ impl Link {
     pub fn prop_delay(&self) -> SimTime {
         self.prop_delay
     }
-
-    /// Restore mutable state captured with
-    /// [`crate::state::LinkState`]-producing `snapshot_state`.
-    pub fn restore_state(&mut self, s: &crate::state::LinkState) {
-        self.next_free = s.next_free;
-        self.bytes_carried = s.bytes_carried;
-        self.busy = s.busy;
-    }
 }
 
 #[cfg(test)]

@@ -102,35 +102,6 @@ impl BanyanSwitch {
     pub fn contention_waits(&self) -> u64 {
         self.contention_waits
     }
-
-    /// Capture the switch's mutable state for a checkpoint.
-    pub fn snapshot_state(&self) -> crate::state::SwitchState {
-        crate::state::SwitchState {
-            next_free: self.next_free.clone(),
-            cells_forwarded: self.cells_forwarded,
-            contention_waits: self.contention_waits,
-        }
-    }
-
-    /// Restore state captured with [`BanyanSwitch::snapshot_state`] into a
-    /// switch of the same topology. Returns `Err` (never panics) when the
-    /// snapshot's stage/link matrix does not match.
-    pub fn restore_state(&mut self, s: &crate::state::SwitchState) -> Result<(), String> {
-        if s.next_free.len() != self.stages || s.next_free.iter().any(|row| row.len() != self.ports)
-        {
-            return Err(format!(
-                "switch snapshot shape {}x{:?} does not match {} stages of {} links",
-                s.next_free.len(),
-                s.next_free.first().map(Vec::len),
-                self.stages,
-                self.ports
-            ));
-        }
-        self.next_free = s.next_free.clone();
-        self.cells_forwarded = s.cells_forwarded;
-        self.contention_waits = s.contention_waits;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@ use std::io::Write;
 struct Timings {
     /// Jacobi-8 with checkpointing disabled (the figure-run default).
     jacobi8_plain_ns: f64,
-    /// Jacobi-8 snapshotting every 2500 events (journal + sealed writes).
+    /// Jacobi-8 snapshotting every 2500 events (sealed record writes).
     jacobi8_ck_ns: f64,
-    /// Reading the newest snapshot and replaying the run to completion.
+    /// Reading the newest snapshot and re-executing the run to completion.
     resume_ns: f64,
 }
 

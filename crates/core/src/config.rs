@@ -155,11 +155,8 @@ impl Config {
     }
 
     /// Set the shared page size (also the Message Cache buffer size).
+    /// [`Config::check`] requires at least 512 word-aligned bytes.
     pub fn with_page_bytes(mut self, bytes: usize) -> Self {
-        assert!(
-            bytes >= 512 && bytes.is_multiple_of(8),
-            "page size >= 512, word aligned"
-        );
         self.page_bytes = bytes;
         self.nic.page_bytes = bytes;
         self
@@ -204,6 +201,33 @@ impl Config {
         assert!(workers >= 1, "at least one engine worker");
         self.engine_workers = workers;
         self
+    }
+
+    /// `Err` naming the first invariant this configuration breaks: a
+    /// valid topology that serves every processor, word-aligned pages of
+    /// at least 512 bytes, at least one engine worker and a valid fault
+    /// plan. [`crate::World::new`] panics through this check;
+    /// configurations read from outside (checkpoints, sweep files,
+    /// command-line flags) are checked with it first.
+    pub fn check(&self) -> Result<(), String> {
+        self.atm.topology.validate(self.atm.ports)?;
+        let hosts = self.atm.hosts();
+        if !(1..=hosts).contains(&self.procs) {
+            return Err(format!(
+                "procs must be between 1 and {hosts} (the fabric serves {hosts} hosts), got {}",
+                self.procs
+            ));
+        }
+        if self.page_bytes < 512 || !self.page_bytes.is_multiple_of(8) {
+            return Err(format!(
+                "page_bytes must be at least 512 and a multiple of 8, got {}",
+                self.page_bytes
+            ));
+        }
+        if self.engine_workers == 0 {
+            return Err("engine_workers must be at least 1".into());
+        }
+        self.faults.check()
     }
 
     /// Render the Table 1 parameter listing.
@@ -284,6 +308,35 @@ mod tests {
         assert_eq!(c.nic.msg_cache_bytes, 512 * 1024);
         let j = c.with_unrestricted_cells();
         assert!(j.atm.cell_payload.is_none());
+    }
+
+    #[test]
+    fn check_rejects_what_world_new_would_panic_on() {
+        let ok = Config::paper_default();
+        assert_eq!(ok.check(), Ok(()));
+        let mut bad = ok;
+        bad.procs = 0;
+        assert!(bad.check().unwrap_err().contains("procs"));
+        bad.procs = 9999;
+        assert!(bad.check().unwrap_err().contains("procs"));
+        let mut bad = ok;
+        bad.page_bytes = 0;
+        assert!(bad.check().unwrap_err().contains("page_bytes"));
+        let mut bad = ok;
+        bad.faults.drop_prob = 1.5;
+        assert!(bad.check().unwrap_err().contains("drop_prob"));
+        bad.faults.drop_prob = f64::NAN;
+        assert!(bad.check().unwrap_err().contains("drop_prob"));
+        let mut bad = ok;
+        bad.engine_workers = 0;
+        assert!(bad.check().unwrap_err().contains("engine_workers"));
+        let mut bad = ok;
+        bad.atm.topology = cni_atm::Topology::FatTree {
+            leaves: 3,
+            down: 16,
+            up: 16,
+        };
+        assert!(bad.check().is_err());
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub(crate) enum WireMsg {
     Proto(Msg),
     App {
         src: usize,
-        dst: usize,
         len: u32,
         page: Option<u64>,
         cacheable: bool,

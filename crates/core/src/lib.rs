@@ -45,7 +45,7 @@ pub use report::{
     kind_name, speedup, KindHistogram, KindLatency, ProcTimes, RunReport, OLDEST_PARSEABLE_VERSION,
     REPORT_VERSION,
 };
-pub use snapshot::SNAPSHOT_SCHEMA;
+pub use snapshot::{ResumeError, SNAPSHOT_SCHEMA};
 pub use world::{Program, World};
 
 // Re-export the tracing surface so embedders need only this crate.

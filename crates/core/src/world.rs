@@ -23,7 +23,7 @@
 //!   histograms and global counters, touched only by the engine loops and
 //!   by commits (`Shared::commit_send`);
 //! * `nodes` — one `Node` per workstation, owning its CPU, NIC, DSM
-//!   state, go-back-N channels and journal. Every event except the
+//!   state and go-back-N channels. Every event except the
 //!   metrics tick acts on exactly one node, and its handler
 //!   (`Node::dispatch`, in `node.rs` and `gbn.rs`) borrows only that
 //!   node.
@@ -250,8 +250,8 @@ pub(crate) struct Shared {
     /// advance while tracing is enabled, so disabled runs pay nothing and
     /// the engine's timing never depends on the counter).
     pub(crate) next_span: u64,
-    /// Events dispatched since t = 0: the checkpoint cadence counter
-    /// (serialized, so a resumed run keeps the original cadence phase).
+    /// Events dispatched since t = 0: the checkpoint cadence counter and
+    /// a checkpoint's position, which a resume re-executes up to.
     pub(crate) events_dispatched: u64,
     /// The open parallel window's horizon: every arrival a commit
     /// schedules must land at or past it. Zero on the serial loop, where
@@ -280,9 +280,13 @@ type CheckpointSink = Box<dyn FnMut(&World)>;
 
 impl World {
     /// Build a cluster per `cfg`.
+    ///
+    /// # Panics
+    /// Panics with [`Config::check`]'s message if `cfg` is invalid.
     pub fn new(cfg: Config) -> Self {
-        assert!(cfg.procs >= 1 && cfg.procs <= cfg.atm.hosts());
-        cfg.faults.validate();
+        if let Err(e) = cfg.check() {
+            panic!("invalid configuration: {e}");
+        }
         let reliable = !cfg.faults.is_zero();
         let injector = reliable.then(|| FaultInjector::new(cfg.faults));
         let mut nic_cfg = cfg.nic;
@@ -366,38 +370,16 @@ impl World {
         self.metrics_interval = Some(interval);
     }
 
-    /// Record the replay journal from the start of the run, enabling
-    /// [`World::take_snapshot`]. Must be called before [`World::run`]
-    /// (checkpoint-restore needs every engine→program interaction from
-    /// t = 0; there is no way to start recording mid-run).
-    ///
-    /// # Panics
-    /// Panics if programs have already started.
-    pub fn enable_journal(&mut self) {
-        assert!(
-            self.nodes.iter().all(|n| !n.cpu.started),
-            "enable_journal must precede World::run"
-        );
-        for node in self.nodes.iter_mut() {
-            node.journal = Some(Vec::new());
-        }
-    }
-
     /// Run `sink` after every `every`-th dispatched event. The sink
     /// typically calls [`World::take_snapshot`] and writes the result
-    /// somewhere durable; the engine itself performs no IO. Requires
-    /// [`World::enable_journal`]. Taking a snapshot never perturbs the
-    /// simulation — a checkpointed run stays byte-identical to a plain
-    /// one.
+    /// somewhere durable; the engine itself performs no IO. Taking a
+    /// snapshot never perturbs the simulation — a checkpointed run stays
+    /// byte-identical to a plain one.
     ///
     /// # Panics
-    /// Panics if `every` is zero or the journal is not enabled.
+    /// Panics if `every` is zero.
     pub fn set_checkpoint(&mut self, every: u64, sink: Box<dyn FnMut(&World)>) {
         assert!(every > 0, "checkpoint interval must be positive");
-        assert!(
-            self.nodes.iter().all(|n| n.journal.is_some()),
-            "set_checkpoint requires enable_journal"
-        );
         self.checkpoint_every = Some(every);
         self.checkpoint_sink = Some(sink);
     }
@@ -473,6 +455,20 @@ impl World {
             self.nodes.iter().all(|n| !n.cpu.started),
             "World::run is single-shot; build a fresh World for another run"
         );
+        self.start(programs);
+        self.run_loop();
+        assert_eq!(
+            self.shared.live, 0,
+            "simulation ran out of events with {} programs unfinished (deadlock)",
+            self.shared.live
+        );
+        self.report()
+    }
+
+    /// Spawn one co-thread per program and schedule every processor's
+    /// first resume. Shared by [`World::run`] and the checkpoint-restore
+    /// path, which re-executes the same programs up to the checkpoint.
+    pub(crate) fn start(&mut self, programs: Vec<Program>) {
         self.shared.live = programs.len();
         self.spawn_threads(programs);
         // All processors wake at time zero: one bulk insert, tie-broken by
@@ -487,19 +483,10 @@ impl World {
                     .schedule_at(SimTime::ZERO + iv, Ev::MetricsTick);
             }
         }
-        self.run_loop();
-        assert_eq!(
-            self.shared.live, 0,
-            "simulation ran out of events with {} programs unfinished (deadlock)",
-            self.shared.live
-        );
-        self.report()
     }
 
-    /// Spawn one co-thread per program. Shared by [`World::run`] and the
-    /// checkpoint-restore path, which re-runs the same programs on fresh
-    /// co-threads and replays the journal into them.
-    pub(crate) fn spawn_threads(&mut self, programs: Vec<Program>) {
+    /// Spawn one co-thread per program.
+    fn spawn_threads(&mut self, programs: Vec<Program>) {
         let costs = AccessCosts {
             read: self.env.cfg.costs.shared_read_cycles,
             write: self.env.cfg.costs.shared_write_cycles,
@@ -528,7 +515,7 @@ impl World {
         if self.pdes_eligible() {
             self.run_pdes();
         } else {
-            self.event_loop();
+            self.event_loop(u64::MAX);
         }
     }
 
@@ -545,11 +532,15 @@ impl World {
     }
 
     /// Dispatch events until every program finishes (or the queue runs
-    /// dry), taking a checkpoint after every `checkpoint_every`-th event
-    /// when configured. Checkpoints run *between* dispatches, when every
+    /// dry) or `limit` events have been dispatched since t = 0, taking a
+    /// checkpoint after every `checkpoint_every`-th event when
+    /// configured. Checkpoints run *between* dispatches, when every
     /// co-thread is parked at a yield and the engine state is quiescent.
-    fn event_loop(&mut self) {
-        while let Some((t, ev)) = self.shared.q.pop() {
+    pub(crate) fn event_loop(&mut self, limit: u64) {
+        while self.shared.events_dispatched < limit {
+            let Some((t, ev)) = self.shared.q.pop() else {
+                break;
+            };
             match ev.shard() {
                 Some(n) => {
                     self.nodes[n].dispatch(&self.env, &mut Fx::Serial(&mut self.shared), t, ev);

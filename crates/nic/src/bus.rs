@@ -97,14 +97,6 @@ impl MemoryBus {
     pub fn transactions(&self) -> u64 {
         self.transactions
     }
-
-    /// Restore the bus's mutable state from a checkpoint (the rate
-    /// parameters stay as configured).
-    pub fn restore_state(&mut self, next_free: SimTime, bytes_moved: u64, transactions: u64) {
-        self.next_free = next_free;
-        self.bytes_moved = bytes_moved;
-        self.transactions = transactions;
-    }
 }
 
 #[cfg(test)]

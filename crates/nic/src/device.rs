@@ -543,94 +543,6 @@ impl Nic {
     pub fn busy_time(&self) -> SimTime {
         self.busy_accum
     }
-
-    /// Capture this NIC's complete mutable state for a checkpoint: bus
-    /// timing, Message Cache (slots, CLOCK hands, RTLB), in-flight AAL5
-    /// reassembly partials, classifier counters, processor busy state and
-    /// the device counters. The classifier's decision DAG and any cost
-    /// parameters are rebuilt from configuration on restore.
-    ///
-    /// # Panics
-    /// Panics if device channels are open — the engine drives NICs without
-    /// per-device channel queues, so checkpointable worlds never open any.
-    pub fn snapshot_state(&self) -> NicState {
-        assert!(
-            self.channels.is_empty(),
-            "NICs with open device channels are not checkpointable"
-        );
-        NicState {
-            bus_next_free: self.bus.next_free(),
-            bus_bytes_moved: self.bus.bytes_moved(),
-            bus_transactions: self.bus.transactions(),
-            msg_cache: self.msg_cache.as_ref().map(MessageCache::snapshot_state),
-            partials: self.reassembler.snapshot_partials(),
-            classifications: self.classifier.snapshot_counters().0,
-            classify_cells_total: self.classifier.snapshot_counters().1,
-            nic_busy: self.nic_busy,
-            busy_accum: self.busy_accum,
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state captured with [`Nic::snapshot_state`] into a NIC
-    /// freshly built with the same kind and configuration (handler
-    /// patterns must already be reinstalled). Returns `Err` (never panics)
-    /// when the snapshot does not fit this device.
-    pub fn restore_state(&mut self, s: &NicState) -> Result<(), String> {
-        match (&mut self.msg_cache, &s.msg_cache) {
-            (Some(mc), Some(ms)) => mc.restore_state(ms)?,
-            (None, None) => {}
-            (have, want) => {
-                return Err(format!(
-                    "message-cache presence mismatch: device {}, snapshot {}",
-                    if have.is_some() {
-                        "has one"
-                    } else {
-                        "has none"
-                    },
-                    if want.is_some() {
-                        "has one"
-                    } else {
-                        "has none"
-                    },
-                ));
-            }
-        }
-        self.bus
-            .restore_state(s.bus_next_free, s.bus_bytes_moved, s.bus_transactions);
-        self.reassembler.restore_partials(s.partials.clone());
-        self.classifier
-            .restore_counters(s.classifications, s.classify_cells_total);
-        self.nic_busy = s.nic_busy;
-        self.busy_accum = s.busy_accum;
-        self.stats = s.stats;
-        Ok(())
-    }
-}
-
-/// Serializable mid-run state of one [`Nic`].
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct NicState {
-    /// Memory-bus next-free register.
-    pub bus_next_free: SimTime,
-    /// Memory-bus bytes moved.
-    pub bus_bytes_moved: u64,
-    /// Memory-bus transactions granted.
-    pub bus_transactions: u64,
-    /// Message Cache state (CNI with the cache enabled only).
-    pub msg_cache: Option<crate::msgcache::MsgCacheState>,
-    /// In-flight AAL5 reassembly partials, ascending VCI order.
-    pub partials: Vec<(u16, Vec<u8>)>,
-    /// PATHFINDER classification count.
-    pub classifications: u64,
-    /// PATHFINDER cumulative comparison cells.
-    pub classify_cells_total: u64,
-    /// When the NIC processor is next free.
-    pub nic_busy: SimTime,
-    /// Cumulative NIC-processor busy time.
-    pub busy_accum: SimTime,
-    /// Device counters.
-    pub stats: NicStats,
 }
 
 #[cfg(test)]

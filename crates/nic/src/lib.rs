@@ -34,8 +34,8 @@ pub mod stats;
 
 pub use bus::MemoryBus;
 pub use config::{NicConfig, NicKind};
-pub use device::{Nic, NicState, RxDisposition, RxPath, TxPath, TxRequest};
+pub use device::{Nic, RxDisposition, RxPath, TxPath, TxRequest};
 pub use hostcache::HostCache;
-pub use msgcache::{MessageCache, MsgCacheState};
+pub use msgcache::MessageCache;
 pub use queues::{ChannelQueues, Descriptor};
 pub use stats::NicStats;

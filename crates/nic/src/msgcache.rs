@@ -249,76 +249,6 @@ impl MessageCache {
     pub fn resident(&self) -> usize {
         self.map.len()
     }
-
-    /// Capture the cache's complete mutable state for a checkpoint. The
-    /// page→slot map is *not* captured: it is a pure index over the slot
-    /// array (whose order, with both CLOCK hands, is the real state), so
-    /// [`MessageCache::restore_state`] rebuilds it from the slots and a
-    /// snapshot has exactly one encoding of each cache state.
-    pub fn snapshot_state(&self) -> MsgCacheState {
-        MsgCacheState {
-            slots: self.slots.iter().map(|s| (s.page, s.referenced)).collect(),
-            hand: self.hand,
-            rtlb_entries: self.rtlb.entries.clone(),
-            rtlb_hand: self.rtlb.hand,
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state captured with [`MessageCache::snapshot_state`] into a
-    /// cache freshly built with the same capacities. Returns `Err` (never
-    /// panics) when the snapshot's shape does not fit this cache.
-    pub fn restore_state(&mut self, s: &MsgCacheState) -> Result<(), String> {
-        if s.slots.len() != self.slots.len() {
-            return Err(format!(
-                "message-cache snapshot has {} slots, cache has {}",
-                s.slots.len(),
-                self.slots.len()
-            ));
-        }
-        if s.hand >= self.slots.len() {
-            return Err(format!("CLOCK hand {} out of range", s.hand));
-        }
-        if s.rtlb_entries.len() > self.rtlb.capacity || s.rtlb_hand >= self.rtlb.capacity {
-            return Err(format!(
-                "RTLB snapshot ({} entries, hand {}) exceeds capacity {}",
-                s.rtlb_entries.len(),
-                s.rtlb_hand,
-                self.rtlb.capacity
-            ));
-        }
-        self.map.clear();
-        for (i, &(page, referenced)) in s.slots.iter().enumerate() {
-            self.slots[i] = Slot { page, referenced };
-            if let Some(p) = page {
-                if self.map.insert(p, i).is_some() {
-                    return Err(format!("page {p} bound to two slots in snapshot"));
-                }
-            }
-        }
-        self.hand = s.hand;
-        self.rtlb.entries = s.rtlb_entries.clone();
-        self.rtlb.hand = s.rtlb_hand;
-        self.stats = s.stats;
-        Ok(())
-    }
-}
-
-/// Serializable mid-run state of a [`MessageCache`]: the slot array in
-/// CLOCK order (with reference bits), both CLOCK hands, the RTLB contents
-/// and the counters.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MsgCacheState {
-    /// `(resident page, referenced bit)` per slot, in slot order.
-    pub slots: Vec<(Option<u64>, bool)>,
-    /// The CLOCK eviction hand.
-    pub hand: usize,
-    /// RTLB-resident page translations, in insertion order.
-    pub rtlb_entries: Vec<u64>,
-    /// The RTLB replacement hand.
-    pub rtlb_hand: usize,
-    /// Counter snapshot.
-    pub stats: MsgCacheStats,
 }
 
 #[cfg(test)]
@@ -448,66 +378,5 @@ mod tests {
             (hits as f64 / lookups as f64) < 0.5,
             "sequential sweep larger than CLOCK capacity must mostly miss"
         );
-    }
-
-    /// A full cache with mixed reference bits, a mid-array CLOCK hand, a
-    /// freed slot and a warm RTLB.
-    fn warmed() -> MessageCache {
-        let mut c = cache(4);
-        for p in [10, 11, 12, 13] {
-            c.insert(p);
-        }
-        c.insert(14); // sweeps every bit clear, evicts 10
-        assert!(c.lookup_tx(12));
-        assert!(c.invalidate(13));
-        c.snoop_write(11);
-        c.snoop_write(99);
-        c
-    }
-
-    #[test]
-    fn snapshot_round_trip_reproduces_hits_misses_and_the_next_victim() {
-        let mut orig = warmed();
-        let state = orig.snapshot_state();
-        let mut copy = cache(4);
-        copy.restore_state(&state).unwrap();
-        assert_eq!(copy.snapshot_state(), state);
-        for p in [10, 11, 12, 13, 14] {
-            assert_eq!(copy.lookup_tx(p), orig.lookup_tx(p), "page {p}");
-        }
-        assert_eq!(copy.snoop_write(99), orig.snoop_write(99));
-        for p in [20, 21, 22] {
-            assert_eq!(copy.insert(p), orig.insert(p), "victim for page {p}");
-        }
-        assert_eq!(copy.stats(), orig.stats());
-    }
-
-    #[test]
-    fn restore_rejects_a_slot_count_mismatch() {
-        let state = warmed().snapshot_state();
-        assert!(cache(2).restore_state(&state).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_a_hand_out_of_range() {
-        let mut state = warmed().snapshot_state();
-        state.hand = 4;
-        assert!(cache(4).restore_state(&state).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_an_rtlb_over_capacity() {
-        let mut state = warmed().snapshot_state();
-        state.rtlb_entries = (0..65).collect();
-        assert!(cache(4).restore_state(&state).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_a_page_bound_to_two_slots() {
-        let mut state = warmed().snapshot_state();
-        state.slots[0] = (Some(7), false);
-        state.slots[2] = (Some(7), true);
-        let err = cache(4).restore_state(&state).unwrap_err();
-        assert!(err.contains("page 7"), "{err}");
     }
 }

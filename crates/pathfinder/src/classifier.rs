@@ -254,20 +254,6 @@ impl<T: Clone> Classifier<T> {
         self.classifications
     }
 
-    /// The classification counters `(classifications, cells_total)`, for
-    /// checkpointing. The decision DAG itself is rebuilt deterministically
-    /// from the installed patterns on restore, so only the counters are
-    /// runtime state.
-    pub fn snapshot_counters(&self) -> (u64, u64) {
-        (self.classifications, self.cells_total)
-    }
-
-    /// Restore counters captured with [`Classifier::snapshot_counters`].
-    pub fn restore_counters(&mut self, classifications: u64, cells_total: u64) {
-        self.classifications = classifications;
-        self.cells_total = cells_total;
-    }
-
     /// Mean comparison cells per classification.
     pub fn mean_cells(&self) -> f64 {
         if self.classifications == 0 {

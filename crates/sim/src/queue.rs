@@ -262,66 +262,9 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Walk the pending entries in internal heap-array order as
-    /// `(at, seq, &event)` triples, for checkpointing. Feeding the same
-    /// sequence to [`EventQueue::from_snapshot`] rebuilds a queue with the
-    /// identical internal layout, so subsequent pops — and therefore the
-    /// whole simulation — proceed byte-identically.
-    pub fn snapshot_entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.heap.iter().map(|e| (e.at(), e.seq(), &e.event))
-    }
-
     /// The sequence number the next scheduled event will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Rebuild a queue from a checkpoint taken with
-    /// [`EventQueue::snapshot_entries`]. `entries` must be in the captured
-    /// heap-array order. Returns `Err` (never panics) if the entries do not
-    /// form a valid heap or the counters are inconsistent — i.e. the
-    /// snapshot bytes were tampered with or torn.
-    pub fn from_snapshot(
-        now: SimTime,
-        next_seq: u64,
-        entries: Vec<(SimTime, u64, E)>,
-    ) -> Result<Self, String> {
-        let heap: Vec<Entry<E>> = entries
-            .into_iter()
-            .map(|(at, seq, event)| Entry {
-                key: pack_key(at, seq),
-                event,
-            })
-            .collect();
-        for (i, e) in heap.iter().enumerate() {
-            if i > 0 {
-                let parent = (i - 1) / ARITY;
-                if heap[parent].key > e.key {
-                    return Err(format!(
-                        "event queue snapshot violates heap order at index {i}"
-                    ));
-                }
-            }
-            if e.seq() >= next_seq {
-                return Err(format!(
-                    "event seq {} not below next_seq {next_seq}",
-                    e.seq()
-                ));
-            }
-            if e.at() < now {
-                return Err(format!(
-                    "pending event at {:?} is before queue time {:?}",
-                    e.at(),
-                    now
-                ));
-            }
-        }
-        Ok(EventQueue {
-            heap,
-            next_seq,
-            now,
-            trace: TraceSink::Disabled,
-        })
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -678,68 +621,5 @@ mod tests {
         ) {
             drive(&ops)?;
         }
-
-        /// Checkpoint satellite: after an arbitrary schedule/pop prefix,
-        /// snapshotting and restoring the queue must preserve the exact
-        /// `(time, seq)` pop order for the rest of the run — including new
-        /// events scheduled after the restore, whose sequence numbers must
-        /// continue from the snapshot's `next_seq`.
-        #[test]
-        fn snapshot_round_trip_preserves_pop_stream(
-            ops in proptest::collection::vec((0u8..4, 0u64..500), 0..200),
-            post in proptest::collection::vec(0u64..500, 0..40),
-        ) {
-            let mut q: EventQueue<u32> = EventQueue::new();
-            let mut id = 0u32;
-            for &(op, delta) in &ops {
-                if op < 3 {
-                    let at = SimTime::from_ps(q.now().as_ps().saturating_add(delta));
-                    q.schedule_at(at, id);
-                    id += 1;
-                } else {
-                    q.pop();
-                }
-            }
-            let entries: Vec<_> = q
-                .snapshot_entries()
-                .map(|(at, seq, e)| (at, seq, *e))
-                .collect();
-            let mut restored =
-                EventQueue::from_snapshot(q.now(), q.next_seq(), entries).unwrap();
-            prop_assert_eq!(restored.len(), q.len());
-            prop_assert_eq!(restored.now(), q.now());
-            // Diverge-free tail: schedule the same suffix into both queues…
-            for &delta in &post {
-                let at = SimTime::from_ps(q.now().as_ps().saturating_add(delta));
-                q.schedule_at(at, id);
-                restored.schedule_at(at, id);
-                id += 1;
-            }
-            // …and drain: identical (time, event) streams, pop for pop.
-            while let Some(got) = q.pop() {
-                prop_assert_eq!(Some(got), restored.pop());
-            }
-            prop_assert_eq!(restored.pop(), None);
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_tampered_entries() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_at(SimTime::from_ns(5), "a");
-        q.schedule_at(SimTime::from_ns(1), "b");
-        let mut entries: Vec<_> = q
-            .snapshot_entries()
-            .map(|(at, seq, e)| (at, seq, *e))
-            .collect();
-        // Heap-order violation: force the root later than its child.
-        entries[0].0 = SimTime::from_ns(50);
-        assert!(EventQueue::from_snapshot(q.now(), q.next_seq(), entries).is_err());
-        // Seq outside the counter range.
-        let bad = vec![(SimTime::from_ns(5), 99u64, "x")];
-        assert!(EventQueue::from_snapshot(SimTime::ZERO, 2, bad).is_err());
-        // Pending event before the restored clock.
-        let bad = vec![(SimTime::from_ns(5), 0u64, "x")];
-        assert!(EventQueue::from_snapshot(SimTime::from_us(1), 2, bad).is_err());
     }
 }

@@ -52,18 +52,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Current internal state, for checkpointing. Feeding this to
-    /// [`SplitMix64::from_state`] resumes the stream exactly where it left
-    /// off.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild a generator from a state captured with [`SplitMix64::state`].
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
-
     /// Fisher–Yates shuffle of a slice, deterministic given the generator
     /// state.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {

@@ -94,18 +94,17 @@ fn jacobi64_fat_tree_collectives_identical() {
 /// Checkpoint at T under the (serial-pinned) checkpointing run, resume
 /// the tail on the parallel engine: the final report must still equal
 /// the uninterrupted serial run byte-for-byte. This is the seam the two
-/// subsystems share — the snapshot codec restores per-node jitter
-/// streams and in-flight frame state, and `resume_run`'s tail goes
-/// through the same engine selection as a fresh run.
+/// subsystems share — `resume_run` re-executes the prefix on the serial
+/// loop, and its tail goes through the same engine selection as a fresh
+/// run.
 #[test]
 fn checkpoint_then_parallel_resume_matches_serial_golden() {
     let cfg = Config::paper_default();
     let app = App::Jacobi { n: 48, iters: 6 };
     let golden = json(&run_app(cfg, app));
 
-    // Checkpointed run (journalling on; the cadence pins it serial).
+    // Checkpointed run (the cadence pins it serial).
     let mut world = World::new(cfg);
-    world.enable_journal();
     let progs = build_programs(&mut world, app);
     let snaps: Rc<RefCell<Vec<serde::Value>>> = Rc::new(RefCell::new(Vec::new()));
     let sink = snaps.clone();
