@@ -2,8 +2,8 @@
 //! stream, Chrome-trace structural validity, and the zero-cost claim for
 //! the report's new observability fields.
 
-use cni::{Config, SimTime, TraceSink, REPORT_VERSION};
-use cni_apps::experiments::{run_app, run_app_traced, App};
+use cni::{Config, FaultPlan, SimTime, TraceSink, REPORT_VERSION};
+use cni_apps::experiments::{run_app, run_app_obs, run_app_traced, App};
 use cni_trace::export::{write_chrome, write_jsonl};
 use cni_trace::TraceRecord;
 use serde_json::Value;
@@ -35,6 +35,39 @@ fn jsonl_export_is_byte_identical_across_runs() {
     }
     assert!(!out[0].is_empty());
     assert_eq!(out[0], out[1], "trace export must be deterministic");
+}
+
+/// `(len, crc32)` of the JSONL export of `app`'s `--obs` run on `cfg`.
+fn jsonl_pin(cfg: Config, app: App) -> (usize, u32) {
+    let (_, records) = run_app_obs(cfg, app);
+    let mut buf = Vec::new();
+    write_jsonl(&mut buf, &records).unwrap();
+    (buf.len(), cni_atm::crc::crc32(&buf))
+}
+
+#[test]
+fn jsonl_traces_are_pinned_across_builds() {
+    // Pins the exported event stream itself, not just the report: each
+    // `cothread_switch` record marks where a program suspended, so an
+    // engine that polls programs at other points, or resumes them in
+    // another order, changes these bytes. Jacobi-8 is the CI obs run
+    // (7,452 records, 686 of them switches); lossy Water-8 adds
+    // go-back-N, CRC failures, locks and diffs (52,880 records).
+    assert_eq!(
+        jsonl_pin(Config::paper_default(), App::Jacobi { n: 48, iters: 6 }),
+        (682_221, 0x77E5_0138)
+    );
+    let lossy = Config::paper_default().with_faults(FaultPlan {
+        drop_prob: 0.02,
+        corrupt_prob: 0.01,
+        seed: 1,
+        ..FaultPlan::none()
+    });
+    let water = App::Water {
+        molecules: 64,
+        steps: 1,
+    };
+    assert_eq!(jsonl_pin(lossy, water), (5_164_679, 0xB1EC_CFA1));
 }
 
 #[test]
