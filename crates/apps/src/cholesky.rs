@@ -201,157 +201,163 @@ pub fn programs(
             let a = a.clone();
             let sym = sym.clone();
             let plan = plan.clone();
-            Box::new(move |ctx| {
-                // --- distributed initialisation --------------------------------
-                for (t, &(lo, hi)) in plan.ranges.iter().enumerate() {
-                    if t % procs != p {
-                        continue;
-                    }
-                    for j in lo..hi {
-                        ctx.write_f64(layout.slot(sym.diag_slot(j)), a.diag[j]);
-                        for pos in 0..sym.structs[j].len() {
-                            ctx.write_f64(layout.slot(sym.offsets[j] + 1 + pos), 0.0);
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    // --- distributed initialisation --------------------------------
+                    for (t, &(lo, hi)) in plan.ranges.iter().enumerate() {
+                        if t % procs != p {
+                            continue;
                         }
-                        for (k, &i) in a.rows[j].iter().enumerate() {
-                            ctx.write_f64(layout.slot(sym.slot(i, j)), a.vals[j][k]);
-                        }
-                    }
-                    ctx.write_u64(layout.counter(t), plan.counts[t] as u64);
-                }
-                if p == 0 {
-                    // Seed the bag with the leaf supernodes.
-                    let mut len = 0u64;
-                    for t in 0..snodes {
-                        if plan.counts[t] == 0 {
-                            ctx.write_u64(layout.bag_item(len as usize), t as u64);
-                            len += 1;
-                        }
-                    }
-                    ctx.write_u64(layout.bag_len(), len);
-                    ctx.write_u64(layout.bag_done(), 0);
-                }
-                ctx.barrier();
-
-                // --- supernodal fan-out factorisation ---------------------------
-                let mut backoff = POLL_BACKOFF_CYCLES;
-                loop {
-                    ctx.acquire(bag_lock(snodes));
-                    let done = ctx.read_u64(layout.bag_done());
-                    if done == snodes as u64 {
-                        ctx.release(bag_lock(snodes));
-                        break;
-                    }
-                    let len = ctx.read_u64(layout.bag_len());
-                    let task = if len > 0 {
-                        let t = ctx.read_u64(layout.bag_item(len as usize - 1));
-                        ctx.write_u64(layout.bag_len(), len - 1);
-                        Some(t as usize)
-                    } else {
-                        None
-                    };
-                    ctx.release(bag_lock(snodes));
-                    let Some(s) = task else {
-                        ctx.backoff(backoff);
-                        backoff = (backoff * 2).min(POLL_BACKOFF_MAX_CYCLES);
-                        continue;
-                    };
-                    backoff = POLL_BACKOFF_CYCLES;
-                    let (lo, hi) = plan.ranges[s];
-
-                    // Internal factorisation of supernode s under its own
-                    // lock: cdiv each column, then update the later columns
-                    // *within* the supernode. Keep the finished columns for
-                    // the external updates.
-                    ctx.acquire(snode_lock(s));
-                    let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(hi - lo);
-                    let mut flops = 0u64;
-                    for j in lo..hi {
-                        let dj = ctx.read_f64(layout.slot(sym.diag_slot(j)));
-                        assert!(dj > 0.0, "lost positive definiteness at column {j}");
-                        let root = dj.sqrt();
-                        ctx.write_f64(layout.slot(sym.diag_slot(j)), root);
-                        let st = &sym.structs[j];
-                        let mut col = Vec::with_capacity(st.len());
-                        for &i in st {
-                            let sl = sym.slot(i, j);
-                            let v = ctx.read_f64(layout.slot(sl)) / root;
-                            ctx.write_f64(layout.slot(sl), v);
-                            col.push((i, v));
-                        }
-                        flops += st.len() as u64;
-                        // Internal cmods: targets k within this supernode.
-                        for (ki, &(k, ljk)) in col.iter().enumerate() {
-                            if k >= hi {
-                                break;
+                        for j in lo..hi {
+                            ctx.write_f64(layout.slot(sym.diag_slot(j)), a.diag[j])
+                                .await;
+                            for pos in 0..sym.structs[j].len() {
+                                ctx.write_f64(layout.slot(sym.offsets[j] + 1 + pos), 0.0)
+                                    .await;
                             }
-                            let ds = layout.slot(sym.diag_slot(k));
-                            let d = ctx.read_f64(ds);
-                            ctx.write_f64(ds, d - ljk * ljk);
-                            for &(i, lij) in &col[ki + 1..] {
-                                let sl = layout.slot(sym.slot(i, k));
-                                let v = ctx.read_f64(sl);
-                                ctx.write_f64(sl, v - lij * ljk);
+                            for (k, &i) in a.rows[j].iter().enumerate() {
+                                ctx.write_f64(layout.slot(sym.slot(i, j)), a.vals[j][k])
+                                    .await;
                             }
-                            flops += (col.len() - ki) as u64;
                         }
-                        cols.push(col);
+                        ctx.write_u64(layout.counter(t), plan.counts[t] as u64)
+                            .await;
                     }
-                    ctx.compute(flops * CYCLES_PER_FLOP);
-                    ctx.release(snode_lock(s));
+                    if p == 0 {
+                        // Seed the bag with the leaf supernodes.
+                        let mut len = 0u64;
+                        for t in 0..snodes {
+                            if plan.counts[t] == 0 {
+                                ctx.write_u64(layout.bag_item(len as usize), t as u64).await;
+                                len += 1;
+                            }
+                        }
+                        ctx.write_u64(layout.bag_len(), len).await;
+                        ctx.write_u64(layout.bag_done(), 0).await;
+                    }
+                    ctx.barrier().await;
 
-                    // External updates: one lock hold per target supernode,
-                    // applying every contribution from this source.
-                    let mut ready = Vec::new();
-                    for &t in &plan.targets[s] {
-                        let (tlo, thi) = plan.ranges[t];
-                        ctx.acquire(snode_lock(t));
+                    // --- supernodal fan-out factorisation ---------------------------
+                    let mut backoff = POLL_BACKOFF_CYCLES;
+                    loop {
+                        ctx.acquire(bag_lock(snodes)).await;
+                        let done = ctx.read_u64(layout.bag_done()).await;
+                        if done == snodes as u64 {
+                            ctx.release(bag_lock(snodes)).await;
+                            break;
+                        }
+                        let len = ctx.read_u64(layout.bag_len()).await;
+                        let task = if len > 0 {
+                            let t = ctx.read_u64(layout.bag_item(len as usize - 1)).await;
+                            ctx.write_u64(layout.bag_len(), len - 1).await;
+                            Some(t as usize)
+                        } else {
+                            None
+                        };
+                        ctx.release(bag_lock(snodes)).await;
+                        let Some(s) = task else {
+                            ctx.backoff(backoff).await;
+                            backoff = (backoff * 2).min(POLL_BACKOFF_MAX_CYCLES);
+                            continue;
+                        };
+                        backoff = POLL_BACKOFF_CYCLES;
+                        let (lo, hi) = plan.ranges[s];
+
+                        // Internal factorisation of supernode s under its own
+                        // lock: cdiv each column, then update the later columns
+                        // *within* the supernode. Keep the finished columns for
+                        // the external updates.
+                        ctx.acquire(snode_lock(s)).await;
+                        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(hi - lo);
                         let mut flops = 0u64;
-                        for col in &cols {
-                            // Contributions to columns k in [tlo, thi).
-                            let from = col.partition_point(|&(i, _)| i < tlo);
-                            for (ki, &(k, ljk)) in col.iter().enumerate().skip(from) {
-                                if k >= thi {
+                        for j in lo..hi {
+                            let dj = ctx.read_f64(layout.slot(sym.diag_slot(j))).await;
+                            assert!(dj > 0.0, "lost positive definiteness at column {j}");
+                            let root = dj.sqrt();
+                            ctx.write_f64(layout.slot(sym.diag_slot(j)), root).await;
+                            let st = &sym.structs[j];
+                            let mut col = Vec::with_capacity(st.len());
+                            for &i in st {
+                                let sl = sym.slot(i, j);
+                                let v = ctx.read_f64(layout.slot(sl)).await / root;
+                                ctx.write_f64(layout.slot(sl), v).await;
+                                col.push((i, v));
+                            }
+                            flops += st.len() as u64;
+                            // Internal cmods: targets k within this supernode.
+                            for (ki, &(k, ljk)) in col.iter().enumerate() {
+                                if k >= hi {
                                     break;
                                 }
                                 let ds = layout.slot(sym.diag_slot(k));
-                                let d = ctx.read_f64(ds);
-                                ctx.write_f64(ds, d - ljk * ljk);
+                                let d = ctx.read_f64(ds).await;
+                                ctx.write_f64(ds, d - ljk * ljk).await;
                                 for &(i, lij) in &col[ki + 1..] {
                                     let sl = layout.slot(sym.slot(i, k));
-                                    let v = ctx.read_f64(sl);
-                                    ctx.write_f64(sl, v - lij * ljk);
+                                    let v = ctx.read_f64(sl).await;
+                                    ctx.write_f64(sl, v - lij * ljk).await;
                                 }
                                 flops += (col.len() - ki) as u64;
                             }
+                            cols.push(col);
                         }
                         ctx.compute(flops * CYCLES_PER_FLOP);
-                        let ca = layout.counter(t);
-                        let c = ctx.read_u64(ca) - 1;
-                        ctx.write_u64(ca, c);
-                        ctx.release(snode_lock(t));
-                        if c == 0 {
-                            ready.push(t);
+                        ctx.release(snode_lock(s)).await;
+
+                        // External updates: one lock hold per target supernode,
+                        // applying every contribution from this source.
+                        let mut ready = Vec::new();
+                        for &t in &plan.targets[s] {
+                            let (tlo, thi) = plan.ranges[t];
+                            ctx.acquire(snode_lock(t)).await;
+                            let mut flops = 0u64;
+                            for col in &cols {
+                                // Contributions to columns k in [tlo, thi).
+                                let from = col.partition_point(|&(i, _)| i < tlo);
+                                for (ki, &(k, ljk)) in col.iter().enumerate().skip(from) {
+                                    if k >= thi {
+                                        break;
+                                    }
+                                    let ds = layout.slot(sym.diag_slot(k));
+                                    let d = ctx.read_f64(ds).await;
+                                    ctx.write_f64(ds, d - ljk * ljk).await;
+                                    for &(i, lij) in &col[ki + 1..] {
+                                        let sl = layout.slot(sym.slot(i, k));
+                                        let v = ctx.read_f64(sl).await;
+                                        ctx.write_f64(sl, v - lij * ljk).await;
+                                    }
+                                    flops += (col.len() - ki) as u64;
+                                }
+                            }
+                            ctx.compute(flops * CYCLES_PER_FLOP);
+                            let ca = layout.counter(t);
+                            let c = ctx.read_u64(ca).await - 1;
+                            ctx.write_u64(ca, c).await;
+                            ctx.release(snode_lock(t)).await;
+                            if c == 0 {
+                                ready.push(t);
+                            }
+                        }
+
+                        // Publish the finished supernode and newly ready tasks.
+                        ctx.acquire(bag_lock(snodes)).await;
+                        let done = ctx.read_u64(layout.bag_done()).await + 1;
+                        ctx.write_u64(layout.bag_done(), done).await;
+                        let mut len = ctx.read_u64(layout.bag_len()).await;
+                        for &t in &ready {
+                            ctx.write_u64(layout.bag_item(len as usize), t as u64).await;
+                            len += 1;
+                        }
+                        ctx.write_u64(layout.bag_len(), len).await;
+                        ctx.release(bag_lock(snodes)).await;
+                    }
+                    ctx.barrier().await;
+                    if verify && p == 0 {
+                        for s in 0..sym.total_slots {
+                            let _ = ctx.read_f64(layout.slot(s)).await;
                         }
                     }
-
-                    // Publish the finished supernode and newly ready tasks.
-                    ctx.acquire(bag_lock(snodes));
-                    let done = ctx.read_u64(layout.bag_done()) + 1;
-                    ctx.write_u64(layout.bag_done(), done);
-                    let mut len = ctx.read_u64(layout.bag_len());
-                    for &t in &ready {
-                        ctx.write_u64(layout.bag_item(len as usize), t as u64);
-                        len += 1;
-                    }
-                    ctx.write_u64(layout.bag_len(), len);
-                    ctx.release(bag_lock(snodes));
-                }
-                ctx.barrier();
-                if verify && p == 0 {
-                    for s in 0..sym.total_slots {
-                        let _ = ctx.read_f64(layout.slot(s));
-                    }
-                }
+                })
             })
         })
         .collect();

@@ -442,22 +442,28 @@ fn one_way_latency(cfg: Config, bytes: usize, rounds: u32) -> f64 {
     let total = warmup + rounds;
     let line_bytes = cfg.nic.cache_line_bytes as u32;
     let r = world.run(vec![
-        Box::new(move |ctx| {
-            for i in 0..total {
-                // The first (warm-up) send pays the flush + DMA and binds
-                // the buffer; steady-state sends reuse the same clean
-                // buffer — the best case the paper plots.
-                let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty);
-                let _ = ctx.recv();
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for i in 0..total {
+                    // The first (warm-up) send pays the flush + DMA and binds
+                    // the buffer; steady-state sends reuse the same clean
+                    // buffer — the best case the paper plots.
+                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
+                    ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty)
+                        .await;
+                    let _ = ctx.recv().await;
+                }
+            })
         }),
-        Box::new(move |ctx| {
-            for i in 0..total {
-                let _ = ctx.recv();
-                let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty);
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for i in 0..total {
+                    let _ = ctx.recv().await;
+                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
+                    ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty)
+                        .await;
+                }
+            })
         }),
     ]);
     // Round-trip time for the measured rounds, halved.
@@ -465,19 +471,25 @@ fn one_way_latency(cfg: Config, bytes: usize, rounds: u32) -> f64 {
     // cost by measuring with a second run of only the warm-up rounds.
     let mut warm_world = World::new(cfg);
     let w = warm_world.run(vec![
-        Box::new(move |ctx| {
-            for i in 0..warmup {
-                let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty);
-                let _ = ctx.recv();
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for i in 0..warmup {
+                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
+                    ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty)
+                        .await;
+                    let _ = ctx.recv().await;
+                }
+            })
         }),
-        Box::new(move |ctx| {
-            for i in 0..warmup {
-                let _ = ctx.recv();
-                let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty);
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for i in 0..warmup {
+                    let _ = ctx.recv().await;
+                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
+                    ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty)
+                        .await;
+                }
+            })
         }),
     ]);
     let steady = r.wall.saturating_sub(w.wall);

@@ -89,49 +89,55 @@ pub fn programs(world: &mut World, params: JacobiParams) -> (JacobiLayout, Vec<P
     };
     let progs = (0..procs)
         .map(|p| -> Program {
-            Box::new(move |ctx| {
-                let me = p;
-                let procs = procs;
-                let (lo, hi) = row_block(n, procs, me);
-                // Initialise my block of grid A: boundary condition = 1.0
-                // on the outer frame, 0 inside.
-                for i in lo..hi {
-                    for j in 0..n {
-                        let v = if i == 0 || i == n - 1 || j == 0 || j == n - 1 {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        ctx.write_f64(layout.idx(layout.a, i, j), v);
-                        ctx.write_f64(layout.idx(layout.b, i, j), v);
-                    }
-                }
-                ctx.barrier();
-                let (mut src, mut dst) = (layout.a, layout.b);
-                for _ in 0..params.iters {
-                    for i in lo.max(1)..hi.min(n - 1) {
-                        for j in 1..(n - 1) {
-                            let up = ctx.read_f64(layout.idx(src, i - 1, j));
-                            let down = ctx.read_f64(layout.idx(src, i + 1, j));
-                            let left = ctx.read_f64(layout.idx(src, i, j - 1));
-                            let right = ctx.read_f64(layout.idx(src, i, j + 1));
-                            ctx.write_f64(layout.idx(dst, i, j), 0.25 * (up + down + left + right));
-                        }
-                        ctx.compute((n as u64 - 2) * CYCLES_PER_POINT);
-                    }
-                    // The paper's two synchronisation points per iteration.
-                    ctx.barrier();
-                    std::mem::swap(&mut src, &mut dst);
-                    ctx.barrier();
-                }
-                if params.verify && me == 0 {
-                    // Materialise a coherent copy of the result on node 0.
-                    for i in 0..n {
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    let me = p;
+                    let procs = procs;
+                    let (lo, hi) = row_block(n, procs, me);
+                    // Initialise my block of grid A: boundary condition = 1.0
+                    // on the outer frame, 0 inside.
+                    for i in lo..hi {
                         for j in 0..n {
-                            let _ = ctx.read_f64(layout.idx(src, i, j));
+                            let v = if i == 0 || i == n - 1 || j == 0 || j == n - 1 {
+                                1.0
+                            } else {
+                                0.0
+                            };
+                            ctx.write_f64(layout.idx(layout.a, i, j), v).await;
+                            ctx.write_f64(layout.idx(layout.b, i, j), v).await;
                         }
                     }
-                }
+                    ctx.barrier().await;
+                    let (mut src, mut dst) = (layout.a, layout.b);
+                    for _ in 0..params.iters {
+                        for i in lo.max(1)..hi.min(n - 1) {
+                            for j in 1..(n - 1) {
+                                let up = ctx.read_f64(layout.idx(src, i - 1, j)).await;
+                                let down = ctx.read_f64(layout.idx(src, i + 1, j)).await;
+                                let left = ctx.read_f64(layout.idx(src, i, j - 1)).await;
+                                let right = ctx.read_f64(layout.idx(src, i, j + 1)).await;
+                                ctx.write_f64(
+                                    layout.idx(dst, i, j),
+                                    0.25 * (up + down + left + right),
+                                )
+                                .await;
+                            }
+                            ctx.compute((n as u64 - 2) * CYCLES_PER_POINT);
+                        }
+                        // The paper's two synchronisation points per iteration.
+                        ctx.barrier().await;
+                        std::mem::swap(&mut src, &mut dst);
+                        ctx.barrier().await;
+                    }
+                    if params.verify && me == 0 {
+                        // Materialise a coherent copy of the result on node 0.
+                        for i in 0..n {
+                            for j in 0..n {
+                                let _ = ctx.read_f64(layout.idx(src, i, j)).await;
+                            }
+                        }
+                    }
+                })
             })
         })
         .collect();

@@ -50,113 +50,117 @@ pub fn programs(
     let progs = (0..procs)
         .map(|p| -> Program {
             let result_tx = result_tx.clone();
-            Box::new(move |ctx| {
-                let me = p;
-                let (lo, hi) = row_block(n, procs, me);
-                let rows = hi - lo;
-                // Private grid: my rows plus one ghost row on each side.
-                let mut a = vec![0.0f64; (rows + 2) * n];
-                let mut b = a.clone();
-                for r in 0..rows {
-                    let gr = lo + r;
-                    for c in 0..n {
-                        if gr == 0 || gr == n - 1 || c == 0 || c == n - 1 {
-                            a[(r + 1) * n + c] = 1.0;
-                            b[(r + 1) * n + c] = 1.0;
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    let me = p;
+                    let (lo, hi) = row_block(n, procs, me);
+                    let rows = hi - lo;
+                    // Private grid: my rows plus one ghost row on each side.
+                    let mut a = vec![0.0f64; (rows + 2) * n];
+                    let mut b = a.clone();
+                    for r in 0..rows {
+                        let gr = lo + r;
+                        for c in 0..n {
+                            if gr == 0 || gr == n - 1 || c == 0 || c == n - 1 {
+                                a[(r + 1) * n + c] = 1.0;
+                                b[(r + 1) * n + c] = 1.0;
+                            }
                         }
                     }
-                }
-                let row_dirty = (n as u32 * 8 + 8).div_ceil(line_bytes);
-                // A neighbour may race one iteration ahead (there is no
-                // global barrier in the message-passing version), so every
-                // row carries its iteration number in word 0 and early
-                // arrivals are stashed.
-                let mut stashed: Vec<(u32, Vec<u64>)> = Vec::new();
-                for it in 0..params.iters {
-                    let parity = it % 2;
-                    // Exchange boundary rows. Send both first (the rows are
-                    // copies in dedicated buffers), then receive both: a
-                    // deadlock-free schedule.
-                    let mut expect = 0;
-                    if me > 0 {
-                        let mut top: Vec<u64> = Vec::with_capacity(n + 1);
-                        top.push(it as u64);
-                        top.extend(a[n..2 * n].iter().map(|v| v.to_bits()));
-                        ctx.send_data(
-                            (me - 1) as u32,
-                            top,
-                            Some(buffer_page(me, 0, parity)),
-                            true,
-                            row_dirty,
-                        );
-                        expect += 1;
-                    }
-                    if me + 1 < procs {
-                        let mut bottom: Vec<u64> = Vec::with_capacity(n + 1);
-                        bottom.push(it as u64);
-                        bottom.extend(a[rows * n..(rows + 1) * n].iter().map(|v| v.to_bits()));
-                        ctx.send_data(
-                            (me + 1) as u32,
-                            bottom,
-                            Some(buffer_page(me, 1, parity)),
-                            true,
-                            row_dirty,
-                        );
-                        expect += 1;
-                    }
-                    let mut got = 0;
-                    let apply = |src: u32, data: &[u64], a: &mut Vec<f64>| {
-                        let ghost_base = if (src as usize) < me {
-                            0
-                        } else {
-                            (rows + 1) * n
+                    let row_dirty = (n as u32 * 8 + 8).div_ceil(line_bytes);
+                    // A neighbour may race one iteration ahead (there is no
+                    // global barrier in the message-passing version), so every
+                    // row carries its iteration number in word 0 and early
+                    // arrivals are stashed.
+                    let mut stashed: Vec<(u32, Vec<u64>)> = Vec::new();
+                    for it in 0..params.iters {
+                        let parity = it % 2;
+                        // Exchange boundary rows. Send both first (the rows are
+                        // copies in dedicated buffers), then receive both: a
+                        // deadlock-free schedule.
+                        let mut expect = 0;
+                        if me > 0 {
+                            let mut top: Vec<u64> = Vec::with_capacity(n + 1);
+                            top.push(it as u64);
+                            top.extend(a[n..2 * n].iter().map(|v| v.to_bits()));
+                            ctx.send_data(
+                                (me - 1) as u32,
+                                top,
+                                Some(buffer_page(me, 0, parity)),
+                                true,
+                                row_dirty,
+                            )
+                            .await;
+                            expect += 1;
+                        }
+                        if me + 1 < procs {
+                            let mut bottom: Vec<u64> = Vec::with_capacity(n + 1);
+                            bottom.push(it as u64);
+                            bottom.extend(a[rows * n..(rows + 1) * n].iter().map(|v| v.to_bits()));
+                            ctx.send_data(
+                                (me + 1) as u32,
+                                bottom,
+                                Some(buffer_page(me, 1, parity)),
+                                true,
+                                row_dirty,
+                            )
+                            .await;
+                            expect += 1;
+                        }
+                        let mut got = 0;
+                        let apply = |src: u32, data: &[u64], a: &mut Vec<f64>| {
+                            let ghost_base = if (src as usize) < me {
+                                0
+                            } else {
+                                (rows + 1) * n
+                            };
+                            for (c, w) in data[1..].iter().enumerate() {
+                                a[ghost_base + c] = f64::from_bits(*w);
+                            }
                         };
-                        for (c, w) in data[1..].iter().enumerate() {
-                            a[ghost_base + c] = f64::from_bits(*w);
+                        // Stashed rows from this iteration first.
+                        stashed.retain(|(src, data)| {
+                            if data[0] == it as u64 {
+                                apply(*src, data, &mut a);
+                                got += 1;
+                                false
+                            } else {
+                                true
+                            }
+                        });
+                        while got < expect {
+                            let (src, data) = ctx.recv_data().await;
+                            if data[0] == it as u64 {
+                                apply(src, &data, &mut a);
+                                got += 1;
+                            } else {
+                                debug_assert_eq!(data[0], it as u64 + 1, "too far ahead");
+                                stashed.push((src, data.as_ref().clone()));
+                            }
                         }
-                    };
-                    // Stashed rows from this iteration first.
-                    stashed.retain(|(src, data)| {
-                        if data[0] == it as u64 {
-                            apply(*src, data, &mut a);
-                            got += 1;
-                            false
-                        } else {
-                            true
+                        // Relax my interior rows.
+                        for r in 1..=rows {
+                            let gr = lo + r - 1;
+                            if gr == 0 || gr == n - 1 {
+                                b[r * n..(r + 1) * n].copy_from_slice(&a[r * n..(r + 1) * n]);
+                                continue;
+                            }
+                            for c in 1..n - 1 {
+                                b[r * n + c] = 0.25
+                                    * (a[(r - 1) * n + c]
+                                        + a[(r + 1) * n + c]
+                                        + a[r * n + c - 1]
+                                        + a[r * n + c + 1]);
+                            }
+                            b[r * n] = a[r * n];
+                            b[r * n + n - 1] = a[r * n + n - 1];
+                            ctx.compute((n as u64 - 2) * CYCLES_PER_POINT);
                         }
-                    });
-                    while got < expect {
-                        let (src, data) = ctx.recv_data();
-                        if data[0] == it as u64 {
-                            apply(src, &data, &mut a);
-                            got += 1;
-                        } else {
-                            debug_assert_eq!(data[0], it as u64 + 1, "too far ahead");
-                            stashed.push((src, data.as_ref().clone()));
-                        }
+                        std::mem::swap(&mut a, &mut b);
                     }
-                    // Relax my interior rows.
-                    for r in 1..=rows {
-                        let gr = lo + r - 1;
-                        if gr == 0 || gr == n - 1 {
-                            b[r * n..(r + 1) * n].copy_from_slice(&a[r * n..(r + 1) * n]);
-                            continue;
-                        }
-                        for c in 1..n - 1 {
-                            b[r * n + c] = 0.25
-                                * (a[(r - 1) * n + c]
-                                    + a[(r + 1) * n + c]
-                                    + a[r * n + c - 1]
-                                    + a[r * n + c + 1]);
-                        }
-                        b[r * n] = a[r * n];
-                        b[r * n + n - 1] = a[r * n + n - 1];
-                        ctx.compute((n as u64 - 2) * CYCLES_PER_POINT);
-                    }
-                    std::mem::swap(&mut a, &mut b);
-                }
-                let block: Vec<f64> = a[n..(rows + 1) * n].to_vec();
-                let _ = result_tx.send((me, block));
+                    let block: Vec<f64> = a[n..(rows + 1) * n].to_vec();
+                    let _ = result_tx.send((me, block));
+                })
             })
         })
         .collect();

@@ -137,88 +137,91 @@ pub fn programs(world: &mut World, params: WaterParams) -> (WaterLayout, Vec<Pro
     };
     let progs = (0..procs)
         .map(|p| -> Program {
-            Box::new(move |ctx| {
-                let (lo, hi) = block(m, procs, p);
-                // Initialise my molecules.
-                for mol in lo..hi {
-                    for d in 0..3 {
-                        ctx.write_f64(layout.pos_at(mol, d), initial_position(mol, d, m));
-                        ctx.write_f64(layout.force_at(mol, d), 0.0);
-                    }
-                }
-                ctx.barrier();
-                let mut local = vec![0.0f64; m * 3];
-                for _step in 0..params.steps {
-                    // Phase 1: pair forces, postponed updates. The cyclic
-                    // half-shell: molecule i interacts with the next ⌈m/2⌉
-                    // molecules (mod m), so every unordered pair is computed
-                    // exactly once and the work is balanced across blocks
-                    // (SPLASH's decomposition; a triangular loop would give
-                    // the first block ~an order of magnitude more pairs).
-                    local.iter_mut().for_each(|v| *v = 0.0);
-                    for i in lo..hi {
-                        let pi = [
-                            ctx.read_f64(layout.pos_at(i, 0)),
-                            ctx.read_f64(layout.pos_at(i, 1)),
-                            ctx.read_f64(layout.pos_at(i, 2)),
-                        ];
-                        for dj in 1..=half_shell(m) {
-                            if m.is_multiple_of(2) && dj == m / 2 && i >= m / 2 {
-                                continue; // opposite pair already counted
-                            }
-                            let j = (i + dj) % m;
-                            let pj = [
-                                ctx.read_f64(layout.pos_at(j, 0)),
-                                ctx.read_f64(layout.pos_at(j, 1)),
-                                ctx.read_f64(layout.pos_at(j, 2)),
-                            ];
-                            for d in 0..3 {
-                                let f = pair_force(pi, pj, d);
-                                local[i * 3 + d] += f;
-                                local[j * 3 + d] -= f;
-                            }
-                            ctx.compute(CYCLES_PER_PAIR);
-                        }
-                    }
-                    // Phase 2: apply postponed updates under per-molecule
-                    // locks. Start at this processor's own block and wrap
-                    // around — the SPLASH stagger that keeps processors from
-                    // convoying on the same lock sequence.
-                    for step in 0..m {
-                        let mol = (lo + step) % m;
-                        let any = (0..3).any(|d| local[mol * 3 + d] != 0.0);
-                        if !any {
-                            continue;
-                        }
-                        ctx.acquire(LockId(mol as u32));
-                        for d in 0..3 {
-                            let a = layout.force_at(mol, d);
-                            let cur = ctx.read_f64(a);
-                            ctx.write_f64(a, cur + local[mol * 3 + d]);
-                        }
-                        ctx.release(LockId(mol as u32));
-                    }
-                    ctx.barrier();
-                    // Phase 3: integrate my own molecules, reset forces.
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    let (lo, hi) = block(m, procs, p);
+                    // Initialise my molecules.
                     for mol in lo..hi {
                         for d in 0..3 {
-                            let f = ctx.read_f64(layout.force_at(mol, d));
-                            let pa = layout.pos_at(mol, d);
-                            let x = ctx.read_f64(pa);
-                            ctx.write_f64(pa, x + 0.0001 * f);
-                            ctx.write_f64(layout.force_at(mol, d), 0.0);
-                        }
-                        ctx.compute(CYCLES_PER_UPDATE);
-                    }
-                    ctx.barrier();
-                }
-                if params.verify && p == 0 {
-                    for mol in 0..m {
-                        for d in 0..3 {
-                            let _ = ctx.read_f64(layout.pos_at(mol, d));
+                            ctx.write_f64(layout.pos_at(mol, d), initial_position(mol, d, m))
+                                .await;
+                            ctx.write_f64(layout.force_at(mol, d), 0.0).await;
                         }
                     }
-                }
+                    ctx.barrier().await;
+                    let mut local = vec![0.0f64; m * 3];
+                    for _step in 0..params.steps {
+                        // Phase 1: pair forces, postponed updates. The cyclic
+                        // half-shell: molecule i interacts with the next ⌈m/2⌉
+                        // molecules (mod m), so every unordered pair is computed
+                        // exactly once and the work is balanced across blocks
+                        // (SPLASH's decomposition; a triangular loop would give
+                        // the first block ~an order of magnitude more pairs).
+                        local.iter_mut().for_each(|v| *v = 0.0);
+                        for i in lo..hi {
+                            let pi = [
+                                ctx.read_f64(layout.pos_at(i, 0)).await,
+                                ctx.read_f64(layout.pos_at(i, 1)).await,
+                                ctx.read_f64(layout.pos_at(i, 2)).await,
+                            ];
+                            for dj in 1..=half_shell(m) {
+                                if m.is_multiple_of(2) && dj == m / 2 && i >= m / 2 {
+                                    continue; // opposite pair already counted
+                                }
+                                let j = (i + dj) % m;
+                                let pj = [
+                                    ctx.read_f64(layout.pos_at(j, 0)).await,
+                                    ctx.read_f64(layout.pos_at(j, 1)).await,
+                                    ctx.read_f64(layout.pos_at(j, 2)).await,
+                                ];
+                                for d in 0..3 {
+                                    let f = pair_force(pi, pj, d);
+                                    local[i * 3 + d] += f;
+                                    local[j * 3 + d] -= f;
+                                }
+                                ctx.compute(CYCLES_PER_PAIR);
+                            }
+                        }
+                        // Phase 2: apply postponed updates under per-molecule
+                        // locks. Start at this processor's own block and wrap
+                        // around — the SPLASH stagger that keeps processors from
+                        // convoying on the same lock sequence.
+                        for step in 0..m {
+                            let mol = (lo + step) % m;
+                            let any = (0..3).any(|d| local[mol * 3 + d] != 0.0);
+                            if !any {
+                                continue;
+                            }
+                            ctx.acquire(LockId(mol as u32)).await;
+                            for d in 0..3 {
+                                let a = layout.force_at(mol, d);
+                                let cur = ctx.read_f64(a).await;
+                                ctx.write_f64(a, cur + local[mol * 3 + d]).await;
+                            }
+                            ctx.release(LockId(mol as u32)).await;
+                        }
+                        ctx.barrier().await;
+                        // Phase 3: integrate my own molecules, reset forces.
+                        for mol in lo..hi {
+                            for d in 0..3 {
+                                let f = ctx.read_f64(layout.force_at(mol, d)).await;
+                                let pa = layout.pos_at(mol, d);
+                                let x = ctx.read_f64(pa).await;
+                                ctx.write_f64(pa, x + 0.0001 * f).await;
+                                ctx.write_f64(layout.force_at(mol, d), 0.0).await;
+                            }
+                            ctx.compute(CYCLES_PER_UPDATE);
+                        }
+                        ctx.barrier().await;
+                    }
+                    if params.verify && p == 0 {
+                        for mol in 0..m {
+                            for d in 0..3 {
+                                let _ = ctx.read_f64(layout.pos_at(mol, d)).await;
+                            }
+                        }
+                    }
+                })
             })
         })
         .collect();

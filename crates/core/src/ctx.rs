@@ -1,11 +1,16 @@
 //! The application programming interface: what a simulated processor's
 //! program sees.
 //!
-//! A program is a closure receiving a [`ProcCtx`]. Shared-memory reads and
-//! writes take the fast path — a relaxed atomic state check plus the word
-//! access — and only *yield* to the simulation engine on faults,
-//! synchronisation, message passing, and at termination. Computation is
-//! charged with [`ProcCtx::compute`] and batched locally, so the handshake
+//! A program is an `async` body borrowing a [`ProcCtx`] (see
+//! [`crate::program`]), and every operation that may reach the engine is
+//! awaited. Shared-memory reads and writes return hand-written futures
+//! ([`ReadU64`], [`ReadF64`], [`WriteU64`]) whose first poll runs the fast
+//! path — a relaxed atomic state check plus the word access — inline in
+//! the program's own state machine. A program *yields* to the simulation
+//! engine only on faults, synchronisation, message passing, and at
+//! termination: it posts the operation to its mailbox and returns
+//! `Pending`, and the engine polls it again with the reply. Computation is
+//! charged with [`ProcCtx::compute`] and batched locally, so the hand-off
 //! cost is paid per simulated *communication event*, not per arithmetic
 //! operation (the execution-driven trade Proteus made).
 //!
@@ -21,8 +26,11 @@
 
 use cni_dsm::NodeSpace;
 use cni_dsm::{access, LockId, Page, PageHandle, PageId, VAddr, SHARED_BASE};
-use cni_sim::Port;
+use cni_sim::{Call, Mailbox};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
 /// Operations that reach the simulation engine.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,7 +108,7 @@ pub struct AccessCosts {
 }
 
 /// The program-side context for one simulated processor.
-pub struct ProcCtx<'a> {
+pub struct ProcCtx {
     me: u32,
     procs: u32,
     page_bytes: usize,
@@ -110,10 +118,10 @@ pub struct ProcCtx<'a> {
     /// Slot `i` caches this node's handle to page `i` once touched.
     pages: Box<[Option<PageHandle>]>,
     pending: u64,
-    port: &'a mut Port<YieldMsg, Reply>,
+    mailbox: Mailbox<YieldMsg, Reply>,
 }
 
-impl<'a> ProcCtx<'a> {
+impl ProcCtx {
     /// Engine-side constructor (used by the world's program wrapper).
     /// `pages` is the size of the shared segment in pages.
     pub fn new(
@@ -122,7 +130,7 @@ impl<'a> ProcCtx<'a> {
         costs: AccessCosts,
         space: Arc<NodeSpace>,
         pages: usize,
-        port: &'a mut Port<YieldMsg, Reply>,
+        mailbox: Mailbox<YieldMsg, Reply>,
     ) -> Self {
         ProcCtx {
             me,
@@ -133,7 +141,7 @@ impl<'a> ProcCtx<'a> {
             space,
             pages: (0..pages).map(|_| None).collect(),
             pending: 0,
-            port,
+            mailbox,
         }
     }
 
@@ -161,12 +169,26 @@ impl<'a> ProcCtx<'a> {
         self.pending += cycles;
     }
 
-    fn yield_op(&mut self, op: Op) -> Reply {
-        let pending = std::mem::take(&mut self.pending);
-        self.port.call(YieldMsg {
-            pending_cycles: pending,
+    /// The accumulated computation and `op`, as one yield.
+    fn yield_msg(&mut self, op: Op) -> YieldMsg {
+        YieldMsg {
+            pending_cycles: std::mem::take(&mut self.pending),
             op,
-        })
+        }
+    }
+
+    fn yield_op(&mut self, op: Op) -> Call<'_, YieldMsg, Reply> {
+        let msg = self.yield_msg(op);
+        self.mailbox.call(msg)
+    }
+
+    /// Post a fault for the engine; the access future then suspends, and
+    /// its next poll retries the access.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, op: Op) {
+        let msg = self.yield_msg(op);
+        self.mailbox.post(msg);
     }
 
     /// The page slot and byte offset of `addr`. An address below the
@@ -198,9 +220,9 @@ impl<'a> ProcCtx<'a> {
         self.pages[slot] = Some(self.space.page(PageId(slot as u32)));
     }
 
-    /// Read a shared 64-bit word. Faults transparently.
+    /// One attempt at a shared read: the word, or a posted fault.
     #[inline]
-    pub fn read_u64(&mut self, addr: VAddr) -> u64 {
+    fn poll_read(&mut self, addr: VAddr) -> Poll<u64> {
         let (slot, off) = self.locate(addr);
         loop {
             let Some(p) = self.cached(slot) else {
@@ -210,16 +232,17 @@ impl<'a> ProcCtx<'a> {
             if p.flags.state() != access::INVALID {
                 let v = p.frame.load(off / 8);
                 self.pending += self.costs.read;
-                return v;
+                return Poll::Ready(v);
             }
-            self.yield_op(Op::ReadFault(PageId(slot as u32)));
+            self.fault(Op::ReadFault(PageId(slot as u32)));
+            return Poll::Pending;
         }
     }
 
-    /// Write a shared 64-bit word. Faults transparently and records the
-    /// dirty cache line for the flush model.
+    /// One attempt at a shared write, recording the dirty cache line for
+    /// the flush model; or a posted fault.
     #[inline]
-    pub fn write_u64(&mut self, addr: VAddr, v: u64) {
+    fn poll_write(&mut self, addr: VAddr, v: u64) -> Poll<()> {
         let (slot, off) = self.locate(addr);
         loop {
             let Some(p) = self.cached(slot) else {
@@ -230,50 +253,63 @@ impl<'a> ProcCtx<'a> {
                 p.frame.store(off / 8, v);
                 p.flags.mark_dirty(off / self.line_bytes);
                 self.pending += self.costs.write;
-                return;
+                return Poll::Ready(());
             }
-            self.yield_op(Op::WriteFault(PageId(slot as u32)));
+            self.fault(Op::WriteFault(PageId(slot as u32)));
+            return Poll::Pending;
         }
+    }
+
+    /// Read a shared 64-bit word. Faults transparently.
+    #[inline]
+    pub fn read_u64(&mut self, addr: VAddr) -> ReadU64<'_> {
+        ReadU64 { ctx: self, addr }
+    }
+
+    /// Write a shared 64-bit word. Faults transparently.
+    #[inline]
+    pub fn write_u64(&mut self, addr: VAddr, v: u64) -> WriteU64<'_> {
+        WriteU64 { ctx: self, addr, v }
     }
 
     /// Read a shared `f64`.
     #[inline]
-    pub fn read_f64(&mut self, addr: VAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
+    pub fn read_f64(&mut self, addr: VAddr) -> ReadF64<'_> {
+        ReadF64(self.read_u64(addr))
     }
 
     /// Write a shared `f64`.
     #[inline]
-    pub fn write_f64(&mut self, addr: VAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
+    pub fn write_f64(&mut self, addr: VAddr, v: f64) -> WriteU64<'_> {
+        self.write_u64(addr, v.to_bits())
     }
 
     /// Acquire a DSM lock (blocks in virtual time).
-    pub fn acquire(&mut self, lock: LockId) {
-        self.yield_op(Op::Acquire(lock));
+    pub async fn acquire(&mut self, lock: LockId) {
+        self.yield_op(Op::Acquire(lock)).await;
     }
 
     /// Release a DSM lock (closes the interval: diffs + write notices).
-    pub fn release(&mut self, lock: LockId) {
-        self.yield_op(Op::Release(lock));
+    pub async fn release(&mut self, lock: LockId) {
+        self.yield_op(Op::Release(lock)).await;
     }
 
     /// Cross the global barrier.
-    pub fn barrier(&mut self) {
-        self.yield_op(Op::Barrier);
+    pub async fn barrier(&mut self) {
+        self.yield_op(Op::Barrier).await;
     }
 
     /// Spin politely for `cycles` host cycles: the time is charged as
     /// synchronisation overhead, not computation (idle task-queue polling
     /// must not inflate the computation bucket of Tables 2–4).
-    pub fn backoff(&mut self, cycles: u64) {
-        self.yield_op(Op::Backoff(cycles));
+    pub async fn backoff(&mut self, cycles: u64) {
+        self.yield_op(Op::Backoff(cycles)).await;
     }
 
     /// Send an application-level message of `len` bytes to `dst`.
     /// `dirty_lines` models how much of the buffer sits dirty in the host
     /// cache (flushed before transmission, per the write-back discipline).
-    pub fn send_to(
+    pub async fn send_to(
         &mut self,
         dst: u32,
         len: u32,
@@ -289,14 +325,15 @@ impl<'a> ProcCtx<'a> {
             cacheable,
             dirty_lines,
             data: None,
-        });
+        })
+        .await;
     }
 
     /// Send an application-level message carrying `data` (one simulated
     /// byte of payload per... precisely `data.len() * 8` bytes) to `dst`.
     /// This is the execution-driven message-passing path: the receiver's
     /// [`ProcCtx::recv_data`] gets the actual words.
-    pub fn send_data(
+    pub async fn send_data(
         &mut self,
         dst: u32,
         data: Vec<u64>,
@@ -313,13 +350,14 @@ impl<'a> ProcCtx<'a> {
             cacheable,
             dirty_lines,
             data: Some(Arc::new(data)),
-        });
+        })
+        .await;
     }
 
     /// Block until an application-level message arrives; returns
     /// (sender, length).
-    pub fn recv(&mut self) -> (u32, u32) {
-        match self.yield_op(Op::Recv) {
+    pub async fn recv(&mut self) -> (u32, u32) {
+        match self.yield_op(Op::Recv).await {
             Reply::Received { src, len, .. } => (src, len),
             Reply::Ok => panic!("engine replied Ok to Recv"),
         }
@@ -327,8 +365,8 @@ impl<'a> ProcCtx<'a> {
 
     /// Block until an application-level message arrives; returns the
     /// sender and the payload words (empty if the sender attached none).
-    pub fn recv_data(&mut self) -> (u32, Arc<Vec<u64>>) {
-        match self.yield_op(Op::Recv) {
+    pub async fn recv_data(&mut self) -> (u32, Arc<Vec<u64>>) {
+        match self.yield_op(Op::Recv).await {
             Reply::Received { src, data, .. } => {
                 (src, data.unwrap_or_else(|| Arc::new(Vec::new())))
             }
@@ -338,29 +376,79 @@ impl<'a> ProcCtx<'a> {
 
     /// Flush accumulated computation and signal completion. Called by the
     /// program wrapper after the user closure returns.
-    pub fn finish(&mut self) {
-        self.yield_op(Op::Done);
+    pub async fn finish(&mut self) {
+        self.yield_op(Op::Done).await;
+    }
+}
+
+/// The future of [`ProcCtx::read_u64`]: its first poll runs the fast path
+/// and suspends only to post a read fault, retrying after the engine
+/// resolved it.
+#[must_use = "a shared read does nothing unless awaited"]
+pub struct ReadU64<'a> {
+    ctx: &'a mut ProcCtx,
+    addr: VAddr,
+}
+
+impl Future for ReadU64<'_> {
+    type Output = u64;
+
+    #[inline]
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<u64> {
+        let addr = self.addr;
+        self.ctx.poll_read(addr)
+    }
+}
+
+/// The future of [`ProcCtx::read_f64`]: a [`ReadU64`] of the bits.
+#[must_use = "a shared read does nothing unless awaited"]
+pub struct ReadF64<'a>(ReadU64<'a>);
+
+impl Future for ReadF64<'_> {
+    type Output = f64;
+
+    #[inline]
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<f64> {
+        Pin::new(&mut self.0).poll(cx).map(f64::from_bits)
+    }
+}
+
+/// The future of [`ProcCtx::write_u64`] and [`ProcCtx::write_f64`]: its
+/// first poll runs the fast path and suspends only to post a write
+/// fault, retrying after the engine resolved it.
+#[must_use = "a shared write does nothing unless awaited"]
+pub struct WriteU64<'a> {
+    ctx: &'a mut ProcCtx,
+    addr: VAddr,
+    v: u64,
+}
+
+impl Future for WriteU64<'_> {
+    type Output = ();
+
+    #[inline]
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        let (addr, v) = (self.addr, self.v);
+        self.ctx.poll_write(addr, v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cni_sim::{CoThread, Yield};
+    use crate::world::{program, Program};
+    use cni_sim::{Task, Yield};
 
     const PAGE: usize = 64;
 
-    /// A one-processor program over a `pages`-page segment of `space`.
-    fn spawn(
-        space: Arc<NodeSpace>,
-        pages: usize,
-        prog: impl FnOnce(&mut ProcCtx) + Send + 'static,
-    ) -> CoThread<YieldMsg, Reply> {
-        CoThread::spawn("cpu0", move |port| {
+    /// A one-processor program over a `pages`-page segment of `space`,
+    /// wrapped as the world wraps it.
+    fn spawn(space: Arc<NodeSpace>, pages: usize, prog: Program) -> Task<YieldMsg, Reply> {
+        Task::spawn("cpu0", move |mailbox| async move {
             let costs = AccessCosts { read: 1, write: 1 };
-            let mut ctx = ProcCtx::new(0, 1, costs, space, pages, port);
-            prog(&mut ctx);
-            ctx.finish();
+            let mut ctx = ProcCtx::new(0, 1, costs, space, pages, mailbox);
+            prog(&mut ctx).await;
+            ctx.finish().await;
         })
     }
 
@@ -375,41 +463,46 @@ mod tests {
     fn in_place_invalidation_reaches_a_cached_page() {
         let space = Arc::new(NodeSpace::new(PAGE, 32));
         let addr = VAddr::of_page(PageId(1), PAGE).add(8);
-        let mut co = spawn(space.clone(), 2, move |ctx| {
-            assert_eq!(ctx.read_u64(addr), 7);
-            ctx.barrier();
-            assert_eq!(ctx.read_u64(addr), 9);
+        let prog = program(move |ctx| {
+            Box::pin(async move {
+                assert_eq!(ctx.read_u64(addr).await, 7);
+                ctx.barrier().await;
+                assert_eq!(ctx.read_u64(addr).await, 9);
+            })
         });
-        assert_eq!(op(co.start()), Op::ReadFault(PageId(1)));
+        let mut task = spawn(space.clone(), 2, prog);
+        assert_eq!(op(task.start()), Op::ReadFault(PageId(1)));
         let page = space.page(PageId(1));
         page.frame.store(1, 7);
         page.flags.set_state(access::READ);
-        assert_eq!(op(co.resume(Reply::Ok)), Op::Barrier);
+        assert_eq!(op(task.resume(Reply::Ok)), Op::Barrier);
         // A write notice: the DSM node invalidates the copy in place, so
         // the processor's cached slot must fault on its next read.
         page.flags.set_state(access::INVALID);
-        assert_eq!(op(co.resume(Reply::Ok)), Op::ReadFault(PageId(1)));
+        assert_eq!(op(task.resume(Reply::Ok)), Op::ReadFault(PageId(1)));
         page.frame.store(1, 9);
         page.flags.set_state(access::READ);
-        assert_eq!(op(co.resume(Reply::Ok)), Op::Done);
-        assert!(matches!(co.resume(Reply::Ok), Yield::Finished));
+        assert_eq!(op(task.resume(Reply::Ok)), Op::Done);
+        assert!(matches!(task.resume(Reply::Ok), Yield::Finished));
     }
 
     #[test]
     #[should_panic(expected = "VAddr(0x80000080) is outside the allocated segment of 2 pages")]
     fn read_past_the_segment_panics() {
         let space = Arc::new(NodeSpace::new(PAGE, 32));
-        let mut co = spawn(space, 2, |ctx| {
-            ctx.read_u64(VAddr::of_page(PageId(2), PAGE));
+        let prog = program(|ctx| {
+            Box::pin(async move {
+                ctx.read_u64(VAddr::of_page(PageId(2), PAGE)).await;
+            })
         });
-        let _ = co.start();
+        let _ = spawn(space, 2, prog).start();
     }
 
     #[test]
     #[should_panic(expected = "VAddr(0x40) is outside the allocated segment")]
     fn write_below_the_segment_panics() {
         let space = Arc::new(NodeSpace::new(PAGE, 32));
-        let mut co = spawn(space, 2, |ctx| ctx.write_u64(VAddr(0x40), 1));
-        let _ = co.start();
+        let prog = program(|ctx| Box::pin(async move { ctx.write_u64(VAddr(0x40), 1).await }));
+        let _ = spawn(space, 2, prog).start();
     }
 }

@@ -16,24 +16,26 @@ fn neighbour_exchange(n: u32, iters: u64) -> impl Fn(VAddr) -> Vec<Program> {
     move |base| {
         (0..n)
             .map(|me| -> Program {
-                Box::new(move |ctx| {
-                    let page = ctx.page_bytes() as u64;
-                    let mine = base.add(me as u64 * page);
-                    for it in 0..iters {
-                        let mut acc = 0u64;
-                        if me > 0 {
-                            acc += ctx.read_u64(base.add((me as u64 - 1) * page));
+                cni::program(move |ctx| {
+                    Box::pin(async move {
+                        let page = ctx.page_bytes() as u64;
+                        let mine = base.add(me as u64 * page);
+                        for it in 0..iters {
+                            let mut acc = 0u64;
+                            if me > 0 {
+                                acc += ctx.read_u64(base.add((me as u64 - 1) * page)).await;
+                            }
+                            if me + 1 < n {
+                                acc += ctx.read_u64(base.add((me as u64 + 1) * page)).await;
+                            }
+                            ctx.barrier().await;
+                            for w in 0..(page / 8) {
+                                ctx.write_u64(mine.add(w * 8), acc + it + me as u64).await;
+                            }
+                            ctx.compute(50_000);
+                            ctx.barrier().await;
                         }
-                        if me + 1 < n {
-                            acc += ctx.read_u64(base.add((me as u64 + 1) * page));
-                        }
-                        ctx.barrier();
-                        for w in 0..(page / 8) {
-                            ctx.write_u64(mine.add(w * 8), acc + it + me as u64);
-                        }
-                        ctx.compute(50_000);
-                        ctx.barrier();
-                    }
+                    })
                 })
             })
             .collect()
@@ -46,21 +48,23 @@ fn mixed_workload(rounds: u64) -> impl Fn(VAddr) -> Vec<Program> {
     move |base| {
         (0..2u32)
             .map(|me| -> Program {
-                Box::new(move |ctx| {
-                    let l = LockId(0);
-                    for r in 0..rounds {
-                        ctx.acquire(l);
-                        let v = ctx.read_u64(base);
-                        ctx.write_u64(base, v + 1);
-                        ctx.release(l);
-                        if me == 0 {
-                            ctx.send_data(1, vec![r, v], None, false, 0);
-                        } else {
-                            let (_src, _data) = ctx.recv_data();
+                cni::program(move |ctx| {
+                    Box::pin(async move {
+                        let l = LockId(0);
+                        for r in 0..rounds {
+                            ctx.acquire(l).await;
+                            let v = ctx.read_u64(base).await;
+                            ctx.write_u64(base, v + 1).await;
+                            ctx.release(l).await;
+                            if me == 0 {
+                                ctx.send_data(1, vec![r, v], None, false, 0).await;
+                            } else {
+                                let (_src, _data) = ctx.recv_data().await;
+                            }
+                            ctx.compute(10_000);
                         }
-                        ctx.compute(10_000);
-                    }
-                    ctx.barrier();
+                        ctx.barrier().await;
+                    })
                 })
             })
             .collect()
@@ -473,11 +477,13 @@ fn a_tail_that_deadlocks_is_unfinished() {
             .into_iter()
             .enumerate()
             .map(|(me, prog)| -> Program {
-                Box::new(move |ctx| {
-                    prog(ctx);
-                    if me == 0 {
-                        let _ = ctx.recv_data();
-                    }
+                cni::program(move |ctx| {
+                    Box::pin(async move {
+                        prog(ctx).await;
+                        if me == 0 {
+                            let _ = ctx.recv_data().await;
+                        }
+                    })
                 })
             })
             .collect()

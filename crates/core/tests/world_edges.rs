@@ -4,6 +4,7 @@
 
 use cni::{Config, LockId, Program, World};
 use cni_nic::config::CniFeatures;
+use std::sync::{Arc, Mutex};
 
 fn two_procs() -> World {
     World::new(Config::paper_default().with_procs(2))
@@ -17,15 +18,17 @@ fn cross_lock_deadlock_is_detected() {
     let mut w = two_procs();
     let _ = w.alloc(2048);
     let mk = |first: u32, second: u32| -> Program {
-        Box::new(move |ctx| {
-            ctx.acquire(LockId(first));
-            // Ensure both processors hold their first lock before asking
-            // for the second: a compute gap orders the requests in virtual
-            // time deterministically.
-            ctx.compute(1_000_000);
-            ctx.acquire(LockId(second));
-            ctx.release(LockId(second));
-            ctx.release(LockId(first));
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                ctx.acquire(LockId(first)).await;
+                // Ensure both processors hold their first lock before asking
+                // for the second: a compute gap orders the requests in virtual
+                // time deterministically.
+                ctx.compute(1_000_000);
+                ctx.acquire(LockId(second)).await;
+                ctx.release(LockId(second)).await;
+                ctx.release(LockId(first)).await;
+            })
         })
     };
     let _ = w.run(vec![mk(0, 1), mk(1, 0)]);
@@ -36,11 +39,13 @@ fn cross_lock_deadlock_is_detected() {
 fn double_acquire_panics() {
     let mut w = two_procs();
     let _ = w.run(vec![
-        Box::new(|ctx| {
-            ctx.acquire(LockId(0));
-            ctx.acquire(LockId(0));
+        cni::program(|ctx| {
+            Box::pin(async move {
+                ctx.acquire(LockId(0)).await;
+                ctx.acquire(LockId(0)).await;
+            })
         }),
-        Box::new(|_ctx| {}),
+        cni::program(|_ctx| Box::pin(async move {})),
     ]);
 }
 
@@ -49,12 +54,14 @@ fn double_acquire_panics() {
 fn release_without_acquire_panics() {
     let mut w = two_procs();
     let _ = w.run(vec![
-        Box::new(|ctx| {
-            ctx.acquire(LockId(0));
-            ctx.release(LockId(0));
-            ctx.release(LockId(0));
+        cni::program(|ctx| {
+            Box::pin(async move {
+                ctx.acquire(LockId(0)).await;
+                ctx.release(LockId(0)).await;
+                ctx.release(LockId(0)).await;
+            })
         }),
-        Box::new(|_ctx| {}),
+        cni::program(|_ctx| Box::pin(async move {})),
     ]);
 }
 
@@ -62,7 +69,7 @@ fn release_without_acquire_panics() {
 #[should_panic(expected = "one program per processor")]
 fn program_count_must_match() {
     let mut w = two_procs();
-    let _ = w.run(vec![Box::new(|_ctx| {})]);
+    let _ = w.run(vec![cni::program(|_ctx| Box::pin(async move {}))]);
 }
 
 #[test]
@@ -70,8 +77,8 @@ fn app_panics_propagate_with_context() {
     let mut w = two_procs();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = w.run(vec![
-            Box::new(|_ctx| panic!("application exploded")),
-            Box::new(|ctx| ctx.barrier()),
+            cni::program(|_ctx| Box::pin(async move { panic!("application exploded") })),
+            cni::program(|ctx| Box::pin(async move { ctx.barrier().await })),
         ]);
     }));
     let err = result.expect_err("panic must propagate");
@@ -79,6 +86,61 @@ fn app_panics_propagate_with_context() {
     assert!(
         msg.contains("application exploded"),
         "panic context lost: {msg}"
+    );
+}
+
+#[test]
+fn serial_engine_runs_every_program_on_the_calling_thread() {
+    // Programs are futures the engine polls in place: no OS thread per
+    // simulated CPU, so every poll of every program, before and after
+    // each suspension, runs on the thread that called `World::run`.
+    let mut w = World::new(Config::paper_default().with_procs(4));
+    let base = w.alloc(4 * 2048);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let progs = (0..4u64)
+        .map(|me| {
+            let seen = seen.clone();
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    let record = || seen.lock().unwrap().push(std::thread::current().id());
+                    record();
+                    ctx.write_u64(base.add(me * 2048), me).await;
+                    record();
+                    ctx.barrier().await;
+                    record();
+                    let _ = ctx.read_u64(base.add(((me + 1) % 4) * 2048)).await;
+                    record();
+                })
+            })
+        })
+        .collect();
+    let _ = w.run(progs);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 16);
+    let caller = std::thread::current().id();
+    assert!(
+        seen.iter().all(|&id| id == caller),
+        "{seen:?} vs {caller:?}"
+    );
+}
+
+#[test]
+fn a_program_awaiting_a_foreign_future_panics_with_its_name() {
+    // Only the engine resumes a program, so one that suspends on anything
+    // but its own `ProcCtx` operations would never run again: the engine
+    // says so instead of hanging.
+    let mut w = two_procs();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = w.run(vec![
+            cni::program(|ctx| Box::pin(async move { ctx.barrier().await })),
+            cni::program(|_ctx| Box::pin(std::future::pending::<()>())),
+        ]);
+    }));
+    let err = result.expect_err("a stray suspension must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("\"cpu1\" suspended without a request"),
+        "{msg}"
     );
 }
 
@@ -93,25 +155,29 @@ fn message_cache_size_knob_reaches_the_device() {
         );
         let base = w.alloc(8 * 2048);
         let r = w.run(vec![
-            Box::new(move |ctx| {
-                for round in 0..6u64 {
-                    for pg in 0..4u64 {
-                        ctx.write_u64(base.add(pg * 2048), round * 10 + pg);
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    for round in 0..6u64 {
+                        for pg in 0..4u64 {
+                            ctx.write_u64(base.add(pg * 2048), round * 10 + pg).await;
+                        }
+                        ctx.barrier().await;
+                        ctx.barrier().await;
                     }
-                    ctx.barrier();
-                    ctx.barrier();
-                }
+                })
             }),
-            Box::new(move |ctx| {
-                for _round in 0..6u64 {
-                    ctx.barrier();
-                    let mut acc = 0u64;
-                    for pg in 0..4u64 {
-                        acc = acc.wrapping_add(ctx.read_u64(base.add(pg * 2048)));
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    for _round in 0..6u64 {
+                        ctx.barrier().await;
+                        let mut acc = 0u64;
+                        for pg in 0..4u64 {
+                            acc = acc.wrapping_add(ctx.read_u64(base.add(pg * 2048)).await);
+                        }
+                        std::hint::black_box(acc);
+                        ctx.barrier().await;
                     }
-                    std::hint::black_box(acc);
-                    ctx.barrier();
-                }
+                })
             }),
         ]);
         r.hit_ratio()
@@ -136,19 +202,23 @@ fn ablation_flags_reach_the_device() {
     let mut w = World::new(cfg);
     let base = w.alloc(2048);
     let r = w.run(vec![
-        Box::new(move |ctx| {
-            for round in 0..4u64 {
-                ctx.write_u64(base, round);
-                ctx.barrier();
-                ctx.barrier();
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for round in 0..4u64 {
+                    ctx.write_u64(base, round).await;
+                    ctx.barrier().await;
+                    ctx.barrier().await;
+                }
+            })
         }),
-        Box::new(move |ctx| {
-            for _ in 0..4u64 {
-                ctx.barrier();
-                let _ = ctx.read_u64(base);
-                ctx.barrier();
-            }
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for _ in 0..4u64 {
+                    ctx.barrier().await;
+                    let _ = ctx.read_u64(base).await;
+                    ctx.barrier().await;
+                }
+            })
         }),
     ]);
     assert_eq!(r.hit_ratio(), 0.0, "disabled message cache must never hit");
@@ -157,7 +227,10 @@ fn ablation_flags_reach_the_device() {
 #[test]
 fn zero_compute_programs_terminate() {
     let mut w = two_procs();
-    let r = w.run(vec![Box::new(|_| {}), Box::new(|_| {})]);
+    let r = w.run(vec![
+        cni::program(|_ctx| Box::pin(async move {})),
+        cni::program(|_ctx| Box::pin(async move {})),
+    ]);
     assert_eq!(r.wall, cni::SimTime::ZERO);
     assert_eq!(r.messages, 0);
 }

@@ -15,21 +15,23 @@ fn ping_pong(rounds: u64) -> impl Fn(VAddr) -> Vec<Program> {
     move |base| {
         (0..2u32)
             .map(|me| -> Program {
-                Box::new(move |ctx| {
-                    let l = LockId(0);
-                    for r in 0..rounds {
-                        ctx.acquire(l);
-                        let v = ctx.read_u64(base);
-                        if v == 2 * r + me as u64 {
-                            // My turn: fill the page so it travels whole.
-                            for w in 0..(ctx.page_bytes() / 8) as u64 {
-                                ctx.write_u64(base.add(w * 8), v + 1);
+                cni::program(move |ctx| {
+                    Box::pin(async move {
+                        let l = LockId(0);
+                        for r in 0..rounds {
+                            ctx.acquire(l).await;
+                            let v = ctx.read_u64(base).await;
+                            if v == 2 * r + me as u64 {
+                                // My turn: fill the page so it travels whole.
+                                for w in 0..(ctx.page_bytes() / 8) as u64 {
+                                    ctx.write_u64(base.add(w * 8), v + 1).await;
+                                }
                             }
+                            ctx.release(l).await;
+                            ctx.compute(2_000);
                         }
-                        ctx.release(l);
-                        ctx.compute(2_000);
-                    }
-                    ctx.barrier();
+                        ctx.barrier().await;
+                    })
                 })
             })
             .collect()
@@ -41,26 +43,28 @@ fn neighbour_exchange(n: u32, iters: u64) -> impl Fn(VAddr) -> Vec<Program> {
     move |base| {
         (0..n)
             .map(|me| -> Program {
-                Box::new(move |ctx| {
-                    let page = ctx.page_bytes() as u64;
-                    let mine = base.add(me as u64 * page);
-                    for it in 0..iters {
-                        // Read neighbours' pages.
-                        let mut acc = 0u64;
-                        if me > 0 {
-                            acc += ctx.read_u64(base.add((me as u64 - 1) * page));
+                cni::program(move |ctx| {
+                    Box::pin(async move {
+                        let page = ctx.page_bytes() as u64;
+                        let mine = base.add(me as u64 * page);
+                        for it in 0..iters {
+                            // Read neighbours' pages.
+                            let mut acc = 0u64;
+                            if me > 0 {
+                                acc += ctx.read_u64(base.add((me as u64 - 1) * page)).await;
+                            }
+                            if me + 1 < n {
+                                acc += ctx.read_u64(base.add((me as u64 + 1) * page)).await;
+                            }
+                            ctx.barrier().await;
+                            // Rewrite my whole page.
+                            for w in 0..(page / 8) {
+                                ctx.write_u64(mine.add(w * 8), acc + it + me as u64).await;
+                            }
+                            ctx.compute(50_000);
+                            ctx.barrier().await;
                         }
-                        if me + 1 < n {
-                            acc += ctx.read_u64(base.add((me as u64 + 1) * page));
-                        }
-                        ctx.barrier();
-                        // Rewrite my whole page.
-                        for w in 0..(page / 8) {
-                            ctx.write_u64(mine.add(w * 8), acc + it + me as u64);
-                        }
-                        ctx.compute(50_000);
-                        ctx.barrier();
-                    }
+                    })
                 })
             })
             .collect()
@@ -196,12 +200,14 @@ fn unrestricted_cells_speed_up_page_traffic() {
 fn single_proc_run_has_no_communication() {
     let mut w = World::new(Config::paper_default().with_procs(1));
     let base = w.alloc(8192);
-    let r = w.run(vec![Box::new(move |ctx| {
-        for i in 0..1000u64 {
-            ctx.write_u64(base.add((i % 1024) * 8), i);
-        }
-        ctx.compute(1_000_000);
-        ctx.barrier();
+    let r = w.run(vec![cni::program(move |ctx| {
+        Box::pin(async move {
+            for i in 0..1000u64 {
+                ctx.write_u64(base.add((i % 1024) * 8), i).await;
+            }
+            ctx.compute(1_000_000);
+            ctx.barrier().await;
+        })
     })]);
     assert_eq!(r.messages, 0);
     assert_eq!(r.procs[0].delay, SimTime::ZERO);
@@ -212,8 +218,10 @@ fn single_proc_run_has_no_communication() {
 #[test]
 fn compute_scales_wall_clock() {
     let mk = |cycles: u64| -> Vec<Program> {
-        vec![Box::new(move |ctx: &mut cni::ProcCtx<'_>| {
-            ctx.compute(cycles);
+        vec![cni::program(move |ctx| {
+            Box::pin(async move {
+                ctx.compute(cycles);
+            })
         })]
     };
     let mut w1 = World::new(Config::paper_default().with_procs(1));
@@ -231,21 +239,27 @@ fn message_passing_ping_pong_roundtrip() {
     let mut w = World::new(cfg);
     let _ = w.alloc(4096);
     let r = w.run(vec![
-        Box::new(|ctx| {
-            for i in 0..5u64 {
-                ctx.send_to(1, 256, Some(0x0100_0000 + i % 2), true, 8);
-                let (src, len) = ctx.recv();
-                assert_eq!(src, 1);
-                assert_eq!(len, 256);
-            }
+        cni::program(|ctx| {
+            Box::pin(async move {
+                for i in 0..5u64 {
+                    ctx.send_to(1, 256, Some(0x0100_0000 + i % 2), true, 8)
+                        .await;
+                    let (src, len) = ctx.recv().await;
+                    assert_eq!(src, 1);
+                    assert_eq!(len, 256);
+                }
+            })
         }),
-        Box::new(|ctx| {
-            for i in 0..5u64 {
-                let (src, len) = ctx.recv();
-                assert_eq!(src, 0);
-                assert_eq!(len, 256);
-                ctx.send_to(0, 256, Some(0x0200_0000 + i % 2), true, 8);
-            }
+        cni::program(|ctx| {
+            Box::pin(async move {
+                for i in 0..5u64 {
+                    let (src, len) = ctx.recv().await;
+                    assert_eq!(src, 0);
+                    assert_eq!(len, 256);
+                    ctx.send_to(0, 256, Some(0x0200_0000 + i % 2), true, 8)
+                        .await;
+                }
+            })
         }),
     ]);
     // 10 application messages were exchanged; none is a protocol message.

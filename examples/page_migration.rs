@@ -22,21 +22,23 @@ fn run(kind: NicKind, hops: u64) -> RunReport {
     let page = world.alloc(2048);
     let programs: Vec<Program> = (0..4u64)
         .map(|me| -> Program {
-            Box::new(move |ctx| {
-                for hop in 0..hops {
-                    if hop % 4 == me {
-                        ctx.acquire(LockId(0));
-                        // Read-modify-write the whole page: the migratory
-                        // pattern.
-                        for w in 0..256u64 {
-                            let v = ctx.read_u64(page.add(w * 8));
-                            ctx.write_u64(page.add(w * 8), v + 1);
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    for hop in 0..hops {
+                        if hop % 4 == me {
+                            ctx.acquire(LockId(0)).await;
+                            // Read-modify-write the whole page: the migratory
+                            // pattern.
+                            for w in 0..256u64 {
+                                let v = ctx.read_u64(page.add(w * 8)).await;
+                                ctx.write_u64(page.add(w * 8), v + 1).await;
+                            }
+                            ctx.release(LockId(0)).await;
                         }
-                        ctx.release(LockId(0));
+                        ctx.compute(50_000);
                     }
-                    ctx.compute(50_000);
-                }
-                ctx.barrier();
+                    ctx.barrier().await;
+                })
             })
         })
         .collect();

@@ -25,23 +25,26 @@ fn main() {
     // meets at a barrier.
     let programs: Vec<Program> = (0..4u64)
         .map(|me| -> Program {
-            Box::new(move |ctx| {
-                ctx.acquire(LockId(0));
-                let v = ctx.read_u64(counter);
-                ctx.write_u64(counter, v + 1);
-                ctx.release(LockId(0));
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    ctx.acquire(LockId(0)).await;
+                    let v = ctx.read_u64(counter).await;
+                    ctx.write_u64(counter, v + 1).await;
+                    ctx.release(LockId(0)).await;
 
-                for k in 0..512u64 {
-                    ctx.write_u64(data.add((me * 512 + k) * 8), me * 1000 + k);
-                }
-                // Charge some computation (cycles on the 166 MHz host).
-                ctx.compute(500_000);
-                ctx.barrier();
+                    for k in 0..512u64 {
+                        ctx.write_u64(data.add((me * 512 + k) * 8), me * 1000 + k)
+                            .await;
+                    }
+                    // Charge some computation (cycles on the 166 MHz host).
+                    ctx.compute(500_000);
+                    ctx.barrier().await;
 
-                // After the barrier everyone observes everyone's writes.
-                let neighbour = (me + 1) % 4;
-                let seen = ctx.read_u64(data.add(neighbour * 512 * 8));
-                assert_eq!(seen, neighbour * 1000);
+                    // After the barrier everyone observes everyone's writes.
+                    let neighbour = (me + 1) % 4;
+                    let seen = ctx.read_u64(data.add(neighbour * 512 * 8)).await;
+                    assert_eq!(seen, neighbour * 1000);
+                })
             })
         })
         .collect();
