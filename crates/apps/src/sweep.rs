@@ -280,11 +280,36 @@ mod tests {
             (r#"[{"app": "jacobi", "loss_prob": 1.5}]"#, "[0, 1)"),
             (r#"[{"app": "jacobi", "procs": 0}]"#, "between 1 and 32"),
             (r#"[{"app": "jacobi", "page_bytes": 0}]"#, "page_bytes"),
+            (
+                r#"[{"app": "jacobi", "msg_cache_bytes": 1000000000000000000}]"#,
+                "msg_cache_bytes",
+            ),
             (r#"[{"app": "jacobi", "n": "big"}]"#, "non-negative integer"),
             (r#"[{"app": "jacobi"}, {"app": 3}]"#, "run 1"),
         ] {
             let err = parse_sweep(spec).unwrap_err();
             assert!(err.contains(needle), "spec {spec}: {err}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse_sweep(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 512 levels"), "{err}");
+    }
+
+    #[test]
+    fn a_one_mib_string_parses_in_under_a_second() {
+        // The string scan used to re-validate the rest of the input for
+        // every character: quadratic, about 9 s for 640k characters.
+        let label = "é".repeat(1 << 19);
+        let spec = format!(r#"[{{"app": "jacobi", "label": "{label}"}}]"#);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(parse_sweep(&spec)));
+        let runs = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("a 1 MiB string took over a second to parse")
+            .expect("the spec parses");
+        assert_eq!(runs[0].label, label);
     }
 }

@@ -63,20 +63,30 @@ fn with_stored_config(src: &Path, dst: &Path, edit: impl Fn(&mut Config)) {
     cni_snap::write_value(dst, &payload).expect("rewritten checkpoint writes");
 }
 
-/// Stored configurations that `World::new` would panic on are refused
-/// when the file is read: a probability out of range, no processors, more
-/// processors than the fabric has hosts, and a zero page size (which
-/// divides by zero sizing the Message Cache).
+/// Stored configurations that `World::new` would panic on, or abort on,
+/// are refused when the file is read: a probability out of range, no
+/// processors, more processors than the fabric has hosts, a zero page
+/// size (which divides by zero sizing the Message Cache), a Message Cache
+/// too large to allocate, and cache lines `NodeSpace::new` refuses.
 #[test]
 fn invalid_stored_configs_are_refused_when_read() {
     let dir = tmp_dir("configs");
     let src = write(&dir, "ck.cnisnap", &checkpoint().0);
     type Edit = fn(&mut Config);
-    let cases: [(&str, &str, Edit); 4] = [
+    let cases: [(&str, &str, Edit); 7] = [
         ("drop", "drop_prob", |c| c.faults.drop_prob = 1.5),
         ("procs0", "procs", |c| c.procs = 0),
         ("procs9999", "procs", |c| c.procs = 9999),
         ("page0", "page_bytes", |c| c.page_bytes = 0),
+        ("cache1e18", "msg_cache_bytes", |c| {
+            c.nic.msg_cache_bytes = 1_000_000_000_000_000_000
+        }),
+        ("line24", "cache_line_bytes", |c| {
+            c.nic.cache_line_bytes = 24
+        }),
+        ("line4096", "cache_line_bytes", |c| {
+            c.nic.cache_line_bytes = 4096
+        }),
     ];
     for (name, needle, edit) in cases {
         let path = dir.join(format!("{name}.cnisnap"));

@@ -34,6 +34,10 @@ fn invalid_configuration_flags_exit_2() {
         (["--loss-prob", "1.5"], "drop_prob"),
         (["--corrupt-prob", "1"], "corrupt_prob"),
         (["--engine-workers", "0"], "engine_workers"),
+        (
+            ["--msg-cache-bytes", "1000000000000000000"],
+            "msg_cache_bytes",
+        ),
     ] {
         let mut args = vec!["--app", "jacobi", "--n", "16", "--iters", "1"];
         args.extend(flags);

@@ -45,6 +45,12 @@ impl Default for ProtoCosts {
     }
 }
 
+/// The largest Message Cache [`Config::check`] accepts: 64 MiB, 64 times
+/// Figure 13's largest size. The cache's slot table is allocated up front
+/// on every node, so an unbounded size from outside could abort the
+/// process on allocation.
+pub const MAX_MSG_CACHE_BYTES: usize = 64 << 20;
+
 /// Full configuration of one simulated cluster.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct Config {
@@ -205,10 +211,12 @@ impl Config {
 
     /// `Err` naming the first invariant this configuration breaks: a
     /// valid topology that serves every processor, word-aligned pages of
-    /// at least 512 bytes, at least one engine worker and a valid fault
-    /// plan. [`crate::World::new`] panics through this check;
-    /// configurations read from outside (checkpoints, sweep files,
-    /// command-line flags) are checked with it first.
+    /// at least 512 bytes, a power-of-two cache line of 8 bytes up to a
+    /// page, a Message Cache of at most [`MAX_MSG_CACHE_BYTES`], at least
+    /// one engine worker and a valid fault plan. [`crate::World::new`]
+    /// panics through this check; configurations read from outside
+    /// (checkpoints, sweep files, command-line flags) are checked with it
+    /// first.
     pub fn check(&self) -> Result<(), String> {
         self.atm.topology.validate(self.atm.ports)?;
         let hosts = self.atm.hosts();
@@ -222,6 +230,19 @@ impl Config {
             return Err(format!(
                 "page_bytes must be at least 512 and a multiple of 8, got {}",
                 self.page_bytes
+            ));
+        }
+        let line = self.nic.cache_line_bytes;
+        if !line.is_power_of_two() || !(8..=self.page_bytes).contains(&line) {
+            return Err(format!(
+                "cache_line_bytes must be a power of two from 8 to page_bytes ({}), got {line}",
+                self.page_bytes
+            ));
+        }
+        if self.nic.msg_cache_bytes > MAX_MSG_CACHE_BYTES {
+            return Err(format!(
+                "msg_cache_bytes must be at most {MAX_MSG_CACHE_BYTES} (64 MiB), got {}",
+                self.nic.msg_cache_bytes
             ));
         }
         if self.engine_workers == 0 {
@@ -330,6 +351,17 @@ mod tests {
         let mut bad = ok;
         bad.engine_workers = 0;
         assert!(bad.check().unwrap_err().contains("engine_workers"));
+        for line in [0, 4, 24, 4096] {
+            let mut bad = ok;
+            bad.nic.cache_line_bytes = line;
+            assert!(bad.check().unwrap_err().contains("cache_line_bytes"));
+        }
+        let mut bad = ok;
+        bad.nic.msg_cache_bytes = 1_000_000_000_000_000_000;
+        assert!(bad.check().unwrap_err().contains("msg_cache_bytes"));
+        let mut edge = ok.with_msg_cache_bytes(MAX_MSG_CACHE_BYTES);
+        edge.nic.cache_line_bytes = edge.page_bytes;
+        assert_eq!(edge.check(), Ok(()));
         let mut bad = ok;
         bad.atm.topology = cni_atm::Topology::FatTree {
             leaves: 3,

@@ -460,4 +460,17 @@ mod tests {
         assert!(RunReport::parse_json("not json").is_err());
         assert!(RunReport::parse_json("[1, 2]").is_err());
     }
+
+    #[test]
+    fn parse_json_refuses_deep_nesting_instead_of_overflowing_the_stack() {
+        // 200,000 open brackets used to recurse once per level in the
+        // JSON parser and abort the process with a stack overflow.
+        let err = RunReport::parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 512 levels"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(512), "]".repeat(512));
+        let err = RunReport::parse_json(&deepest).unwrap_err();
+        assert!(err.contains("not an object"), "{err}");
+        let err = RunReport::parse_json(&format!("{{\"v\": [{deepest}]}}")).unwrap_err();
+        assert!(err.contains("nesting deeper than 512 levels"), "{err}");
+    }
 }
