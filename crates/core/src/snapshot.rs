@@ -1,7 +1,7 @@
 //! Checkpoints by re-execution: the engine half of `cni-snap`.
 //!
-//! Each simulated processor is a co-thread parked at a yield, and its
-//! stack cannot be serialized. It need not be: the engine is a pure
+//! Each simulated processor is a program suspended at a yield, a
+//! compiler-generated future that cannot be serialized. It need not be: the engine is a pure
 //! function of (configuration, fault plan, seed), and the golden reports
 //! pin that. So a checkpoint records only *where* the run stood, never
 //! what the engine held there. [`World::take_snapshot`] returns a small

@@ -1,18 +1,20 @@
 //! Per-node shared-memory frames with a lock-free fast path.
 //!
 //! Each node holds its own copy (frame) of every shared page it has
-//! touched. The *application* thread accesses frames directly — word loads
+//! touched. The *application* program accesses frames directly — word loads
 //! and stores on atomics plus one relaxed load of the page's access state —
 //! and only traps to the protocol engine on an access-state violation
 //! (page fault). This mirrors how a real LRC system uses the MMU: valid
 //! accesses run at memory speed, faults enter the protocol.
 //!
-//! Concurrency discipline: the simulation engine guarantees at most one
-//! thread (engine or one application co-thread) runs at a time, so the
-//! relaxed atomics here are about satisfying the compiler, not about
-//! cross-thread ordering. The same guarantee means the page table's
-//! `RwLock` is never contended; it is there because co-threads share the
-//! [`NodeSpace`], so the table must be `Sync`. A poisoned lock is
+//! Concurrency discipline: a node's DSM handlers and its program run on
+//! one thread at a time (the engine polls programs in place, and the
+//! parallel executor hands each node to one worker), so the relaxed
+//! atomics here are about satisfying the compiler, not about cross-thread
+//! ordering. The same guarantee means the page table's `RwLock` is never
+//! contended; it is there because the node and its program's context
+//! share the [`NodeSpace`] through an `Arc` and nodes move between
+//! executor workers, so the table must be `Sync`. A poisoned lock is
 //! recovered, not propagated: each critical section is one map lookup or
 //! insert, so no panic can leave the table half-updated.
 //!
@@ -23,7 +25,7 @@
 use crate::types::PageId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-// cni-lint: allow(host-thread) -- page table shared with application co-threads; the engine runs at most one thread at a time (see module docs), the lock satisfies Send/Sync bounds
+// cni-lint: allow(host-thread) -- page table shared by a node and its program's context; one thread touches it at a time (see module docs), the lock satisfies Send/Sync bounds
 use std::sync::RwLock;
 use std::sync::{Arc, PoisonError};
 
@@ -160,7 +162,7 @@ pub type PageHandle = Arc<Page>;
 pub struct NodeSpace {
     page_bytes: usize,
     line_bytes: usize,
-    // cni-lint: allow(host-thread) -- keyed-only page map handed to co-threads; never contended (one runnable thread) and never iterated
+    // cni-lint: allow(host-thread) -- keyed-only page map handed to programs; never contended (one runnable thread per node) and never iterated
     pages: RwLock<BTreeMap<PageId, PageHandle>>,
 }
 

@@ -46,7 +46,7 @@ const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
 const SNAPSHOT_PATHS: &[&str] = &["crates/snap/", "crates/core/src/snapshot.rs"];
 
 /// Files allowed to use host threading primitives (T1): the parallel
-/// executor and the co-thread runtime — the two places where the engine
+/// executor and the program runtime — the two places where the engine
 /// deliberately meets the host's scheduler. Everywhere else in the sim
 /// crates, a mutex or channel is either dead weight on the serial path
 /// or an invitation to leak host scheduling order into results.
@@ -97,7 +97,7 @@ pub const PANIC_PATH_REGIONS: &[(&str, &[&str])] = &[
 ];
 
 /// Functions the P1 reachability walk does not descend through:
-/// co-thread resumption is a scheduling boundary — a panic inside
+/// resuming a program is a scheduling boundary — a panic inside
 /// resumed application code is an application bug, not a protocol
 /// receive-path hazard. Documented in LINT.md.
 const P1_BOUNDARY_FNS: &[&str] = &["resume", "wake"];
@@ -272,7 +272,7 @@ impl Rule {
                  sim-crate function reachable from a root, with the full call\n\
                  chain in the diagnostic. Range-slice indexing (`buf[a..b]`) is\n\
                  flagged in the roots themselves. The walk does not descend\n\
-                 through co-thread resumption (`resume`, `wake`): panics in\n\
+                 through program resumption (`resume`, `wake`): panics in\n\
                  resumed application code are application bugs, not\n\
                  receive-path hazards. Fix: validate lengths, return\n\
                  Result/Option, count-and-drop."
@@ -282,7 +282,7 @@ impl Rule {
                  \n\
                  The parallel engine's determinism rests on exactly one piece of\n\
                  host concurrency: the conservative-lookahead executor and its\n\
-                 replay barrier (sim::pdes), plus the co-thread runtime that\n\
+                 replay barrier (sim::pdes), plus the program runtime that\n\
                  implements execution-driven processors (sim::cothread). The\n\
                  executor hands each worker its shards' nodes by `&mut`, so the\n\
                  borrow checker keeps dispatches apart. A `Mutex`, `RwLock`,\n\

@@ -321,7 +321,7 @@ fn t1_quiet_on_event_queue_style_code() {
 
 #[test]
 fn t1_quiet_in_the_designated_executor_modules() {
-    // The executor and the co-thread runtime are the two sanctioned
+    // The executor and the program runtime are the two sanctioned
     // host-concurrency sites.
     let src = fixture("t1_bad.rs");
     assert!(hits("crates/sim/src/pdes.rs", &src).is_empty());

@@ -8,7 +8,7 @@
 //! observability layer for the reproduction:
 //!
 //! * [`TraceEvent`] — a typed vocabulary of simulation events (event-queue
-//!   dispatch, co-thread switches, DMA transfers, Message-Cache
+//!   dispatch, engine↔program switches, DMA transfers, Message-Cache
 //!   hits/misses/evictions/snoops, PATHFINDER classifications, ADC queue
 //!   operations, interrupt-vs-poll notifications, DSM protocol
 //!   transitions, and periodic [`MetricsSample`] counters). Every variant
@@ -51,7 +51,7 @@ pub mod export;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-// cni-lint: allow(host-thread) -- the trace ring is shared with application co-threads; appends carry explicit (time, seq) keys, so lock hand-off order cannot leak into output
+// cni-lint: allow(host-thread) -- the trace ring is shared by every instrumented component and must be Sync for the executor's lanes; appends carry explicit (time, seq) keys, so lock hand-off order cannot leak into output
 use std::sync::{Arc, Mutex};
 
 /// The `node` value for events that belong to the simulation engine itself
@@ -134,7 +134,8 @@ pub enum TraceEvent {
         /// Events still pending after this dispatch.
         pending: u32,
     },
-    /// Control transferred between the engine and a processor co-thread.
+    /// Control transferred between the engine and a processor's program:
+    /// `enter` opens one poll of the program, its pair closes it.
     CothreadSwitch {
         /// Which simulated CPU.
         cpu: u32,
