@@ -86,11 +86,6 @@ common options:
   --collectives       NIC-resident barrier/release combining
                       (implies --tree-barrier; CNI only)
   --seed N            timing-jitter seed (workloads are fixed)
-  --engine-workers N  parallel event-executor threads per run
-                      (default 1 = the exact serial engine).
-                      Reports are byte-identical at any count;
-                      traced/obs/checkpointing runs stay serial.
-                      See DESIGN.md section 4.11
   --loss-prob P       per-cell drop probability in [0,1) (default 0)
   --corrupt-prob P    per-cell bit-corruption probability (default 0)
   --jitter-ps N       max per-cell delivery jitter in ps (default 0)
@@ -108,6 +103,51 @@ jacobi:   --n N (grid, default 256)   --iters N (default 25)
 water:    --molecules N (default 216) --steps N (default 2)
 cholesky: --matrix <bcsstk14|bcsstk15> (default bcsstk14)
 latency:  --bytes N (message size, default 4096)";
+
+/// The flags that take no value.
+const SWITCHES: [&str; 7] = [
+    "compare",
+    "jumbo",
+    "json",
+    "help",
+    "obs",
+    "tree-barrier",
+    "collectives",
+];
+
+/// The flags that take a value.
+const VALUED: [&str; 30] = [
+    "app",
+    "n",
+    "iters",
+    "molecules",
+    "steps",
+    "matrix",
+    "bytes",
+    "procs",
+    "nic",
+    "page-bytes",
+    "msg-cache-bytes",
+    "topology",
+    "seed",
+    "loss-prob",
+    "corrupt-prob",
+    "jitter-ps",
+    "fault-seed",
+    "brownout",
+    "trace",
+    "trace-format",
+    "metrics-interval-us",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "resume",
+    "fork-at",
+    "sweep",
+    "jobs",
+    "out",
+    "trace-dir",
+    "resume-dir",
+];
 
 /// The flags that build the fault plan: a plain `--resume` keeps the
 /// snapshot's plan, so it refuses them.
@@ -132,17 +172,17 @@ fn parse_args() -> HashMap<String, String> {
             eprintln!("unexpected argument {a:?}");
             usage();
         };
-        match key {
-            "compare" | "jumbo" | "json" | "help" | "obs" | "tree-barrier" | "collectives" => {
-                out.insert(key.to_string(), "true".to_string());
-            }
-            _ => {
-                let Some(v) = args.next() else {
-                    eprintln!("missing value for --{key}");
-                    usage();
-                };
-                out.insert(key.to_string(), v);
-            }
+        if SWITCHES.contains(&key) {
+            out.insert(key.to_string(), "true".to_string());
+        } else if VALUED.contains(&key) {
+            let Some(v) = args.next() else {
+                eprintln!("missing value for --{key}");
+                usage();
+            };
+            out.insert(key.to_string(), v);
+        } else {
+            eprintln!("unknown flag --{key}");
+            usage();
         }
     }
     out
@@ -281,11 +321,8 @@ fn parse_brownout(s: &str) -> Result<BrownoutWindow, String> {
 /// world, re-execute the run up to the checkpoint and finish it, so a
 /// resume costs one plain run. A fork swaps the stored fault plan for
 /// `fork_plan` after the checkpoint; a plain resume keeps the stored
-/// configuration in full — except `--engine-workers`, which is an
-/// execution-resource knob, not part of the experiment: a serially
-/// checkpointed run may finish on N workers (and vice versa) with a
-/// byte-identical report.
-fn run_resume(path: &str, fork_plan: Option<FaultPlan>, workers: usize, json: bool) -> ExitCode {
+/// configuration in full.
+fn run_resume(path: &str, fork_plan: Option<FaultPlan>, json: bool) -> ExitCode {
     let snap = match read_snapshot(Path::new(path)) {
         Ok(s) => s,
         Err(e) => {
@@ -296,8 +333,7 @@ fn run_resume(path: &str, fork_plan: Option<FaultPlan>, workers: usize, json: bo
     let cfg = match fork_plan {
         None => snap.config,
         Some(plan) => snap.config.with_faults(plan),
-    }
-    .with_engine_workers(workers);
+    };
     eprintln!(
         "{} {} ({} procs, {}) from {} at {} events",
         if fork_plan.is_some() {
@@ -331,9 +367,9 @@ fn run_resumable_job(cfg: Config, app: App, every: u64, ck_dir: &Path, label: &s
     use serde::Serialize;
     if let Some(snap_path) = newest_snapshot(ck_dir) {
         match read_snapshot(&snap_path) {
-            // Worker count is an execution resource, not an experiment
-            // axis: a snapshot taken at any `--engine-workers` resumes
-            // under the sweep's current one, byte-identically.
+            // The ignored `engine_workers` field is not an experiment
+            // axis: a snapshot whose stored config sets it (older builds
+            // took `--engine-workers`) still resumes.
             Ok(snap)
                 if snap
                     .config
@@ -382,11 +418,6 @@ fn run_resumable_job(cfg: Config, app: App, every: u64, ck_dir: &Path, label: &s
 fn run_sweep(args: &HashMap<String, String>, spec_path: &str) -> ExitCode {
     let json = args.contains_key("json");
     let jobs: usize = get(args, "jobs", cni_batch::default_jobs());
-    let engine_workers: usize = get(args, "engine-workers", 1);
-    if engine_workers == 0 {
-        eprintln!("--engine-workers must be at least 1");
-        return ExitCode::from(2);
-    }
     let trace_format = args
         .get("trace-format")
         .map(String::as_str)
@@ -443,10 +474,7 @@ fn run_sweep(args: &HashMap<String, String>, spec_path: &str) -> ExitCode {
         "jsonl"
     };
     let report = Pool::new(jobs).run_batch(specs, |i, spec| {
-        // One knob for the whole batch: per-run parallelism multiplies
-        // with `--jobs`, so it is a command-line resource setting (like
-        // `--jobs` itself), not a per-entry sweep axis.
-        let cfg = spec.effective_config().with_engine_workers(engine_workers);
+        let cfg = spec.effective_config();
         if let Some(dir) = &resume_dir {
             let dir = Path::new(dir);
             let report_path = job_trace_path(dir, i, &spec.label, "report.json");
@@ -578,7 +606,6 @@ fn main() -> ExitCode {
         .with_page_bytes(get(&args, "page-bytes", 2048))
         .with_msg_cache_bytes(get(&args, "msg-cache-bytes", 32 * 1024));
     base.seed = get(&args, "seed", 0x5EED_u64);
-    base.engine_workers = get(&args, "engine-workers", 1);
     if args.contains_key("jumbo") {
         base = base.with_unrestricted_cells();
     }
@@ -636,7 +663,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         let fork_plan = fork.is_some().then_some(plan);
-        return run_resume(path, fork_plan, base.engine_workers, json);
+        return run_resume(path, fork_plan, json);
     }
 
     let app_name = args

@@ -205,8 +205,9 @@ impl Snapshot {
     /// Resume under `cfg` instead of the stored configuration — the
     /// `--fork-at` path. `cfg` may differ from the stored configuration
     /// only in the fault plan, the what-if axis (subject to the engine's
-    /// faulty-snapshot-needs-a-faulty-plan rule), and in the engine worker
-    /// count, an execution resource. Anything else is an error.
+    /// faulty-snapshot-needs-a-faulty-plan rule), and in the ignored
+    /// `engine_workers` field, which older builds set from
+    /// `--engine-workers`. Anything else is an error.
     pub fn resume_with(&self, cfg: Config) -> Result<RunReport, String> {
         let refuse = |msg: &str| {
             render_semantic(

@@ -1,7 +1,7 @@
 //! `cni-run` refuses input it cannot honour with exit code 2 and a
 //! message, instead of panicking or silently dropping it: configurations
-//! that fail `Config::check`, from flags or a sweep file, and flags a
-//! resumed or forked run would ignore.
+//! that fail `Config::check`, from flags or a sweep file, flags it does
+//! not know, and flags a resumed or forked run would ignore.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -33,7 +33,8 @@ fn invalid_configuration_flags_exit_2() {
         (["--procs", "9999"], "procs"),
         (["--loss-prob", "1.5"], "drop_prob"),
         (["--corrupt-prob", "1"], "corrupt_prob"),
-        (["--engine-workers", "0"], "engine_workers"),
+        (["--engine-workers", "2"], "engine-workers"),
+        (["--loss-prb", "0.05"], "loss-prb"),
         (
             ["--msg-cache-bytes", "1000000000000000000"],
             "msg_cache_bytes",

@@ -67,17 +67,6 @@ impl AtmConfig {
     pub fn hosts(&self) -> usize {
         self.topology.hosts(self.ports)
     }
-
-    /// Minimum latency of any cross-host path: two link propagations plus
-    /// one switch fall-through. This is the binding minimum for every
-    /// topology — a single switch by construction, and a fat-tree on its
-    /// same-leaf pairs (longer paths only add trunk hops and switches).
-    /// The parallel engine uses it as its conservative lookahead: no cell
-    /// handed to the wire at `t` can arrive anywhere before
-    /// `t + min_remote_latency()`.
-    pub fn min_remote_latency(&self) -> SimTime {
-        self.prop_delay + self.prop_delay + self.switch_latency
-    }
 }
 
 /// Timing of one PDU through the fabric.

@@ -83,12 +83,11 @@ pub struct Config {
     /// (the default) keeps the simulation on the lossless fast path with
     /// bit-identical timing.
     pub faults: FaultPlan,
-    /// Worker threads for the parallel event executor (DESIGN.md §4.11).
-    /// `1` (the default) is the exact serial engine; any larger value
-    /// shards the run per node under conservative lookahead and produces
-    /// byte-identical results. Purely an execution-resource knob: it is
-    /// deliberately excluded from sweep axes and report comparisons,
-    /// which treat configs differing only here as the same experiment.
+    /// Ignored: every run takes the one serial event loop (DESIGN.md
+    /// §4.11). Kept, with [`Config::with_engine_workers`], because
+    /// `cni-bench` sets it and stored checkpoint configurations carry it;
+    /// it goes with the benchmark's next change. A resume treats configs
+    /// that differ only here as the same experiment.
     pub engine_workers: usize,
 }
 
@@ -201,8 +200,7 @@ impl Config {
         self
     }
 
-    /// Run the engine on `workers` threads (`cni-run --engine-workers`).
-    /// Results are byte-identical at any count; `1` is the serial engine.
+    /// Set the ignored [`Config::engine_workers`] field.
     pub fn with_engine_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "at least one engine worker");
         self.engine_workers = workers;

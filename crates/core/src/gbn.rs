@@ -10,8 +10,8 @@
 //! ever touched by its owner; frames and acknowledgements cross nodes as
 //! [`SendIntent`]s through the fault-injecting fabric.
 
-use crate::node::{Env, Fx, Node};
-use crate::world::{Ev, SendIntent, StatDelta};
+use crate::node::{Env, Node};
+use crate::world::{Ev, SendIntent, Shared};
 use cni_atm::Cell;
 use cni_dsm::Msg;
 use cni_nic::device::TxOrigin;
@@ -140,7 +140,7 @@ impl Node {
     pub(crate) fn queue_reliable(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         now: SimTime,
         dst: usize,
         wire: WireMsg,
@@ -148,7 +148,7 @@ impl Node {
     ) {
         if let WireMsg::Proto(msg) = &wire {
             let kind = msg.payload.kind();
-            fx.send_intent(env, SendIntent::Stat(StatDelta::ProtoMsg { kind }));
+            sh.count_proto(kind);
         }
         let total = wire_len(&wire).max(1);
         let fmax = env.cfg.faults.max_frame_bytes as usize;
@@ -177,7 +177,7 @@ impl Node {
             let seq = ch.next_seq;
             ch.next_seq += 1;
             let was_empty = ch.window.is_empty();
-            let fspan = self.send_frame(env, fx, now, dst, seq, &frag, now, span);
+            let fspan = self.send_frame(env, sh, now, dst, seq, &frag, now, span);
             let ch = self.chan_tx(env, dst);
             ch.window.push_back(InFlight {
                 seq,
@@ -187,7 +187,7 @@ impl Node {
                 span: fspan,
             });
             if was_empty && !armed {
-                self.arm_timer(env, fx, now, dst);
+                self.arm_timer(env, sh, now, dst);
                 armed = true;
             }
         }
@@ -206,7 +206,7 @@ impl Node {
     fn send_frame(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         now: SimTime,
         dst: usize,
         seq: u64,
@@ -254,7 +254,7 @@ impl Node {
         }
         let fspan = self.open_span(
             env,
-            fx,
+            sh,
             now,
             parent,
             cni_trace::SPAN_FRAME,
@@ -273,7 +273,7 @@ impl Node {
                 origin: TxOrigin::Board,
             },
         );
-        fx.send_intent(
+        sh.commit_send(
             env,
             SendIntent::Frame {
                 src: self.id,
@@ -296,12 +296,12 @@ impl Node {
 
     /// Restart the `self -> dst` retransmission timer (invalidating any
     /// previously armed one via the generation counter).
-    fn arm_timer(&mut self, env: &Env, fx: &mut Fx<'_>, now: SimTime, dst: usize) {
+    fn arm_timer(&mut self, env: &Env, sh: &mut Shared, now: SimTime, dst: usize) {
         let ch = self.chan_tx(env, dst);
         ch.timer_gen += 1;
         let (gen, rto, seq) = (ch.timer_gen, ch.rto, ch.base);
         let src = self.id;
-        fx.schedule(now + rto, Ev::RxmitTimer { src, dst, gen });
+        sh.q.schedule_at(now + rto, Ev::RxmitTimer { src, dst, gen });
         env.trace.emit_at(
             now.as_ps(),
             src as u32,
@@ -319,7 +319,7 @@ impl Node {
     fn send_ack(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         now: SimTime,
         to: usize,
         ack: u64,
@@ -330,7 +330,7 @@ impl Node {
         image[0] = 0xF1;
         image[1] = from as u8;
         image[8..16].copy_from_slice(&ack.to_le_bytes());
-        let aspan = self.open_span(env, fx, now, parent, cni_trace::SPAN_ACK, 0xF1, to, 16);
+        let aspan = self.open_span(env, sh, now, parent, cni_trace::SPAN_ACK, 0xF1, to, 16);
         let tx = self.nic.transmit(
             now,
             &TxRequest {
@@ -342,7 +342,7 @@ impl Node {
                 origin: TxOrigin::Board,
             },
         );
-        fx.send_intent(
+        sh.commit_send(
             env,
             SendIntent::Ack {
                 from,
@@ -368,7 +368,7 @@ impl Node {
     pub(crate) fn on_frame_rx(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         src: usize,
         seq: u64,
@@ -390,7 +390,7 @@ impl Node {
                 // rejection, and the NAK it provokes is its child.
                 self.close_span(env, t, span);
                 let ack = self.chan_rx(src).expected;
-                self.send_ack(env, fx, t, src, ack, span);
+                self.send_ack(env, sh, t, src, ack, span);
                 return;
             }
             // Unreachable in practice: FrameRx is only scheduled when the
@@ -401,22 +401,22 @@ impl Node {
         let expected = self.chan_rx(src).expected;
         if seq != expected {
             if seq < expected {
-                fx.send_intent(env, SendIntent::Stat(StatDelta::Duplicate));
+                sh.rel_stats.duplicates += 1;
             }
-            self.send_ack(env, fx, t, src, expected, span);
+            self.send_ack(env, sh, t, src, expected, span);
             return;
         }
         if frag.frag + 1 < frag.nfrags {
             // An interior fragment: accept and acknowledge it, but the
             // message dispatches only with its final fragment.
             self.chan_rx(src).expected = seq + 1;
-            self.send_ack(env, fx, t, src, seq + 1, span);
+            self.send_ack(env, sh, t, src, seq + 1, span);
             return;
         }
         // Only whole messages occupy receive-ring slots.
         let ring = env.cfg.faults.rx_ring_frames;
         if ring > 0 && self.ring_used >= ring {
-            fx.send_intent(env, SendIntent::Stat(StatDelta::RingOverflow));
+            sh.rel_stats.ring_overflows += 1;
             env.trace.emit_at(
                 t.as_ps(),
                 self.id as u32,
@@ -424,7 +424,7 @@ impl Node {
                     channel: src as u32,
                 },
             );
-            self.send_ack(env, fx, t, src, expected, span);
+            self.send_ack(env, sh, t, src, expected, span);
             return;
         }
         self.ring_used += 1;
@@ -441,15 +441,9 @@ impl Node {
         } else {
             (kind - 0xD0) as usize
         };
-        fx.send_intent(
-            env,
-            SendIntent::Stat(StatDelta::Latency {
-                idx: li,
-                us: (t - sent_at).as_ps() / 1000,
-            }),
-        );
+        sh.latency[li].record((t - sent_at).as_ps() / 1000);
         match (*frag.wire).clone() {
-            WireMsg::Proto(msg) => self.arrive_proto(env, fx, t, msg, frag.span),
+            WireMsg::Proto(msg) => self.arrive_proto(env, sh, t, msg, frag.span),
             WireMsg::App {
                 src: asrc,
                 len,
@@ -457,13 +451,13 @@ impl Node {
                 cacheable,
                 data,
                 ..
-            } => self.arrive_app(env, fx, t, asrc, len, page, cacheable, data, frag.span),
+            } => self.arrive_app(env, sh, t, asrc, len, page, cacheable, data, frag.span),
         }
         // The frame occupies its ring slot until the NIC processor is done
         // handling it.
         let release = self.nic.nic_busy_until().max(t);
-        fx.schedule(release, Ev::RingRelease { dst: self.id });
-        self.send_ack(env, fx, t, src, seq + 1, span);
+        sh.q.schedule_at(release, Ev::RingRelease { dst: self.id });
+        self.send_ack(env, sh, t, src, seq + 1, span);
     }
 
     /// A (possibly corrupt) acknowledgement from `from` arrived back at
@@ -472,7 +466,7 @@ impl Node {
     pub(crate) fn on_ack_rx(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         from: usize,
         ack: u64,
@@ -518,7 +512,7 @@ impl Node {
             }
             let empty = ch.window.is_empty();
             for (seq, frag) in &admitted {
-                let fspan = self.send_frame(env, fx, t, from, *seq, frag, t, frag.span);
+                let fspan = self.send_frame(env, sh, t, from, *seq, frag, t, frag.span);
                 if let Some(f) = self
                     .chan_tx(env, from)
                     .window
@@ -532,26 +526,26 @@ impl Node {
                 // The window is fully acked: invalidate the pending timer.
                 self.chan_tx(env, from).timer_gen += 1;
             } else {
-                self.arm_timer(env, fx, t, from);
+                self.arm_timer(env, sh, t, from);
             }
         } else {
             ch.dup_acks += 1;
             if ch.dup_acks >= 2 && !ch.window.is_empty() {
                 ch.dup_acks = 0;
-                fx.send_intent(env, SendIntent::Stat(StatDelta::FastRetransmit));
+                sh.rel_stats.fast_retransmits += 1;
                 // Resend only the frame the receiver is missing. Resending
                 // the whole window here is unstable: every duplicate frame
                 // provokes another duplicate ack, so a W-frame window turns
                 // 2 dup-acks into W more — an ack storm with gain W/2. The
                 // full go-back-N resend belongs to the paced timeout path.
-                self.resend_front(env, fx, t, from);
+                self.resend_front(env, sh, t, from);
             }
         }
     }
 
     /// Fast-retransmit the oldest unacknowledged frame on `self -> dst`
     /// (the one the duplicate acks say is missing) and restart the timer.
-    fn resend_front(&mut self, env: &Env, fx: &mut Fx<'_>, t: SimTime, dst: usize) {
+    fn resend_front(&mut self, env: &Env, sh: &mut Shared, t: SimTime, dst: usize) {
         let src = self.id;
         let ch = self.chan_tx(env, dst);
         let Some(f) = ch.window.front_mut() else {
@@ -571,7 +565,7 @@ impl Node {
                 ch.pending.len(),
             );
         }
-        fx.send_intent(env, SendIntent::Stat(StatDelta::Retransmit));
+        sh.rel_stats.retransmits += 1;
         env.trace.emit_at(
             t.as_ps(),
             src as u32,
@@ -579,13 +573,13 @@ impl Node {
         );
         // The retransmission's span is a child of the first attempt's, so
         // every wire attempt hangs off the originating send.
-        self.send_frame(env, fx, t, dst, seq, &frag, sent_at, first_span);
-        self.arm_timer(env, fx, t, dst);
+        self.send_frame(env, sh, t, dst, seq, &frag, sent_at, first_span);
+        self.arm_timer(env, sh, t, dst);
     }
 
     /// Resend every unacknowledged frame on the `self -> dst` channel
     /// (go-back-N recovers the whole window) and restart the timer.
-    fn resend_window(&mut self, env: &Env, fx: &mut Fx<'_>, t: SimTime, dst: usize) {
+    fn resend_window(&mut self, env: &Env, sh: &mut Shared, t: SimTime, dst: usize) {
         let frames: Vec<(u64, Frag, u32, SimTime, u64)> = self
             .chan_tx(env, dst)
             .window
@@ -602,7 +596,7 @@ impl Node {
             })
             .collect();
         for (seq, frag, attempt, sent_at, first_span) in &frames {
-            fx.send_intent(env, SendIntent::Stat(StatDelta::Retransmit));
+            sh.rel_stats.retransmits += 1;
             env.trace.emit_at(
                 t.as_ps(),
                 self.id as u32,
@@ -611,9 +605,9 @@ impl Node {
                     attempt: *attempt,
                 },
             );
-            self.send_frame(env, fx, t, dst, *seq, frag, *sent_at, *first_span);
+            self.send_frame(env, sh, t, dst, *seq, frag, *sent_at, *first_span);
         }
-        self.arm_timer(env, fx, t, dst);
+        self.arm_timer(env, sh, t, dst);
     }
 
     /// The `self -> dst` retransmission timer fired: if it is still current
@@ -622,7 +616,7 @@ impl Node {
     pub(crate) fn on_rxmit_timer(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         dst: usize,
         gen: u64,
@@ -633,7 +627,7 @@ impl Node {
             return;
         }
         ch.rto = SimTime::from_ps((ch.rto.as_ps() * 2).min(cap_ps));
-        fx.send_intent(env, SendIntent::Stat(StatDelta::Timeout));
-        self.resend_window(env, fx, t, dst);
+        sh.rel_stats.timeouts += 1;
+        self.resend_window(env, sh, t, dst);
     }
 }

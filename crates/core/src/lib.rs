@@ -38,7 +38,6 @@ pub mod config;
 pub mod ctx;
 mod gbn;
 mod node;
-mod pdes;
 pub mod report;
 pub mod snapshot;
 pub mod world;

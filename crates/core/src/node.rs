@@ -3,14 +3,12 @@
 //! every event handler that acts on it.
 //!
 //! A handler is a [`Node`] method taking `&mut self`, the run's read-only
-//! [`Env`] and an effect sink [`Fx`]. That signature is the shard
-//! isolation the parallel engine rests on, proven by the borrow checker:
-//! a handler reaches its own node's state and nothing else. Everything
-//! shared — the event queue, the fabric, the fault injector, global
-//! counters, span ids — is reached only through the sink, which applies
-//! each effect at once on the serial loop ([`Fx::Serial`]) or buffers it
-//! for the parallel executor's replay barrier ([`Fx::Window`]). Both
-//! engines run the same handler code.
+//! [`Env`] and the engine-wide [`Shared`] state (event queue, fabric,
+//! fault injector, global counters, span ids). The signature keeps a
+//! handler off every other node's state, and the borrow checker proves
+//! it. The serial event loop dispatches one event at a time, so every
+//! effect lands at once, in call order, and trace records keep that
+//! order.
 //!
 //! ### Accounting
 //!
@@ -26,13 +24,12 @@
 use crate::config::Config;
 use crate::ctx::{Op, Reply, YieldMsg};
 use crate::gbn::{ChanRx, ChanTx, WireMsg};
-use crate::world::{Ev, SendIntent, Shared, StatDelta};
+use crate::world::{Ev, SendIntent, Shared};
 use cni_atm::Segmenter;
 use cni_dsm::{DsmConfig, DsmNode, HandleResult, Msg, NodeSpace, PageId, Payload, ProcId, Work};
 use cni_nic::device::TxOrigin;
 use cni_nic::{Nic, NicConfig, NicKind, RxDisposition, TxRequest};
 use cni_pathfinder::{FieldTest, Pattern};
-use cni_sim::pdes::Outbox;
 use cni_sim::{SimTime, SplitMix64, Task, Yield};
 use cni_trace::{MetricsSample, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, VecDeque};
@@ -45,8 +42,8 @@ type InboxMsg = (u32, u32, Option<Arc<Vec<u64>>>);
 const DSM_HANDLER: u32 = 1;
 
 /// What every handler may read and none may write: fixed for the whole
-/// run. Disjoint from [`Shared`], so the serial sink can hold
-/// `&mut Shared` while a handler reads `&Env`.
+/// run. Disjoint from [`Shared`], so a handler can hold `&mut Shared`
+/// while it reads `&Env`.
 pub(crate) struct Env {
     pub(crate) cfg: Config,
     /// The trace sink cloned into every instrumented component
@@ -92,44 +89,6 @@ impl Env {
         match self.cfg.nic_kind {
             NicKind::Standard => self.cfg.nic.kernel_send_cycles,
             NicKind::Cni => self.cfg.nic.adc_enqueue_cycles,
-        }
-    }
-}
-
-/// A handler's effect sink: where its schedules, sends and span ids go.
-pub(crate) enum Fx<'a> {
-    /// The serial event loop: every effect is applied at once, in call
-    /// order, so trace records keep their order.
-    Serial(&'a mut Shared),
-    /// A parallel-engine window: effects are buffered for the replay
-    /// barrier, which applies them in the same serial order.
-    Window(&'a mut Outbox<Ev, SendIntent>),
-}
-
-impl Fx<'_> {
-    /// Schedule `ev` at `at` on the acting node's own shard.
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
-        match self {
-            Fx::Serial(sh) => sh.q.schedule_at(at, ev),
-            Fx::Window(out) => out.local(at, ev),
-        }
-    }
-
-    /// Hand the serial half of a send, or a global-counter delta, to the
-    /// commit path.
-    pub(crate) fn send_intent(&mut self, env: &Env, intent: SendIntent) {
-        match self {
-            Fx::Serial(sh) => sh.commit_send(env, intent),
-            Fx::Window(out) => out.send(intent),
-        }
-    }
-
-    /// The next span id. A window allocates none (span 0): traced runs
-    /// always take the serial loop.
-    fn new_span(&mut self, env: &Env) -> u64 {
-        match self {
-            Fx::Serial(sh) => sh.alloc_span(env),
-            Fx::Window(_) => 0,
         }
     }
 }
@@ -182,8 +141,7 @@ impl Cpu {
     }
 }
 
-/// One workstation's state, owned by the world's node slice. Under the
-/// parallel engine each executor lane holds its node by `&mut`.
+/// One workstation's state, owned by the world's node slice.
 pub(crate) struct Node {
     /// This node's index: its processor id and its shard.
     pub(crate) id: usize,
@@ -251,11 +209,11 @@ impl Node {
     }
 
     /// Dispatch one event of this node's shard at `t`.
-    pub(crate) fn dispatch(&mut self, env: &Env, fx: &mut Fx<'_>, t: SimTime, ev: Ev) {
+    pub(crate) fn dispatch(&mut self, env: &Env, sh: &mut Shared, t: SimTime, ev: Ev) {
         match ev {
-            Ev::Resume(_) => self.resume(env, fx, Reply::Ok),
+            Ev::Resume(_) => self.resume(env, sh, Reply::Ok),
             Ev::Xmit { msg, cause, .. } => {
-                self.transport(env, fx, msg, TxOrigin::Board, t, cause);
+                self.transport(env, sh, msg, TxOrigin::Board, t, cause);
             }
             Ev::XmitApp {
                 dst,
@@ -265,8 +223,8 @@ impl Node {
                 data,
                 cause,
                 ..
-            } => self.xmit_app(env, fx, t, dst, len, page, cacheable, data, cause),
-            Ev::Proto { msg, span } => self.arrive_proto(env, fx, t, msg, span),
+            } => self.xmit_app(env, sh, t, dst, len, page, cacheable, data, cause),
+            Ev::Proto { msg, span } => self.arrive_proto(env, sh, t, msg, span),
             Ev::App {
                 src,
                 len,
@@ -275,8 +233,8 @@ impl Node {
                 data,
                 span,
                 ..
-            } => self.arrive_app(env, fx, t, src, len, page, cacheable, data, span),
-            Ev::Wake { overhead, .. } => self.wake(env, fx, t, overhead),
+            } => self.arrive_app(env, sh, t, src, len, page, cacheable, data, span),
+            Ev::Wake { overhead, .. } => self.wake(env, sh, t, overhead),
             Ev::FrameRx {
                 src,
                 seq,
@@ -285,15 +243,15 @@ impl Node {
                 frag,
                 sent_at,
                 ..
-            } => self.on_frame_rx(env, fx, t, src, seq, cells, span, frag, sent_at),
+            } => self.on_frame_rx(env, sh, t, src, seq, cells, span, frag, sent_at),
             Ev::AckRx {
                 from,
                 ack,
                 cells,
                 span,
                 ..
-            } => self.on_ack_rx(env, fx, t, from, ack, cells, span),
-            Ev::RxmitTimer { dst, gen, .. } => self.on_rxmit_timer(env, fx, t, dst, gen),
+            } => self.on_ack_rx(env, sh, t, from, ack, cells, span),
+            Ev::RxmitTimer { dst, gen, .. } => self.on_rxmit_timer(env, sh, t, dst, gen),
             Ev::RingRelease { .. } => self.ring_used = self.ring_used.saturating_sub(1),
             Ev::MetricsTick => unreachable!("the engine loop samples metrics itself"),
         }
@@ -331,7 +289,7 @@ impl Node {
     pub(crate) fn open_span(
         &self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         at: SimTime,
         parent: u64,
         class: u8,
@@ -339,7 +297,7 @@ impl Node {
         dst: usize,
         bytes: usize,
     ) -> u64 {
-        let span = fx.new_span(env);
+        let span = sh.alloc_span(env);
         env.trace.emit_at(
             at.as_ps(),
             self.id as u32,
@@ -397,7 +355,7 @@ impl Node {
 
     // --- program-side event handling ----------------------------------------
 
-    fn resume(&mut self, env: &Env, fx: &mut Fx<'_>, reply: Reply) {
+    fn resume(&mut self, env: &Env, sh: &mut Shared, reply: Reply) {
         let y = {
             let cpu = &mut self.cpu;
             let task = cpu.task.as_mut().expect("resume of dead cpu");
@@ -420,12 +378,12 @@ impl Node {
                 cpu.compute += comp;
                 cpu.clock += stolen;
                 cpu.overhead += stolen;
-                self.handle_op(env, fx, ym.op);
+                self.handle_op(env, sh, ym.op);
             }
         }
     }
 
-    fn handle_op(&mut self, env: &Env, fx: &mut Fx<'_>, op: Op) {
+    fn handle_op(&mut self, env: &Env, sh: &mut Shared, op: Op) {
         let p = self.id;
         let costs = &env.cfg.costs;
         match op {
@@ -434,32 +392,32 @@ impl Node {
                 self.cpu.blocked_kind = 1;
                 self.cpu.blocked_detail = page.0 as u64;
                 let res = self.dsm.on_read_fault(page);
-                self.apply_sync_result(env, fx, res, true);
+                self.apply_sync_result(env, sh, res, true);
             }
             Op::WriteFault(page) => {
                 self.charge_ov(env, costs.fault_trap_cycles);
                 self.cpu.blocked_kind = 1;
                 self.cpu.blocked_detail = 0x1_0000_0000 | page.0 as u64;
                 let res = self.dsm.on_write_fault(page);
-                self.apply_sync_result(env, fx, res, true);
+                self.apply_sync_result(env, sh, res, true);
             }
             Op::Acquire(l) => {
                 self.charge_ov(env, costs.lock_op_cycles);
                 self.cpu.blocked_kind = 0;
                 self.cpu.blocked_detail = l.0 as u64;
                 let res = self.dsm.on_acquire(l);
-                self.apply_sync_result(env, fx, res, true);
+                self.apply_sync_result(env, sh, res, true);
             }
             Op::Release(l) => {
                 self.charge_ov(env, costs.lock_op_cycles);
                 let res = self.dsm.on_release(l);
-                self.apply_sync_result(env, fx, res, false);
+                self.apply_sync_result(env, sh, res, false);
             }
             Op::Barrier => {
                 self.charge_ov(env, costs.barrier_op_cycles);
                 self.cpu.blocked_kind = 2;
                 let res = self.dsm.on_barrier();
-                self.apply_sync_result(env, fx, res, true);
+                self.apply_sync_result(env, sh, res, true);
             }
             Op::SendTo {
                 dst,
@@ -487,7 +445,7 @@ impl Node {
                 }
                 let at = self.cpu.clock;
                 let cause = self.cpu.last_wake_span;
-                fx.schedule(
+                sh.q.schedule_at(
                     at,
                     Ev::XmitApp {
                         src: p,
@@ -499,18 +457,18 @@ impl Node {
                         cause,
                     },
                 );
-                fx.schedule(at, Ev::Resume(p));
+                sh.q.schedule_at(at, Ev::Resume(p));
             }
             Op::Backoff(cycles) => {
                 self.charge_ov(env, cycles);
-                fx.schedule(self.cpu.clock, Ev::Resume(p));
+                sh.q.schedule_at(self.cpu.clock, Ev::Resume(p));
             }
             Op::Recv => {
                 if let Some((src, len, data)) = self.cpu.inbox.pop_front() {
                     self.charge_ov(env, env.cfg.nic.poll_cycles);
                     let at = self.cpu.clock;
                     self.cpu.pending_reply = Some(Reply::Received { src, len, data });
-                    fx.schedule(
+                    sh.q.schedule_at(
                         at,
                         Ev::Wake {
                             p,
@@ -528,9 +486,9 @@ impl Node {
             }
             Op::Done => {
                 self.cpu.done = true;
-                fx.send_intent(env, SendIntent::Stat(StatDelta::ProcDone));
+                sh.live -= 1;
                 // Let the program run to completion.
-                self.resume(env, fx, Reply::Ok);
+                self.resume(env, sh, Reply::Ok);
             }
         }
     }
@@ -538,7 +496,7 @@ impl Node {
     /// Apply a protocol result produced synchronously by this processor's
     /// own operation: charge its work and flushes here, transmit its
     /// messages host-initiated, and either resume or block.
-    fn apply_sync_result(&mut self, env: &Env, fx: &mut Fx<'_>, res: HandleResult, blocking: bool) {
+    fn apply_sync_result(&mut self, env: &Env, sh: &mut Shared, res: HandleResult, blocking: bool) {
         // Data-movement labour only: the base per-operation cost was
         // already charged by the caller (fault trap / lock op / barrier
         // op), so don't re-add msg_base here.
@@ -550,10 +508,10 @@ impl Node {
         self.charge_ov(env, labour);
         self.charge_flushes(env, &res.flushed);
         for m in res.out {
-            self.send_proto_sync(env, fx, m);
+            self.send_proto_sync(env, sh, m);
         }
         if res.wakeup.is_some() || !blocking {
-            fx.schedule(self.cpu.clock, Ev::Resume(self.id));
+            sh.q.schedule_at(self.cpu.clock, Ev::Resume(self.id));
         } else {
             self.cpu.blocked_at = Some(self.cpu.clock);
         }
@@ -583,10 +541,10 @@ impl Node {
     /// the NIC-side work runs as an [`Ev::Xmit`] at that time. The send's
     /// span parent is whatever span last woke the processor —
     /// program-order causality.
-    fn send_proto_sync(&mut self, env: &Env, fx: &mut Fx<'_>, msg: Msg) {
+    fn send_proto_sync(&mut self, env: &Env, sh: &mut Shared, msg: Msg) {
         self.charge_ov(env, env.host_send_cycles());
         let cause = self.cpu.last_wake_span;
-        fx.schedule(
+        sh.q.schedule_at(
             self.cpu.clock,
             Ev::Xmit {
                 src: self.id,
@@ -602,7 +560,7 @@ impl Node {
     fn transport(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         msg: Msg,
         origin: TxOrigin,
         now: SimTime,
@@ -613,10 +571,10 @@ impl Node {
         debug_assert_ne!(src, dst, "protocol self-sends are handled locally");
         let bytes = msg.payload.wire_bytes();
         let kind = msg.payload.kind();
-        let span = self.open_span(env, fx, now, cause, cni_trace::SPAN_MSG, kind, dst, bytes);
+        let span = self.open_span(env, sh, now, cause, cni_trace::SPAN_MSG, kind, dst, bytes);
         if env.reliable {
             debug_assert_eq!(origin, TxOrigin::Board);
-            self.queue_reliable(env, fx, now, dst, WireMsg::Proto(msg), span);
+            self.queue_reliable(env, sh, now, dst, WireMsg::Proto(msg), span);
             return;
         }
         let tx = self.nic.transmit(
@@ -630,7 +588,7 @@ impl Node {
                 origin,
             },
         );
-        fx.send_intent(
+        sh.commit_send(
             env,
             SendIntent::Proto {
                 src,
@@ -650,7 +608,7 @@ impl Node {
     fn xmit_app(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         dst: usize,
         len: u32,
@@ -662,7 +620,7 @@ impl Node {
         let src = self.id;
         let span = self.open_span(
             env,
-            fx,
+            sh,
             t,
             cause,
             cni_trace::SPAN_MSG,
@@ -678,7 +636,7 @@ impl Node {
                 cacheable,
                 data,
             };
-            self.queue_reliable(env, fx, t, dst, wire, span);
+            self.queue_reliable(env, sh, t, dst, wire, span);
             return;
         }
         let tx = self.nic.transmit(
@@ -692,7 +650,7 @@ impl Node {
                 origin: TxOrigin::Board,
             },
         );
-        fx.send_intent(
+        sh.commit_send(
             env,
             SendIntent::App {
                 src,
@@ -714,7 +672,7 @@ impl Node {
     pub(crate) fn arrive_proto(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         msg: Msg,
         span: u64,
@@ -763,7 +721,7 @@ impl Node {
                 // AIH replies leave straight from the board, as children
                 // of the message that provoked them.
                 for m in res.out {
-                    self.transport(env, fx, m, TxOrigin::Board, t_done, span);
+                    self.transport(env, sh, m, TxOrigin::Board, t_done, span);
                 }
                 debug_assert!(res.flushed.is_empty(), "AIH handling never flushes");
                 if res.wakeup.is_none() {
@@ -789,7 +747,7 @@ impl Node {
                     let cacheable = cacheable && migratory;
                     let d = self.nic.deliver_to_host(t_done, len, page, cacheable, true);
                     let ov = env.host(d.host_cycles);
-                    fx.schedule(
+                    sh.q.schedule_at(
                         d.at + ov,
                         Ev::Wake {
                             p: dst,
@@ -833,7 +791,7 @@ impl Node {
                 debug_assert!(res.flushed.is_empty());
                 for m in res.out {
                     t_occ += env.host(env.host_send_cycles());
-                    fx.schedule(
+                    sh.q.schedule_at(
                         t_occ,
                         Ev::Xmit {
                             src: dst,
@@ -845,7 +803,7 @@ impl Node {
                 self.cpu.async_busy = t_occ;
                 if res.wakeup.is_some() {
                     let wake_t = t_occ.max(start + env.host(full));
-                    fx.schedule(
+                    sh.q.schedule_at(
                         wake_t,
                         Ev::Wake {
                             p: dst,
@@ -873,7 +831,7 @@ impl Node {
     pub(crate) fn arrive_app(
         &mut self,
         env: &Env,
-        fx: &mut Fx<'_>,
+        sh: &mut Shared,
         t: SimTime,
         src: usize,
         len: u32,
@@ -903,7 +861,7 @@ impl Node {
                 len: l,
                 data,
             });
-            fx.schedule(
+            sh.q.schedule_at(
                 d.at + ov,
                 Ev::Wake {
                     p: self.id,
@@ -920,7 +878,7 @@ impl Node {
         }
     }
 
-    fn wake(&mut self, env: &Env, fx: &mut Fx<'_>, t: SimTime, overhead: SimTime) {
+    fn wake(&mut self, env: &Env, sh: &mut Shared, t: SimTime, overhead: SimTime) {
         let cpu = &mut self.cpu;
         let blocked_at = cpu
             .blocked_at
@@ -934,8 +892,10 @@ impl Node {
         cpu.clock = cpu.clock.max(t);
         let reply = cpu.pending_reply.take().unwrap_or(Reply::Ok);
         let kind = cpu.blocked_kind.min(3);
-        fx.send_intent(env, SendIntent::Stat(StatDelta::Wait { kind, raw }));
-        self.resume(env, fx, reply);
+        let slot = &mut sh.wait_stats[kind];
+        slot.0 += raw;
+        slot.1 += 1;
+        self.resume(env, sh, reply);
     }
 }
 

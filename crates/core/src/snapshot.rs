@@ -26,8 +26,7 @@
 //! `events` dispatches. It then compares the report's digest with the
 //! stored one: a build or configuration that no longer reproduces the
 //! prefix is refused rather than silently resumed. Finally it switches to
-//! the world's own fault plan and finishes through the normal engine
-//! selection, so `--engine-workers` applies to the tail. A resume
+//! the world's own fault plan and finishes on the same loop. A resume
 //! therefore costs one plain run.
 //!
 //! ### Forking
@@ -303,7 +302,7 @@ impl World {
         }
 
         self.switch_faults(own);
-        self.run_loop();
+        self.event_loop(u64::MAX);
         if self.shared.live != 0 {
             return Err(ResumeError::Unfinished {
                 live: self.shared.live,

@@ -23,21 +23,21 @@
 //!
 //! * `Env` — read-only for the whole run (configuration, trace sink);
 //! * `Shared` — the event queue, fabric, fault injector, latency
-//!   histograms and global counters, touched only by the engine loops and
-//!   by commits (`Shared::commit_send`);
+//!   histograms and global counters, which the event loop lends to each
+//!   handler in turn;
 //! * `nodes` — one `Node` per workstation, owning its CPU, NIC, DSM
 //!   state and go-back-N channels. Every event except the
 //!   metrics tick acts on exactly one node, and its handler
 //!   (`Node::dispatch`, in `node.rs` and `gbn.rs`) borrows only that
 //!   node.
 //!
-//! The serial loop below and the parallel executor (`pdes.rs`) run the
-//! same handlers; they differ only in the effect sink they pass.
+//! One serial loop (`World::event_loop`) dispatches every run, one
+//! event at a time; parallelism lives across runs (`cni-batch`).
 
 use crate::config::Config;
 use crate::ctx::{AccessCosts, ProcCtx};
 use crate::gbn::Frag;
-use crate::node::{Env, Fx, Node};
+use crate::node::{Env, Node};
 use crate::report::{KindHistogram, KindLatency, ProcTimes, RunReport, REPORT_VERSION};
 use cni_atm::{Cell, Fabric};
 use cni_dsm::{DsmConfig, Msg, NodeSpace, PageId, ProcId, VAddr};
@@ -168,11 +168,10 @@ impl Ev {
     }
 }
 
-/// A send's serial half: everything the acting node decided locally
-/// (NIC transmit timing, payload, spans), waiting for the shared parts —
-/// fabric link occupancy, fault-injector draws, arrival-event scheduling,
-/// global counters — which must be applied in exact serial `(time, seq)`
-/// order by [`Shared::commit_send`].
+/// A send's node half: everything the acting node decided locally (NIC
+/// transmit timing, payload, spans), handed to [`Shared::commit_send`]
+/// for the shared parts — fabric link occupancy, fault-injector draws,
+/// arrival-event scheduling and the send's counters.
 pub(crate) enum SendIntent {
     /// A lossless-path protocol PDU (no fault plan active).
     Proto {
@@ -228,35 +227,11 @@ pub(crate) enum SendIntent {
         wire_start: SimTime,
         cell_gap: SimTime,
     },
-    /// A global-counter delta recorded by a handler.
-    Stat(StatDelta),
 }
 
-/// Global-counter deltas produced by handlers (see [`SendIntent::Stat`]).
-pub(crate) enum StatDelta {
-    /// One protocol message of `kind` entered the reliable layer.
-    ProtoMsg { kind: u8 },
-    /// A one-way latency sample for `latency[idx]`, in microseconds.
-    Latency { idx: usize, us: u64 },
-    /// The receiver discarded a duplicate frame.
-    Duplicate,
-    /// The receiver dropped an in-order frame for lack of ring space.
-    RingOverflow,
-    /// Two duplicate acks triggered a fast retransmit.
-    FastRetransmit,
-    /// One frame retransmission.
-    Retransmit,
-    /// One retransmission-timer expiry.
-    Timeout,
-    /// A processor unblocked after waiting `raw` on op-kind `kind`.
-    Wait { kind: usize, raw: SimTime },
-    /// A program finished.
-    ProcDone,
-}
-
-/// Engine state shared by every node: reached by handlers only through
-/// their [`Fx`] sink, so it changes only in the engine loops and in
-/// commits, in exact serial order under either engine.
+/// Engine state shared by every node. The event loop lends it to one
+/// handler at a time, so it changes in exact `(time, seq)` dispatch
+/// order.
 pub(crate) struct Shared {
     pub(crate) q: EventQueue<Ev>,
     pub(crate) fabric: Fabric,
@@ -284,10 +259,6 @@ pub(crate) struct Shared {
     /// Events dispatched since t = 0: the checkpoint cadence counter and
     /// a checkpoint's position, which a resume re-executes up to.
     pub(crate) events_dispatched: u64,
-    /// The open parallel window's horizon: every arrival a commit
-    /// schedules must land at or past it. Zero on the serial loop, where
-    /// the check is vacuous.
-    pub(crate) horizon: SimTime,
 }
 
 /// The simulated cluster.
@@ -354,7 +325,6 @@ impl World {
                 rel_stats: FaultStats::default(),
                 next_span: 0,
                 events_dispatched: 0,
-                horizon: SimTime::ZERO,
                 fabric,
             },
             env: Env {
@@ -487,7 +457,7 @@ impl World {
             "World::run is single-shot; build a fresh World for another run"
         );
         self.start(programs);
-        self.run_loop();
+        self.event_loop(u64::MAX);
         assert_eq!(
             self.shared.live, 0,
             "simulation ran out of events with {} programs unfinished (deadlock)",
@@ -539,31 +509,6 @@ impl World {
         }
     }
 
-    /// Drive the run to completion on whichever engine the configuration
-    /// selects: the serial event loop, or — when more than one engine
-    /// worker is requested and the run is eligible (no live trace, no
-    /// checkpoint cadence) — the conservative lookahead-based parallel
-    /// executor (DESIGN.md §4.11). Both produce byte-identical results.
-    pub(crate) fn run_loop(&mut self) {
-        if self.pdes_eligible() {
-            self.run_pdes();
-        } else {
-            self.event_loop(u64::MAX);
-        }
-    }
-
-    /// Whether this run may use the parallel executor: the operator asked
-    /// for more than one worker, there are at least two shards to spread,
-    /// and nothing serial-only is active. Live tracing observes engine
-    /// internals mid-window and checkpoint cadences count dispatches
-    /// between pops, so both pin the run to the serial loop.
-    fn pdes_eligible(&self) -> bool {
-        self.env.cfg.engine_workers > 1
-            && self.env.cfg.procs >= 2
-            && !self.env.trace.is_enabled()
-            && self.checkpoint_every.is_none()
-    }
-
     /// Dispatch events until every program finishes (or the queue runs
     /// dry) or `limit` events have been dispatched since t = 0, taking a
     /// checkpoint after every `checkpoint_every`-th event when
@@ -576,7 +521,7 @@ impl World {
             };
             match ev.shard() {
                 Some(n) => {
-                    self.nodes[n].dispatch(&self.env, &mut Fx::Serial(&mut self.shared), t, ev);
+                    self.nodes[n].dispatch(&self.env, &mut self.shared, t, ev);
                 }
                 None => self.metrics_tick(t),
             }
@@ -714,27 +659,15 @@ impl Shared {
         self.next_span
     }
 
-    /// Schedule a cross-shard arrival from a commit. Under the parallel
-    /// engine every arrival must land at or past the window horizon — the
-    /// conservative-lookahead contract (see [`crate::pdes`]); a violation
-    /// means the configured lookahead overstates the fabric's minimum
-    /// cross-node latency and the run must die loudly, not corrupt the
-    /// order.
-    fn sched_arrival(&mut self, at: SimTime, ev: Ev) {
-        // cni-lint: allow(panic-path) -- the horizon is engine configuration, not wire data: a violation means the lookahead constant is wrong and every parallel run is unsound
-        assert!(
-            at >= self.horizon,
-            "lookahead violation: arrival at {at:?} inside the window horizon {:?}",
-            self.horizon,
-        );
-        self.q.schedule_at(at, ev);
+    /// Count one protocol message of `kind` (`0xD0..=0xD8`).
+    pub(crate) fn count_proto(&mut self, kind: u8) {
+        self.proto_messages += 1;
+        self.msg_kinds[(kind - 0xD0) as usize] += 1;
     }
 
-    /// Apply one [`SendIntent`]: the serial half of a send. Besides the
-    /// engine loops, this is the only place that touches the fabric's link
-    /// state, the fault injector, the queue's arrivals and the global
-    /// counters — under the parallel engine it runs exclusively on the
-    /// coordinating thread, in exact serial dispatch order.
+    /// Apply one [`SendIntent`]: the shared half of a send. This is the
+    /// only place that touches the fabric's link state and the fault
+    /// injector, and the only source of arrival events.
     pub(crate) fn commit_send(&mut self, env: &Env, intent: SendIntent) {
         let trace = &env.trace;
         match intent {
@@ -772,9 +705,9 @@ impl Shared {
                         wire_ps: timing.last_cell_arrival.saturating_sub(wire_start).as_ps(),
                     },
                 );
-                self.sched_arrival(timing.last_cell_arrival, Ev::Proto { msg, span });
-                self.proto_messages += 1;
-                self.msg_kinds[(kind - 0xD0) as usize] += 1;
+                self.q
+                    .schedule_at(timing.last_cell_arrival, Ev::Proto { msg, span });
+                self.count_proto(kind);
             }
             SendIntent::App {
                 src,
@@ -813,7 +746,7 @@ impl Shared {
                         wire_ps: timing.last_cell_arrival.saturating_sub(wire_start).as_ps(),
                     },
                 );
-                self.sched_arrival(
+                self.q.schedule_at(
                     timing.last_cell_arrival,
                     Ev::App {
                         dst,
@@ -869,7 +802,7 @@ impl Shared {
                             dur_ps: (arrival - now).as_ps(),
                         },
                     );
-                    self.sched_arrival(
+                    self.q.schedule_at(
                         arrival,
                         Ev::FrameRx {
                             src,
@@ -900,7 +833,7 @@ impl Shared {
                     env, from, to, vci, &image, 16, span, now, host_done, wire_start, cell_gap,
                 );
                 if let Some(arrival) = done {
-                    self.sched_arrival(
+                    self.q.schedule_at(
                         arrival,
                         Ev::AckRx {
                             to,
@@ -912,7 +845,6 @@ impl Shared {
                     );
                 }
             }
-            SendIntent::Stat(delta) => self.commit_stat(delta),
         }
     }
 
@@ -988,27 +920,5 @@ impl Shared {
             );
         }
         (delivered, done)
-    }
-
-    /// Apply one recorded global-counter delta.
-    fn commit_stat(&mut self, delta: StatDelta) {
-        match delta {
-            StatDelta::ProtoMsg { kind } => {
-                self.proto_messages += 1;
-                self.msg_kinds[(kind - 0xD0) as usize] += 1;
-            }
-            StatDelta::Latency { idx, us } => self.latency[idx].record(us),
-            StatDelta::Duplicate => self.rel_stats.duplicates += 1,
-            StatDelta::RingOverflow => self.rel_stats.ring_overflows += 1,
-            StatDelta::FastRetransmit => self.rel_stats.fast_retransmits += 1,
-            StatDelta::Retransmit => self.rel_stats.retransmits += 1,
-            StatDelta::Timeout => self.rel_stats.timeouts += 1,
-            StatDelta::Wait { kind, raw } => {
-                let slot = &mut self.wait_stats[kind];
-                slot.0 += raw;
-                slot.1 += 1;
-            }
-            StatDelta::ProcDone => self.live -= 1,
-        }
     }
 }

@@ -8,13 +8,12 @@
 //! accesses run at memory speed, faults enter the protocol.
 //!
 //! Concurrency discipline: a node's DSM handlers and its program run on
-//! one thread at a time (the engine polls programs in place, and the
-//! parallel executor hands each node to one worker), so the relaxed
+//! one thread, the engine's (it polls programs in place), so the relaxed
 //! atomics here are about satisfying the compiler, not about cross-thread
 //! ordering. The same guarantee means the page table's `RwLock` is never
 //! contended; it is there because the node and its program's context
-//! share the [`NodeSpace`] through an `Arc` and nodes move between
-//! executor workers, so the table must be `Sync`. A poisoned lock is
+//! share the [`NodeSpace`] through an `Arc`, and a program is a `Send`
+//! future that holds its context, so the table must be `Sync`. A poisoned lock is
 //! recovered, not propagated: each critical section is one map lookup or
 //! insert, so no panic can leave the table half-updated.
 //!

@@ -45,12 +45,12 @@ const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
 /// iterate hashed collections or embed host timestamps in any form.
 const SNAPSHOT_PATHS: &[&str] = &["crates/snap/", "crates/core/src/snapshot.rs"];
 
-/// Files allowed to use host threading primitives (T1): the parallel
-/// executor and the program runtime — the two places where the engine
-/// deliberately meets the host's scheduler. Everywhere else in the sim
-/// crates, a mutex or channel is either dead weight on the serial path
-/// or an invitation to leak host scheduling order into results.
-pub const THREAD_EXEMPT: &[&str] = &["crates/sim/src/pdes.rs", "crates/sim/src/cothread.rs"];
+/// Files allowed to use host threading primitives (T1): the program
+/// runtime, the one place where the engine deliberately meets the host's
+/// scheduler. Everywhere else in the sim crates, a mutex or channel is
+/// either dead weight on the serial loop or an invitation to leak host
+/// scheduling order into results.
+pub const THREAD_EXEMPT: &[&str] = &["crates/sim/src/cothread.rs"];
 
 /// Protocol receive/reassembly roots: (file suffix, function names).
 /// Corrupt input is expected on these paths post-PR2; P1 bans
@@ -117,8 +117,7 @@ pub enum Rule {
     SnapNondet,
     /// P1: panicking operators reachable from protocol receive roots.
     PanicPath,
-    /// T1: host threading primitives outside the designated executor
-    /// modules.
+    /// T1: host threading primitives outside the program runtime.
     HostThread,
     /// A malformed suppression comment (unknown rule, missing `--`
     /// justification).
@@ -204,8 +203,8 @@ impl Rule {
                  panicking"
             }
             Rule::HostThread => {
-                "host threading primitives live only in the designated executor modules \
-                 (sim::pdes, sim::cothread); route cross-shard effects through the event queue"
+                "host threading primitives live only in the program runtime (sim::cothread); \
+                 route cross-node effects through the event queue"
             }
             Rule::BadSuppression => {
                 "grammar: `// cni-lint: allow(<rule-slug>) -- <non-empty justification>`"
@@ -278,22 +277,21 @@ impl Rule {
                  Result/Option, count-and-drop."
             }
             Rule::HostThread => {
-                "T1 host-thread — host threading primitives outside the executor.\n\
+                "T1 host-thread — host threading primitives outside the program runtime.\n\
                  \n\
-                 The parallel engine's determinism rests on exactly one piece of\n\
-                 host concurrency: the conservative-lookahead executor and its\n\
-                 replay barrier (sim::pdes), plus the program runtime that\n\
-                 implements execution-driven processors (sim::cothread). The\n\
-                 executor hands each worker its shards' nodes by `&mut`, so the\n\
-                 borrow checker keeps dispatches apart. A `Mutex`, `RwLock`,\n\
-                 `Condvar`, `mpsc` channel or `thread::spawn` anywhere else in\n\
-                 the sim crates either does\n\
-                 nothing on the serial path or — worse — invites ad-hoc\n\
-                 cross-shard communication whose ordering depends on the host\n\
-                 scheduler, silently breaking byte-identity at worker counts\n\
-                 above one. Route cross-shard effects through the event queue\n\
-                 and `SendIntent` commits; shared read-only state may be waived\n\
-                 with a justification."
+                 Every run is one serial event loop: the engine dispatches one\n\
+                 event at a time and polls each processor's program in place, on\n\
+                 its own thread. The one module where the engine meets the host's\n\
+                 scheduler is the program runtime (sim::cothread: the task\n\
+                 mailbox, and the thread-backed co-thread the benchmark still\n\
+                 probes). A `Mutex`, `RwLock`, `Condvar`, `mpsc` channel or\n\
+                 `thread::spawn` anywhere else in the sim crates either does\n\
+                 nothing on the serial loop or — worse — invites ad-hoc\n\
+                 communication whose ordering depends on the host scheduler,\n\
+                 silently breaking byte-identity across reruns. Route cross-node\n\
+                 effects through the event queue and `SendIntent` commits; state\n\
+                 a `Send` program must share (the DSM page table, the trace\n\
+                 ring) may be waived with a justification."
             }
             Rule::BadSuppression => {
                 "S1 bad-suppression — malformed waiver comment.\n\
@@ -612,7 +610,7 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
                         path,
                         t.line,
                         t.col,
-                        format!("host threading primitive `{id}` outside the executor modules"),
+                        format!("host threading primitive `{id}` outside the program runtime"),
                     );
                 }
                 "thread"
@@ -625,7 +623,7 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
                         path,
                         t.line,
                         t.col,
-                        "`thread::spawn` outside the executor modules".to_string(),
+                        "`thread::spawn` outside the program runtime".to_string(),
                     );
                 }
                 "thread_rng" | "from_entropy" | "RandomState" | "OsRng" if sim => {

@@ -11,11 +11,6 @@
 //! * [`queue`] — a deterministic event queue: events at equal timestamps
 //!   fire in insertion order, so a simulation run is a pure function of its
 //!   inputs.
-//! * [`pdes`] — a conservative lookahead-based parallel executor over the
-//!   event queue: per-shard lanes advance concurrently inside a safe
-//!   window and a serial replay barrier reconstructs the exact serial
-//!   `(time, seq)` order, so results stay byte-identical at any worker
-//!   count (DESIGN.md §4.11).
 //! * [`cothread`] — stackless processors. Each simulated CPU runs *real*
 //!   application code as a future that the engine polls in place, on its
 //!   own thread, through a [`Task`]; the program suspends, handing control
@@ -30,14 +25,12 @@
 #![deny(missing_docs)]
 
 pub mod cothread;
-pub mod pdes;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use cothread::{Call, CoThread, Mailbox, Port, Task, Yield};
-pub use pdes::{Driver, Executor, Outbox};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Accum, Counter, Histogram};

@@ -165,82 +165,6 @@ impl<E> EventQueue<E> {
         Some((at, e.event))
     }
 
-    /// Remove and return the earliest event strictly before `horizon`.
-    /// Returns `None` when the queue is empty or the head event is at or
-    /// past the horizon. Unlike [`EventQueue::pop`] the sequence number is
-    /// surfaced too, and **`now` is not advanced** (nor is a queue trace
-    /// emitted): the parallel executor drains a whole window ahead of
-    /// dispatching it and advances the clock in serial replay order via
-    /// [`EventQueue::advance_now`]. (The parallel engine only runs with
-    /// tracing disabled, so no `QueueDispatch` records are lost.)
-    pub fn pop_if_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.heap.first()?.at() >= horizon {
-            return None;
-        }
-        let e = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let at = e.at();
-        debug_assert!(at >= self.now);
-        Some((at, e.seq(), e.event))
-    }
-
-    /// Allocate and return the next sequence number without scheduling an
-    /// event. The parallel executor allocates sequence numbers during its
-    /// serial replay barrier in exactly the order the serial engine would
-    /// have assigned them, then inserts the corresponding events with
-    /// [`EventQueue::insert_with_seq`].
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Insert an event under a caller-supplied sequence number previously
-    /// obtained from [`EventQueue::alloc_seq`]. The entry sorts exactly as
-    /// if it had been scheduled by [`EventQueue::schedule_at`] at the
-    /// moment the sequence number was allocated.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past or `seq` was never allocated — either
-    /// is a lookahead or bookkeeping bug in the parallel executor.
-    pub fn insert_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: {:?} < {:?}",
-            at,
-            self.now
-        );
-        assert!(
-            seq < self.next_seq,
-            "seq {seq} was never allocated (next_seq {})",
-            self.next_seq
-        );
-        self.heap.push(Entry {
-            key: pack_key(at, seq),
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Advance the queue clock to `t` without popping an event. The
-    /// parallel executor's replay barrier dispatches events it drained
-    /// from the heap earlier in the window, and uses this to keep `now`
-    /// (the reference for the retrograde-event check) in step.
-    ///
-    /// # Panics
-    /// Panics if `t` is before the current time.
-    pub fn advance_now(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "queue clock moved backwards: {:?} < {:?}",
-            t,
-            self.now
-        );
-        self.now = t;
-    }
-
     /// The earliest event (time and payload) without removing it. O(1):
     /// the head is the heap root.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
@@ -260,11 +184,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// The sequence number the next scheduled event will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -482,78 +401,6 @@ mod tests {
         q.schedule_at(SimTime::MAX, "end-b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["work", "end-a", "end-b"]);
-    }
-
-    #[test]
-    fn pop_if_before_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_ns(10), "a");
-        q.schedule_at(SimTime::from_ns(10), "b");
-        q.schedule_at(SimTime::from_ns(20), "c");
-        // Horizon at the head's exact time: the head is NOT eligible
-        // (the window is half-open, [T0, H)).
-        assert_eq!(q.pop_if_before(SimTime::from_ns(10)), None);
-        assert_eq!(
-            q.pop_if_before(SimTime::from_ns(15)),
-            Some((SimTime::from_ns(10), 0, "a"))
-        );
-        assert_eq!(
-            q.pop_if_before(SimTime::from_ns(15)),
-            Some((SimTime::from_ns(10), 1, "b"))
-        );
-        assert_eq!(q.pop_if_before(SimTime::from_ns(15)), None);
-        assert_eq!(q.now(), SimTime::ZERO, "draining does not move the clock");
-        assert_eq!(
-            q.pop_if_before(SimTime::MAX),
-            Some((SimTime::from_ns(20), 2, "c"))
-        );
-        assert_eq!(q.pop_if_before(SimTime::MAX), None, "empty queue");
-    }
-
-    #[test]
-    fn alloc_seq_and_insert_with_seq_match_schedule_at() {
-        // Two queues, same logical schedule: one through schedule_at, one
-        // through the executor's split alloc/insert path. Identical pops.
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        a.schedule_at(SimTime::from_ns(7), 0);
-        a.schedule_at(SimTime::from_ns(7), 1);
-        a.schedule_at(SimTime::from_ns(3), 2);
-        let s0 = b.alloc_seq();
-        let s1 = b.alloc_seq();
-        let s2 = b.alloc_seq();
-        // Out-of-order insertion: the allocated seq, not insert order, rules.
-        b.insert_with_seq(SimTime::from_ns(3), s2, 2);
-        b.insert_with_seq(SimTime::from_ns(7), s1, 1);
-        b.insert_with_seq(SimTime::from_ns(7), s0, 0);
-        assert_eq!(a.next_seq(), b.next_seq());
-        while let Some(got) = a.pop() {
-            assert_eq!(Some(got), b.pop());
-        }
-        assert_eq!(b.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "never allocated")]
-    fn insert_with_unallocated_seq_panics() {
-        let mut q = EventQueue::new();
-        q.insert_with_seq(SimTime::from_ns(1), 0, ());
-    }
-
-    #[test]
-    fn advance_now_moves_the_clock_forward() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_now(SimTime::from_ns(40));
-        assert_eq!(q.now(), SimTime::from_ns(40));
-        q.advance_now(SimTime::from_ns(40)); // same time is fine
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn advance_now_rejects_retrograde_time() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_now(SimTime::from_ns(40));
-        q.advance_now(SimTime::from_ns(39));
     }
 
     // ---- Differential tests against the old BinaryHeap implementation ----

@@ -51,7 +51,7 @@ pub mod export;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-// cni-lint: allow(host-thread) -- the trace ring is shared by every instrumented component and must be Sync for the executor's lanes; appends carry explicit (time, seq) keys, so lock hand-off order cannot leak into output
+// cni-lint: allow(host-thread) -- the trace ring is shared by every instrumented component and by any program that captures a sink clone; a `Program` is a `Send` future, so the handle must be Send + Sync; appends carry explicit (time, seq) keys, so lock hand-off order cannot leak into output
 use std::sync::{Arc, Mutex};
 
 /// The `node` value for events that belong to the simulation engine itself

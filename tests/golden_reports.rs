@@ -18,16 +18,13 @@
 //!
 //! What a fixture may pin: anything observable through the `(time, seq)`
 //! event order — timings, counters, histograms, fault statistics. What it
-//! must not pin: engine-internal execution order (which worker dispatched
-//! an event, how a window was sharded). The parallel executor
-//! (DESIGN.md §4.11) reconstructs the serial `(time, seq)` order exactly,
-//! and `tests/pdes_identity.rs` holds these same reports byte-identical
-//! at every `--engine-workers` count — so a fixture that encoded anything
-//! beyond `(time, seq)` would show up there as a divergence. Audited when
-//! the parallel engine landed: the one such leak (protocol-cost jitter
-//! drawn from a single engine-wide RNG, making each draw depend on the
-//! global dispatch interleaving rather than the drawing node's own
-//! history) was replaced by per-node streams, and the fixtures re-blessed.
+//! must not pin: anything else, such as which host thread ran a job.
+//! `tests/determinism_props.rs` holds reports byte-identical across
+//! reruns and checkpoint resumes over generated configurations. One leak
+//! was found and fixed: protocol-cost jitter drawn from a single
+//! engine-wide RNG made each draw depend on the global dispatch
+//! interleaving rather than the drawing node's own history; it was
+//! replaced by per-node streams, and the fixtures re-blessed.
 
 use cni::Config;
 use cni_apps::cholesky::CholeskyMatrix;
