@@ -830,3 +830,41 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{FAULT_FLAGS, SWITCHES, USAGE, VALUED};
+    use std::collections::BTreeSet;
+
+    /// The usage text documents every flag the parser takes, and the
+    /// parser takes every flag the usage text documents (`--help` aside),
+    /// so a removed flag cannot linger in one of them.
+    #[test]
+    fn usage_lists_exactly_the_known_flags() {
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let known: BTreeSet<&str> = SWITCHES
+            .iter()
+            .chain(&VALUED)
+            .copied()
+            .filter(|flag| *flag != "help")
+            .collect();
+        assert_eq!(documented, known);
+    }
+
+    /// A flag is a switch or takes a value, never both, and the fault
+    /// flags a plain `--resume` refuses all take values.
+    #[test]
+    fn flag_tables_are_consistent() {
+        let switches: BTreeSet<&str> = SWITCHES.into_iter().collect();
+        let valued: BTreeSet<&str> = VALUED.into_iter().collect();
+        assert_eq!(switches.len(), SWITCHES.len(), "a switch is listed twice");
+        assert_eq!(valued.len(), VALUED.len(), "a valued flag is listed twice");
+        assert!(switches.is_disjoint(&valued), "{switches:?} / {valued:?}");
+        for flag in FAULT_FLAGS {
+            assert!(valued.contains(flag), "fault flag --{flag} takes no value");
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! The checkpoint file as input from outside: a damaged file, a stored
 //! configuration no cluster can be built from, or a resume under another
-//! configuration is refused with an error, never a panic.
+//! configuration is refused with an error, never a panic. A checkpoint an
+//! older build wrote with `--engine-workers` still resumes.
 
 use cni::{Config, FaultPlan, RunReport};
 use cni_apps::checkpoint::{read_snapshot, run_app_checkpointed};
@@ -8,6 +9,7 @@ use cni_apps::experiments::App;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::OnceLock;
 
 const APP: App = App::Jacobi { n: 16, iters: 3 };
@@ -128,6 +130,42 @@ fn resume_with_refuses_any_other_config_change() {
         .resume_with(snap.config.with_engine_workers(2))
         .expect("engine workers may change");
     assert_eq!(&json(&parallel), golden);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Older builds stored the `--engine-workers` count in each checkpoint's
+/// configuration. Such a checkpoint resumes to the uninterrupted run's
+/// report, in the library and through `cni-run --resume`.
+#[test]
+fn a_checkpoint_that_stored_engine_workers_resumes() {
+    let (bytes, golden) = checkpoint();
+    let dir = tmp_dir("stored-workers");
+    let plain = write(&dir, "plain.cnisnap", bytes);
+    let stored = dir.join("workers.cnisnap");
+    with_stored_config(&plain, &stored, |cfg| cfg.engine_workers = 2);
+    let snap = read_snapshot(&stored).expect("checkpoint reads");
+    assert_eq!(snap.config.engine_workers, 2);
+    let resumed = snap.resume().expect("the checkpoint resumes");
+    assert_eq!(&json(&resumed), golden);
+
+    let resume = |path: &Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cni-run"))
+            .arg("--resume")
+            .arg(path)
+            .arg("--json")
+            .output()
+            .expect("cni-run runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert!(
+        resume(&stored) == resume(&plain),
+        "cni-run --resume diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

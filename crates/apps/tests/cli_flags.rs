@@ -46,6 +46,57 @@ fn invalid_configuration_flags_exit_2() {
     }
 }
 
+/// A command line the parser cannot read exits 2 with the usage text and
+/// a message naming what it could not read.
+#[test]
+fn malformed_command_lines_exit_2_with_usage() {
+    for (args, needle) in [
+        (
+            &["--app", "jacobi", "--bogus", "1"][..],
+            "unknown flag --bogus",
+        ),
+        (&["--app", "jacobi", "--n"][..], "missing value for --n"),
+        (&["--app", "jacobi", "16"][..], "unexpected argument \"16\""),
+    ] {
+        let out = run(args);
+        assert_refused(&out, needle, &args.join(" "));
+        assert_refused(&out, "usage: cni-run", &args.join(" "));
+    }
+}
+
+/// Older builds selected a parallel engine with `--engine-workers`. Every
+/// mode that took it (a single run, a sweep and a resume) now refuses it
+/// by name instead of running without it.
+#[test]
+fn engine_workers_is_refused_in_every_mode() {
+    let dir = tmp_dir("engine-workers");
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, r#"[{"app": "jacobi", "n": 16, "iters": 1}]"#).unwrap();
+    let ck_dir = dir.join("ck");
+    let out = Command::new(EXE)
+        .args(["--app", "jacobi", "--n", "16", "--iters", "3", "--json"])
+        .args(["--checkpoint-every", "80", "--checkpoint-dir"])
+        .arg(&ck_dir)
+        .output()
+        .expect("checkpointed run");
+    assert!(out.status.success());
+    let ck = ck_dir.join("ck-000000000080.cnisnap");
+    for mode in [
+        &["--app", "jacobi", "--n", "16", "--iters", "1"][..],
+        &["--sweep", spec.to_str().unwrap()][..],
+        &["--resume", ck.to_str().unwrap()][..],
+    ] {
+        let mut args = mode.to_vec();
+        args.extend(["--engine-workers", "2"]);
+        assert_refused(
+            &run(&args),
+            "unknown flag --engine-workers",
+            &args.join(" "),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_sweep_config_exits_2() {
     let dir = tmp_dir("sweep");

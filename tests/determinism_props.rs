@@ -10,6 +10,8 @@
 //! a fault seed, the timing seed, a small Jacobi or Water run, and how
 //! many checkpoints the rerun takes. Three fixed configurations ride
 //! along: Jacobi-8, lossy Water-8 and a 64-host fat-tree with collectives.
+//! The ignored `Config::engine_workers` field must not change a run's
+//! bytes either.
 //!
 //! The comparisons are exact (`==` on serialized JSON): any divergence —
 //! a counter off by one, a reordered histogram bucket — is an engine bug.
@@ -111,33 +113,72 @@ fn lossy(drop_pm: u64, corrupt_pm: u64, seed: u64) -> FaultPlan {
     }
 }
 
+/// The paper's canonical cluster: one switch, 8 nodes, lossless.
 #[test]
-fn fixed_configurations_rerun_and_resume_identically() {
-    let cases = [
-        // The paper's canonical cluster: one switch, 8 nodes, lossless.
-        (Config::paper_default(), App::Jacobi { n: 48, iters: 6 }),
-        // Go-back-N under loss: retransmission timers, duplicate
-        // suppression and the fault injector's draws.
-        (
-            Config::paper_default().with_faults(lossy(50, 10, 7)),
-            App::Water {
-                molecules: 27,
-                steps: 2,
-            },
-        ),
-        // Multi-switch routing and the barrier-combining handlers.
-        (
-            Config::paper_default()
-                .with_fat_tree(4, 16, 16)
-                .with_procs(64)
-                .with_collectives(),
-            App::Jacobi { n: 96, iters: 4 },
-        ),
-    ];
-    for (cfg, app) in cases {
-        if let Err(e) = reproducible(cfg, app, 1) {
-            panic!("{e}");
-        }
+fn jacobi8_single_switch_reruns_and_resumes_identically() {
+    if let Err(e) = reproducible(Config::paper_default(), App::Jacobi { n: 48, iters: 6 }, 1) {
+        panic!("{e}");
+    }
+}
+
+/// Go-back-N under loss: retransmission timers, duplicate suppression and
+/// the fault injector's draws.
+#[test]
+fn water8_lossy_reruns_and_resumes_identically() {
+    let cfg = Config::paper_default().with_faults(lossy(50, 10, 7));
+    let app = App::Water {
+        molecules: 27,
+        steps: 2,
+    };
+    if let Err(e) = reproducible(cfg, app, 1) {
+        panic!("{e}");
+    }
+}
+
+/// Multi-switch routing and the barrier-combining handlers.
+#[test]
+fn jacobi64_fat_tree_collectives_reruns_and_resumes_identically() {
+    let cfg = Config::paper_default()
+        .with_fat_tree(4, 16, 16)
+        .with_procs(64)
+        .with_collectives();
+    if let Err(e) = reproducible(cfg, App::Jacobi { n: 96, iters: 4 }, 1) {
+        panic!("{e}");
+    }
+}
+
+/// `Config::engine_workers` is an ignored field: a run at two workers,
+/// and resumes of its checkpoint at one and at eight, land on the bytes of
+/// a run at one worker. Benchmarks and checkpoints written by older builds
+/// still set it.
+#[test]
+fn engine_workers_leaves_the_report_unchanged() {
+    let cfg = Config::paper_default()
+        .with_fat_tree(4, 4, 4)
+        .with_procs(16)
+        .with_collectives()
+        .with_faults(lossy(20, 5, 3));
+    let app = App::Jacobi { n: 32, iters: 2 };
+    let (first, events, _) = run(cfg, app, None);
+    let (rerun, _, snaps) = run(cfg.with_engine_workers(2), app, Some(events / 2 + 1));
+    assert!(
+        rerun == first,
+        "engine_workers = 2 changed the report\n{}",
+        first_difference(&rerun, &first)
+    );
+    assert_eq!(snaps.len(), 1, "one checkpoint halfway");
+    for workers in [1, 8] {
+        let mut world = World::new(cfg.with_engine_workers(workers));
+        let progs = build_programs(&mut world, app);
+        let resumed = world
+            .resume_run(&snaps[0], progs)
+            .expect("a checkpoint resumes under another worker count");
+        let resumed = json(&resumed);
+        assert!(
+            resumed == first,
+            "resume at engine_workers = {workers} diverged\n{}",
+            first_difference(&resumed, &first)
+        );
     }
 }
 
