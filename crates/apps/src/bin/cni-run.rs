@@ -53,7 +53,8 @@ sweep mode (parallel batch over a JSON run list):
                       DIR/<index>-<label>.<ext>
   --resume-dir DIR    persist per-job reports under DIR and skip
                       jobs a previous (interrupted) sweep already
-                      completed; with --checkpoint-every, partial
+                      completed (a report of another schema version
+                      reruns); with --checkpoint-every, partial
                       jobs resume from their newest checkpoint
   --json              print the batch report as JSON
 
@@ -479,11 +480,19 @@ fn run_sweep(args: &HashMap<String, String>, spec_path: &str) -> ExitCode {
             let dir = Path::new(dir);
             let report_path = job_trace_path(dir, i, &spec.label, "report.json");
             if let Ok(text) = std::fs::read_to_string(&report_path) {
-                match serde_json::from_str::<RunReport>(&text) {
-                    Ok(r) => {
+                // Through the schema gate: a report another build wrote is
+                // not this build's result, even when it decodes.
+                match RunReport::parse_json(&text) {
+                    Ok(r) if r.version == REPORT_VERSION => {
                         eprintln!("[resume] {}: already complete, skipping", spec.label);
                         return r;
                     }
+                    Ok(r) => eprintln!(
+                        "[resume] {}: {} is a version {} report, rerunning",
+                        spec.label,
+                        report_path.display(),
+                        r.version
+                    ),
                     Err(e) => eprintln!(
                         "[resume] {}: ignoring unreadable {}: {e}",
                         spec.label,

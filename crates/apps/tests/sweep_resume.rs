@@ -1,9 +1,9 @@
 //! `cni-run --sweep --resume-dir`: an interrupted sweep picks up where it
-//! stopped. A job whose report was persisted is skipped, a job that left
-//! checkpoints resumes from its newest one, and a checkpoint that is
-//! unreadable or was taken under another configuration is rerun from
-//! scratch. Whatever the path, the job's report is the uninterrupted
-//! run's, byte for byte.
+//! stopped. A job whose report was persisted is skipped unless the report
+//! is of another schema version, a job that left checkpoints resumes from
+//! its newest one, and a checkpoint that is unreadable or was taken under
+//! another configuration is rerun from scratch. Whatever the path, the
+//! job's report is the uninterrupted run's, byte for byte.
 
 use cni::Config;
 use cni_apps::checkpoint::run_app_checkpointed;
@@ -98,6 +98,41 @@ fn a_rerun_skips_completed_jobs() {
     let again = std::fs::read_to_string(report_path(&dir)).expect("report kept");
     assert!(again == report, "a skipped job rewrote its report");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A persisted report of another schema version is not this build's
+/// result: the job reruns, whether the version is newer than this build
+/// parses or older and migratable.
+#[test]
+fn a_report_of_another_version_is_rerun() {
+    for (name, version, says) in [
+        ("v99", 99u64, "newer than this build understands"),
+        ("v5", 5, "is a version 5 report, rerunning"),
+    ] {
+        let dir = tmp_dir(name);
+        let out = sweep(&dir, &[]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut report: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(report_path(&dir)).unwrap())
+                .expect("persisted report is JSON");
+        let fields = report.as_object_mut().expect("report is an object");
+        fields.insert("version".into(), version.into());
+        fields.insert("written_by".into(), "another build".into());
+        std::fs::write(report_path(&dir), report.to_string()).expect("report rewrites");
+
+        let out = sweep(&dir, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert!(!stderr.contains("already complete"), "{name}: {stderr}");
+        assert!(stderr.contains(says), "{name}: {stderr}");
+        let again = std::fs::read_to_string(report_path(&dir)).expect("report persisted");
+        assert!(again == golden(), "{name}: the rerun job's report diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

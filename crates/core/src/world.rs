@@ -427,13 +427,18 @@ impl World {
     fn alloc_pages(&mut self, pages: usize, home: impl Fn(usize) -> usize) -> VAddr {
         let first = self.next_page;
         self.next_page += pages as u32;
-        for (i, pg) in (first..self.next_page).enumerate() {
-            let page = PageId(pg);
-            let owner = home(i) % self.env.cfg.procs;
-            for node in self.nodes.iter_mut() {
-                node.dsm.set_home(page, ProcId(owner as u32));
+        let procs = self.env.cfg.procs;
+        let homes: Vec<ProcId> = (0..pages)
+            .map(|i| ProcId((home(i) % procs) as u32))
+            .collect();
+        // Node by node, so each node's page tables grow in one pass.
+        for node in self.nodes.iter_mut() {
+            for (pg, &owner) in (first..).zip(&homes) {
+                node.dsm.set_home(PageId(pg), owner);
             }
-            self.nodes[owner].dsm.init_home_page(page);
+        }
+        for (pg, owner) in (first..).zip(homes) {
+            self.nodes[owner.0 as usize].dsm.init_home_page(PageId(pg));
         }
         VAddr::of_page(PageId(first), self.env.cfg.page_bytes)
     }

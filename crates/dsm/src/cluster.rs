@@ -72,15 +72,18 @@ impl DsmCluster {
     }
 
     /// Allocate `bytes` of shared memory (whole pages); homes are assigned
-    /// round-robin and initial copies installed there. Returns the base
-    /// address.
+    /// round-robin, registered on every node, and initial copies installed
+    /// there. Returns the base address.
     pub fn alloc(&mut self, bytes: usize) -> VAddr {
         let pages = bytes.div_ceil(self.cfg.page_bytes).max(1);
         let first = self.next_page;
         self.next_page += pages as u32;
         for p in first..self.next_page {
             let page = PageId(p);
-            let home = self.nodes[0].page_home(page);
+            let home = ProcId(p % self.cfg.procs as u32);
+            for node in &mut self.nodes {
+                node.set_home(page, home);
+            }
             self.nodes[home.0 as usize].init_home_page(page);
         }
         VAddr::of_page(PageId(first), self.cfg.page_bytes)

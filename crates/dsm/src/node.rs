@@ -116,6 +116,53 @@ struct HolderState {
     pending: VecDeque<(ProcId, VClock)>,
 }
 
+/// The writers known to have written one page, each with the highest
+/// interval it is known to have written there (never 0), ascending by id.
+/// Most pages have one writer, held inline; a second writer spills the set
+/// to a sorted `Vec`.
+#[derive(Clone, Debug, Default)]
+enum WriterSet {
+    #[default]
+    Empty,
+    One((ProcId, u32)),
+    Many(Vec<(ProcId, u32)>),
+}
+
+impl WriterSet {
+    fn as_slice(&self) -> &[(ProcId, u32)] {
+        match self {
+            WriterSet::Empty => &[],
+            WriterSet::One(entry) => std::slice::from_ref(entry),
+            WriterSet::Many(entries) => entries,
+        }
+    }
+
+    /// Highest interval `w` is known to have written (0: none).
+    fn get(&self, w: ProcId) -> u32 {
+        let entries = self.as_slice();
+        entries
+            .binary_search_by_key(&w, |&(p, _)| p)
+            .map_or(0, |k| entries[k].1)
+    }
+
+    /// Raise `w`'s interval to at least `interval` (> 0), adding `w`.
+    fn raise(&mut self, w: ProcId, interval: u32) {
+        match self {
+            WriterSet::Empty => *self = WriterSet::One((w, interval)),
+            WriterSet::One((p, i)) if *p == w => *i = (*i).max(interval),
+            WriterSet::One(first) => {
+                let mut entries = vec![*first, (w, interval)];
+                entries.sort_unstable_by_key(|&(p, _)| p);
+                *self = WriterSet::Many(entries);
+            }
+            WriterSet::Many(entries) => match entries.binary_search_by_key(&w, |&(p, _)| p) {
+                Ok(k) => entries[k].1 = entries[k].1.max(interval),
+                Err(k) => entries.insert(k, (w, interval)),
+            },
+        }
+    }
+}
+
 /// Barrier-manager state (processor 0 only).
 #[derive(Debug)]
 struct BarrierMgr {
@@ -180,12 +227,12 @@ pub struct DsmNode {
     vc: VClock,
     /// Write-notice log per writer, ascending by interval.
     log: Vec<Vec<(u32, PageId)>>,
-    /// Per page: writer intervals reflected in the local frame.
+    /// Per page: writer intervals reflected in the local frame. Keyed:
+    /// only pages this node holds a copy of have one.
     pv: BTreeMap<PageId, VClock>,
-    /// Per (page, writer): max interval the writer is known to have
-    /// written the page. Only writers with a non-zero interval have an
-    /// entry, so a page's record is as wide as its writer set, not `procs`.
-    knowledge: BTreeMap<(PageId, ProcId), u32>,
+    /// Per allocated page, indexed by id: the writers known to have
+    /// written it. Sized by [`DsmNode::set_home`], never by a message.
+    knowledge: Vec<WriterSet>,
     /// Twins for pages written in the current interval.
     twins: BTreeMap<PageId, Vec<u64>>,
     /// Pages written in the current interval (insertion-ordered).
@@ -200,9 +247,9 @@ pub struct DsmNode {
     probable: BTreeMap<LockId, ProcId>,
     /// Holder side: token state per lock.
     holders: BTreeMap<LockId, HolderState>,
-    /// Explicit page-home overrides (first-touch placement); pages not
-    /// listed default to `page mod N`.
-    homes: BTreeMap<PageId, ProcId>,
+    /// Per allocated page, indexed by id: its home. Sized with
+    /// `knowledge`; pages past it default to `page mod N`.
+    homes: Vec<ProcId>,
     /// Barrier manager (processor 0).
     barrier_mgr: Option<BarrierMgr>,
     /// Next barrier epoch this processor will arrive at.
@@ -226,14 +273,14 @@ impl DsmNode {
             vc: VClock::zero(n),
             log: vec![Vec::new(); n],
             pv: BTreeMap::new(),
-            knowledge: BTreeMap::new(),
+            knowledge: Vec::new(),
             twins: BTreeMap::new(),
             dirty_pages: Vec::new(),
             pending_self: BTreeMap::new(),
             my_diffs: BTreeMap::new(),
             probable: BTreeMap::new(),
             holders: BTreeMap::new(),
-            homes: BTreeMap::new(),
+            homes: Vec::new(),
             barrier_mgr: (me.0 == 0 || cfg.tree_barrier).then(|| BarrierMgr {
                 epoch: 0,
                 arrived: 0,
@@ -282,19 +329,30 @@ impl DsmNode {
         self.known(page, self.me) > 0
     }
 
-    /// The home of `page` (initial copy holder): an explicit placement if
-    /// one was registered, else round-robin.
+    /// The home of `page` (initial copy holder): the placement registered
+    /// at allocation, else round-robin.
     pub fn page_home(&self, page: PageId) -> ProcId {
         self.homes
-            .get(&page)
+            .get(page.0 as usize)
             .copied()
             .unwrap_or(ProcId(page.0 % self.cfg.procs as u32))
     }
 
-    /// Register an explicit home for `page` (allocation-time placement;
-    /// must be called identically on every node).
+    /// Register an allocated `page` and its home (allocation-time
+    /// placement; must be called identically on every node). This is the
+    /// only call that sizes the per-page tables: a page id read from a
+    /// message never grows them. Pages skipped over keep the round-robin
+    /// home.
     pub fn set_home(&mut self, page: PageId, home: ProcId) {
-        self.homes.insert(page, home);
+        let idx = page.0 as usize;
+        if idx >= self.homes.len() {
+            let procs = self.cfg.procs;
+            let from = self.homes.len();
+            self.homes
+                .extend((from..=idx).map(|p| ProcId((p % procs) as u32)));
+            self.knowledge.resize_with(idx + 1, WriterSet::default);
+        }
+        self.homes[idx] = home;
     }
 
     /// Install the initial (zero-filled) copy of `page` at its home. Must
@@ -310,16 +368,21 @@ impl DsmNode {
 
     /// Highest interval `w` is known to have written `page` (0: none).
     fn known(&self, page: PageId, w: ProcId) -> u32 {
-        self.knowledge.get(&(page, w)).copied().unwrap_or(0)
+        self.knowledge
+            .get(page.0 as usize)
+            .map_or(0, |writers| writers.get(w))
     }
 
     /// Record that `w` wrote `page` in `interval`. Intervals count from 1;
     /// a 0, which only a malformed message could carry, records nothing, so
-    /// every entry names a real write.
+    /// every entry names a real write. So does a page outside the
+    /// allocated segment.
     fn raise_known(&mut self, page: PageId, w: ProcId, interval: u32) {
-        if interval > 0 {
-            let k = self.knowledge.entry((page, w)).or_insert(0);
-            *k = (*k).max(interval);
+        if interval == 0 {
+            return;
+        }
+        if let Some(writers) = self.knowledge.get_mut(page.0 as usize) {
+            writers.raise(w, interval);
         }
     }
 
@@ -328,8 +391,10 @@ impl DsmNode {
     /// send diff requests in this order, and reports depend on it.
     fn writers_of(&self, page: PageId) -> impl Iterator<Item = (ProcId, u32)> + '_ {
         self.knowledge
-            .range((page, ProcId(0))..=(page, ProcId(u32::MAX)))
-            .map(|(&(_, w), &interval)| (w, interval))
+            .get(page.0 as usize)
+            .map_or(&[][..], WriterSet::as_slice)
+            .iter()
+            .copied()
     }
 
     // --- Interval machinery -------------------------------------------------
@@ -424,11 +489,24 @@ impl DsmNode {
     /// Record incoming notices: extend the log, update page knowledge, and
     /// invalidate uncovered local copies (taking early diffs for pages the
     /// current interval has dirtied — concurrent write sharing).
+    ///
+    /// `notices` must be ascending by `(writer, interval)`: a grant's come
+    /// from the granter's per-writer logs, and a barrier's root sorts the
+    /// combined list once for every receiver. A notice for a page outside
+    /// the allocated segment names no page this node can hold, and is
+    /// skipped.
     fn integrate_notices(&mut self, notices: &[WriteNotice], work: &mut Work) {
-        let mut sorted: Vec<&WriteNotice> =
-            notices.iter().filter(|n| n.writer != self.me).collect();
-        sorted.sort_unstable_by_key(|n| (n.writer, n.interval));
-        for n in sorted {
+        debug_assert!(
+            notices
+                .windows(2)
+                .all(|w| (w[0].writer, w[0].interval) <= (w[1].writer, w[1].interval)),
+            "write notices out of (writer, interval) order"
+        );
+        let (me, segment) = (self.me, self.knowledge.len());
+        for n in notices
+            .iter()
+            .filter(|n| n.writer != me && (n.page.0 as usize) < segment)
+        {
             work.notices += 1;
             self.stats.notices_in += 1;
             let log = &mut self.log[n.writer.0 as usize];
@@ -862,7 +940,7 @@ impl DsmNode {
             return;
         }
         let combined_vc = mgr.vc.clone();
-        let combined_notices = std::mem::take(&mut mgr.notices);
+        let mut combined_notices = std::mem::take(&mut mgr.notices);
         mgr.arrived = 0;
         mgr.epoch += 1;
         if self.cfg.tree_barrier && self.me.0 != 0 {
@@ -880,32 +958,11 @@ impl DsmNode {
             });
             return;
         }
-        // Root (or centralised manager): release.
-        if self.cfg.tree_barrier {
-            for c in self.tree_children().collect::<Vec<_>>() {
-                res.out.push(Msg {
-                    src: self.me,
-                    dst: c,
-                    payload: Payload::BarrierRelease {
-                        epoch,
-                        vc: combined_vc.clone(),
-                        notices: combined_notices.clone(),
-                    },
-                });
-            }
-        } else {
-            for p in 1..self.cfg.procs as u32 {
-                res.out.push(Msg {
-                    src: self.me,
-                    dst: ProcId(p),
-                    payload: Payload::BarrierRelease {
-                        epoch,
-                        vc: combined_vc.clone(),
-                        notices: combined_notices.clone(),
-                    },
-                });
-            }
-        }
+        // Root (or centralised manager): release. Sort the union once here;
+        // every receiver shares this one list and walks it in order.
+        combined_notices.sort_unstable_by_key(|n| (n.writer, n.interval, n.page));
+        let combined_notices: Arc<[WriteNotice]> = combined_notices.into();
+        self.send_barrier_release(epoch, &combined_vc, &combined_notices, &mut res.out);
         let mut work = Work::default();
         let wakeup = self.apply_barrier_release(epoch, &combined_vc, &combined_notices, &mut work);
         res.work.add(&work);
@@ -931,28 +988,30 @@ impl DsmNode {
         }
     }
 
-    /// Tree mode: a release from the parent is applied locally and
-    /// forwarded to the children.
-    fn forward_barrier_release(
+    /// Send a barrier release on, sharing its notice list: the centralised
+    /// manager sends it to every other processor, and a tree node to its
+    /// children (the root first, then every interior node before applying
+    /// the release it received).
+    fn send_barrier_release(
         &self,
         epoch: u32,
         vc: &VClock,
-        notices: &[WriteNotice],
+        notices: &Arc<[WriteNotice]>,
         out: &mut Vec<Msg>,
     ) {
-        if !self.cfg.tree_barrier {
-            return;
-        }
-        for c in self.tree_children() {
-            out.push(Msg {
-                src: self.me,
-                dst: c,
-                payload: Payload::BarrierRelease {
-                    epoch,
-                    vc: vc.clone(),
-                    notices: notices.to_vec(),
-                },
-            });
+        let release = |dst| Msg {
+            src: self.me,
+            dst,
+            payload: Payload::BarrierRelease {
+                epoch,
+                vc: vc.clone(),
+                notices: Arc::clone(notices),
+            },
+        };
+        if self.cfg.tree_barrier {
+            out.extend(self.tree_children().map(release));
+        } else if self.me.0 == 0 {
+            out.extend((1..self.cfg.procs as u32).map(ProcId).map(release));
         }
     }
 
@@ -1016,7 +1075,7 @@ impl DsmNode {
                 self.barrier_arrive(epoch, proc, vc, notices, &mut res);
             }
             Payload::BarrierRelease { epoch, vc, notices } => {
-                self.forward_barrier_release(epoch, &vc, &notices, &mut res.out);
+                self.send_barrier_release(epoch, &vc, &notices, &mut res.out);
                 res.wakeup = self.apply_barrier_release(epoch, &vc, &notices, &mut work);
             }
             Payload::PageReq { page, requester } => {
@@ -1274,26 +1333,55 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn config(procs: usize) -> DsmConfig {
+        DsmConfig {
+            procs,
+            page_bytes: 2048,
+            line_bytes: 32,
+            tree_barrier: true,
+            barrier_arity: 16,
+        }
+    }
+
+    /// Processor `me` of 64 with pages `0..pages` registered.
+    fn node_with_pages(me: u32, pages: u32) -> DsmNode {
+        let mut node = DsmNode::new(ProcId(me), config(64), Arc::new(NodeSpace::new(2048, 32)));
+        for p in 0..pages {
+            node.set_home(PageId(p), ProcId(p % 64));
+        }
+        node
+    }
+
+    /// Writers held by `page`'s set, checked against its representation:
+    /// none, one inline, or two or more spilled.
+    fn writer_count(node: &DsmNode, page: PageId) -> usize {
+        let set = &node.knowledge[page.0 as usize];
+        let n = set.as_slice().len();
+        match set {
+            WriterSet::Empty => assert_eq!(n, 0),
+            WriterSet::One(_) => assert_eq!(n, 1),
+            WriterSet::Many(_) => assert!(n >= 2, "{set:?} should be inline"),
+        }
+        n
+    }
+
     proptest! {
-        /// The keyed page knowledge answers every query exactly as a dense
-        /// clock per page would, and walks writers in ascending order. A
-        /// raise to interval 0 is a no-op in both.
+        /// The per-page writer sets answer every query exactly as a dense
+        /// clock per page would, and walk writers in ascending order. A
+        /// raise to interval 0 is a no-op in both, and a raise naming a
+        /// page past the 8 registered ones records nothing.
         #[test]
-        fn keyed_knowledge_matches_a_dense_clock_per_page(
-            raises in proptest::collection::vec((0u32..8, 0u32..64, 0u32..50), 1..200)
+        fn page_knowledge_matches_a_dense_clock_per_page(
+            raises in proptest::collection::vec((0u32..10, 0u32..64, 0u32..50), 1..200)
         ) {
-            let cfg = DsmConfig {
-                procs: 64,
-                page_bytes: 2048,
-                line_bytes: 32,
-                tree_barrier: true,
-                barrier_arity: 16,
-            };
-            let mut node = DsmNode::new(ProcId(0), cfg, Arc::new(NodeSpace::new(2048, 32)));
-            let mut model = vec![VClock::zero(64); 8];
+            let mut node = node_with_pages(0, 8);
+            let mut model = vec![VClock::zero(64); 10];
             for (page, w, interval) in raises {
                 node.raise_known(PageId(page), ProcId(w), interval);
-                model[page as usize].raise(ProcId(w), interval);
+                if page < 8 {
+                    model[page as usize].raise(ProcId(w), interval);
+                }
+                prop_assert_eq!(node.knowledge.len(), 8);
                 for (pg, clock) in model.iter().enumerate() {
                     let page = PageId(pg as u32);
                     for w in (0..64).map(ProcId) {
@@ -1304,9 +1392,104 @@ mod tests {
                         .map(|w| (w, clock.get(w)))
                         .filter(|&(_, i)| i > 0)
                         .collect();
+                    if pg < 8 {
+                        prop_assert_eq!(writer_count(&node, page), dense.len());
+                    }
                     prop_assert_eq!(node.writers_of(page).collect::<Vec<_>>(), dense);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_writer_set_is_inline_until_a_second_writer() {
+        assert_eq!(std::mem::size_of::<WriterSet>(), 24);
+        let mut node = node_with_pages(0, 2);
+        let page = PageId(1);
+        node.raise_known(page, ProcId(9), 0);
+        assert_eq!(writer_count(&node, page), 0, "interval 0 records nothing");
+        node.raise_known(page, ProcId(9), 3);
+        node.raise_known(page, ProcId(9), 2);
+        assert_eq!(writer_count(&node, page), 1);
+        assert_eq!(node.known(page, ProcId(9)), 3, "a raise never lowers");
+        node.raise_known(page, ProcId(4), 0);
+        assert_eq!(writer_count(&node, page), 1, "interval 0 records nothing");
+        node.raise_known(page, ProcId(4), 1);
+        assert_eq!(writer_count(&node, page), 2);
+        node.raise_known(page, ProcId(63), 7);
+        node.raise_known(page, ProcId(4), 5);
+        let writers: Vec<_> = node.writers_of(page).collect();
+        assert_eq!(
+            writers,
+            [(ProcId(4), 5), (ProcId(9), 3), (ProcId(63), 7)],
+            "ascending by writer"
+        );
+        assert_eq!(writer_count(&node, PageId(0)), 0);
+    }
+
+    #[test]
+    fn set_home_sizes_the_tables_and_keeps_round_robin_gaps() {
+        let mut node = DsmNode::new(ProcId(0), config(4), Arc::new(NodeSpace::new(2048, 32)));
+        assert_eq!(node.page_home(PageId(6)), ProcId(2));
+        node.set_home(PageId(5), ProcId(0));
+        assert_eq!((node.homes.len(), node.knowledge.len()), (6, 6));
+        let homes: Vec<_> = (0..7).map(|p| node.page_home(PageId(p)).0).collect();
+        assert_eq!(homes, [0, 1, 2, 3, 0, 0, 2]);
+        node.set_home(PageId(2), ProcId(3));
+        assert_eq!(node.page_home(PageId(2)), ProcId(3));
+        assert_eq!(node.homes.len(), 6, "re-registering a page does not grow");
+    }
+
+    /// Page ids past the allocated segment reach a node in notices,
+    /// grants, releases and faults; none of them may panic or size a table.
+    #[test]
+    fn a_page_past_the_segment_grows_no_table() {
+        let beyond = |p: u32| WriteNotice {
+            writer: ProcId(1),
+            interval: 1,
+            page: PageId(p),
+        };
+        let mut node = node_with_pages(0, 2);
+        node.on_acquire(LockId(1));
+        node.on_message(Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::AcquireGrant {
+                lock: LockId(1),
+                vc: VClock::zero(64),
+                notices: vec![beyond(2), beyond(u32::MAX)],
+                then_serve: vec![],
+            },
+        });
+        node.on_message(Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::BarrierRelease {
+                epoch: 0,
+                vc: VClock::zero(64),
+                notices: vec![beyond(1000)].into(),
+            },
+        });
+        assert_eq!((node.homes.len(), node.knowledge.len()), (2, 2));
+        assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
+
+        // A program that faults on, writes and publishes a page past the
+        // segment: the page's round-robin home serves a zero frame, and
+        // every node skips the write notice the barrier carries, so the
+        // write is not published.
+        let mut c = crate::DsmCluster::new(DsmConfig {
+            tree_barrier: false,
+            ..config(4)
+        });
+        c.alloc(2 * 2048);
+        let addr = crate::VAddr::of_page(PageId(1000), 2048);
+        assert_eq!(c.read_u64(ProcId(1), addr), 0);
+        c.write_u64(ProcId(1), addr, 5);
+        c.barrier_all();
+        assert_eq!(c.read_u64(ProcId(2), addr), 0);
+        for p in (0..4).map(ProcId) {
+            let node = c.node(p);
+            assert_eq!((node.homes.len(), node.knowledge.len()), (2, 2));
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::diff::Diff;
 use crate::types::{LockId, PageId, ProcId, VClock, WriteNotice};
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Fixed header bytes on every protocol message (kind, source, length,
 /// sequence — what a real implementation would carry).
@@ -36,8 +36,10 @@ pub mod kind {
     pub const DIFF_RESP: u8 = 0xD8;
 }
 
-/// The protocol payloads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The protocol payloads. They travel as values through the simulated
+/// fabric and are never encoded to bytes; [`Payload::wire_bytes`] prices
+/// them.
+#[derive(Clone, Debug)]
 pub enum Payload {
     /// Ask the lock's manager for the token.
     AcquireReq {
@@ -85,8 +87,10 @@ pub enum Payload {
         epoch: u32,
         /// Merged vector time.
         vc: VClock,
-        /// Union of all new write notices.
-        notices: Vec<WriteNotice>,
+        /// Union of all new write notices, ascending by `(writer,
+        /// interval, page)`: sorted once at the root, and shared by every
+        /// copy of the release.
+        notices: Arc<[WriteNotice]>,
     },
     /// Fetch a full page copy.
     PageReq {
@@ -157,8 +161,8 @@ impl Payload {
                 then_serve,
                 ..
             } => 8 + 4 * vc.len() + 12 * notices.len() + (8 + 4 * vc.len()) * then_serve.len(),
-            Payload::BarrierArrive { vc, notices, .. }
-            | Payload::BarrierRelease { vc, notices, .. } => 8 + 4 * vc.len() + 12 * notices.len(),
+            Payload::BarrierArrive { vc, notices, .. } => 8 + 4 * vc.len() + 12 * notices.len(),
+            Payload::BarrierRelease { vc, notices, .. } => 8 + 4 * vc.len() + 12 * notices.len(),
             Payload::PageReq { .. } => 8,
             Payload::PageResp { version, data, .. } => 4 * version.len() + 8 * data.len(),
             Payload::DiffReq { .. } => 16,
@@ -279,7 +283,7 @@ mod tests {
             Payload::BarrierRelease {
                 epoch: 0,
                 vc: vc.clone(),
-                notices: vec![],
+                notices: Arc::new([]),
             },
             Payload::PageReq {
                 page: PageId(0),

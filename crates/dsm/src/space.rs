@@ -17,9 +17,12 @@
 //! recovered, not propagated: each critical section is one map lookup or
 //! insert, so no panic can leave the table half-updated.
 //!
-//! The page table is a `BTreeMap` keyed by page id, not a dense `Vec`: a
-//! dense table is sized by the largest id touched, and a page id can come
-//! from decoded snapshot bytes.
+//! The page table is a `BTreeMap` keyed by page id, not a dense `Vec`:
+//! frames materialise on first touch, so a node holds only the pages it
+//! has touched, and the space never learns the segment's size. A page
+//! request names the page to serve, so an id from a message can make a
+//! frame materialise; keyed, a stray id costs one frame, not a table sized
+//! by the id.
 
 use crate::types::PageId;
 use std::collections::BTreeMap;

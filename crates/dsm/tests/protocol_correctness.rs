@@ -478,3 +478,54 @@ fn far_apart_writers_of_one_page_merge_through_diffs() {
     assert!(c.node(b).has_written(PageId(0)));
     assert!(!c.node(reader).has_written(PageId(0)));
 }
+
+/// Every notice list a node integrates must arrive ascending by
+/// `(writer, interval)`; the engine checks it with a debug assertion and
+/// no longer sorts on receipt. Here each processor dirties two pages per
+/// interval and closes two intervals per round, all 20 write every page,
+/// and the lists travel on lock grants, through the centralised barrier
+/// and down combining trees of fan-out 2 and 16, whose arrivals reach the
+/// root out of writer order.
+#[test]
+fn notice_lists_arrive_sorted_at_every_receiver() {
+    const PROCS: u32 = 20;
+    const PAGES: u64 = 4;
+    for (tree_barrier, barrier_arity) in [(false, 2), (true, 2), (true, 16)] {
+        let mut c = DsmCluster::new(DsmConfig {
+            procs: PROCS as usize,
+            page_bytes: 2048,
+            line_bytes: 32,
+            tree_barrier,
+            barrier_arity,
+        });
+        let base = c.alloc(PAGES as usize * 2048);
+        // Processor `p` owns word `p` of every page.
+        let word = |p: u32, page: u64| base.add(page * 2048 + p as u64 * 8);
+        let value = |round: u64, p: u32, page: u64| round * 1000 + p as u64 * 10 + page;
+        for round in 1..=3u64 {
+            for p in (0..PROCS).rev() {
+                for pages in [0..PAGES / 2, PAGES / 2..PAGES] {
+                    c.acquire(ProcId(p), LockId(0));
+                    for page in pages {
+                        c.write_u64(ProcId(p), word(p, page), value(round, p, page));
+                    }
+                    c.release(ProcId(p), LockId(0));
+                }
+            }
+            c.barrier_all();
+            for reader in (0..PROCS).map(ProcId) {
+                for p in 0..PROCS {
+                    for page in 0..PAGES {
+                        assert_eq!(
+                            c.read_u64(reader, word(p, page)),
+                            value(round, p, page),
+                            "tree {tree_barrier} arity {barrier_arity} round {round}: \
+                             {reader:?} missed proc {p} on page {page}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(c.node(P0).stats().notices_in > 0);
+    }
+}
