@@ -15,10 +15,18 @@
 //! cell a [`PduBuf`] *view* of it; reassembly gathers cell payloads into a
 //! buffer drawn from a [`BufPool`] and freezes it into
 //! the returned `PduBuf` without a copy.
+//!
+//! A [`CellTrain`] is a whole PDU as the faulty fabric delivers it: the
+//! same padded image plus each cell's [`CellFate`], with no per-cell
+//! handles. [`Reassembler::push_train`] checks the trailer on the image in
+//! place when every cell arrived intact, and otherwise gathers the
+//! surviving cells and flips the corrupted bits, giving exactly what
+//! [`Reassembler::push`] gives for those cells one by one.
 
 use crate::buf::{BufPool, PduBuf};
 use crate::cell::{Cell, ATM_PAYLOAD_BYTES};
 use crate::crc::crc32;
+use cni_faults::CellFate;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -91,13 +99,15 @@ impl Segmenter {
         }
     }
 
-    /// Build the padded PDU image (`data` + zero fill to `len` + pad +
-    /// trailer) and split it into cell views. `data` shorter than `len`
-    /// models a frame whose tail is zero fill — the engine's protocol
-    /// frames — without the caller materialising those zeros first.
-    fn segment_image(&self, vci: u16, data: &[u8], len: usize) -> Vec<Cell> {
+    /// Build the padded PDU image (`prefix` + zero fill to `len` + pad +
+    /// trailer) and return it with its cell payload size. A `prefix`
+    /// shorter than `len` models a frame whose tail is zero fill — the
+    /// engine's protocol frames — without the caller materialising those
+    /// zeros first; a longer one is cut at `len`.
+    fn image(&self, prefix: &[u8], len: usize) -> (Vec<u8>, usize) {
         debug_assert!(len <= AAL5_MAX_PDU, "PDU too large for AAL5: {len} bytes");
-        debug_assert!(data.len() <= len);
+        // `get` keeps the clamp panic-free for any prefix/len combination.
+        let data = prefix.get(..len).unwrap_or(prefix);
         let cap = self.cell_payload.unwrap_or(len + AAL5_TRAILER_BYTES);
         let total = (len + AAL5_TRAILER_BYTES).div_ceil(cap).max(1) * cap;
         let pad = total - len - AAL5_TRAILER_BYTES;
@@ -113,14 +123,7 @@ impl Segmenter {
         // CRC over everything up to (not including) the CRC field itself.
         let crc = crc32(&pdu);
         pdu.extend_from_slice(&crc.to_be_bytes());
-        let image = PduBuf::from_vec(pdu);
-
-        let n = image.len() / cap;
-        let mut cells = Vec::with_capacity(n);
-        for (i, chunk) in image.chunks(cap).enumerate() {
-            cells.push(Cell::new(vci, i + 1 == n, chunk));
-        }
-        cells
+        (pdu, cap)
     }
 
     /// Segment `data` into cells on `vci`.
@@ -128,7 +131,7 @@ impl Segmenter {
     /// # Panics
     /// Panics if `data` exceeds [`AAL5_MAX_PDU`].
     pub fn segment(&self, vci: u16, data: &[u8]) -> Vec<Cell> {
-        self.segment_image(vci, data, data.len())
+        self.segment_prefixed(vci, data, data.len())
     }
 
     /// Segment a `len`-byte PDU whose leading bytes are `prefix` and whose
@@ -140,9 +143,47 @@ impl Segmenter {
     /// # Panics
     /// Panics if `len` exceeds [`AAL5_MAX_PDU`].
     pub fn segment_prefixed(&self, vci: u16, prefix: &[u8], len: usize) -> Vec<Cell> {
-        let n = prefix.len().min(len);
-        // `get` keeps the clamp panic-free for any prefix/len combination.
-        self.segment_image(vci, prefix.get(..n).unwrap_or(prefix), len)
+        let (pdu, cap) = self.image(prefix, len);
+        let image = PduBuf::from_vec(pdu);
+        let n = image.len() / cap;
+        let mut cells = Vec::with_capacity(n);
+        for (i, chunk) in image.chunks(cap).enumerate() {
+            cells.push(Cell::new(vci, i + 1 == n, chunk));
+        }
+        cells
+    }
+
+    /// The cells of the PDU `segment_prefixed(vci, prefix, len)` would
+    /// produce, as one [`CellTrain`] with `fates[i]` the fate of cell `i`
+    /// (one fate per cell, as [`crate::Fabric::send_pdu_faulty`] draws).
+    pub fn train(&self, vci: u16, prefix: &[u8], len: usize, fates: Vec<CellFate>) -> CellTrain {
+        let (image, cell) = self.image(prefix, len);
+        debug_assert_eq!(fates.len(), image.len() / cell, "one fate per cell");
+        CellTrain {
+            image,
+            fates,
+            vci,
+            cell,
+        }
+    }
+}
+
+/// One PDU's cells as they left the fabric: the padded AAL5 image, cut
+/// into `cell`-byte cells on `vci`, and each cell's fate. Built by
+/// [`Segmenter::train`], so the image is always a whole, non-zero number
+/// of cells; consumed by [`Reassembler::push_train`].
+#[derive(Debug)]
+pub struct CellTrain {
+    image: Vec<u8>,
+    fates: Vec<CellFate>,
+    vci: u16,
+    cell: usize,
+}
+
+impl CellTrain {
+    /// The virtual channel the train's cells travel on.
+    pub fn vci(&self) -> u16 {
+        self.vci
     }
 }
 
@@ -191,20 +232,65 @@ impl Reassembler {
             return None;
         }
         let pdu = self.partial.remove(&cell.header.vci).unwrap_or_default();
-        Some(match Self::finish(&pdu) {
-            Ok(len) => {
-                let image = PduBuf::from_vec(pdu);
-                // `finish` proved len <= image len, so the view exists.
-                match image.view(0, len) {
-                    Some(v) => Ok(v),
-                    None => Err(ReassemblyError::LengthMismatch),
+        Some(self.complete(pdu))
+    }
+
+    /// Accept a whole train: the same outcome, and the same partial left
+    /// on its VCI, as pushing its surviving cells in order with each
+    /// corrupted bit flipped. A train whose cells all arrived intact onto
+    /// an idle VCI is checked in place, without a gather copy.
+    pub fn push_train(&mut self, train: CellTrain) -> Option<Result<PduBuf, ReassemblyError>> {
+        let CellTrain {
+            image,
+            fates,
+            vci,
+            cell,
+        } = train;
+        let intact = fates.iter().all(|f| matches!(f, CellFate::Deliver));
+        if intact && !self.partial.contains_key(&vci) {
+            return Some(self.complete(image));
+        }
+        let mut gathered = self.partial.remove(&vci);
+        let mut eop_delivered = false;
+        for (i, payload) in image.chunks(cell.max(1)).enumerate() {
+            let fate = fates.get(i).copied().unwrap_or(CellFate::Deliver);
+            eop_delivered = !fate.is_drop();
+            if fate.is_drop() {
+                continue;
+            }
+            let buf = gathered.get_or_insert_with(|| self.pool.acquire(image.len()));
+            let at = buf.len();
+            buf.extend_from_slice(payload);
+            if let CellFate::Corrupt { byte, bit } = fate {
+                // Clamped to the cell's last byte, as `PduBuf::xor_bit`.
+                let idx = at + (byte as usize).min(payload.len().saturating_sub(1));
+                if let Some(b) = buf.get_mut(idx) {
+                    *b ^= 1 << (bit & 7);
                 }
             }
+        }
+        self.pool.recycle_vec(image);
+        let pdu = gathered?;
+        if !eop_delivered {
+            self.partial.insert(vci, pdu);
+            return None;
+        }
+        Some(self.complete(pdu))
+    }
+
+    /// Check a completed PDU's trailer: its user payload as a view of the
+    /// same storage, or the error (the storage then returns to the pool).
+    fn complete(&mut self, pdu: Vec<u8>) -> Result<PduBuf, ReassemblyError> {
+        match Self::finish(&pdu) {
+            // `finish` proved len <= image len, so the view exists.
+            Ok(len) => PduBuf::from_vec(pdu)
+                .view(0, len)
+                .ok_or(ReassemblyError::LengthMismatch),
             Err(e) => {
                 self.pool.recycle_vec(pdu);
                 Err(e)
             }
-        })
+        }
     }
 
     /// Validate the trailer; on success return the user-payload length.

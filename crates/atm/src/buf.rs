@@ -3,10 +3,11 @@
 //! A [`PduBuf`] is a cheaply cloneable view (offset + length) into shared,
 //! immutable backing storage. Segmentation builds one PDU image and hands
 //! each cell a *view* of it; reassembly accumulates into a buffer drawn
-//! from a [`BufPool`] and freezes it into a `PduBuf` without copying. The
-//! only byte copies left on the data path are the two that are inherent to
-//! the model — gathering scattered cell payloads on receive, and building
-//! the padded PDU image on transmit.
+//! from a [`BufPool`] and freezes it into a `PduBuf` without copying. On
+//! transmit the one byte copy is building the padded PDU image. On receive
+//! it is gathering the cell payloads, and a [`crate::CellTrain`] whose
+//! cells all arrived intact skips even that: its image is checked and
+//! delivered in place, and only a damaged train is gathered.
 //!
 //! Fault injection keeps its copy-on-write discipline through
 //! [`PduBuf::xor_bit`]: flipping a bit in one cell's payload materialises a

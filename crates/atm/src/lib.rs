@@ -15,7 +15,7 @@
 //! * [`crc`] — the CRC-32 used by the AAL5 trailer.
 //! * [`aal5`] — AAL5-style segmentation and reassembly: pad + 8-byte
 //!   trailer (length + CRC) on transmit, per-VCI reassembly with integrity
-//!   checking on receive.
+//!   checking on receive, cell by cell or a whole [`CellTrain`] at once.
 //! * [`link`] — serialising point-to-point links (rate + propagation
 //!   delay) with next-free-time contention.
 //! * [`switch`] — a multistage banyan fabric of 2×2 crossbars with
@@ -39,7 +39,7 @@ pub mod pipe;
 pub mod switch;
 pub mod topology;
 
-pub use aal5::{Reassembler, ReassemblyError, Segmenter};
+pub use aal5::{CellTrain, Reassembler, ReassemblyError, Segmenter};
 pub use buf::{BufPool, PduBuf};
 pub use cell::{Cell, CellHeader, ATM_CELL_BYTES, ATM_HEADER_BYTES, ATM_PAYLOAD_BYTES};
 pub use fabric::{AtmConfig, Fabric, FaultyPduTiming, PduTiming};
@@ -47,3 +47,6 @@ pub use link::Link;
 pub use pipe::{CellPipe, FaultModel, PipeOutcome};
 pub use switch::BanyanSwitch;
 pub use topology::{Route, Topology};
+
+/// The per-cell verdicts a [`CellTrain`] carries.
+pub use cni_faults::CellFate;

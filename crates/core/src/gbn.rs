@@ -12,7 +12,7 @@
 
 use crate::node::{Env, Node};
 use crate::world::{Ev, SendIntent, Shared};
-use cni_atm::Cell;
+use cni_atm::CellTrain;
 use cni_dsm::Msg;
 use cni_nic::device::TxOrigin;
 use cni_nic::TxRequest;
@@ -358,12 +358,12 @@ impl Node {
         );
     }
 
-    /// A data frame's surviving cells reached this node: reassemble and
-    /// CRC-check them, suppress duplicates, admit in-order frames to the
-    /// receive ring (drop-and-NAK when it is full) and dispatch the inner
-    /// message exactly once. Every outcome is acknowledged — a corrupt or
-    /// out-of-order frame re-acknowledges the current expectation, which
-    /// doubles as a NAK for go-back-N.
+    /// A data frame's cell train reached this node: reassemble and
+    /// CRC-check its surviving cells, suppress duplicates, admit in-order
+    /// frames to the receive ring (drop-and-NAK when it is full) and
+    /// dispatch the inner message exactly once. Every outcome is
+    /// acknowledged — a corrupt or out-of-order frame re-acknowledges the
+    /// current expectation, which doubles as a NAK for go-back-N.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_frame_rx(
         &mut self,
@@ -372,15 +372,15 @@ impl Node {
         t: SimTime,
         src: usize,
         seq: u64,
-        cells: Vec<Cell>,
+        train: CellTrain,
         span: u64,
         frag: Frag,
         sent_at: SimTime,
     ) {
-        match self.nic.ingest_frame(&cells) {
+        match self.nic.ingest_frame(train) {
             Some(Ok(pdu)) => {
                 // The frame's bytes are not consumed further (the typed
-                // message rides in `Frag::wire`); hand the gather buffer
+                // message rides in `Frag::wire`); hand their buffer
                 // straight back to the NIC's pool.
                 self.nic.recycle_pdu(pdu);
             }
@@ -470,10 +470,10 @@ impl Node {
         t: SimTime,
         from: usize,
         ack: u64,
-        cells: Vec<Cell>,
+        train: CellTrain,
         span: u64,
     ) {
-        match self.nic.ingest_frame(&cells) {
+        match self.nic.ingest_frame(train) {
             Some(Ok(pdu)) => self.nic.recycle_pdu(pdu),
             // Corrupt ack: the NIC counted it; retransmission recovers.
             // The ACK span stays unclosed — like a dropped one, it never

@@ -238,19 +238,19 @@ impl Node {
             Ev::FrameRx {
                 src,
                 seq,
-                cells,
+                train,
                 span,
                 frag,
                 sent_at,
                 ..
-            } => self.on_frame_rx(env, sh, t, src, seq, cells, span, frag, sent_at),
+            } => self.on_frame_rx(env, sh, t, src, seq, *train, span, frag, sent_at),
             Ev::AckRx {
                 from,
                 ack,
-                cells,
+                train,
                 span,
                 ..
-            } => self.on_ack_rx(env, sh, t, from, ack, cells, span),
+            } => self.on_ack_rx(env, sh, t, from, ack, *train, span),
             Ev::RxmitTimer { dst, gen, .. } => self.on_rxmit_timer(env, sh, t, dst, gen),
             Ev::RingRelease { .. } => self.ring_used = self.ring_used.saturating_sub(1),
             Ev::MetricsTick => unreachable!("the engine loop samples metrics itself"),

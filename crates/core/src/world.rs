@@ -39,9 +39,9 @@ use crate::ctx::{AccessCosts, ProcCtx};
 use crate::gbn::Frag;
 use crate::node::{Env, Node};
 use crate::report::{KindHistogram, KindLatency, ProcTimes, RunReport, REPORT_VERSION};
-use cni_atm::{Cell, Fabric};
+use cni_atm::{CellTrain, Fabric};
 use cni_dsm::{DsmConfig, Msg, NodeSpace, PageId, ProcId, VAddr};
-use cni_faults::{CellFate, FaultInjector, FaultStats};
+use cni_faults::{FaultInjector, FaultStats};
 use cni_sim::stats::Histogram;
 use cni_sim::{EventQueue, SimTime, Task};
 use cni_trace::{TraceEvent, TraceSink};
@@ -119,11 +119,12 @@ pub(crate) enum Ev {
     MetricsTick,
     /// A reliable-layer data frame's surviving cells finished arriving at
     /// `dst` (the AAL5 end-of-PDU cell made it through the faulty fabric).
+    /// The train is boxed to keep every event at most 112 bytes.
     FrameRx {
         src: usize,
         dst: usize,
         seq: u64,
-        cells: Vec<Cell>,
+        train: Box<CellTrain>,
         /// The frame's transmission-attempt span.
         span: u64,
         /// The fragment the frame carries. Shipping it with the event
@@ -139,7 +140,7 @@ pub(crate) enum Ev {
         to: usize,
         from: usize,
         ack: u64,
-        cells: Vec<Cell>,
+        train: Box<CellTrain>,
         /// The acknowledgement's span.
         span: u64,
     },
@@ -784,7 +785,7 @@ impl Shared {
                 // with the reverse stream inside the destination's per-VCI
                 // reassembler.
                 let vci = (src * 2) as u16;
-                let (cells, done) = self.commit_faulty(
+                let arrived = self.commit_faulty(
                     env,
                     src,
                     dst,
@@ -797,7 +798,7 @@ impl Shared {
                     wire_start,
                     cell_gap,
                 );
-                if let Some(arrival) = done {
+                if let Some((train, arrival)) = arrived {
                     trace.emit_at(
                         arrival.as_ps(),
                         src as u32,
@@ -813,7 +814,7 @@ impl Shared {
                             src,
                             dst,
                             seq,
-                            cells,
+                            train,
                             span,
                             frag,
                             sent_at,
@@ -834,17 +835,17 @@ impl Shared {
             } => {
                 self.rel_stats.acks_sent += 1;
                 let vci = (from * 2 + 1) as u16;
-                let (cells, done) = self.commit_faulty(
+                let arrived = self.commit_faulty(
                     env, from, to, vci, &image, 16, span, now, host_done, wire_start, cell_gap,
                 );
-                if let Some(arrival) = done {
+                if let Some((train, arrival)) = arrived {
                     self.q.schedule_at(
                         arrival,
                         Ev::AckRx {
                             to,
                             from,
                             ack,
-                            cells,
+                            train,
                             span,
                         },
                     );
@@ -853,11 +854,14 @@ impl Shared {
         }
     }
 
-    /// The serial half of a faulty-fabric frame transmission: segment the
-    /// image, draw the injector's per-cell fates, occupy the fabric, and
-    /// return the surviving cells plus the reassembly-complete time (the
-    /// NIC-side transmit already ran on the sending node — its timings
-    /// arrive as `host_done`/`wire_start`/`cell_gap`).
+    /// The serial half of a faulty-fabric frame transmission: draw the
+    /// injector's per-cell fates, occupy the fabric, and — when the
+    /// end-of-PDU cell survives, so reassembly completes at the receiver —
+    /// return the frame as one cell train plus the reassembly-complete
+    /// time (the NIC-side transmit already ran on the sending node — its
+    /// timings arrive as `host_done`/`wire_start`/`cell_gap`). A frame
+    /// whose end-of-PDU cell is lost never reaches the receiver, so its
+    /// image is never built.
     #[allow(clippy::too_many_arguments)]
     fn commit_faulty(
         &mut self,
@@ -872,8 +876,7 @@ impl Shared {
         host_done: SimTime,
         wire_start: SimTime,
         cell_gap: SimTime,
-    ) -> (Vec<Cell>, Option<SimTime>) {
-        let cells = self.fabric.segmenter().segment_prefixed(vci, prefix, bytes);
+    ) -> Option<(Box<CellTrain>, SimTime)> {
         let inj = self
             .injector
             .as_mut()
@@ -882,48 +885,44 @@ impl Shared {
         let fpt = self
             .fabric
             .send_pdu_faulty(wire_start, src, dst, bytes, cell_gap, inj);
-        debug_assert_eq!(fpt.cells, cells.len());
-        let mut delivered = Vec::with_capacity(cells.len());
-        for (i, mut cell) in cells.into_iter().enumerate() {
-            match fpt.fates[i] {
-                CellFate::Drop => {
-                    env.trace.emit_at(
-                        now.as_ps(),
-                        src as u32,
-                        TraceEvent::CellDropped {
-                            vci: vci as u32,
-                            cell: i as u32,
-                        },
-                    );
-                    continue;
-                }
-                CellFate::Corrupt { byte, bit } => {
-                    // Copy-on-write: only this cell's view materialises a
-                    // private copy; the train's other cells keep sharing
-                    // the segmented image.
-                    cell.payload.xor_bit(byte as usize, bit);
-                }
-                CellFate::Deliver => {}
+        for (i, fate) in fpt.fates.iter().enumerate() {
+            if fate.is_drop() {
+                env.trace.emit_at(
+                    now.as_ps(),
+                    src as u32,
+                    TraceEvent::CellDropped {
+                        vci: vci as u32,
+                        cell: i as u32,
+                    },
+                );
             }
-            delivered.push(cell);
         }
-        let done = if fpt.eop_delivered() {
-            fpt.last_delivered
-        } else {
-            None
-        };
-        if let Some(arrival) = done {
-            env.trace.emit_at(
-                arrival.as_ps(),
-                src as u32,
-                TraceEvent::SpanTx {
-                    span,
-                    host_dma_ps: host_done.saturating_sub(now).as_ps(),
-                    tx_queue_ps: wire_start.saturating_sub(host_done).as_ps(),
-                    wire_ps: arrival.saturating_sub(wire_start).as_ps(),
-                },
-            );
-        }
-        (delivered, done)
+        let arrival = fpt.last_delivered.filter(|_| fpt.eop_delivered())?;
+        env.trace.emit_at(
+            arrival.as_ps(),
+            src as u32,
+            TraceEvent::SpanTx {
+                span,
+                host_dma_ps: host_done.saturating_sub(now).as_ps(),
+                tx_queue_ps: wire_start.saturating_sub(host_done).as_ps(),
+                wire_ps: arrival.saturating_sub(wire_start).as_ps(),
+            },
+        );
+        let train = self.fabric.segmenter().train(vci, prefix, bytes, fpt.fates);
+        Some((Box::new(train), arrival))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Ev;
+
+    #[test]
+    fn an_event_fits_in_112_bytes() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 112,
+            "Ev grew to {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 }

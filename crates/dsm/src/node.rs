@@ -493,8 +493,8 @@ impl DsmNode {
     /// `notices` must be ascending by `(writer, interval)`: a grant's come
     /// from the granter's per-writer logs, and a barrier's root sorts the
     /// combined list once for every receiver. A notice for a page outside
-    /// the allocated segment names no page this node can hold, and is
-    /// skipped.
+    /// the allocated segment names no page this node can hold, and one from
+    /// a writer outside the cluster names no processor; both are skipped.
     fn integrate_notices(&mut self, notices: &[WriteNotice], work: &mut Work) {
         debug_assert!(
             notices
@@ -502,11 +502,10 @@ impl DsmNode {
                 .all(|w| (w[0].writer, w[0].interval) <= (w[1].writer, w[1].interval)),
             "write notices out of (writer, interval) order"
         );
-        let (me, segment) = (self.me, self.knowledge.len());
-        for n in notices
-            .iter()
-            .filter(|n| n.writer != me && (n.page.0 as usize) < segment)
-        {
+        let (me, segment, procs) = (self.me, self.knowledge.len(), self.log.len());
+        for n in notices.iter().filter(|n| {
+            n.writer != me && (n.page.0 as usize) < segment && (n.writer.0 as usize) < procs
+        }) {
             work.notices += 1;
             self.stats.notices_in += 1;
             let log = &mut self.log[n.writer.0 as usize];
@@ -1491,6 +1490,70 @@ mod tests {
             let node = c.node(p);
             assert_eq!((node.homes.len(), node.knowledge.len()), (2, 2));
         }
+    }
+
+    /// Forged messages naming writer 9 and carrying clocks of another
+    /// width reach a 4-processor node: no panic, no notice integrated, and
+    /// the clock keeps its width.
+    #[test]
+    fn a_writer_outside_the_cluster_and_a_clock_of_another_width_are_ignored() {
+        let mut node = DsmNode::new(ProcId(0), config(4), Arc::new(NodeSpace::new(2048, 32)));
+        for p in 0..2 {
+            node.set_home(PageId(p), ProcId(p % 4));
+        }
+        let tables = |node: &DsmNode| {
+            let known: Vec<Vec<(ProcId, u32)>> = node
+                .knowledge
+                .iter()
+                .map(|set| set.as_slice().to_vec())
+                .collect();
+            (node.log.clone(), known)
+        };
+        let before = tables(&node);
+        let outsider = vec![WriteNotice {
+            writer: ProcId(9),
+            interval: 3,
+            page: PageId(1),
+        }];
+        let wide = VClock(vec![1, 2, 3, 4, 5]);
+        node.on_acquire(LockId(1));
+        node.on_message(Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::AcquireGrant {
+                lock: LockId(1),
+                vc: wide.clone(),
+                notices: outsider.clone(),
+                then_serve: vec![],
+            },
+        });
+        node.on_message(Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::BarrierRelease {
+                epoch: 0,
+                vc: wide,
+                notices: outsider.into(),
+            },
+        });
+        // A lock request with a narrower clock, granted at once by this
+        // node (lock 4's manager): the grant reads every writer's floor.
+        let res = node.on_message(Msg {
+            src: ProcId(2),
+            dst: ProcId(0),
+            payload: Payload::AcquireReq {
+                lock: LockId(4),
+                requester: ProcId(2),
+                vc: VClock::zero(3),
+            },
+        });
+        assert!(matches!(
+            res.out.last().map(|m| &m.payload),
+            Some(Payload::AcquireGrant { .. })
+        ));
+        assert_eq!(tables(&node), before);
+        assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
+        assert_eq!(node.vc, VClock(vec![1, 2, 3, 4]));
     }
 
     #[test]

@@ -85,10 +85,11 @@ impl VClock {
         VClock(vec![0; n])
     }
 
-    /// Component for `p`.
+    /// Component for `p`; zero when the clock does not span `p` (a clock
+    /// of another width, from a message, has seen nothing of it).
     #[inline]
     pub fn get(&self, p: ProcId) -> u32 {
-        self.0[p.0 as usize]
+        self.0.get(p.0 as usize).copied().unwrap_or(0)
     }
 
     /// Set component for `p`.
@@ -104,9 +105,10 @@ impl VClock {
         *e = (*e).max(v);
     }
 
-    /// Component-wise maximum.
+    /// Component-wise maximum over the processors `self` spans: a wider
+    /// clock's extra components name no processor of this cluster and are
+    /// ignored; a narrower one's missing components count as zero.
     pub fn merge(&mut self, other: &VClock) {
-        assert_eq!(self.0.len(), other.0.len(), "clock arity mismatch");
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
         }
@@ -168,9 +170,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
-    fn merge_rejects_mismatched_arity() {
-        let mut a = VClock::zero(2);
-        a.merge(&VClock::zero(3));
+    fn merge_keeps_the_receivers_width() {
+        let mut a = VClock(vec![1, 5]);
+        a.merge(&VClock(vec![3, 2, 9]));
+        assert_eq!(a, VClock(vec![3, 5]));
+        a.merge(&VClock(vec![4]));
+        assert_eq!(a, VClock(vec![4, 5]));
+        assert_eq!(VClock(vec![4]).get(ProcId(1)), 0);
     }
 }

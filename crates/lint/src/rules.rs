@@ -57,7 +57,11 @@ pub const THREAD_EXEMPT: &[&str] = &["crates/sim/src/cothread.rs"];
 /// panicking operators in them **and in everything they transitively
 /// call** inside the sim crates.
 pub const PANIC_PATH_REGIONS: &[(&str, &[&str])] = &[
-    ("crates/atm/src/aal5.rs", &["push", "finish"]),
+    // Cell-by-cell and whole-train reassembly share the trailer check.
+    (
+        "crates/atm/src/aal5.rs",
+        &["push", "push_train", "complete", "finish"],
+    ),
     // PduBuf view/split methods: every received cell's payload flows
     // through these, so a panicking index here is reachable from the wire.
     (

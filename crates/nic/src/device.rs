@@ -25,7 +25,7 @@ use crate::msgcache::{MessageCache, MsgCacheStats};
 use crate::queues::ChannelQueues;
 use crate::stats::NicStats;
 use cni_atm::PduBuf;
-use cni_atm::{Cell, Reassembler, ReassemblyError};
+use cni_atm::{CellTrain, Reassembler, ReassemblyError};
 use cni_pathfinder::{Classifier, Pattern};
 use cni_sim::SimTime;
 use cni_trace::{TraceEvent, TraceSink};
@@ -350,35 +350,28 @@ impl Nic {
         }
     }
 
-    /// Run the cells that actually reached this NIC through AAL5
-    /// reassembly, verifying the trailer CRC-32 and length field on the
-    /// wire bytes themselves. Cells accumulate per VCI across calls (a
-    /// frame whose end-of-PDU cell was lost leaves a partial that merges
-    /// with the retransmission and is then rejected by the CRC, exactly as
-    /// real AAL5 behaves), so `Some(..)` is returned only when a cell in
-    /// `cells` carries the end-of-PDU mark. Rejected PDUs are counted into
+    /// Run the cells of `train` that actually reached this NIC through
+    /// AAL5 reassembly, verifying the trailer CRC-32 and length field on
+    /// the wire bytes themselves (in place on the image when every cell
+    /// arrived intact). Cells accumulate per VCI across calls (a frame
+    /// whose end-of-PDU cell was lost leaves a partial that merges with
+    /// the retransmission and is then rejected by the CRC, exactly as real
+    /// AAL5 behaves), so `Some(..)` is returned only when the train's
+    /// end-of-PDU cell arrived. Rejected PDUs are counted into
     /// [`NicStats::rx_crc_failures`] / [`NicStats::rx_frames_discarded`]
     /// and emit a `CrcFail` trace event.
-    pub fn ingest_frame(&mut self, cells: &[Cell]) -> Option<Result<PduBuf, ReassemblyError>> {
-        let mut out = None;
-        for cell in cells {
-            if let Some(done) = self.reassembler.push(cell) {
-                if let Err(e) = &done {
-                    self.stats.rx_frames_discarded += 1;
-                    if *e == ReassemblyError::CrcMismatch {
-                        self.stats.rx_crc_failures += 1;
-                    }
-                    self.trace.emit(
-                        self.node,
-                        TraceEvent::CrcFail {
-                            vci: cell.header.vci as u32,
-                        },
-                    );
-                }
-                out = Some(done);
+    pub fn ingest_frame(&mut self, train: CellTrain) -> Option<Result<PduBuf, ReassemblyError>> {
+        let vci = train.vci();
+        let done = self.reassembler.push_train(train)?;
+        if let Err(e) = &done {
+            self.stats.rx_frames_discarded += 1;
+            if *e == ReassemblyError::CrcMismatch {
+                self.stats.rx_crc_failures += 1;
             }
+            self.trace
+                .emit(self.node, TraceEvent::CrcFail { vci: vci as u32 });
         }
-        out
+        Some(done)
     }
 
     /// Hand a PDU delivered by [`Nic::ingest_frame`] back to the board:
@@ -548,6 +541,7 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cni_atm::CellFate;
     use cni_pathfinder::FieldTest;
 
     fn page_req(page: u64, dirty: u64) -> TxRequest {
@@ -728,52 +722,61 @@ mod tests {
         let _ = nic.open_channel(8, 0, 0x1000);
     }
 
+    /// `data` on `vci` as a train whose cells all arrive, except as `fate`
+    /// says for the cells it names.
+    fn train(vci: u16, data: &[u8], fate: &[(usize, CellFate)]) -> CellTrain {
+        let seg = cni_atm::Segmenter::standard();
+        let mut fates = vec![CellFate::Deliver; seg.cell_count(data.len())];
+        for &(i, f) in fate {
+            fates[i] = f;
+        }
+        seg.train(vci, data, data.len(), fates)
+    }
+
     #[test]
     fn reassembly_verifies_crc_and_catches_a_single_flipped_bit() {
-        use cni_atm::Segmenter;
-        let seg = Segmenter::standard();
         let data: Vec<u8> = (0..300).map(|i| (i * 17 % 256) as u8).collect();
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
 
         // Intact frame: reassembles to the original bytes.
-        let cells = seg.segment(4, &data);
-        let ok = nic.ingest_frame(&cells).expect("EOP present");
+        let ok = nic.ingest_frame(train(4, &data, &[])).expect("EOP present");
         assert_eq!(&ok.expect("valid frame")[..], &data[..]);
         assert_eq!(nic.stats().rx_crc_failures, 0);
 
         // Same frame with exactly one payload bit flipped: the trailer
         // CRC-32 must catch it on receive.
-        let mut cells = seg.segment(4, &data);
-        cells[2].payload.xor_bit(11, 5);
-        let bad = nic.ingest_frame(&cells).expect("EOP present");
+        let flip = CellFate::Corrupt { byte: 11, bit: 5 };
+        let bad = nic
+            .ingest_frame(train(4, &data, &[(2, flip)]))
+            .expect("EOP present");
         assert_eq!(bad, Err(ReassemblyError::CrcMismatch));
         assert_eq!(nic.stats().rx_crc_failures, 1);
         assert_eq!(nic.stats().rx_frames_discarded, 1);
 
         // A fresh, clean retransmission then gets through.
-        let cells = seg.segment(4, &data);
-        let again = nic.ingest_frame(&cells).expect("EOP present");
+        let again = nic.ingest_frame(train(4, &data, &[])).expect("EOP present");
         assert_eq!(&again.expect("valid frame")[..], &data[..]);
     }
 
     #[test]
     fn lost_eop_partial_merges_with_retransmission_and_is_rejected() {
-        use cni_atm::Segmenter;
-        let seg = Segmenter::standard();
         let data = vec![0x3Cu8; 200];
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        let cells = seg.segment(9, &data);
-        assert!(cells.len() > 1);
+        let cells = cni_atm::Segmenter::standard().cell_count(data.len());
+        assert!(cells > 1);
         // First attempt loses the end-of-PDU cell: no completion, a
         // partial stays buffered on the VCI.
-        assert!(nic.ingest_frame(&cells[..cells.len() - 1]).is_none());
+        let lost_eop = train(9, &data, &[(cells - 1, CellFate::Drop)]);
+        assert!(nic.ingest_frame(lost_eop).is_none());
         // The retransmission appends to that partial; the combined PDU
         // completes at its EOP and fails the CRC — faithful AAL5.
-        let merged = nic.ingest_frame(&cells).expect("EOP present now");
+        let merged = nic
+            .ingest_frame(train(9, &data, &[]))
+            .expect("EOP present now");
         assert!(merged.is_err());
         // The VCI buffer is cleared by the rejection, so the next
         // retransmission reassembles cleanly.
-        let clean = nic.ingest_frame(&cells).expect("EOP present");
+        let clean = nic.ingest_frame(train(9, &data, &[])).expect("EOP present");
         assert_eq!(&clean.expect("valid frame")[..], &data[..]);
     }
 

@@ -9,7 +9,7 @@
 //! exactly one cell).
 
 use cni_atm::aal5::ReassemblyError;
-use cni_atm::Segmenter;
+use cni_atm::{CellFate, CellTrain, Segmenter};
 use cni_nic::queues::QueueError;
 use cni_nic::{ChannelQueues, Descriptor, MessageCache, Nic, NicConfig, NicKind};
 
@@ -179,18 +179,24 @@ fn device_snoop_agrees_with_residency_after_invalidate() {
 
 // ---- Degenerate PDUs through the zero-copy receive path -------------------
 
+/// `data` on `vci` as a standard-cell train whose every cell arrives.
+fn intact(vci: u16, data: &[u8]) -> CellTrain {
+    let seg = Segmenter::standard();
+    let fates = vec![CellFate::Deliver; seg.cell_count(data.len())];
+    seg.train(vci, data, data.len(), fates)
+}
+
 /// A zero-length PDU is legal AAL5: pad + 8-byte trailer in a single
 /// cell. It must flow through segmentation, reassembly and handle
 /// recycling without ever materialising payload bytes.
 #[test]
 fn zero_length_pdu_round_trips_zero_copy() {
     let seg = Segmenter::standard();
-    let cells = seg.segment(9, b"");
-    assert_eq!(cells.len(), 1, "0 + trailer fits one cell");
+    assert_eq!(seg.cell_count(0), 1, "0 + trailer fits one cell");
 
     let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
     let pdu = nic
-        .ingest_frame(&cells)
+        .ingest_frame(intact(9, b""))
         .expect("EOP present")
         .expect("CRC valid");
     assert!(pdu.is_empty());
@@ -210,20 +216,22 @@ fn single_cell_pdu_boundary_round_trips_zero_copy() {
     let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
 
     let forty: Vec<u8> = (0..40u8).collect();
-    let cells = seg.segment(3, &forty);
-    assert_eq!(cells.len(), 1, "40 + 8 trailer == exactly one cell");
+    assert_eq!(seg.cell_count(40), 1, "40 + 8 trailer == exactly one cell");
     let pdu = nic
-        .ingest_frame(&cells)
+        .ingest_frame(intact(3, &forty))
         .expect("EOP present")
         .expect("CRC valid");
     assert_eq!(&pdu[..], &forty[..]);
     nic.recycle_pdu(pdu);
 
     let forty_one: Vec<u8> = (0..41u8).collect();
-    let cells = seg.segment(3, &forty_one);
-    assert_eq!(cells.len(), 2, "41 + 8 trailer spills into a second cell");
+    assert_eq!(
+        seg.cell_count(41),
+        2,
+        "41 + 8 trailer spills into a second cell"
+    );
     let pdu = nic
-        .ingest_frame(&cells)
+        .ingest_frame(intact(3, &forty_one))
         .expect("EOP present")
         .expect("CRC valid");
     assert_eq!(&pdu[..], &forty_one[..]);
@@ -237,11 +245,10 @@ fn single_cell_pdu_boundary_round_trips_zero_copy() {
 fn corrupt_single_cell_pdu_is_rejected_not_delivered() {
     let seg = Segmenter::standard();
     let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-    let mut cells = seg.segment(4, &[0xEE; 16]);
-    assert_eq!(cells.len(), 1);
-    cells[0].payload.xor_bit(2, 0);
+    assert_eq!(seg.cell_count(16), 1);
+    let flipped = vec![CellFate::Corrupt { byte: 2, bit: 0 }];
     let err = nic
-        .ingest_frame(&cells)
+        .ingest_frame(seg.train(4, &[0xEE; 16], 16, flipped))
         .expect("EOP present")
         .expect_err("flipped bit must fail the CRC");
     assert_eq!(err, ReassemblyError::CrcMismatch);
@@ -249,9 +256,8 @@ fn corrupt_single_cell_pdu_is_rejected_not_delivered() {
     assert_eq!(nic.stats().rx_frames_discarded, 1);
 
     // A clean retransmission right after still delivers.
-    let cells = seg.segment(4, &[0xEE; 16]);
     let pdu = nic
-        .ingest_frame(&cells)
+        .ingest_frame(intact(4, &[0xEE; 16]))
         .expect("EOP present")
         .expect("clean retransmission");
     assert_eq!(&pdu[..], &[0xEE; 16][..]);

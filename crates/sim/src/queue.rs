@@ -7,8 +7,8 @@
 //! integration tests).
 //!
 //! Why 4-ary instead of `std::collections::BinaryHeap`? The simulation
-//! spends a measurable slice of every run churning this structure (the
-//! `hotpath` bench in cni-bench tracks it). A 4-ary layout halves the tree
+//! spends a measurable slice of every run churning this structure
+//! (`crates/bench/benches/hotpath.rs` tracks it). A 4-ary layout halves the tree
 //! depth, so the pop-side sift-down — the expensive direction — touches
 //! half as many levels, and all four children share a cache line pair.
 //! The total order on `(at, seq)` is strict (sequence numbers are unique),
