@@ -213,7 +213,6 @@ mod proptests {
         /// The AAL5 contract under arbitrary faults: whatever comes out
         /// `Delivered` equals what went in — loss and corruption may cost
         /// delivery, never integrity.
-        #[test]
         fn no_silent_corruption(
             seed in any::<u64>(),
             corrupt in 0u32..0x8000,
@@ -234,7 +233,6 @@ mod proptests {
         }
 
         /// A clean channel is lossless for every size.
-        #[test]
         fn clean_channel_is_identity(
             data in proptest::collection::vec(any::<u8>(), 0..5000),
         ) {

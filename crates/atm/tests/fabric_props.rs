@@ -11,7 +11,6 @@ fn arb_traffic() -> impl Strategy<Value = Vec<(u64, u8, u8, u16)>> {
 }
 
 proptest! {
-    #[test]
     fn arrivals_never_precede_sends(traffic in arb_traffic()) {
         let mut fabric = Fabric::new(AtmConfig::default());
         let mut t = SimTime::ZERO;
@@ -29,7 +28,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn same_pair_pdus_stay_ordered(lens in proptest::collection::vec(1usize..4096, 2..20)) {
         let mut fabric = Fabric::new(AtmConfig::default());
         let mut last = SimTime::ZERO;
@@ -50,7 +48,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn wire_time_respects_link_bandwidth(len in 1usize..8192) {
         // A PDU cannot finish faster than its wire bytes at 622 Mb/s plus
         // the fixed path latency.

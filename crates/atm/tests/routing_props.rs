@@ -30,7 +30,6 @@ fn ft_config(topology: Topology) -> AtmConfig {
 }
 
 proptest! {
-    #[test]
     fn arbitrary_shapes_validate_and_route_uniquely(t in arb_fat_tree()) {
         prop_assert!(t.validate(32).is_ok(), "{t:?}");
         let hosts = t.hosts(32);
@@ -58,7 +57,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn hop_counts_are_symmetric(t in arb_fat_tree()) {
         let hosts = t.hosts(32);
         for src in 0..hosts {
@@ -71,7 +69,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn delivery_is_byte_identical_across_runs(
         t in arb_fat_tree(),
         traffic in proptest::collection::vec((0u64..100_000, any::<u8>(), any::<u8>(), 1u16..4096), 1..40),

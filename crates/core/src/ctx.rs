@@ -5,10 +5,10 @@
 //! [`crate::program`]), and every operation that may reach the engine is
 //! awaited. Shared-memory reads and writes return hand-written futures
 //! ([`ReadU64`], [`ReadF64`], [`WriteU64`]) whose first poll runs the fast
-//! path — a relaxed atomic state check plus the word access — inline in
-//! the program's own state machine. A program *yields* to the simulation
-//! engine only on faults, synchronisation, message passing, and at
-//! termination: it posts the operation to its mailbox and returns
+//! path — one plain load of the page's access state plus the word access —
+//! inline in the program's own state machine. A program *yields* to the
+//! simulation engine only on faults, synchronisation, message passing, and
+//! at termination: it posts the operation to its mailbox and returns
 //! `Pending`, and the engine polls it again with the reply. Computation is
 //! charged with [`ProcCtx::compute`] and batched locally, so the hand-off
 //! cost is paid per simulated *communication event*, not per arithmetic
@@ -19,7 +19,7 @@
 //! table is sized once to the segment and a hit is one bounds-checked slot
 //! load — no hashing, no refcount traffic. A slot is filled on the
 //! processor's first touch of the page with the node's [`PageHandle`], a
-//! single `Arc` over the page's words and access state. The DSM protocol
+//! single `Rc` over the page's words and access state. The DSM protocol
 //! mutates that page in place (state changes, diffs, page fills) and never
 //! replaces it, so a handle cached for the whole run stays current. An
 //! address outside the segment panics.
@@ -29,6 +29,7 @@ use cni_dsm::{access, LockId, Page, PageHandle, PageId, VAddr, SHARED_BASE};
 use cni_sim::{Call, Mailbox};
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
@@ -114,7 +115,7 @@ pub struct ProcCtx {
     page_bytes: usize,
     line_bytes: usize,
     costs: AccessCosts,
-    space: Arc<NodeSpace>,
+    space: Rc<NodeSpace>,
     /// Slot `i` caches this node's handle to page `i` once touched.
     pages: Box<[Option<PageHandle>]>,
     pending: u64,
@@ -128,7 +129,7 @@ impl ProcCtx {
         me: u32,
         procs: u32,
         costs: AccessCosts,
-        space: Arc<NodeSpace>,
+        space: Rc<NodeSpace>,
         pages: usize,
         mailbox: Mailbox<YieldMsg, Reply>,
     ) -> Self {
@@ -443,7 +444,7 @@ mod tests {
 
     /// A one-processor program over a `pages`-page segment of `space`,
     /// wrapped as the world wraps it.
-    fn spawn(space: Arc<NodeSpace>, pages: usize, prog: Program) -> Task<YieldMsg, Reply> {
+    fn spawn(space: Rc<NodeSpace>, pages: usize, prog: Program) -> Task<YieldMsg, Reply> {
         Task::spawn("cpu0", move |mailbox| async move {
             let costs = AccessCosts { read: 1, write: 1 };
             let mut ctx = ProcCtx::new(0, 1, costs, space, pages, mailbox);
@@ -461,7 +462,7 @@ mod tests {
 
     #[test]
     fn in_place_invalidation_reaches_a_cached_page() {
-        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let space = Rc::new(NodeSpace::new(PAGE, 32));
         let addr = VAddr::of_page(PageId(1), PAGE).add(8);
         let prog = program(move |ctx| {
             Box::pin(async move {
@@ -489,7 +490,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VAddr(0x80000080) is outside the allocated segment of 2 pages")]
     fn read_past_the_segment_panics() {
-        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let space = Rc::new(NodeSpace::new(PAGE, 32));
         let prog = program(|ctx| {
             Box::pin(async move {
                 ctx.read_u64(VAddr::of_page(PageId(2), PAGE)).await;
@@ -501,7 +502,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VAddr(0x40) is outside the allocated segment")]
     fn write_below_the_segment_panics() {
-        let space = Arc::new(NodeSpace::new(PAGE, 32));
+        let space = Rc::new(NodeSpace::new(PAGE, 32));
         let prog = program(|ctx| Box::pin(async move { ctx.write_u64(VAddr(0x40), 1).await }));
         let _ = spawn(space, 2, prog).start();
     }

@@ -33,6 +33,7 @@ use cni_pathfinder::{FieldTest, Pattern};
 use cni_sim::{SimTime, SplitMix64, Task, Yield};
 use cni_trace::{MetricsSample, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// An inbox entry: (sender, length, optional payload words).
@@ -148,7 +149,6 @@ pub(crate) struct Node {
     pub(crate) cpu: Cpu,
     pub(crate) nic: Nic,
     pub(crate) dsm: DsmNode,
-    pub(crate) space: Arc<NodeSpace>,
     /// Deterministic jitter source for protocol-handling costs. Identical
     /// critical-section durations phase-lock into pathological convoys
     /// that no real machine exhibits (cache and DRAM variance break them);
@@ -179,7 +179,7 @@ pub(crate) struct Node {
 impl Node {
     /// Node `id` of a cluster per `cfg`.
     pub(crate) fn new(id: usize, cfg: &Config, nic_cfg: NicConfig, dsm_cfg: DsmConfig) -> Self {
-        let space = Arc::new(NodeSpace::new(cfg.page_bytes, cfg.nic.cache_line_bytes));
+        let space = Rc::new(NodeSpace::new(cfg.page_bytes, cfg.nic.cache_line_bytes));
         let mut nic = Nic::new(cfg.nic_kind, nic_cfg);
         if cfg.nic_kind == NicKind::Cni && cfg.nic.cni_features.aih {
             // Install the DSM protocol as an Application Interrupt
@@ -196,8 +196,7 @@ impl Node {
             id,
             cpu: Cpu::new(),
             nic,
-            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, space.clone()),
-            space,
+            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, space),
             jitter: SplitMix64::new(cfg.seed ^ 0xC31_0C31 ^ id as u64),
             rel_tx: BTreeMap::new(),
             rel_rx: BTreeMap::new(),

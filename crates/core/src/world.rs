@@ -5,7 +5,7 @@
 //! This is the reproduction's equivalent of the paper's modified Proteus:
 //! application code executes for real, as one `async` [`Program`] per
 //! processor that the engine polls in place on its own thread (no OS
-//! thread per simulated CPU; `cni_sim::cothread`), and every
+//! thread per simulated CPU; `cni_sim::task`), and every
 //! communication event is costed through the configured NIC personality
 //! and the ATM fabric. The **only** difference between a CNI run and a
 //! standard run is the cost path — the protocol logic, the applications
@@ -47,14 +47,15 @@ use cni_sim::{EventQueue, SimTime, Task};
 use cni_trace::{TraceEvent, TraceSink};
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A program to run on one simulated processor: given the processor's
 /// context, it returns the future the engine polls. Build one with
-/// [`program`].
-pub type Program = Box<
-    dyn for<'a> FnOnce(&'a mut ProcCtx) -> Pin<Box<dyn Future<Output = ()> + Send + 'a>> + Send,
->;
+/// [`program`]. The engine polls every program on its own thread, so
+/// neither the closure nor its future need be `Send`.
+pub type Program =
+    Box<dyn for<'a> FnOnce(&'a mut ProcCtx) -> Pin<Box<dyn Future<Output = ()> + 'a>>>;
 
 /// Box `body` as a [`Program`]. Written `program(|ctx| Box::pin(async
 /// move { .. }))`, the closure's higher-ranked signature is inferred from
@@ -71,9 +72,7 @@ pub type Program = Box<
 /// ```
 pub fn program<F>(body: F) -> Program
 where
-    F: for<'a> FnOnce(&'a mut ProcCtx) -> Pin<Box<dyn Future<Output = ()> + Send + 'a>>
-        + Send
-        + 'static,
+    F: for<'a> FnOnce(&'a mut ProcCtx) -> Pin<Box<dyn Future<Output = ()> + 'a>> + 'static,
 {
     Box::new(body)
 }
@@ -397,8 +396,8 @@ impl World {
     }
 
     /// Processor `p`'s shared-memory space (inspection after a run).
-    pub fn space(&self, p: usize) -> &Arc<NodeSpace> {
-        &self.nodes[p].space
+    pub fn space(&self, p: usize) -> &Rc<NodeSpace> {
+        self.nodes[p].dsm.space()
     }
 
     /// Diagnostic: (total wait, count) per blocking-op kind
@@ -503,7 +502,7 @@ impl World {
         let procs = self.env.cfg.procs as u32;
         let pages = self.next_page as usize;
         for (node, prog) in self.nodes.iter_mut().zip(programs) {
-            let space = node.space.clone();
+            let space = node.dsm.space().clone();
             let me = node.id as u32;
             let mut task = Task::spawn(&format!("cpu{me}"), move |mailbox| async move {
                 let mut ctx = ProcCtx::new(me, procs, costs, space, pages, mailbox);

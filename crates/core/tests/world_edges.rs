@@ -4,7 +4,8 @@
 
 use cni::{Config, LockId, Program, World};
 use cni_nic::config::CniFeatures;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn two_procs() -> World {
     World::new(Config::paper_default().with_procs(2))
@@ -93,16 +94,17 @@ fn app_panics_propagate_with_context() {
 fn serial_engine_runs_every_program_on_the_calling_thread() {
     // Programs are futures the engine polls in place: no OS thread per
     // simulated CPU, so every poll of every program, before and after
-    // each suspension, runs on the thread that called `World::run`.
+    // each suspension, runs on the thread that called `World::run`. The
+    // types say so too: the programs share a `!Send` `Rc<RefCell<_>>`.
     let mut w = World::new(Config::paper_default().with_procs(4));
     let base = w.alloc(4 * 2048);
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Rc::new(RefCell::new(Vec::new()));
     let progs = (0..4u64)
         .map(|me| {
             let seen = seen.clone();
             cni::program(move |ctx| {
                 Box::pin(async move {
-                    let record = || seen.lock().unwrap().push(std::thread::current().id());
+                    let record = || seen.borrow_mut().push(std::thread::current().id());
                     record();
                     ctx.write_u64(base.add(me * 2048), me).await;
                     record();
@@ -115,7 +117,7 @@ fn serial_engine_runs_every_program_on_the_calling_thread() {
         })
         .collect();
     let _ = w.run(progs);
-    let seen = seen.lock().unwrap();
+    let seen = seen.borrow();
     assert_eq!(seen.len(), 16);
     let caller = std::thread::current().id();
     assert!(

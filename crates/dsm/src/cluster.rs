@@ -12,7 +12,7 @@ use crate::protocol::Msg;
 use crate::space::{access, NodeSpace};
 use crate::types::{LockId, PageId, ProcId, VAddr};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A synchronous DSM cluster.
 ///
@@ -37,7 +37,6 @@ use std::sync::Arc;
 pub struct DsmCluster {
     cfg: DsmConfig,
     nodes: Vec<DsmNode>,
-    spaces: Vec<Arc<NodeSpace>>,
     queue: VecDeque<Msg>,
     wakeups: Vec<Vec<Wakeup>>,
     next_page: u32,
@@ -48,15 +47,12 @@ pub struct DsmCluster {
 impl DsmCluster {
     /// Build a cluster of `cfg.procs` engines.
     pub fn new(cfg: DsmConfig) -> Self {
-        let spaces: Vec<Arc<NodeSpace>> = (0..cfg.procs)
-            .map(|_| Arc::new(NodeSpace::new(cfg.page_bytes, cfg.line_bytes)))
-            .collect();
+        let space = || Rc::new(NodeSpace::new(cfg.page_bytes, cfg.line_bytes));
         let nodes = (0..cfg.procs)
-            .map(|p| DsmNode::new(ProcId(p as u32), cfg, spaces[p].clone()))
+            .map(|p| DsmNode::new(ProcId(p as u32), cfg, space()))
             .collect();
         DsmCluster {
             nodes,
-            spaces,
             queue: VecDeque::new(),
             wakeups: vec![Vec::new(); cfg.procs],
             next_page: 0,
@@ -95,8 +91,8 @@ impl DsmCluster {
     }
 
     /// Shared-memory space of processor `p`.
-    pub fn space(&self, p: ProcId) -> &Arc<NodeSpace> {
-        &self.spaces[p.0 as usize]
+    pub fn space(&self, p: ProcId) -> &Rc<NodeSpace> {
+        self.nodes[p.0 as usize].space()
     }
 
     /// Total protocol messages delivered.
@@ -144,7 +140,7 @@ impl DsmCluster {
     /// Read a shared word as processor `p`, faulting as needed.
     pub fn read_u64(&mut self, p: ProcId, addr: VAddr) -> u64 {
         let page = addr.page(self.cfg.page_bytes);
-        let h = self.spaces[p.0 as usize].page(page);
+        let h = self.space(p).page(page);
         if h.flags.state() == access::INVALID {
             let res = self.nodes[p.0 as usize].on_read_fault(page);
             let done = res.wakeup.is_some();
@@ -161,7 +157,7 @@ impl DsmCluster {
     /// Write a shared word as processor `p`, faulting as needed.
     pub fn write_u64(&mut self, p: ProcId, addr: VAddr, v: u64) {
         let page = addr.page(self.cfg.page_bytes);
-        let h = self.spaces[p.0 as usize].page(page);
+        let h = self.space(p).page(page);
         if h.flags.state() != access::WRITE {
             let res = self.nodes[p.0 as usize].on_write_fault(page);
             let done = res.wakeup.is_some();
@@ -174,7 +170,7 @@ impl DsmCluster {
         }
         h.frame.store(addr.word(self.cfg.page_bytes), v);
         h.flags
-            .mark_dirty(self.spaces[p.0 as usize].line_of(addr.offset(self.cfg.page_bytes)));
+            .mark_dirty(self.space(p).line_of(addr.offset(self.cfg.page_bytes)));
     }
 
     /// Acquire `lock` as `p`; panics if it cannot complete synchronously

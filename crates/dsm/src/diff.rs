@@ -152,7 +152,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn apply_after_create_reproduces_frame(
             base in proptest::collection::vec(any::<u64>(), 16),
             writes in proptest::collection::vec((0usize..16, any::<u64>()), 0..32),
@@ -172,7 +171,6 @@ mod proptests {
             prop_assert_eq!(r.snapshot(), w.snapshot());
         }
 
-        #[test]
         fn diff_entries_sorted_and_unique(
             writes in proptest::collection::vec((0usize..16, any::<u64>()), 0..64),
         ) {

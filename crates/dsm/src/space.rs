@@ -1,21 +1,19 @@
-//! Per-node shared-memory frames with a lock-free fast path.
+//! Per-node shared-memory frames with a direct fast path.
 //!
 //! Each node holds its own copy (frame) of every shared page it has
 //! touched. The *application* program accesses frames directly — word loads
-//! and stores on atomics plus one relaxed load of the page's access state —
-//! and only traps to the protocol engine on an access-state violation
-//! (page fault). This mirrors how a real LRC system uses the MMU: valid
-//! accesses run at memory speed, faults enter the protocol.
+//! and stores plus one load of the page's access state — and only traps to
+//! the protocol engine on an access-state violation (page fault). This
+//! mirrors how a real LRC system uses the MMU: valid accesses run at memory
+//! speed, faults enter the protocol.
 //!
-//! Concurrency discipline: a node's DSM handlers and its program run on
-//! one thread, the engine's (it polls programs in place), so the relaxed
-//! atomics here are about satisfying the compiler, not about cross-thread
-//! ordering. The same guarantee means the page table's `RwLock` is never
-//! contended; it is there because the node and its program's context
-//! share the [`NodeSpace`] through an `Arc`, and a program is a `Send`
-//! future that holds its context, so the table must be `Sync`. A poisoned lock is
-//! recovered, not propagated: each critical section is one map lookup or
-//! insert, so no panic can leave the table half-updated.
+//! Single-thread discipline: a node's DSM handlers and its program run on
+//! one thread, the engine's (it polls programs in place), and the types
+//! say so. Words, access states and dirty bits are `Cell`s, a page is one
+//! `Rc`, and the page table is a `RefCell` that the node and its program's
+//! context share through an `Rc`. None of it is `Send`, so nothing here
+//! takes a lock. Each borrow of the table is one map lookup or insert
+//! that calls out to nothing, so no two borrows overlap.
 //!
 //! The page table is a `BTreeMap` keyed by page id, not a dense `Vec`:
 //! frames materialise on first touch, so a node holds only the pages it
@@ -25,11 +23,9 @@
 //! by the id.
 
 use crate::types::PageId;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-// cni-lint: allow(host-thread) -- page table shared by a node and its program's context; one thread touches it at a time (see module docs), the lock satisfies Send/Sync bounds
-use std::sync::RwLock;
-use std::sync::{Arc, PoisonError};
+use std::rc::Rc;
 
 /// Page access rights, stored per (node, page).
 pub mod access {
@@ -43,13 +39,13 @@ pub mod access {
 
 /// The words of one page copy.
 pub struct Frame {
-    words: Box<[AtomicU64]>,
+    words: Box<[Cell<u64>]>,
 }
 
 impl Frame {
     fn new(words: usize) -> Self {
         Frame {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            words: vec![Cell::new(0); words].into(),
         }
     }
 
@@ -67,80 +63,69 @@ impl Frame {
     /// Load word `i`.
     #[inline]
     pub fn load(&self, i: usize) -> u64 {
-        self.words[i].load(Ordering::Relaxed)
+        self.words[i].get()
     }
 
     /// Store word `i`.
     #[inline]
     pub fn store(&self, i: usize, v: u64) {
-        self.words[i].store(v, Ordering::Relaxed);
+        self.words[i].set(v);
     }
 
     /// Copy the whole frame out (twin creation, page replies).
     pub fn snapshot(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.words.iter().map(Cell::get).collect()
     }
 
     /// Overwrite the whole frame (page replies).
     pub fn fill_from(&self, data: &[u64]) {
         debug_assert_eq!(data.len(), self.words.len(), "frame size mismatch");
         for (w, &v) in self.words.iter().zip(data) {
-            w.store(v, Ordering::Relaxed);
+            w.set(v);
         }
     }
 }
 
 /// Access state + dirty-line tracking for one (node, page).
 pub struct PageFlags {
-    state: AtomicU8,
+    state: Cell<u8>,
     /// Bit per cache line written since the last flush; feeds the
     /// pre-transmit flush cost and the snoop statistics.
-    dirty: Box<[AtomicU64]>,
+    dirty: Box<[Cell<u64>]>,
 }
 
 impl PageFlags {
     fn new(lines: usize) -> Self {
         PageFlags {
-            state: AtomicU8::new(access::INVALID),
-            dirty: (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            state: Cell::new(access::INVALID),
+            dirty: vec![Cell::new(0); lines.div_ceil(64)].into(),
         }
     }
 
     /// Current access state.
     #[inline]
     pub fn state(&self) -> u8 {
-        self.state.load(Ordering::Relaxed)
+        self.state.get()
     }
 
     /// Set access state.
     #[inline]
     pub fn set_state(&self, s: u8) {
-        self.state.store(s, Ordering::Relaxed);
+        self.state.set(s);
     }
 
     /// Mark cache line `line` dirty.
     #[inline]
     pub fn mark_dirty(&self, line: usize) {
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
+        let w = &self.dirty[line / 64];
+        w.set(w.get() | 1 << (line % 64));
     }
 
     /// Count dirty lines and clear them (a flush).
     pub fn take_dirty_lines(&self) -> u64 {
-        let mut n = 0;
-        for w in self.dirty.iter() {
-            n += w.swap(0, Ordering::Relaxed).count_ones() as u64;
-        }
-        n
-    }
-
-    /// Count dirty lines without clearing.
-    pub fn dirty_lines(&self) -> u64 {
         self.dirty
             .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as u64)
+            .map(|w| w.take().count_ones() as u64)
             .sum()
     }
 }
@@ -158,14 +143,13 @@ pub struct Page {
 /// refcount. A page is mutated in place for its whole life — the protocol
 /// changes its state and words, never swaps the allocation — so a handle
 /// taken once stays current.
-pub type PageHandle = Arc<Page>;
+pub type PageHandle = Rc<Page>;
 
 /// One node's view of the shared segment.
 pub struct NodeSpace {
     page_bytes: usize,
     line_bytes: usize,
-    // cni-lint: allow(host-thread) -- keyed-only page map handed to programs; never contended (one runnable thread per node) and never iterated
-    pages: RwLock<BTreeMap<PageId, PageHandle>>,
+    pages: RefCell<BTreeMap<PageId, PageHandle>>,
 }
 
 impl NodeSpace {
@@ -176,8 +160,7 @@ impl NodeSpace {
         NodeSpace {
             page_bytes,
             line_bytes,
-            // cni-lint: allow(host-thread) -- constructor for the waived field above
-            pages: RwLock::new(BTreeMap::new()),
+            pages: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -210,13 +193,11 @@ impl NodeSpace {
     /// Fetch the handle for `page`, creating an invalid zero frame on first
     /// touch.
     pub fn page(&self, page: PageId) -> PageHandle {
-        if let Some(h) = self.try_page(page) {
-            return h;
-        }
-        let mut w = self.pages.write().unwrap_or_else(PoisonError::into_inner);
-        w.entry(page)
+        self.pages
+            .borrow_mut()
+            .entry(page)
             .or_insert_with(|| {
-                Arc::new(Page {
+                Rc::new(Page {
                     frame: Frame::new(self.page_words()),
                     flags: PageFlags::new(self.page_lines()),
                 })
@@ -226,14 +207,7 @@ impl NodeSpace {
 
     /// Handle if the page has ever been touched on this node.
     pub fn try_page(&self, page: PageId) -> Option<PageHandle> {
-        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
-        pages.get(&page).cloned()
-    }
-
-    /// Number of locally materialised frames.
-    pub fn frames(&self) -> usize {
-        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
-        pages.len()
+        self.pages.borrow().get(&page).cloned()
     }
 }
 
@@ -274,9 +248,8 @@ mod tests {
         fl.mark_dirty(0);
         fl.mark_dirty(0);
         fl.mark_dirty(63);
-        assert_eq!(fl.dirty_lines(), 2);
         assert_eq!(fl.take_dirty_lines(), 2);
-        assert_eq!(fl.dirty_lines(), 0);
+        assert_eq!(fl.take_dirty_lines(), 0);
     }
 
     #[test]
@@ -296,24 +269,10 @@ mod tests {
         let h = ns.page(PageId(5));
         assert_eq!(h.frame.len(), 256);
         assert!(ns.try_page(PageId(5)).is_some());
-        assert_eq!(ns.frames(), 1);
+        assert!(ns.try_page(PageId(4)).is_none());
         // Same handle identity on re-fetch.
         let h2 = ns.page(PageId(5));
-        assert!(Arc::ptr_eq(&h, &h2));
-    }
-
-    #[test]
-    fn page_table_survives_a_poisoned_lock() {
-        let ns = NodeSpace::new(2048, 32);
-        let h = ns.page(PageId(1));
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _w = ns.pages.write().unwrap();
-            panic!("poison the page table");
-        }));
-        assert!(poisoned.is_err() && ns.pages.is_poisoned());
-        assert!(Arc::ptr_eq(&ns.try_page(PageId(1)).unwrap(), &h));
-        ns.page(PageId(2));
-        assert_eq!(ns.frames(), 2);
+        assert!(Rc::ptr_eq(&h, &h2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use cni_dsm::{DsmConfig, DsmNode, LockId, Msg, NodeSpace, ProcId, Wakeup};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 struct Net {
     nodes: Vec<DsmNode>,
@@ -24,7 +24,7 @@ impl Net {
         };
         Net {
             nodes: (0..n)
-                .map(|p| DsmNode::new(ProcId(p as u32), cfg, Arc::new(NodeSpace::new(1024, 32))))
+                .map(|p| DsmNode::new(ProcId(p as u32), cfg, Rc::new(NodeSpace::new(1024, 32))))
                 .collect(),
             queue: VecDeque::new(),
             wakeups: vec![Vec::new(); n],

@@ -31,7 +31,6 @@ fn arb_cs(procs: u8) -> impl Strategy<Value = Cs> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
     fn lock_disciplined_updates_serialise(
         procs in 2u8..5,
         css in proptest::collection::vec(arb_cs(4), 1..120),
@@ -71,7 +70,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn barrier_rounds_publish_disjoint_writers(
         procs in 2u8..5,
         rounds in 1usize..5,

@@ -10,7 +10,6 @@ fn arb_clock(n: usize) -> impl Strategy<Value = VClock> {
 }
 
 proptest! {
-    #[test]
     fn merge_is_commutative(a in arb_clock(4), b in arb_clock(4)) {
         let mut ab = a.clone();
         ab.merge(&b);
@@ -19,7 +18,6 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 
-    #[test]
     fn merge_is_associative(a in arb_clock(4), b in arb_clock(4), c in arb_clock(4)) {
         let mut left = a.clone();
         left.merge(&b);
@@ -31,7 +29,6 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    #[test]
     fn merge_is_idempotent_and_covering(a in arb_clock(4), b in arb_clock(4)) {
         let mut m = a.clone();
         m.merge(&b);
@@ -45,7 +42,6 @@ proptest! {
         prop_assert_eq!(mm, m);
     }
 
-    #[test]
     fn covers_is_a_partial_order(a in arb_clock(4), b in arb_clock(4), c in arb_clock(4)) {
         // Reflexive.
         prop_assert!(a.covers(&a));
@@ -59,14 +55,12 @@ proptest! {
         }
     }
 
-    #[test]
     fn raise_only_raises(mut a in arb_clock(4), p in 0u32..4, v in 0u32..100) {
         let before = a.get(ProcId(p));
         a.raise(ProcId(p), v);
         prop_assert_eq!(a.get(ProcId(p)), before.max(v));
     }
 
-    #[test]
     fn component_sum_is_monotone_along_covers(a in arb_clock(4), b in arb_clock(4)) {
         // The causal-order linearisation in the diff-merge path sorts by
         // component sum; that is only valid because the sum is strictly

@@ -23,7 +23,7 @@
 //! | D3 | `ambient-rng`      | no `thread_rng`/`from_entropy`/`RandomState` in sim crates |
 //! | D4 | `snap-nondet`      | no hash collections or host timestamps on snapshot encode/decode paths |
 //! | P1 | `panic-path`       | no panicking operators reachable from protocol receive roots (BFS over the call graph) |
-//! | T1 | `host-thread`      | no `Mutex`/`RwLock`/`Condvar`/`mpsc`/`thread::spawn` in sim crates outside the program runtime (`sim::cothread`) |
+//! | T1 | `host-thread`      | no `Mutex`/`RwLock`/`Condvar`/`mpsc`/`thread::spawn` in sim crates outside the co-thread runtime (`sim::cothread`) |
 //! | S1 | `bad-suppression`  | malformed waiver comments |
 //! | S2 | `unused-suppression` | stale waiver comments |
 //!

@@ -45,11 +45,11 @@ const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
 /// iterate hashed collections or embed host timestamps in any form.
 const SNAPSHOT_PATHS: &[&str] = &["crates/snap/", "crates/core/src/snapshot.rs"];
 
-/// Files allowed to use host threading primitives (T1): the program
-/// runtime, the one place where the engine deliberately meets the host's
-/// scheduler. Everywhere else in the sim crates, a mutex or channel is
-/// either dead weight on the serial loop or an invitation to leak host
-/// scheduling order into results.
+/// Files allowed to use host threading primitives (T1): the thread-backed
+/// co-thread runtime the benchmark's probe still times. Everywhere else in
+/// the sim crates, the program runtime (`task.rs`) included, a mutex or
+/// channel is either dead weight on the serial loop or an invitation to
+/// leak host scheduling order into results.
 pub const THREAD_EXEMPT: &[&str] = &["crates/sim/src/cothread.rs"];
 
 /// Protocol receive/reassembly roots: (file suffix, function names).
@@ -121,7 +121,7 @@ pub enum Rule {
     SnapNondet,
     /// P1: panicking operators reachable from protocol receive roots.
     PanicPath,
-    /// T1: host threading primitives outside the program runtime.
+    /// T1: host threading primitives outside the co-thread runtime.
     HostThread,
     /// A malformed suppression comment (unknown rule, missing `--`
     /// justification).
@@ -207,8 +207,8 @@ impl Rule {
                  panicking"
             }
             Rule::HostThread => {
-                "host threading primitives live only in the program runtime (sim::cothread); \
-                 route cross-node effects through the event queue"
+                "host threading primitives live only in the co-thread runtime (sim::cothread); \
+                 share state through Rc and Cell/RefCell, effects through the event queue"
             }
             Rule::BadSuppression => {
                 "grammar: `// cni-lint: allow(<rule-slug>) -- <non-empty justification>`"
@@ -281,21 +281,21 @@ impl Rule {
                  Result/Option, count-and-drop."
             }
             Rule::HostThread => {
-                "T1 host-thread — host threading primitives outside the program runtime.\n\
+                "T1 host-thread — host threading primitives outside the co-thread runtime.\n\
                  \n\
-                 Every run is one serial event loop: the engine dispatches one\n\
-                 event at a time and polls each processor's program in place, on\n\
-                 its own thread. The one module where the engine meets the host's\n\
-                 scheduler is the program runtime (sim::cothread: the task\n\
-                 mailbox, and the thread-backed co-thread the benchmark still\n\
-                 probes). A `Mutex`, `RwLock`, `Condvar`, `mpsc` channel or\n\
-                 `thread::spawn` anywhere else in the sim crates either does\n\
-                 nothing on the serial loop or — worse — invites ad-hoc\n\
-                 communication whose ordering depends on the host scheduler,\n\
-                 silently breaking byte-identity across reruns. Route cross-node\n\
-                 effects through the event queue and `SendIntent` commits; state\n\
-                 a `Send` program must share (the DSM page table, the trace\n\
-                 ring) may be waived with a justification."
+                 Every run is one serial event loop on one host thread: the\n\
+                 engine dispatches one event at a time and polls each\n\
+                 processor's program in place (sim::task). What a run shares\n\
+                 (the task mailbox, the DSM page table, the trace ring) is\n\
+                 Rc/Cell/RefCell, so the compiler keeps it on that thread. Only\n\
+                 sim::cothread, the thread-backed runtime the benchmark still\n\
+                 probes, may use host threads. A `Mutex`, `RwLock`, `Condvar`,\n\
+                 `mpsc` channel or `thread::spawn` anywhere else in the sim\n\
+                 crates either does nothing on the serial loop or — worse —\n\
+                 invites ad-hoc communication whose ordering depends on the\n\
+                 host scheduler, silently breaking byte-identity across reruns.\n\
+                 Route cross-node effects through the event queue and\n\
+                 `SendIntent` commits."
             }
             Rule::BadSuppression => {
                 "S1 bad-suppression — malformed waiver comment.\n\
@@ -614,7 +614,7 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
                         path,
                         t.line,
                         t.col,
-                        format!("host threading primitive `{id}` outside the program runtime"),
+                        format!("host threading primitive `{id}` outside the co-thread runtime"),
                     );
                 }
                 "thread"
@@ -627,7 +627,7 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
                         path,
                         t.line,
                         t.col,
-                        "`thread::spawn` outside the program runtime".to_string(),
+                        "`thread::spawn` outside the co-thread runtime".to_string(),
                     );
                 }
                 "thread_rng" | "from_entropy" | "RandomState" | "OsRng" if sim => {

@@ -321,10 +321,12 @@ fn t1_quiet_on_event_queue_style_code() {
 
 #[test]
 fn t1_quiet_in_the_designated_executor_modules() {
-    // The program runtime is the one sanctioned host-concurrency site.
-    // The parallel executor's old module is no longer exempt: threading
-    // there is a finding like anywhere else in the sim crates.
+    // The thread-backed co-thread runtime is the one sanctioned
+    // host-concurrency site. The program runtime the engine polls and
+    // the parallel executor's old module are not exempt: threading there
+    // is a finding like anywhere else in the sim crates.
     let src = fixture("t1_bad.rs");
+    assert!(!hits("crates/sim/src/task.rs", &src).is_empty());
     assert!(!hits("crates/sim/src/pdes.rs", &src).is_empty());
     assert!(hits("crates/sim/src/cothread.rs", &src).is_empty());
 }

@@ -62,7 +62,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #[test]
     fn cache_agrees_with_reference(ops in proptest::collection::vec(arb_op(), 0..400)) {
         // A small geometry so conflicts actually happen.
         let cfg = CacheConfig {

@@ -24,7 +24,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #[test]
     fn clock_agrees_with_reference_set(
         buffers in 1usize..12,
         ops in proptest::collection::vec(arb_op(), 0..300),
@@ -65,7 +64,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn hit_ratio_is_hits_over_lookups(
         pages in proptest::collection::vec(0u64..8, 1..100),
     ) {

@@ -32,14 +32,14 @@ pub struct StageTotals {
 
 impl StageTotals {
     /// Sum of all six stages — equals the end-to-end total by
-    /// construction.
+    /// construction, unless a forged trace's durations saturate it.
     pub fn sum_ps(&self) -> u64 {
         self.host_dma_ps
-            + self.tx_queue_ps
-            + self.wire_ps
-            + self.rx_nic_ps
-            + self.reassembly_ps
-            + self.handler_ps
+            .saturating_add(self.tx_queue_ps)
+            .saturating_add(self.wire_ps)
+            .saturating_add(self.rx_nic_ps)
+            .saturating_add(self.reassembly_ps)
+            .saturating_add(self.handler_ps)
     }
 }
 
@@ -119,14 +119,16 @@ pub fn decompose(tree: &SpanTree) -> ObsReport {
                 Histogram::new(),
             )
         });
+        // Durations come from the trace: totals saturate, never wrap.
         k.count += 1;
-        k.e2e_ps += e2e;
-        k.stages.host_dma_ps += s.host_dma_ps;
-        k.stages.tx_queue_ps += s.tx_queue_ps;
-        k.stages.wire_ps += s.wire_ps;
-        k.stages.rx_nic_ps += s.rx_nic_ps;
-        k.stages.reassembly_ps += s.sar_ps;
-        k.stages.handler_ps += handler;
+        k.e2e_ps = k.e2e_ps.saturating_add(e2e);
+        let t = &mut k.stages;
+        t.host_dma_ps = t.host_dma_ps.saturating_add(s.host_dma_ps);
+        t.tx_queue_ps = t.tx_queue_ps.saturating_add(s.tx_queue_ps);
+        t.wire_ps = t.wire_ps.saturating_add(s.wire_ps);
+        t.rx_nic_ps = t.rx_nic_ps.saturating_add(s.rx_nic_ps);
+        t.reassembly_ps = t.reassembly_ps.saturating_add(s.sar_ps);
+        t.handler_ps = t.handler_ps.saturating_add(handler);
         kh.record(e2e / 1000);
         let (c, ch) = chans.entry((s.src, s.dst)).or_insert_with(|| {
             (
@@ -139,7 +141,7 @@ pub fn decompose(tree: &SpanTree) -> ObsReport {
             )
         });
         c.count += 1;
-        c.e2e_ps += e2e;
+        c.e2e_ps = c.e2e_ps.saturating_add(e2e);
         ch.record(e2e / 1000);
     }
     ObsReport {

@@ -108,6 +108,67 @@ mod tests {
     }
 
     #[test]
+    fn forged_durations_saturate_instead_of_overflowing() {
+        // A hand-edited trace whose stage durations and utilization gauges
+        // sit at `u64::MAX`. A debug build panicked adding them; a release
+        // build printed wrapped totals. 1,001 spans of `u64::MAX`
+        // picoseconds also overflow the latency histogram's sum of
+        // nanoseconds.
+        let max = u64::MAX;
+        let rec = |t_ps, node, event| TraceRecord { t_ps, node, event };
+        let mut recs = Vec::new();
+        for span in 1..=1_001 {
+            recs.push(rec(
+                0,
+                0,
+                TraceEvent::SpanOpen {
+                    span,
+                    parent: 0,
+                    class: SPAN_MSG,
+                    kind: 0xD4,
+                    src: 0,
+                    dst: 1,
+                    bytes: 64,
+                },
+            ));
+            recs.push(rec(
+                1,
+                0,
+                TraceEvent::SpanTx {
+                    span,
+                    host_dma_ps: max,
+                    tx_queue_ps: max,
+                    wire_ps: 1,
+                },
+            ));
+            recs.push(rec(max, 1, TraceEvent::SpanClose { span }));
+        }
+        let util = TraceEvent::UtilNode {
+            busy_ps: max,
+            ingress_ps: max,
+            egress_ps: max,
+            ring_hw: 1,
+            interval_ps: max,
+        };
+        recs.extend([rec(5, 0, util), rec(6, 0, util)]);
+        let mut buf = Vec::new();
+        cni_trace::export::write_jsonl(&mut buf, &recs).unwrap();
+        let recs = read_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();
+
+        let tree = SpanTree::build(&recs);
+        assert_eq!(tree.spans[&1].recorded_stages_ps(), max);
+        let kind = &decompose(&tree).kinds[0];
+        assert_eq!((kind.stages.sum_ps(), kind.e2e_ps), (max, max));
+        let report = render_analysis(&recs);
+        assert!(report.contains("across 1001 messages"), "{report}");
+        let stacks = folded_stacks(&utilization(&recs));
+        assert!(
+            stacks.contains(&format!("node0;nic-processor {max}")),
+            "{stacks}"
+        );
+    }
+
+    #[test]
     fn read_jsonl_reports_the_bad_line() {
         let err = read_jsonl("\n{not json}\n").unwrap_err();
         assert!(err.starts_with("trace line 2:"), "{err}");

@@ -101,11 +101,12 @@ pub fn render_analysis(records: &[TraceRecord]) -> String {
         "p50(ns)",
         "p99(ns)",
     );
+    let (mut total_e2e, mut total_stages) = (0u64, 0u64);
     for k in &rep.kinds {
         kind_row(&mut out, k);
+        total_e2e = total_e2e.saturating_add(k.e2e_ps);
+        total_stages = total_stages.saturating_add(k.stages.sum_ps());
     }
-    let total_e2e: u64 = rep.kinds.iter().map(|k| k.e2e_ps).sum();
-    let total_stages: u64 = rep.kinds.iter().map(|k| k.stages.sum_ps()).sum();
     let _ = writeln!(
         out,
         "stage sums tile end-to-end: {} ns across {} messages (residual {} ps)",

@@ -1,7 +1,7 @@
 //! Span-tree reconstruction from a trace's compact span records.
 
 use cni_trace::{TraceEvent, TraceRecord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One reconstructed span: a message, wire frame or acknowledgement
 /// lifecycle with its recorded stage durations.
@@ -42,9 +42,14 @@ impl SpanInfo {
         self.close_ps.map(|c| c.saturating_sub(self.open_ps))
     }
 
-    /// Sum of the recorded (non-handler) stage durations.
+    /// Sum of the recorded (non-handler) stage durations. The durations
+    /// come from the trace, so the sum saturates instead of wrapping.
     pub fn recorded_stages_ps(&self) -> u64 {
-        self.host_dma_ps + self.tx_queue_ps + self.wire_ps + self.rx_nic_ps + self.sar_ps
+        self.host_dma_ps
+            .saturating_add(self.tx_queue_ps)
+            .saturating_add(self.wire_ps)
+            .saturating_add(self.rx_nic_ps)
+            .saturating_add(self.sar_ps)
     }
 
     /// The handler stage: whatever part of the end-to-end time the
@@ -145,17 +150,20 @@ impl SpanTree {
     }
 
     /// The causal chain from `span` up to its root, returned root-first.
-    /// Cycle-safe (a corrupt parent link terminates the walk) and robust
-    /// to parents evicted from a bounded ring.
+    /// Cycle-safe (a corrupt parent link ends the walk at its first
+    /// repeat) and robust to parents evicted from a bounded ring. A walk
+    /// longer than the tree went round a cycle; only it needs a set.
     pub fn chain_to_root(&self, span: u64) -> Vec<u64> {
         let mut chain = Vec::new();
         let mut cur = span;
-        while cur != 0 {
-            if chain.contains(&cur) {
-                break;
-            }
+        while cur != 0 && chain.len() <= self.spans.len() {
             chain.push(cur);
-            cur = self.spans.get(&cur).map(|s| s.parent).unwrap_or(0);
+            cur = self.spans.get(&cur).map_or(0, |s| s.parent);
+        }
+        if cur != 0 {
+            let mut seen = BTreeSet::new();
+            let first_repeat = chain.iter().position(|id| !seen.insert(*id));
+            chain.truncate(first_repeat.unwrap_or(chain.len()));
         }
         chain.reverse();
         chain
@@ -218,6 +226,20 @@ mod tests {
         assert_eq!(s.recorded_stages_ps(), 400);
         assert_eq!(s.handler_ps(), Some(100));
         assert_eq!(tree.chain_to_root(3), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_parent_cycle_ends_the_walk_at_its_first_repeat() {
+        let sink = TraceSink::ring(64);
+        for (span, parent) in [(1, 3), (2, 1), (3, 2), (4, 4), (5, 50)] {
+            open(&sink, 0, span, parent, SPAN_MSG);
+        }
+        let tree = SpanTree::build(&sink.drain());
+        assert_eq!(tree.chain_to_root(2), vec![3, 1, 2]);
+        assert_eq!(tree.chain_to_root(4), vec![4]);
+        // An evicted parent ends the chain; an unknown span is its own.
+        assert_eq!(tree.chain_to_root(5), vec![50, 5]);
+        assert_eq!(tree.chain_to_root(7), vec![7]);
     }
 
     #[test]

@@ -79,10 +79,11 @@ pub fn utilization(records: &[TraceRecord]) -> UtilSummary {
                     node: rec.node,
                     ..NodeUtil::default()
                 });
-                n.busy_ps += busy_ps;
-                n.ingress_ps += ingress_ps;
-                n.egress_ps += egress_ps;
-                n.sampled_ps += interval_ps;
+                // Gauges come from the trace: totals saturate, never wrap.
+                n.busy_ps = n.busy_ps.saturating_add(busy_ps);
+                n.ingress_ps = n.ingress_ps.saturating_add(ingress_ps);
+                n.egress_ps = n.egress_ps.saturating_add(egress_ps);
+                n.sampled_ps = n.sampled_ps.saturating_add(interval_ps);
                 n.ring_hw = n.ring_hw.max(ring_hw);
                 n.samples += 1;
             }

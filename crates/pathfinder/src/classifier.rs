@@ -438,7 +438,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn dag_equals_linear(
             patterns in proptest::collection::vec(arb_pattern(), 1..12),
             packets in proptest::collection::vec(

@@ -1,250 +1,21 @@
-//! Execution-driven simulated processors: programs the engine polls in
-//! place.
-//!
-//! Proteus-style execution-driven simulation runs the *real* application
-//! code and intercepts only the operations that have simulated cost or
-//! semantics (shared-memory faults, locks, barriers, message sends). Each
-//! simulated CPU's program is a future, and the engine holds it in a
-//! [`Task`]:
-//!
-//! * the engine calls [`Task::start`]/[`Task::resume`], which polls the
-//!   future on the engine's own thread until the program either posts its
-//!   next request to its [`Mailbox`] and returns `Pending`, or finishes;
-//! * the program awaits [`Mailbox::call`], whose first poll posts the
-//!   request and whose next poll, after the engine's reply, returns it.
-//!
-//! Only the engine ever resumes a program, so the poll uses a no-op waker
-//! and one thread runs the engine and every program: the simulation is
-//! deterministic by construction, even though application data lives in
-//! shared memory. A round trip is one poll plus four uncontended locks of
-//! a one-slot mailbox, 85–100 ns pinned on a 2-vCPU Xeon guest, and
-//! programs only yield on *simulated communication*, never on ordinary
-//! computation. Dropping a [`Task`] drops its future, which cancels the
-//! program.
-//!
-//! [`CoThread`] and [`Port`] are the thread-backed runtime the engine used
-//! before: one OS thread per program, rendezvousing with the engine over
+//! The thread-backed program runtime the engine used before [`crate::Task`]:
+//! one OS thread per program, rendezvousing with the engine over
 //! `sync_channel`s at 4–5.4 µs a round trip with both threads on one CPU
-//! and 11–15 µs across cores (same guest; `cni-bench/BENCHMARK.md`,
-//! Measured facts). The simulator no longer
-//! runs programs on them; they stay for the benchmark's co-thread probe.
+//! and 11–15 µs across cores (2-vCPU Xeon guest; `cni-bench/BENCHMARK.md`,
+//! Measured facts). It stays only for the benchmark's co-thread probe.
 //! Dropping a [`CoThread`] before the program finishes cancels it: the
 //! next `Port::call` unwinds the program thread with a private panic
 //! payload that the wrapper swallows, so aborted runs don't leak threads.
 
-use cni_trace::{TraceEvent, TraceSink};
-use std::any::Any;
-use std::future::Future;
+use crate::task::{panic_message, Yield};
 use std::panic::{self, AssertUnwindSafe};
-use std::pin::Pin;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
-
-/// What a resumed program handed back to the engine.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Yield<Req> {
-    /// The program issued a request and is now blocked awaiting the
-    /// response.
-    Request(Req),
-    /// The program ran to completion.
-    Finished,
-}
 
 enum Wire<Req> {
     Request(Req),
     Finished,
     Panicked(String),
-}
-
-/// The text of a caught panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// What sits between a [`Task`] and its program.
-enum Slot<Req, Resp> {
-    Empty,
-    Request(Req),
-    Reply(Resp),
-}
-
-/// Lock a task's mailbox slot. Nothing that can panic runs while it is
-/// held, so a poisoned lock still holds a whole value.
-fn lock<Req, Resp>(slot: &Mutex<Slot<Req, Resp>>) -> MutexGuard<'_, Slot<Req, Resp>> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The program-side endpoint of a [`Task`]: issue simulated-service
-/// requests with [`Mailbox::call`].
-pub struct Mailbox<Req, Resp> {
-    slot: Arc<Mutex<Slot<Req, Resp>>>,
-}
-
-impl<Req, Resp> Mailbox<Req, Resp> {
-    /// Post `req` for the engine, replacing any reply left unread. The
-    /// caller must then return `Poll::Pending`: the engine takes the
-    /// request when the poll returns and resumes the program with its
-    /// reply.
-    pub fn post(&self, req: Req) {
-        *lock(&self.slot) = Slot::Request(req);
-    }
-
-    /// Hand `req` to the engine and await its response.
-    pub fn call(&self, req: Req) -> Call<'_, Req, Resp> {
-        Call {
-            mailbox: self,
-            req: Some(req),
-        }
-    }
-}
-
-/// The future of [`Mailbox::call`]: its first poll posts the request, and
-/// the poll after the engine's reply returns it.
-#[must_use = "a request does nothing unless awaited"]
-pub struct Call<'a, Req, Resp> {
-    mailbox: &'a Mailbox<Req, Resp>,
-    req: Option<Req>,
-}
-
-impl<Req: Unpin, Resp> Future for Call<'_, Req, Resp> {
-    type Output = Resp;
-
-    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Resp> {
-        if let Some(req) = self.req.take() {
-            self.mailbox.post(req);
-            return Poll::Pending;
-        }
-        match std::mem::replace(&mut *lock(&self.mailbox.slot), Slot::Empty) {
-            Slot::Reply(resp) => Poll::Ready(resp),
-            _ => Poll::Pending,
-        }
-    }
-}
-
-/// Engine-side handle to a suspended program: its future, polled on the
-/// caller's thread.
-pub struct Task<Req, Resp> {
-    /// `None` once the program finished, panicked or suspended without a
-    /// request.
-    future: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
-    slot: Arc<Mutex<Slot<Req, Resp>>>,
-    name: String,
-    started: bool,
-    trace: TraceSink,
-    cpu: u32,
-}
-
-impl<Req, Resp> Task<Req, Resp> {
-    /// Create a task for the future `program` builds from the task's
-    /// mailbox. No program code runs until [`Task::start`] is called.
-    pub fn spawn<F, Fut>(name: &str, program: F) -> Self
-    where
-        F: FnOnce(Mailbox<Req, Resp>) -> Fut,
-        Fut: Future<Output = ()> + Send + 'static,
-    {
-        let slot = Arc::new(Mutex::new(Slot::Empty));
-        let future = program(Mailbox { slot: slot.clone() });
-        Task {
-            future: Some(Box::pin(future)),
-            slot,
-            name: name.to_string(),
-            started: false,
-            trace: TraceSink::Disabled,
-            cpu: 0,
-        }
-    }
-
-    /// Attach a trace sink: every poll is bracketed by `CothreadSwitch`
-    /// events tagged with `cpu` (the simulated processor id, also used as
-    /// the trace's node id).
-    pub fn set_trace(&mut self, trace: TraceSink, cpu: u32) {
-        self.trace = trace;
-        self.cpu = cpu;
-    }
-
-    /// Begin executing the program; returns at its first yield.
-    ///
-    /// # Panics
-    /// Panics if called twice, or if the program panics or suspends
-    /// without a request before yielding.
-    pub fn start(&mut self) -> Yield<Req> {
-        assert!(!self.started, "program {:?} already started", self.name);
-        self.started = true;
-        self.poll()
-    }
-
-    /// Deliver `resp` to the program's pending [`Mailbox::call`] and run
-    /// it to its next yield.
-    ///
-    /// # Panics
-    /// Panics if the program has not started, has already finished, or
-    /// panics or suspends without a request while running.
-    pub fn resume(&mut self, resp: Resp) -> Yield<Req> {
-        assert!(self.started, "program {:?} not started", self.name);
-        assert!(
-            self.future.is_some(),
-            "program {:?} already finished",
-            self.name
-        );
-        *lock(&self.slot) = Slot::Reply(resp);
-        self.poll()
-    }
-
-    fn poll(&mut self) -> Yield<Req> {
-        self.trace.emit(
-            self.cpu,
-            TraceEvent::CothreadSwitch {
-                cpu: self.cpu,
-                enter: true,
-            },
-        );
-        let y = self.poll_inner();
-        self.trace.emit(
-            self.cpu,
-            TraceEvent::CothreadSwitch {
-                cpu: self.cpu,
-                enter: false,
-            },
-        );
-        y
-    }
-
-    fn poll_inner(&mut self) -> Yield<Req> {
-        let Some(future) = self.future.as_mut() else {
-            unreachable!("start and resume poll only a live program");
-        };
-        let mut cx = Context::from_waker(Waker::noop());
-        let polled = panic::catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)));
-        let posted = std::mem::replace(&mut *lock(&self.slot), Slot::Empty);
-        if let (Ok(Poll::Pending), Slot::Request(req)) = (&polled, posted) {
-            return Yield::Request(req);
-        }
-        self.future = None;
-        match polled {
-            Ok(Poll::Ready(())) => Yield::Finished,
-            Ok(Poll::Pending) => panic!(
-                "program {:?} suspended without a request: it awaited something \
-                 other than its own simulated operations",
-                self.name
-            ),
-            Err(payload) => panic!(
-                "program {:?} panicked: {}",
-                self.name,
-                panic_message(&*payload)
-            ),
-        }
-    }
-
-    /// True once the program has run to completion.
-    pub fn is_finished(&self) -> bool {
-        self.started && self.future.is_none()
-    }
 }
 
 /// Private panic payload used to unwind a cancelled program thread.
@@ -494,96 +265,6 @@ mod tests {
         let mut co: CoThread<u32, u32> = CoThread::spawn("done", |_port| {});
         assert_eq!(co.start(), Yield::Finished);
         let _ = co.resume(0);
-    }
-
-    #[test]
-    fn task_request_response_roundtrip() {
-        let mut task: Task<u32, u32> = Task::spawn("adder", |mailbox| async move {
-            let mut acc = 0;
-            for i in 0..5u32 {
-                acc = mailbox.call(acc + i).await;
-            }
-            assert_eq!(acc, 1 + 2 + 3 + 4);
-        });
-        let mut y = task.start();
-        let mut sum = 0;
-        while let Yield::Request(v) = y {
-            sum = v;
-            y = task.resume(v);
-        }
-        assert_eq!(sum, 10);
-        assert!(task.is_finished());
-    }
-
-    #[test]
-    fn task_finishes_without_requests() {
-        let mut task: Task<(), ()> = Task::spawn("noop", |_mailbox| async {});
-        assert!(!task.is_finished());
-        assert_eq!(task.start(), Yield::Finished);
-        assert!(task.is_finished());
-    }
-
-    #[test]
-    fn task_does_not_run_before_start() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = flag.clone();
-        let mut task: Task<(), ()> = Task::spawn("lazy", move |_mailbox| async move {
-            f2.store(true, Ordering::SeqCst);
-        });
-        assert!(!flag.load(Ordering::SeqCst), "ran before start()");
-        assert_eq!(task.start(), Yield::Finished);
-        assert!(flag.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn task_drop_cancels_mid_flight() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        /// Records that the program's locals were dropped.
-        struct Guard(Arc<AtomicBool>);
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let dropped = Arc::new(AtomicBool::new(false));
-        let guard = Guard(dropped.clone());
-        let mut task: Task<u32, u32> = Task::spawn("cancelled", move |mailbox| async move {
-            let _guard = guard;
-            let _ = mailbox.call(1).await;
-            let _ = mailbox.call(2).await;
-            unreachable!("second call must cancel");
-        });
-        assert_eq!(task.start(), Yield::Request(1));
-        assert_eq!(task.resume(0), Yield::Request(2));
-        assert!(!dropped.load(Ordering::SeqCst));
-        drop(task); // program suspended in call(2); dropping cancels it
-        assert!(dropped.load(Ordering::SeqCst), "program state not dropped");
-    }
-
-    #[test]
-    #[should_panic(expected = "program \"bomb\" panicked: boom")]
-    fn task_panic_propagates_with_its_name() {
-        let mut task: Task<u32, u32> = Task::spawn("bomb", |_mailbox| async {
-            panic!("boom");
-        });
-        let _ = task.start();
-    }
-
-    #[test]
-    #[should_panic(expected = "already finished")]
-    fn task_resume_after_finish_panics() {
-        let mut task: Task<u32, u32> = Task::spawn("done", |_mailbox| async {});
-        assert_eq!(task.start(), Yield::Finished);
-        let _ = task.resume(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "program \"stuck\" suspended without a request")]
-    fn task_suspending_without_a_request_panics() {
-        let mut task: Task<u32, u32> =
-            Task::spawn("stuck", |_mailbox| std::future::pending::<()>());
-        let _ = task.start();
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! * [`queue`] — a deterministic event queue: events at equal timestamps
 //!   fire in insertion order, so a simulation run is a pure function of its
 //!   inputs.
-//! * [`cothread`] — stackless processors. Each simulated CPU runs *real*
+//! * [`task`] — stackless processors. Each simulated CPU runs *real*
 //!   application code as a future that the engine polls in place, on its
 //!   own thread, through a [`Task`]; the program suspends, handing control
 //!   back to the engine, whenever it needs a simulated service (page
 //!   fault, lock, barrier, message). This is what makes the simulation
-//!   *execution-driven* rather than trace-driven.
+//!   *execution-driven* rather than trace-driven. No part of it is `Send`.
+//! * [`cothread`] — the thread-backed runtime the benchmark still probes.
 //! * [`stats`] — counters, accumulators and log-2 histograms used for the
 //!   paper's overhead breakdowns (Tables 2–4).
 //! * [`rng`] — a small, seedable SplitMix64 generator for components that
@@ -28,10 +29,12 @@ pub mod cothread;
 pub mod queue;
 pub mod rng;
 pub mod stats;
+pub mod task;
 pub mod time;
 
-pub use cothread::{Call, CoThread, Mailbox, Port, Task, Yield};
+pub use cothread::{CoThread, Port};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Accum, Counter, Histogram};
+pub use task::{Call, Mailbox, Task, Yield};
 pub use time::{Clock, SimTime};

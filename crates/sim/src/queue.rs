@@ -453,14 +453,12 @@ mod tests {
     }
 
     proptest! {
-        #[test]
         fn four_ary_heap_matches_reference_queue(
             ops in proptest::collection::vec((0u8..6, 0u64..2000), 0..400),
         ) {
             drive(&ops)?;
         }
 
-        #[test]
         fn four_ary_heap_matches_reference_on_tie_storms(
             // Deltas drawn from {0, 1}: nearly everything collides, so the
             // sequence tie-break carries the whole ordering.

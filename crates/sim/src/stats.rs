@@ -127,7 +127,7 @@ impl Histogram {
         }
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
     }
 
     /// Total observations.

@@ -5,7 +5,6 @@ use cni_sim::{EventQueue, SimTime, SplitMix64};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
     fn queue_pops_stable_sorted(times in proptest::collection::vec(0u64..1000, 0..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
@@ -22,7 +21,6 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    #[test]
     fn schedule_after_accumulates(delays in proptest::collection::vec(1u64..100, 1..50)) {
         let mut q = EventQueue::new();
         // Chain of relative events: each scheduled when the previous pops.
@@ -41,7 +39,6 @@ proptest! {
         prop_assert_eq!(idx, delays.len());
     }
 
-    #[test]
     fn splitmix_streams_equal_iff_seeds_equal(a in any::<u64>(), b in any::<u64>()) {
         let mut ra = SplitMix64::new(a);
         let mut rb = SplitMix64::new(b);

@@ -17,7 +17,9 @@
 //!   holds. [`TraceSink::Disabled`] (the default) makes every hook a
 //!   single enum branch: no allocation, no formatting, no locking. The
 //!   enabled sink records into a bounded ring buffer that drops the oldest
-//!   events once full (and counts the drops).
+//!   events once full (and counts the drops). A run is traced on the one
+//!   thread that runs it, so the ring sits in a `RefCell` behind an `Rc`
+//!   and a sink is not `Send`.
 //! * [`export`] — serialisers to Chrome trace-event JSON (loadable in
 //!   Perfetto or `chrome://tracing`, one track per node × component) and
 //!   newline-delimited JSON (one [`TraceRecord`] per line, byte-identical
@@ -49,10 +51,9 @@
 pub mod export;
 
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-// cni-lint: allow(host-thread) -- the trace ring is shared by every instrumented component and by any program that captures a sink clone; a `Program` is a `Send` future, so the handle must be Send + Sync; appends carry explicit (time, seq) keys, so lock hand-off order cannot leak into output
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The `node` value for events that belong to the simulation engine itself
 /// rather than to any one workstation (event-queue dispatch).
@@ -839,11 +840,11 @@ struct Ring {
 }
 
 /// Shared state of an enabled sink: the engine-maintained "current virtual
-/// time" and the bounded event ring.
+/// time" and the bounded event ring, in cells, since one thread runs the
+/// engine, its components and its programs.
 pub struct TraceShared {
-    now_ps: AtomicU64,
-    // cni-lint: allow(host-thread) -- bounded ring behind the sink handle; ordering comes from event keys, not lock acquisition
-    ring: Mutex<Ring>,
+    now_ps: Cell<u64>,
+    ring: RefCell<Ring>,
 }
 
 /// A handle to the trace buffer, cloned into every instrumented component.
@@ -857,7 +858,7 @@ pub enum TraceSink {
     #[default]
     Disabled,
     /// Tracing on: events go into the shared bounded ring.
-    Enabled(Arc<TraceShared>),
+    Enabled(Rc<TraceShared>),
 }
 
 impl TraceSink {
@@ -868,10 +869,9 @@ impl TraceSink {
     /// Panics if `capacity` is zero.
     pub fn ring(capacity: usize) -> TraceSink {
         assert!(capacity > 0, "trace ring needs capacity");
-        TraceSink::Enabled(Arc::new(TraceShared {
-            now_ps: AtomicU64::new(0),
-            // cni-lint: allow(host-thread) -- constructor for the waived field above
-            ring: Mutex::new(Ring {
+        TraceSink::Enabled(Rc::new(TraceShared {
+            now_ps: Cell::new(0),
+            ring: RefCell::new(Ring {
                 cap: capacity,
                 events: VecDeque::with_capacity(capacity.min(1 << 16)),
                 recorded: 0,
@@ -895,7 +895,7 @@ impl TraceSink {
     #[inline]
     pub fn set_now(&self, t_ps: u64) {
         if let TraceSink::Enabled(s) = self {
-            s.now_ps.store(t_ps, Ordering::Relaxed);
+            s.now_ps.set(t_ps);
         }
     }
 
@@ -904,7 +904,7 @@ impl TraceSink {
     #[inline]
     pub fn emit(&self, node: u32, event: TraceEvent) {
         if let TraceSink::Enabled(s) = self {
-            let t_ps = s.now_ps.load(Ordering::Relaxed);
+            let t_ps = s.now_ps.get();
             s.push(TraceRecord { t_ps, node, event });
         }
     }
@@ -924,10 +924,7 @@ impl TraceSink {
     pub fn drain(&self) -> Vec<TraceRecord> {
         match self {
             TraceSink::Disabled => Vec::new(),
-            TraceSink::Enabled(s) => {
-                let mut ring = s.ring.lock().expect("trace ring poisoned");
-                ring.events.drain(..).collect()
-            }
+            TraceSink::Enabled(s) => s.ring.borrow_mut().events.drain(..).collect(),
         }
     }
 
@@ -936,7 +933,7 @@ impl TraceSink {
         match self {
             TraceSink::Disabled => None,
             TraceSink::Enabled(s) => {
-                let ring = s.ring.lock().expect("trace ring poisoned");
+                let ring = s.ring.borrow();
                 Some(TraceSummary {
                     recorded: ring.recorded,
                     dropped: ring.dropped,
@@ -961,7 +958,7 @@ impl TraceShared {
                     | TraceEvent::SpanClose { .. }
             )
         };
-        let mut ring = self.ring.lock().expect("trace ring poisoned");
+        let mut ring = self.ring.borrow_mut();
         if ring.events.len() == ring.cap {
             if let Some(evicted) = ring.events.pop_front() {
                 if is_span(&evicted.event) {
