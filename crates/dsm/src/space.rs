@@ -276,6 +276,67 @@ mod tests {
     }
 
     #[test]
+    fn first_touch_is_invalid_zeroed_and_clean() {
+        let ns = NodeSpace::new(256, 32);
+        let h = ns.page(PageId(9));
+        assert_eq!(h.flags.state(), access::INVALID);
+        assert_eq!(h.frame.snapshot(), vec![0; 32]);
+        assert_eq!(h.flags.take_dirty_lines(), 0);
+    }
+
+    #[test]
+    fn every_handle_to_a_page_sees_its_words_state_and_dirty_bits() {
+        // The protocol and the program each hold a handle to the same
+        // page; a change through one is the other's next load.
+        let ns = NodeSpace::new(256, 32);
+        let program = ns.page(PageId(1));
+        let protocol = ns.try_page(PageId(1)).expect("touched");
+        protocol.frame.fill_from(&[7; 32]);
+        protocol.flags.set_state(access::READ);
+        assert_eq!(program.frame.load(31), 7);
+        assert_eq!(program.flags.state(), access::READ);
+        program.frame.store(0, 11);
+        program.flags.mark_dirty(ns.line_of(0));
+        assert_eq!(protocol.frame.load(0), 11);
+        assert_eq!(protocol.flags.take_dirty_lines(), 1);
+        assert_eq!(program.flags.take_dirty_lines(), 0, "a flush clears both");
+    }
+
+    #[test]
+    fn distinct_pages_do_not_alias() {
+        let ns = NodeSpace::new(256, 32);
+        let (a, b) = (ns.page(PageId(0)), ns.page(PageId(1)));
+        a.frame.store(3, 1);
+        a.flags.set_state(access::WRITE);
+        a.flags.mark_dirty(2);
+        assert_eq!(b.frame.load(3), 0);
+        assert_eq!(b.flags.state(), access::INVALID);
+        assert_eq!(b.flags.take_dirty_lines(), 0);
+        assert!(!Rc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn dirty_bits_cover_a_partial_last_word() {
+        // 65 lines need a second bit word holding a single line.
+        let fl = PageFlags::new(65);
+        fl.mark_dirty(63);
+        fl.mark_dirty(64);
+        assert_eq!(fl.take_dirty_lines(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pages must be whole words")]
+    fn node_space_rejects_partial_words() {
+        let _ = NodeSpace::new(2044, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes.is_power_of_two()")]
+    fn node_space_rejects_lines_that_are_not_a_power_of_two() {
+        let _ = NodeSpace::new(2048, 24);
+    }
+
+    #[test]
     fn line_of_maps_offsets() {
         let ns = NodeSpace::new(2048, 32);
         assert_eq!(ns.line_of(0), 0);

@@ -332,6 +332,33 @@ fn t1_quiet_in_the_designated_executor_modules() {
 }
 
 #[test]
+fn t1_fires_on_every_lock_and_channel_in_the_program_runtime() {
+    // The runtime the engine polls shares state through `Rc` and cells;
+    // any thread-safe lock or channel creeping back into it is a finding.
+    let src = "use std::sync::{Condvar, RwLock};\n\
+               use std::cell::{Cell, RefCell};\n\
+               use std::rc::Rc;\n\
+               pub struct Slot {\n\
+               ready: Condvar,\n\
+               table: RwLock<Vec<u64>>,\n\
+               local: Rc<RefCell<Vec<u64>>>,\n\
+               flag: Cell<bool>,\n\
+               }\n\
+               pub fn wire() {\n\
+               let (_tx, _rx) = std::sync::mpsc::channel::<u64>();\n\
+               }\n";
+    assert_eq!(
+        hits("crates/sim/src/task.rs", src),
+        vec![
+            (Rule::HostThread, 1),  // Condvar and RwLock: one per line
+            (Rule::HostThread, 5),  // Condvar field
+            (Rule::HostThread, 6),  // RwLock field
+            (Rule::HostThread, 11), // mpsc::channel
+        ]
+    );
+}
+
+#[test]
 fn t1_quiet_outside_sim_crates() {
     // cni-batch is a host-side work-stealing pool: threads are its job.
     let src = fixture("t1_bad.rs");

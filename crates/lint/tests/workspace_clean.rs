@@ -83,6 +83,50 @@ fn lint_roots_and_exemptions_resolve() {
     }
 }
 
+/// The program runtime, the DSM page table and the trace ring run on the
+/// engine's one thread and say so by type: they share state through `Rc`
+/// and cells. A lock, a poisoning path, an `Arc` or an atomic in them
+/// would be thread-safety nothing uses, so none may come back. T1 covers
+/// the locks; this covers the rest, test code included.
+#[test]
+fn the_single_thread_runtime_holds_no_thread_safe_plumbing() {
+    let root = workspace_root();
+    for path in [
+        "crates/sim/src/task.rs",
+        "crates/dsm/src/space.rs",
+        "crates/trace/src/lib.rs",
+    ] {
+        let src = std::fs::read_to_string(root.join(path)).expect("read source");
+        let (tokens, _) = cni_lint::lex::tokenize(&src);
+        for t in &tokens {
+            let Some(id) = t.ident() else { continue };
+            assert!(
+                !matches!(id, "Mutex" | "RwLock" | "PoisonError" | "Arc" | "atomic")
+                    && !id.starts_with("Atomic"),
+                "{path}:{}: `{id}` in the single-thread runtime",
+                t.line
+            );
+        }
+    }
+}
+
+/// Only the thread-backed co-thread runtime may use host threads, and
+/// it needs no waiver to do so: no `host-thread` suppression remains.
+#[test]
+fn host_threads_need_no_waiver() {
+    use cni_lint::rules::{Rule, THREAD_EXEMPT};
+
+    assert_eq!(THREAD_EXEMPT, ["crates/sim/src/cothread.rs"]);
+    let report = cni_lint::walk::analyze_workspace(&workspace_root()).expect("workspace scan");
+    let waivers: Vec<_> = report
+        .suppressions
+        .iter()
+        .filter(|s| s.rule == Rule::HostThread)
+        .map(|s| format!("{}:{}", s.path, s.line))
+        .collect();
+    assert!(waivers.is_empty(), "host-thread waivers: {waivers:?}");
+}
+
 /// The entries of one `[table]` of a Cargo manifest, as `(key, value)`
 /// lines with comments and blank lines dropped.
 fn manifest_table<'a>(manifest: &'a str, table: &str) -> Vec<(&'a str, &'a str)> {

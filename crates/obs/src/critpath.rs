@@ -180,6 +180,46 @@ mod tests {
     }
 
     #[test]
+    fn releases_closing_together_anchor_on_the_higher_span_id() {
+        let sink = TraceSink::ring(64);
+        span(&sink, 7, 0, 0xD4, 100, 900);
+        span(&sink, 5, 0, 0xD4, 200, 900);
+        let recs = sink.drain();
+        let cp = critical_path(&recs, &SpanTree::build(&recs)).unwrap();
+        assert_eq!(cp.links.len(), 1);
+        assert_eq!(cp.links[0].span, 7);
+        assert_eq!(cp.total_ps, 800);
+    }
+
+    #[test]
+    fn the_epoch_is_the_latest_barrier_before_the_anchor_closes() {
+        let sink = TraceSink::ring(64);
+        span(&sink, 1, 0, 0xD4, 100, 1_200);
+        for (t, epoch) in [(50, 1), (1_000, 2), (1_200, 3), (1_201, 4)] {
+            sink.emit_at(t, 0, TraceEvent::DsmBarrier { epoch });
+        }
+        let recs = sink.drain();
+        let cp = critical_path(&recs, &SpanTree::build(&recs)).unwrap();
+        assert_eq!(cp.epoch, Some(3), "an arrival at the close counts");
+    }
+
+    #[test]
+    fn an_evicted_root_starts_the_path_at_the_oldest_surviving_link() {
+        // Span 2's parent 1 fell out of a bounded ring: the path starts
+        // at span 2 and is timed from its open.
+        let sink = TraceSink::ring(64);
+        span(&sink, 2, 1, 0xD3, 400, 700);
+        span(&sink, 3, 2, 0xD4, 750, 1_000);
+        let recs = sink.drain();
+        let cp = critical_path(&recs, &SpanTree::build(&recs)).unwrap();
+        assert_eq!(
+            cp.links.iter().map(|l| l.span).collect::<Vec<_>>(),
+            vec![2, 3]
+        );
+        assert_eq!(cp.total_ps, 1_000 - 400);
+    }
+
+    #[test]
     fn a_200k_span_chain_walks_to_its_root_in_under_a_second() {
         // A forged trace may chain every span to the one before it. The
         // walk used to search the chain so far for each new link:

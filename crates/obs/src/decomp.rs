@@ -241,4 +241,47 @@ mod tests {
         assert_eq!(rep.channels.len(), 2);
         assert_eq!((rep.channels[0].src, rep.channels[0].dst), (0, 1));
     }
+
+    #[test]
+    fn unclosed_and_non_message_spans_stay_out_of_the_tables() {
+        let sink = TraceSink::ring(64);
+        message(&sink, 1, 0xD0, 0, 1, 0);
+        // An acknowledgement closes but is no message; a message that
+        // never closes has no latency yet. Both count as spans only.
+        let open = |span, class| TraceEvent::SpanOpen {
+            span,
+            parent: 1,
+            class,
+            kind: 0xF1,
+            src: 1,
+            dst: 0,
+            bytes: 0,
+        };
+        sink.emit_at(2_000, 1, open(2, cni_trace::SPAN_ACK));
+        sink.emit_at(2_500, 0, TraceEvent::SpanClose { span: 2 });
+        sink.emit_at(3_000, 1, open(3, SPAN_MSG));
+        let rep = decompose(&SpanTree::build(&sink.drain()));
+        assert_eq!((rep.messages, rep.unclosed), (1, 1));
+        assert_eq!(rep.kinds.len(), 1);
+        assert_eq!((rep.kinds[0].kind, rep.kinds[0].e2e_ps), (0xD0, 1_000));
+        assert_eq!(rep.channels.len(), 1);
+    }
+
+    #[test]
+    fn channels_are_ordered_by_source_then_destination() {
+        let sink = TraceSink::ring(256);
+        for (span, (src, dst)) in [(1, 0), (0, 2), (0, 1), (1, 0)].into_iter().enumerate() {
+            message(&sink, span as u64 + 1, 0xA0, src, dst, span as u64 * 2_000);
+        }
+        let rep = decompose(&SpanTree::build(&sink.drain()));
+        let chans: Vec<_> = rep
+            .channels
+            .iter()
+            .map(|c| (c.src, c.dst, c.count, c.e2e_ps))
+            .collect();
+        assert_eq!(
+            chans,
+            vec![(0, 1, 1, 1_000), (0, 2, 1, 1_000), (1, 0, 2, 2_000)]
+        );
+    }
 }

@@ -169,6 +169,28 @@ mod tests {
     }
 
     #[test]
+    fn read_jsonl_skips_blank_and_whitespace_lines() {
+        let recs = [
+            TraceRecord {
+                t_ps: 1,
+                node: 0,
+                event: TraceEvent::Poll,
+            },
+            TraceRecord {
+                t_ps: 2,
+                node: 1,
+                event: TraceEvent::Interrupt,
+            },
+        ];
+        let line = |r: &TraceRecord| serde_json::to_string(r).unwrap();
+        let text = format!("\n{}\n  \t\n\n{}\n\n", line(&recs[0]), line(&recs[1]));
+        assert_eq!(read_jsonl(&text).unwrap(), recs);
+        // Line numbers count the skipped lines.
+        let err = read_jsonl(&format!("{}\n\n \nnope\n", line(&recs[0]))).unwrap_err();
+        assert!(err.starts_with("trace line 4:"), "{err}");
+    }
+
+    #[test]
     fn read_jsonl_reports_the_bad_line() {
         let err = read_jsonl("\n{not json}\n").unwrap_err();
         assert!(err.starts_with("trace line 2:"), "{err}");

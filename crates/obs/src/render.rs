@@ -240,6 +240,41 @@ mod tests {
     }
 
     #[test]
+    fn kind_labels_name_every_wire_kind_once() {
+        let kinds: Vec<u8> = (0xD0..=0xD8).chain([0xA0, 0xF1]).collect();
+        let labels: std::collections::BTreeSet<_> = kinds.iter().map(|&k| kind_label(k)).collect();
+        assert_eq!(labels.len(), kinds.len());
+        assert!(!labels.contains("unknown"));
+        assert_eq!(kind_label(0x00), "unknown");
+        assert_eq!(kind_label(0xD9), "unknown");
+    }
+
+    #[test]
+    fn header_counts_unclosed_and_orphaned_spans() {
+        let sink = TraceSink::ring(64);
+        sink.emit_at(
+            0,
+            0,
+            TraceEvent::SpanOpen {
+                span: 1,
+                parent: 0,
+                class: SPAN_MSG,
+                kind: 0xD0,
+                src: 0,
+                dst: 1,
+                bytes: 64,
+            },
+        );
+        sink.emit_at(10, 1, TraceEvent::SpanClose { span: 9 });
+        let s = render_analysis(&sink.drain());
+        assert!(
+            s.contains("records 2  spans 1 opened / 0 closed / 1 unclosed / 1 orphaned"),
+            "{s}"
+        );
+        assert!(s.contains("0 ns across 0 messages (residual 0 ps)"), "{s}");
+    }
+
+    #[test]
     fn empty_trace_renders_placeholders() {
         let s = render_analysis(&[]);
         assert!(s.contains("no closed spans"), "{s}");

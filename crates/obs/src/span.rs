@@ -243,6 +243,57 @@ mod tests {
     }
 
     #[test]
+    fn unclosed_and_truncated_spans_never_go_negative() {
+        let open_only = SpanInfo {
+            open_ps: 100,
+            wire_ps: 50,
+            ..SpanInfo::default()
+        };
+        assert_eq!((open_only.e2e_ps(), open_only.handler_ps()), (None, None));
+        // Recorded stages longer than the span leave no handler time.
+        let truncated = SpanInfo {
+            close_ps: Some(130),
+            ..open_only.clone()
+        };
+        assert_eq!(truncated.e2e_ps(), Some(30));
+        assert_eq!(truncated.handler_ps(), Some(0));
+        // A close stamped before its open is a zero-length span.
+        let reversed = SpanInfo {
+            close_ps: Some(40),
+            ..open_only
+        };
+        assert_eq!(reversed.e2e_ps(), Some(0));
+    }
+
+    #[test]
+    fn a_long_tail_into_a_cycle_lists_each_span_once() {
+        // Spans 1 -> 3 -> 2 -> 1 form a cycle, and a 1000-span tail
+        // 4, 5, .. hangs off span 1. The walk from the tail's end takes
+        // the whole tail, goes round the cycle once and stops.
+        const TAIL: u64 = 1_000;
+        let last = 3 + TAIL;
+        let sink = TraceSink::ring(2 * last as usize);
+        for (span, parent) in [(1, 3), (2, 1), (3, 2)] {
+            open(&sink, 0, span, parent, SPAN_MSG);
+        }
+        for span in 4..=last {
+            open(
+                &sink,
+                0,
+                span,
+                if span == 4 { 1 } else { span - 1 },
+                SPAN_MSG,
+            );
+        }
+        let tree = SpanTree::build(&sink.drain());
+        let chain = tree.chain_to_root(last);
+        assert_eq!(chain.len(), last as usize);
+        assert_eq!(chain.iter().collect::<BTreeSet<_>>().len(), last as usize);
+        assert_eq!(chain[..4], [2, 3, 1, 4]);
+        assert_eq!(chain.last(), Some(&last));
+    }
+
+    #[test]
     fn orphan_records_are_counted_not_fatal() {
         let sink = TraceSink::ring(64);
         sink.emit_at(10, 0, TraceEvent::SpanClose { span: 99 });

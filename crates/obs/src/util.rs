@@ -158,6 +158,30 @@ mod tests {
     }
 
     #[test]
+    fn nodes_come_out_in_id_order_and_idle_time_never_goes_negative() {
+        let gauge = |busy_ps, interval_ps| TraceEvent::UtilNode {
+            busy_ps,
+            ingress_ps: 0,
+            egress_ps: 0,
+            ring_hw: 0,
+            interval_ps,
+        };
+        let sink = TraceSink::ring(64);
+        sink.emit_at(100, 3, gauge(10, 100));
+        sink.emit_at(100, 1, gauge(0, 0));
+        // Busy longer than the sampled time leaves no idle time.
+        sink.emit_at(100, 2, gauge(500, 100));
+        let u = utilization(&sink.drain());
+        let ids: Vec<u32> = u.nodes.iter().map(|n| n.node).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(u.nodes[0].nic_pct(), 0.0, "no sampled time, no share");
+        assert_eq!(u.nodes[2].nic_pct(), 10.0);
+        let folded = folded_stacks(&u);
+        assert!(folded.contains("node2;idle 0\n"), "{folded}");
+        assert!(folded.contains("node3;idle 90\n"), "{folded}");
+    }
+
+    #[test]
     fn empty_trace_is_an_empty_summary() {
         let u = utilization(&[]);
         assert!(u.nodes.is_empty());

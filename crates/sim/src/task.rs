@@ -316,4 +316,87 @@ mod tests {
             Task::spawn("stuck", |_mailbox| std::future::pending::<()>());
         let _ = task.start();
     }
+
+    #[test]
+    #[should_panic(expected = "program \"twice\" already started")]
+    fn task_start_twice_panics() {
+        let mut task: Task<u32, u32> = Task::spawn("twice", |mailbox| async move {
+            let _ = mailbox.call(1).await;
+        });
+        assert_eq!(task.start(), Yield::Request(1));
+        let _ = task.start();
+    }
+
+    #[test]
+    #[should_panic(expected = "program \"early\" not started")]
+    fn task_resume_before_start_panics() {
+        let mut task: Task<u32, u32> = Task::spawn("early", |_mailbox| async {});
+        let _ = task.resume(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "program \"fmt\" panicked: bad word 7 at page 3")]
+    fn task_panic_keeps_a_formatted_message() {
+        // A formatted panic carries a `String` payload, not a `&str`.
+        let mut task: Task<u32, u32> = Task::spawn("fmt", |_mailbox| async {
+            let (word, page) = (7, 3);
+            panic!("bad word {word} at page {page}");
+        });
+        let _ = task.start();
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let text: Box<dyn Any + Send> = Box::new("plain");
+        let owned: Box<dyn Any + Send> = Box::new(String::from("owned"));
+        let other: Box<dyn Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(&*text), "plain");
+        assert_eq!(panic_message(&*owned), "owned");
+        assert_eq!(panic_message(&*other), "non-string panic payload");
+    }
+
+    #[test]
+    fn task_trace_brackets_every_poll() {
+        let sink = TraceSink::ring(16);
+        let mut task: Task<u32, u32> = Task::spawn("traced", |mailbox| async move {
+            let _ = mailbox.call(1).await;
+        });
+        task.set_trace(sink.clone(), 3);
+        assert_eq!(task.start(), Yield::Request(1));
+        assert_eq!(task.resume(0), Yield::Finished);
+        let recs = sink.drain();
+        let switches: Vec<(u32, TraceEvent)> = recs.iter().map(|r| (r.node, r.event)).collect();
+        let switch = |enter| (3, TraceEvent::CothreadSwitch { cpu: 3, enter });
+        assert_eq!(
+            switches,
+            vec![switch(true), switch(false), switch(true), switch(false)]
+        );
+    }
+
+    #[test]
+    fn tasks_interleave_exactly_as_the_caller_resumes_them() {
+        // Two programs share plain host state through an `Rc`: only the
+        // caller resumes them, so the log is the caller's order and
+        // nothing else, and a blocked program is not finished.
+        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let worker = |name: &'static str| {
+            let log = log.clone();
+            Task::spawn(name, move |mailbox: Mailbox<u32, u32>| async move {
+                for step in 0..2 {
+                    log.borrow_mut().push((name, step));
+                    let _ = mailbox.call(step).await;
+                }
+            })
+        };
+        let (mut a, mut b) = (worker("a"), worker("b"));
+        assert_eq!(b.start(), Yield::Request(0));
+        assert_eq!(a.start(), Yield::Request(0));
+        assert_eq!(a.resume(0), Yield::Request(1));
+        assert!(!b.is_finished());
+        assert_eq!(b.resume(0), Yield::Request(1));
+        assert_eq!(b.resume(1), Yield::Finished);
+        assert_eq!(a.resume(1), Yield::Finished);
+        assert!(a.is_finished() && b.is_finished());
+        assert_eq!(*log.borrow(), vec![("b", 0), ("a", 0), ("a", 1), ("b", 1)]);
+    }
 }

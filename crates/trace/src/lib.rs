@@ -1033,6 +1033,51 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_one_clock() {
+        // The engine advances the clock through its own handle; every
+        // component's clone stamps with it.
+        let engine = TraceSink::ring(8);
+        let component = engine.clone();
+        engine.set_now(10);
+        component.emit(1, TraceEvent::Poll);
+        component.set_now(20);
+        engine.emit(0, TraceEvent::Poll);
+        let stamps: Vec<u64> = engine.drain().iter().map(|r| r.t_ps).collect();
+        assert_eq!(stamps, vec![10, 20]);
+    }
+
+    #[test]
+    fn emit_at_leaves_the_clock_alone() {
+        let sink = TraceSink::ring(8);
+        sink.set_now(100);
+        sink.emit_at(5, 0, TraceEvent::Interrupt);
+        sink.emit(0, TraceEvent::Poll);
+        let stamps: Vec<u64> = sink.drain().iter().map(|r| r.t_ps).collect();
+        assert_eq!(stamps, vec![5, 100]);
+    }
+
+    #[test]
+    fn drain_empties_the_ring_but_keeps_the_totals() {
+        let sink = TraceSink::ring(4);
+        for i in 0..3 {
+            sink.emit_at(i, 0, TraceEvent::Poll);
+        }
+        assert_eq!(sink.drain().len(), 3);
+        assert!(sink.drain().is_empty());
+        // Drained slots are free again: the next event drops nothing.
+        sink.emit_at(3, 0, TraceEvent::Poll);
+        let s = sink.summary().unwrap();
+        assert_eq!((s.recorded, s.dropped, s.capacity), (4, 0, 4));
+        assert_eq!(sink.drain().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace ring needs capacity")]
+    fn zero_capacity_ring_panics() {
+        let _ = TraceSink::ring(0);
+    }
+
+    #[test]
     fn records_serialize_flat_and_roundtrip() {
         let rec = TraceRecord {
             t_ps: 42,
