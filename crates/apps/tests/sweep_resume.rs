@@ -215,3 +215,64 @@ fn a_resumable_sweep_refuses_a_trace_dir() {
     assert!(!report_path(&dir).exists(), "a refused sweep ran its job");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A persisted report is read back as data: one whose latency histogram
+/// carries a forged `u64::MAX` sum is skipped like any complete job, and
+/// merging it into the batch's per-kind histograms saturates instead of
+/// aborting the sweep.
+#[test]
+fn a_forged_histogram_sum_saturates_the_merged_latency() {
+    let dir = tmp_dir("forged-sum");
+    std::fs::write(
+        dir.join("spec.json"),
+        r#"[{"label": "j", "app": "jacobi", "n": 16, "iters": 3},
+            {"label": "k", "app": "jacobi", "n": 16, "iters": 3}]"#,
+    )
+    .expect("spec writes");
+    let out = sweep(&dir, &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(report_path(&dir)).unwrap())
+            .expect("persisted report is JSON");
+    let first = report
+        .as_object_mut()
+        .and_then(|r| r.get_mut("latency_hist"))
+        .and_then(|h| h.as_array_mut())
+        .and_then(|h| h.first_mut())
+        .and_then(|h| h.as_object_mut())
+        .expect("the report has a latency histogram");
+    let kind = first
+        .get("kind")
+        .and_then(|k| k.as_u64())
+        .expect("kind byte");
+    let hist = first
+        .get_mut("hist")
+        .and_then(|h| h.as_object_mut())
+        .expect("histogram object");
+    hist.insert("sum".into(), u64::MAX.into());
+    std::fs::write(report_path(&dir), report.to_string()).expect("report rewrites");
+
+    let batch = dir.join("batch.json");
+    let out = sweep(&dir, &["--out", batch.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        stderr.matches("already complete, skipping").count(),
+        2,
+        "{stderr}"
+    );
+    let batch: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&batch).unwrap()).expect("batch JSON");
+    let merged = batch["merged_latency"]
+        .as_array()
+        .expect("merged histograms")
+        .iter()
+        .find(|m| m["kind"].as_u64() == Some(kind))
+        .expect("the forged kind is merged");
+    assert_eq!(merged["hist"]["sum"].as_u64(), Some(u64::MAX));
+    let _ = std::fs::remove_dir_all(&dir);
+}

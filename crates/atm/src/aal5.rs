@@ -78,11 +78,6 @@ impl Segmenter {
         Segmenter { cell_payload: None }
     }
 
-    /// True when in unrestricted (jumbo) mode.
-    pub fn is_unrestricted(&self) -> bool {
-        self.cell_payload.is_none()
-    }
-
     /// Number of cells `pdu_len` bytes of user data will occupy.
     pub fn cell_count(&self, pdu_len: usize) -> usize {
         match self.cell_payload {
@@ -365,6 +360,32 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             roundtrip(&seg, &data);
         }
+    }
+
+    #[test]
+    fn a_custom_cell_payload_sizes_cells_and_roundtrips() {
+        let seg = Segmenter::with_cell_payload(32);
+        // 100 bytes + the 8-byte trailer = 108 -> four 32-byte cells.
+        assert_eq!(seg.cell_count(100), 4);
+        assert_eq!(seg.cell_count(24), 1);
+        assert_eq!(seg.cell_count(25), 2);
+        assert_eq!(
+            seg.wire_bytes(100),
+            4 * (32 + crate::cell::ATM_HEADER_BYTES)
+        );
+        let data: Vec<u8> = (0..100).map(|i| (i * 7) as u8).collect();
+        let cells = seg.segment(9, &data);
+        assert!(cells.iter().all(|c| c.payload.len() == 32));
+        roundtrip(&seg, &data);
+        let train = seg.train(9, &data, data.len(), vec![CellFate::Deliver; 4]);
+        let pdu = Reassembler::new().push_train(train).expect("complete");
+        assert_eq!(&pdu.expect("valid PDU")[..], &data[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell payload must be positive")]
+    fn a_zero_byte_cell_payload_is_refused() {
+        let _ = Segmenter::with_cell_payload(0);
     }
 
     #[test]

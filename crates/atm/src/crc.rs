@@ -4,7 +4,7 @@
 //! Slicing-by-8: eight derived lookup tables let the inner loop consume
 //! eight bytes per step instead of one, which matters because the CRC is
 //! the single largest per-byte cost on the segmentation/reassembly hot
-//! path (`crates/bench/benches/hotpath.rs` tracks it).
+//! path (cni-bench's `atm.aal5.*` metrics track it).
 //!
 //! Zero runs: appending `k` zero bytes maps the CRC register through a
 //! fixed linear operator over GF(2), so [`Crc32::update`] folds each run

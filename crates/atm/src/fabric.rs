@@ -460,6 +460,38 @@ mod tests {
     }
 
     #[test]
+    fn pdus_sent_and_link_busy_account_every_cell() {
+        use cni_faults::{BrownoutWindow, FaultInjector, FaultPlan};
+        let mut f = fabric();
+        assert_eq!(
+            (f.pdus_sent(), f.link_busy(2)),
+            (0, (SimTime::ZERO, SimTime::ZERO))
+        );
+        let t = f.send_pdu(SimTime::ZERO, 2, 9, 4096, SimTime::ZERO);
+        let ser = Link::new(622, SimTime::ZERO).serialization(53);
+        let train = SimTime::from_ps(ser.as_ps() * t.cells as u64);
+        assert_eq!(f.pdus_sent(), 1);
+        // The source's ingress and the sink's egress carry every cell.
+        assert_eq!(f.link_busy(2), (train, SimTime::ZERO));
+        assert_eq!(f.link_busy(9), (SimTime::ZERO, train));
+        // A dropped cell still occupies its ingress link, never the egress.
+        let outage = BrownoutWindow {
+            link: 2,
+            start_ps: 0,
+            end_ps: u64::MAX,
+        };
+        let mut drop_all = FaultInjector::new(FaultPlan {
+            brownouts: [Some(outage), None, None, None],
+            ..FaultPlan::none()
+        });
+        let ft = f.send_pdu_faulty(SimTime::ZERO, 2, 9, 4096, SimTime::ZERO, &mut drop_all);
+        assert!(ft.fates.iter().all(|fate| fate.is_drop()), "{:?}", ft.fates);
+        assert_eq!(f.pdus_sent(), 2);
+        assert_eq!(f.link_busy(2).0, SimTime::from_ps(2 * train.as_ps()));
+        assert_eq!(f.link_busy(9).1, train);
+    }
+
+    #[test]
     fn jumbo_mode_sends_one_cell() {
         let mut f = Fabric::new(AtmConfig {
             cell_payload: None,

@@ -35,7 +35,6 @@ pub mod cell;
 pub mod crc;
 pub mod fabric;
 pub mod link;
-pub mod pipe;
 pub mod switch;
 pub mod topology;
 
@@ -44,7 +43,6 @@ pub use buf::{BufPool, PduBuf};
 pub use cell::{Cell, CellHeader, ATM_CELL_BYTES, ATM_HEADER_BYTES, ATM_PAYLOAD_BYTES};
 pub use fabric::{AtmConfig, Fabric, FaultyPduTiming, PduTiming};
 pub use link::Link;
-pub use pipe::{CellPipe, FaultModel, PipeOutcome};
 pub use switch::BanyanSwitch;
 pub use topology::{Route, Topology};
 

@@ -320,6 +320,34 @@ mod tests {
     }
 
     #[test]
+    fn kind_names_cover_the_protocol_and_match_the_analysis_labels() {
+        use cni_dsm::protocol::kind;
+        let protocol = [
+            kind::ACQUIRE_REQ,
+            kind::ACQUIRE_FWD,
+            kind::ACQUIRE_GRANT,
+            kind::BARRIER_ARRIVE,
+            kind::BARRIER_RELEASE,
+            kind::PAGE_REQ,
+            kind::PAGE_RESP,
+            kind::DIFF_REQ,
+            kind::DIFF_RESP,
+        ];
+        let names: std::collections::BTreeSet<_> = protocol.iter().map(|&k| kind_name(k)).collect();
+        assert_eq!(names.len(), protocol.len(), "{names:?}");
+        assert!(!names.contains("unknown"));
+        assert_eq!(kind_name(0xA0), "app");
+        // A report and cni-analyze name a kind alike; only the reliability
+        // layer's ACK, which no report's latency table carries, differs.
+        for k in 0..=u8::MAX {
+            if k != 0xF1 {
+                assert_eq!(kind_name(k), cni_obs::kind_label(k), "kind {k:#04x}");
+            }
+        }
+        assert_eq!(kind_name(0xF1), "unknown");
+    }
+
+    #[test]
     fn hit_ratio_aggregates_across_nodes() {
         let r = report(&[(3, 4), (1, 4)]);
         assert!((r.hit_ratio() - 0.5).abs() < 1e-12);

@@ -497,6 +497,27 @@ mod tests {
     }
 
     #[test]
+    fn a_one_picosecond_brownout_is_active_and_drops_its_instant() {
+        let w = BrownoutWindow {
+            link: 0,
+            start_ps: 500,
+            end_ps: 501,
+        };
+        assert!(w.is_active());
+        let plan = FaultPlan {
+            brownouts: [Some(w), None, None, None],
+            ..FaultPlan::none()
+        };
+        assert!(!plan.is_zero(), "one covered instant makes a lossy plan");
+        let mut inj = FaultInjector::new(plan);
+        assert_eq!(inj.cell_fate(499, 0, 48), CellFate::Deliver);
+        assert_eq!(inj.cell_fate(500, 0, 48), CellFate::Drop);
+        assert_eq!(inj.cell_fate(500, 1, 48), CellFate::Deliver);
+        assert_eq!(inj.cell_fate(501, 0, 48), CellFate::Deliver);
+        assert_eq!(inj.stats().brownout_cells, 1);
+    }
+
+    #[test]
     fn zero_length_brownout_window_drops_nothing() {
         let plan = FaultPlan {
             brownouts: [

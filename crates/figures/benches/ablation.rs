@@ -2,7 +2,7 @@
 //! workload. Not a paper figure — the decomposition DESIGN.md §6 calls
 //! for ("which mechanism buys what").
 //!
-//! Run: `cargo bench -p cni-bench --bench ablation`
+//! Run: `cargo bench -p cni-figures --bench ablation`
 
 use cni::Config;
 use cni_apps::experiments::{ablation, App};
@@ -40,7 +40,7 @@ fn tree_barrier_study() {
         );
         rows.push((procs, central, tree));
     }
-    cni_bench::save_json("tree_barrier", &rows);
+    cni_figures::save_json("tree_barrier", &rows);
     println!();
 }
 
@@ -69,7 +69,7 @@ fn main() {
                 r.variant, r.wall_ms, r.slowdown_vs_cni, r.hit_ratio_pct, r.interrupts
             );
         }
-        cni_bench::save_json(&format!("ablation-{}", name.replace(' ', "-")), &rows);
+        cni_figures::save_json(&format!("ablation-{}", name.replace(' ', "-")), &rows);
         println!();
     }
 }

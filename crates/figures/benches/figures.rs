@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
-//! Run all: `cargo bench --bench figures`
-//! Run some: `cargo bench --bench figures -- fig04 table5`
+//! Run all: `cargo bench -p cni-figures --bench figures`
+//! Run some: `cargo bench -p cni-figures --bench figures -- fig04 table5`
 
 fn main() {
     // Cargo's bench runner may pass `--bench`; everything else is a filter.
@@ -9,5 +9,5 @@ fn main() {
         .skip(1)
         .filter(|a| !a.starts_with('-'))
         .collect();
-    cni_bench::run_filtered(&filters);
+    cni_figures::run_filtered(&filters);
 }

@@ -4,7 +4,7 @@
 //! interrupt cost and watch the standard interface degrade while the CNI
 //! barely notices.
 //!
-//! Run: `cargo bench -p cni-bench --bench interrupt_sweep`
+//! Run: `cargo bench -p cni-figures --bench interrupt_sweep`
 
 use cni::Config;
 use cni_apps::experiments::{run_app, App};
@@ -37,7 +37,7 @@ fn main() {
         println!("{us:>16} {cni:>12.2} {std_:>12.2} {:>12.2}", std_ / cni);
         rows.push((us, cni, std_));
     }
-    cni_bench::save_json("interrupt_sweep", &rows);
+    cni_figures::save_json("interrupt_sweep", &rows);
     println!(
         "\nThe CNI column is exactly flat: its receive path polls and its\n\
          protocol runs on the board, so the host interrupt cost never\n\

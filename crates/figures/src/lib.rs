@@ -1,12 +1,12 @@
-//! `cni-bench` — regeneration harnesses for every table and figure in the
-//! paper's evaluation (§3), plus criterion micro-benchmarks of the
-//! substrate data structures.
+//! `cni-figures` — regeneration harnesses for every table and figure in
+//! the paper's evaluation (§3), plus the ablation and interrupt-cost
+//! sweeps (the `ablation` and `interrupt_sweep` bench targets).
 //!
 //! The `figures` bench target (a `harness = false` binary run by
 //! `cargo bench`) executes every experiment of the paper in order and
 //! prints paper-style rows; it also writes machine-readable JSON records
 //! to `target/cni-results/`. Pass a filter substring to run a subset:
-//! `cargo bench --bench figures -- fig04 table5`.
+//! `cargo bench -p cni-figures --bench figures -- fig04 table5`.
 
 #![deny(missing_docs)]
 

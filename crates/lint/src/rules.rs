@@ -37,8 +37,9 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Files allowed to read host clocks: the designated host-timing
 /// modules (`cni-batch`'s `JobTiming`, which is explicitly kept out of
-/// `RunReport`, and the wall-clock measurement harness in `cni-bench`).
-const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
+/// `RunReport`, and the figure harnesses in `cni-figures`, which time
+/// each experiment for their progress lines).
+pub const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/figures/"];
 
 /// Snapshot encode/decode paths (D4): a checkpoint written twice from
 /// the same state must be byte-identical, so these files must not
@@ -195,7 +196,7 @@ impl Rule {
                  `// cni-lint: allow(nondet-map) -- <why iteration order cannot leak>`"
             }
             Rule::HostTime => {
-                "derive time from SimTime; host clocks live only in batch::JobTiming and cni-bench"
+                "derive time from SimTime; host clocks live only in batch::JobTiming and cni-figures"
             }
             Rule::AmbientRng => "derive all randomness from Config seeds (SimRng/Pcg32)",
             Rule::SnapNondet => {
@@ -241,7 +242,7 @@ impl Rule {
                  clock read (`Instant::now`, `SystemTime::now`) anywhere else can\n\
                  leak scheduling jitter into results. Reads are flagged in every\n\
                  first-party file except the designated host-timing modules\n\
-                 (batch::JobTiming, cni-bench). The sim crates cannot call into\n\
+                 (batch::JobTiming, cni-figures). The sim crates cannot call into\n\
                  those modules: they depend only on each other."
             }
             Rule::AmbientRng => {
@@ -731,7 +732,7 @@ mod tests {
         assert!(!is_sim_crate("crates/apps/src/lib.rs"));
         assert!(!is_sim_crate("crates/batch/src/lib.rs"));
         assert!(is_host_time_exempt("crates/batch/src/lib.rs"));
-        assert!(is_host_time_exempt("crates/bench/src/lib.rs"));
+        assert!(is_host_time_exempt("crates/figures/src/lib.rs"));
         assert!(!is_host_time_exempt("crates/sim/src/time.rs"));
         assert!(is_snapshot_path("crates/snap/src/lib.rs"));
         assert!(is_snapshot_path("crates/core/src/snapshot.rs"));

@@ -105,7 +105,7 @@ fn d2_fires_on_host_clocks_anywhere_outside_exempt_modules() {
 fn d2_quiet_in_designated_host_timing_modules() {
     let src = fixture("d2_bad.rs");
     assert!(hits("crates/batch/src/lib.rs", &src).is_empty());
-    assert!(hits("crates/bench/src/fixture.rs", &src).is_empty());
+    assert!(hits("crates/figures/src/fixture.rs", &src).is_empty());
 }
 
 #[test]

@@ -54,12 +54,13 @@ fn workspace_root() -> std::path::PathBuf {
 /// its receive roots by file suffix and function name and silently skips
 /// a root that no longer resolves, so moving a handler to another module
 /// would otherwise turn its panic check off without a finding. Likewise
-/// a `THREAD_EXEMPT` entry for a deleted file is dead configuration.
+/// a `THREAD_EXEMPT` or `HOST_TIME_EXEMPT` entry for a deleted or renamed
+/// path is dead configuration.
 #[test]
 fn lint_roots_and_exemptions_resolve() {
     use cni_lint::callgraph::Workspace;
     use cni_lint::parse::parse_file;
-    use cni_lint::rules::{PANIC_PATH_REGIONS, THREAD_EXEMPT};
+    use cni_lint::rules::{HOST_TIME_EXEMPT, PANIC_PATH_REGIONS, THREAD_EXEMPT};
 
     let root = workspace_root();
     let files: Vec<_> = workspace_inputs(&root)
@@ -81,6 +82,32 @@ fn lint_roots_and_exemptions_resolve() {
             "THREAD_EXEMPT names `{path}`, which does not exist"
         );
     }
+    for path in HOST_TIME_EXEMPT {
+        assert!(
+            root.join(path).exists(),
+            "HOST_TIME_EXEMPT names `{path}`, which does not exist"
+        );
+    }
+}
+
+/// The analyzer runs on every push and is meant to be cheap enough for
+/// an editor save hook, so a whole-workspace pass has a budget of 3 s.
+/// The scan runs on a worker thread and the test waits for it with a
+/// timeout, so the budget is checked without reading a host clock.
+#[test]
+fn a_workspace_scan_fits_its_three_second_budget() {
+    let root = workspace_root();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(cni_lint::walk::analyze_workspace(&root)));
+    let report = rx
+        .recv_timeout(std::time::Duration::from_secs(3))
+        .expect("the workspace scan panicked or took over 3 s")
+        .expect("workspace scan");
+    assert!(
+        report.files_scanned > 40,
+        "scanned only {} files",
+        report.files_scanned
+    );
 }
 
 /// The program runtime, the DSM page table and the trace ring run on the

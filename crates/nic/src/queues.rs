@@ -206,11 +206,6 @@ impl ChannelQueues {
         d
     }
 
-    /// Pending transmit descriptors.
-    pub fn transmit_pending(&self) -> usize {
-        self.transmit.len()
-    }
-
     /// Pending received-but-unpolled descriptors.
     pub fn receive_pending(&self) -> usize {
         self.receive.len()

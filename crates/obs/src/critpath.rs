@@ -85,9 +85,13 @@ pub fn critical_path(records: &[TraceRecord], tree: &SpanTree) -> Option<Critica
                 ("handler", handler),
             ];
             // First-listed wins ties: earlier pipeline stages are the
-            // more actionable blame.
-            let &(dominant, dominant_ps) =
-                stages.iter().max_by_key(|(_, v)| *v).unwrap_or(&stages[0]);
+            // more actionable blame. `max_by_key` returns the last of
+            // equal maxima, so it scans the stages in reverse.
+            let &(dominant, dominant_ps) = stages
+                .iter()
+                .rev()
+                .max_by_key(|(_, v)| *v)
+                .unwrap_or(&stages[0]);
             Some(PathLink {
                 span: id,
                 class: s.class,
@@ -217,6 +221,74 @@ mod tests {
             vec![2, 3]
         );
         assert_eq!(cp.total_ps, 1_000 - 400);
+    }
+
+    #[test]
+    fn an_unclosed_all_zero_link_blames_the_first_stage() {
+        // Span 1 opened and never recorded a stage or closed: all six
+        // stages are zero, and the tie goes to the first-listed one.
+        let sink = TraceSink::ring(64);
+        sink.emit_at(
+            100,
+            0,
+            TraceEvent::SpanOpen {
+                span: 1,
+                parent: 0,
+                class: SPAN_MSG,
+                kind: 0xD3,
+                src: 0,
+                dst: 1,
+                bytes: 64,
+            },
+        );
+        span(&sink, 2, 1, 0xD4, 300, 700);
+        let recs = sink.drain();
+        let cp = critical_path(&recs, &SpanTree::build(&recs)).unwrap();
+        assert_eq!(cp.links.len(), 2);
+        assert_eq!(
+            (cp.links[0].dominant, cp.links[0].dominant_ps),
+            ("host-dma", 0)
+        );
+        assert_eq!(cp.links[0].close_ps, cp.links[0].open_ps);
+    }
+
+    #[test]
+    fn a_wire_handler_tie_blames_the_wire() {
+        // 100 ps end to end: 10 host DMA, 45 on the wire, and the 45 ps
+        // remainder is the handler's.
+        let sink = TraceSink::ring(64);
+        sink.emit_at(
+            0,
+            0,
+            TraceEvent::SpanOpen {
+                span: 1,
+                parent: 0,
+                class: SPAN_MSG,
+                kind: 0xD4,
+                src: 0,
+                dst: 1,
+                bytes: 64,
+            },
+        );
+        sink.emit_at(
+            100,
+            1,
+            TraceEvent::SpanTx {
+                span: 1,
+                host_dma_ps: 10,
+                tx_queue_ps: 0,
+                wire_ps: 45,
+            },
+        );
+        sink.emit_at(100, 1, TraceEvent::SpanClose { span: 1 });
+        let recs = sink.drain();
+        let tree = SpanTree::build(&recs);
+        assert_eq!(tree.spans[&1].handler_ps(), Some(45));
+        let cp = critical_path(&recs, &tree).unwrap();
+        assert_eq!(
+            (cp.links[0].dominant, cp.links[0].dominant_ps),
+            ("wire", 45)
+        );
     }
 
     #[test]

@@ -182,6 +182,44 @@ mod tests {
     }
 
     #[test]
+    fn link_shares_are_percent_of_sampled_time_per_direction() {
+        let sink = TraceSink::ring(64);
+        for (t, ingress_ps, egress_ps) in [(100, 30u64, 5u64), (300, 20, 45)] {
+            sink.emit_at(
+                t,
+                4,
+                TraceEvent::UtilNode {
+                    busy_ps: 0,
+                    ingress_ps,
+                    egress_ps,
+                    ring_hw: 0,
+                    interval_ps: 100,
+                },
+            );
+        }
+        sink.emit_at(
+            300,
+            5,
+            TraceEvent::UtilNode {
+                busy_ps: 0,
+                ingress_ps: 7,
+                egress_ps: 9,
+                ring_hw: 0,
+                interval_ps: 0,
+            },
+        );
+        let u = utilization(&sink.drain());
+        let n = &u.nodes[0];
+        assert_eq!((n.ingress_pct(), n.egress_pct()), (25.0, 25.0));
+        assert_eq!(n.nic_pct(), 0.0);
+        // Occupancy without sampled time is no share at all.
+        assert_eq!(
+            (u.nodes[1].ingress_pct(), u.nodes[1].egress_pct()),
+            (0.0, 0.0)
+        );
+    }
+
+    #[test]
     fn empty_trace_is_an_empty_summary() {
         let u = utilization(&[]);
         assert!(u.nodes.is_empty());

@@ -69,7 +69,6 @@ pub struct Classifier<T> {
     roots: Vec<Node>,
     flows: BTreeMap<u16, T>,
     classifications: u64,
-    cells_total: u64,
 }
 
 impl<T: Clone> Default for Classifier<T> {
@@ -86,7 +85,6 @@ impl<T: Clone> Classifier<T> {
             roots: Vec::new(),
             flows: BTreeMap::new(),
             classifications: 0,
-            cells_total: 0,
         }
     }
 
@@ -181,7 +179,6 @@ impl<T: Clone> Classifier<T> {
             }
         });
         self.classifications += 1;
-        self.cells_total += cells as u64;
         best.map(|id| ClassifyOutcome {
             pattern: id,
             target: self.installed[id.0 as usize].target.clone(),
@@ -252,15 +249,6 @@ impl<T: Clone> Classifier<T> {
     /// Total classify() calls.
     pub fn classifications(&self) -> u64 {
         self.classifications
-    }
-
-    /// Mean comparison cells per classification.
-    pub fn mean_cells(&self) -> f64 {
-        if self.classifications == 0 {
-            0.0
-        } else {
-            self.cells_total as f64 / self.classifications as f64
-        }
     }
 
     /// Reference implementation: linear scan over live patterns with the

@@ -204,16 +204,18 @@ impl Histogram {
         (1u64 << (self.buckets.len() - 1)) as f64
     }
 
-    /// Merge another histogram into this one (bucket-wise sum).
+    /// Merge another histogram into this one (bucket-wise sum). The sums
+    /// saturate, as [`record`](Self::record)'s does: a histogram read back
+    /// from a persisted report may carry any counts.
     pub fn merge(&mut self, other: &Histogram) {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+            *b = b.saturating_add(o);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Bucket populations, lowest bucket first.
@@ -357,5 +359,24 @@ mod tests {
         a.merge(&Histogram::new());
         assert_eq!(a.count(), before.count());
         assert_eq!(a.buckets(), before.buckets());
+    }
+
+    #[test]
+    fn merging_a_forged_histogram_saturates_instead_of_overflowing() {
+        // Counts as a damaged or forged persisted report may carry them.
+        let forged = Histogram {
+            buckets: vec![u64::MAX, 1],
+            count: u64::MAX,
+            sum: u64::MAX,
+        };
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(2);
+        h.merge(&forged);
+        assert_eq!(h.buckets(), [u64::MAX, 2]);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.sum, u64::MAX);
+        h.merge(&forged);
+        assert_eq!((h.count(), h.sum), (u64::MAX, u64::MAX));
     }
 }

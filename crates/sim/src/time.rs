@@ -178,12 +178,6 @@ impl Clock {
         }
     }
 
-    /// A clock with an explicit period in picoseconds.
-    pub fn from_period_ps(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be positive");
-        Clock { period_ps }
-    }
-
     /// The clock period in picoseconds.
     #[inline]
     pub fn period_ps(self) -> u64 {

@@ -313,6 +313,27 @@ mod tests {
     }
 
     #[test]
+    fn job_trace_paths_stay_unique_and_filesystem_safe() {
+        let dir = Path::new("out");
+        // One `_` per character, multi-byte ones included; `.`, `_` and `-`
+        // survive.
+        assert_eq!(
+            job_trace_path(dir, 0, "wäter 8/λ..a_b-c", "json"),
+            Path::new("out/0000-w_ter_8__..a_b-c.json")
+        );
+        // Two jobs with one label get two paths, and an index past four
+        // digits widens instead of wrapping.
+        assert_ne!(
+            job_trace_path(dir, 1, "j", "ck"),
+            job_trace_path(dir, 2, "j", "ck")
+        );
+        assert_eq!(
+            job_trace_path(dir, 12_345, "", "report.json"),
+            Path::new("out/12345-.report.json")
+        );
+    }
+
+    #[test]
     fn chrome_export_is_valid_json_with_tracks() {
         let mut buf = Vec::new();
         write_chrome(&mut buf, &sample_records()).unwrap();
