@@ -12,9 +12,10 @@
 //! CNI_BLESS=1 cargo test --test golden_reports
 //! ```
 //!
-//! The five configs cover the matrix that matters: both NIC kinds, the
+//! The six configs cover the matrix that matters: both NIC kinds, the
 //! lossless fast path and the go-back-N fault path, single-switch and
-//! fat-tree fabrics, and three process counts.
+//! fat-tree fabrics (lossless and lossy with delivery jitter), and four
+//! process counts.
 //!
 //! What a fixture may pin: anything observable through the `(time, seq)`
 //! event order — timings, counters, histograms, fault statistics. What it
@@ -145,6 +146,29 @@ fn jacobi64_fat_tree_report_is_golden() {
             .with_procs(64)
             .with_collectives(),
         App::Jacobi { n: 96, iters: 4 },
+    );
+}
+
+#[test]
+fn jacobi16_fat_tree_lossy_report_is_golden() {
+    // Cell loss, corruption and delivery jitter across a 4-leaf
+    // fat-tree: pins the lossy fabric's per-cell fates and jittered
+    // arrivals on cross-leaf routes, where a frame's cells share
+    // uplinks and downlinks with other flows.
+    let plan = FaultPlan {
+        drop_prob: 0.02,
+        corrupt_prob: 0.01,
+        jitter_ps: 20_000,
+        seed: 7,
+        ..FaultPlan::none()
+    };
+    check_golden(
+        "jacobi16_ft_lossy",
+        Config::paper_default()
+            .with_fat_tree(4, 4, 4)
+            .with_procs(16)
+            .with_faults(plan),
+        App::Jacobi { n: 48, iters: 4 },
     );
 }
 
