@@ -69,13 +69,15 @@ fn with_stored_config(src: &Path, dst: &Path, edit: impl Fn(&mut Config)) {
 /// are refused when the file is read: a probability out of range, no
 /// processors, more processors than the fabric has hosts, a zero page
 /// size (which divides by zero sizing the Message Cache), a Message Cache
-/// too large to allocate, and cache lines `NodeSpace::new` refuses.
+/// too large to allocate, cache lines `NodeSpace::new` refuses, a zero
+/// cell payload, and a link rate of zero or one whose bits per second
+/// overflow.
 #[test]
 fn invalid_stored_configs_are_refused_when_read() {
     let dir = tmp_dir("configs");
     let src = write(&dir, "ck.cnisnap", &checkpoint().0);
     type Edit = fn(&mut Config);
-    let cases: [(&str, &str, Edit); 7] = [
+    let cases: [(&str, &str, Edit); 10] = [
         ("drop", "drop_prob", |c| c.faults.drop_prob = 1.5),
         ("procs0", "procs", |c| c.procs = 0),
         ("procs9999", "procs", |c| c.procs = 9999),
@@ -88,6 +90,11 @@ fn invalid_stored_configs_are_refused_when_read() {
         }),
         ("line4096", "cache_line_bytes", |c| {
             c.nic.cache_line_bytes = 4096
+        }),
+        ("payload0", "cell_payload", |c| c.atm.cell_payload = Some(0)),
+        ("mbps0", "link_mbps", |c| c.atm.link_mbps = 0),
+        ("mbps_overflow", "link_mbps", |c| {
+            c.atm.link_mbps = u64::MAX / 1000
         }),
     ];
     for (name, needle, edit) in cases {

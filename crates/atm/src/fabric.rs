@@ -1,18 +1,54 @@
-//! The full interconnect seen by a NIC: access links + banyan switch +
+//! The full interconnect seen by a NIC: access links + banyan switch(es) +
 //! AAL5 segmentation, with cell-accurate pipelined timing.
 //!
 //! [`Fabric::send_pdu`] answers the question the NIC model asks: "if node
 //! `src` starts handing cells of an `n`-byte PDU to the wire at time `t`
-//! (one cell every `cell_gap` of NIC processing), when does each cell — and
-//! the whole PDU — arrive at node `dst`?" The computation walks the cells
-//! through source link, switch stages and destination link, honouring every
-//! next-free-time register, so cross-traffic contention is captured without
-//! a per-cell event storm in the simulation kernel.
+//! (one cell every `cell_gap` of NIC processing), when does the first
+//! cell — and the whole PDU — arrive at node `dst`?" Every resource on the
+//! route keeps a next-free-time register: the ingress link, each switch
+//! stage link, each trunk link and the egress link. A cell's head waits
+//! for each register, so cross-traffic contention is captured without a
+//! per-cell event storm in the simulation kernel.
+//!
+//! # A train priced in one walk of its route
+//!
+//! The fabric prices a PDU's whole cell train in one walk of its route
+//! ([`Topology::route`]), exactly to the picosecond, instead of walking
+//! each cell through each hop. No hop after the ingress holds a cell for
+//! longer than the ingress serialisation time `ser`: a stage link holds it
+//! for `min(ser, std_cell)`, a trunk or egress link for `ser`. So the
+//! ingress spaces a train's cells at least `ser` apart, and they never
+//! queue behind each other downstream: the k-th cell to reach the switch
+//! waits only on what earlier PDUs left in the registers. Let
+//!
+//! * `F_l` be hop `l`'s register before the PDU,
+//! * `D_{l→j}` the sum of hop latencies from hop `l` to hop `j`,
+//! * `M_{l..j}` the longest hold on hops `l..=j`, and
+//! * `a_k` the switch arrival of the k-th cell that survives.
+//!
+//! Then that cell's head starts on hop `j` at
+//!
+//! ```text
+//! max(a_k + D_{1→j}, max_l (F_l + D_{l→j} + k·M_{l..j}))
+//! ```
+//!
+//! and hop `j`'s register ends the PDU at that time for the last survivor,
+//! plus the hop's hold. The ingress head of cell `i` is
+//! `max(F_0 + i·ser, start + i·max(cell_gap, ser))`, and a cell arrives
+//! `ser` plus one propagation delay after its head starts on the egress
+//! link. The egress link holds a cell for `ser`, the longest hold of all,
+//! so `M_{l..egress}` is `ser` for every `l`, and a cell's arrival needs
+//! only the route's latency and its floor (`max_l (F_l + D_{l→egress})`).
+//! A lossless PDU evaluates it for its first and last cell, a lossy one
+//! once per cell as it draws that cell's fate and jitter.
+//! `crates/atm/tests/train_timing.rs` checks both paths against a
+//! per-cell reference walk.
 
-use crate::aal5::Segmenter;
-use crate::link::Link;
+use crate::aal5::{Segmenter, AAL5_MAX_PDU, AAL5_TRAILER_BYTES};
+use crate::cell::{ATM_CELL_BYTES, ATM_HEADER_BYTES};
+use crate::link::{times, Link};
 use crate::switch::BanyanSwitch;
-use crate::topology::Topology;
+use crate::topology::{Route, Topology};
 use cni_faults::{CellFate, FaultInjector};
 use cni_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -67,6 +103,31 @@ impl AtmConfig {
     pub fn hosts(&self) -> usize {
         self.topology.hosts(self.ports)
     }
+
+    /// `Err` naming the first parameter no fabric can be built from: a
+    /// topology shape [`Topology::validate`] refuses, a cell payload
+    /// outside 1 to [`AAL5_MAX_PDU`] + [`AAL5_TRAILER_BYTES`] bytes (the
+    /// largest frame one cell can carry), or a link rate of 0 Mb/s or one
+    /// whose bits per second overflow a `u64`.
+    pub fn check(&self) -> Result<(), String> {
+        self.topology.validate(self.ports)?;
+        let max_payload = AAL5_MAX_PDU + AAL5_TRAILER_BYTES;
+        if let Some(p) = self.cell_payload {
+            if !(1..=max_payload).contains(&p) {
+                return Err(format!(
+                    "cell_payload must be between 1 and {max_payload} bytes, got {p}"
+                ));
+            }
+        }
+        let max_mbps = u64::MAX / 1_000_000;
+        if !(1..=max_mbps).contains(&self.link_mbps) {
+            return Err(format!(
+                "link_mbps must be between 1 and {max_mbps}, got {}",
+                self.link_mbps
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Timing of one PDU through the fabric.
@@ -107,121 +168,149 @@ impl FaultyPduTiming {
     }
 }
 
+/// One hop of a route through the switching core.
+#[derive(Clone, Copy)]
+enum Hop {
+    /// An internal link of a switch stage, crossed in the stage latency.
+    Stage(SimTime),
+    /// A trunk link between a leaf and a spine, crossed in its
+    /// propagation delay.
+    Trunk,
+}
+
 /// The switching core between the access links: the paper's lone banyan,
 /// or a fat-tree of leaf/spine banyans joined by trunk links.
-enum Interconnect {
-    /// Every host port on one banyan switch.
-    Single(BanyanSwitch),
-    /// 2-level folded Clos (see [`crate::topology`]). Trunk links are
-    /// indexed `[leaf * up + spine]` in both directions.
-    FatTree {
-        down: usize,
-        up: usize,
-        leaves: Vec<BanyanSwitch>,
-        spines: Vec<BanyanSwitch>,
-        up_links: Vec<Link>,
-        down_links: Vec<Link>,
-    },
+struct Interconnect {
+    /// Host ports per leaf: every port of the lone switch, or `down`.
+    down: usize,
+    /// Uplinks per leaf, one to each spine; 0 for the lone switch.
+    up: usize,
+    /// The lone switch, or the fat-tree's leaf switches.
+    leaves: Vec<BanyanSwitch>,
+    /// The fat-tree's spine switches.
+    spines: Vec<BanyanSwitch>,
+    /// Next-free registers of the leaf-to-spine trunk links, indexed
+    /// `[leaf * up + spine]`.
+    up_links: Vec<SimTime>,
+    /// Next-free registers of the spine-to-leaf trunk links, indexed
+    /// `[leaf * up + spine]`.
+    down_links: Vec<SimTime>,
 }
 
 impl Interconnect {
     fn new(cfg: &AtmConfig) -> Self {
-        match cfg.topology {
-            Topology::Single => {
-                Interconnect::Single(BanyanSwitch::new(cfg.ports, cfg.switch_latency))
-            }
-            Topology::FatTree { leaves, down, up } => Interconnect::FatTree {
-                down,
-                up,
-                leaves: (0..leaves)
-                    .map(|_| BanyanSwitch::new(down + up, cfg.switch_latency))
-                    .collect(),
-                spines: (0..up)
-                    .map(|_| BanyanSwitch::new(leaves, cfg.switch_latency))
-                    .collect(),
-                up_links: (0..leaves * up)
-                    .map(|_| Link::new(cfg.link_mbps, cfg.prop_delay))
-                    .collect(),
-                down_links: (0..leaves * up)
-                    .map(|_| Link::new(cfg.link_mbps, cfg.prop_delay))
-                    .collect(),
-            },
+        let (leaves, down, up) = match cfg.topology {
+            Topology::Single => (1, cfg.ports, 0),
+            Topology::FatTree { leaves, down, up } => (leaves, down, up),
+        };
+        let switch = |ports| BanyanSwitch::new(ports, cfg.switch_latency);
+        Interconnect {
+            down,
+            up,
+            leaves: (0..leaves).map(|_| switch(down + up)).collect(),
+            spines: (0..up).map(|_| switch(leaves)).collect(),
+            up_links: vec![SimTime::ZERO; leaves * up],
+            down_links: vec![SimTime::ZERO; leaves * up],
         }
     }
 
-    /// Walk one cell's head through the switching core. The head enters
-    /// at `head_at_switch`; each traversed switch stage and trunk link
-    /// stays occupied for `occupancy`/its serialisation time behind it.
-    /// Returns the time the head exits the last switch. The single-switch
-    /// arm is exactly the pre-topology recurrence, so existing timing is
-    /// bit-identical.
-    fn forward_head(
+    /// Visit the register of every hop `route` takes from `src`'s switch
+    /// input to `dst`'s switch output, in the order a cell's head crosses
+    /// them: leaf → uplink → spine → downlink → leaf across a fat-tree.
+    fn hops(
         &mut self,
-        head_at_switch: SimTime,
+        route: Route,
         src: usize,
         dst: usize,
-        occupancy: SimTime,
-        per_cell_bytes: usize,
-    ) -> SimTime {
-        match self {
-            Interconnect::Single(sw) => sw.forward(head_at_switch, src, dst, occupancy),
-            Interconnect::FatTree {
-                down,
-                up,
-                leaves,
-                spines,
-                up_links,
-                down_links,
+        mut visit: impl FnMut(&mut SimTime, Hop),
+    ) {
+        let (down, up) = (self.down, self.up);
+        match route {
+            Route::Leaf { switch } => {
+                cross(&mut self.leaves[switch], src % down, dst % down, &mut visit);
+            }
+            Route::Spine {
+                src_leaf,
+                spine,
+                dst_leaf,
             } => {
-                let (down, up) = (*down, *up);
-                let src_leaf = src / down;
-                let dst_leaf = dst / down;
-                if src_leaf == dst_leaf {
-                    // Same-leaf traffic never leaves the leaf banyan.
-                    return leaves[src_leaf].forward(
-                        head_at_switch,
-                        src % down,
-                        dst % down,
-                        occupancy,
-                    );
-                }
-                // D-mod-k: the spine is a pure function of the destination,
-                // so the route is unique and deterministic.
-                let spine = dst % up;
-                let t_leaf =
-                    leaves[src_leaf].forward(head_at_switch, src % down, down + spine, occupancy);
-                let ul = &mut up_links[src_leaf * up + spine];
-                let head_up = t_leaf.max(ul.next_free()) + ul.prop_delay();
-                ul.transmit(t_leaf, per_cell_bytes);
-                let t_spine = spines[spine].forward(head_up, src_leaf, dst_leaf, occupancy);
-                let dl = &mut down_links[dst_leaf * up + spine];
-                let head_down = t_spine.max(dl.next_free()) + dl.prop_delay();
-                dl.transmit(t_spine, per_cell_bytes);
-                leaves[dst_leaf].forward(head_down, down + spine, dst % down, occupancy)
+                cross(
+                    &mut self.leaves[src_leaf],
+                    src % down,
+                    down + spine,
+                    &mut visit,
+                );
+                visit(&mut self.up_links[src_leaf * up + spine], Hop::Trunk);
+                cross(&mut self.spines[spine], src_leaf, dst_leaf, &mut visit);
+                visit(&mut self.down_links[dst_leaf * up + spine], Hop::Trunk);
+                cross(
+                    &mut self.leaves[dst_leaf],
+                    down + spine,
+                    dst % down,
+                    &mut visit,
+                );
             }
         }
     }
+}
 
-    fn cells_forwarded(&self) -> u64 {
-        match self {
-            Interconnect::Single(sw) => sw.cells_forwarded(),
-            Interconnect::FatTree { leaves, spines, .. } => leaves
-                .iter()
-                .chain(spines.iter())
-                .map(BanyanSwitch::cells_forwarded)
-                .sum(),
-        }
+/// Visit the stage registers a cell from port `from` to port `to` of `sw`
+/// crosses.
+fn cross(sw: &mut BanyanSwitch, from: usize, to: usize, visit: &mut impl FnMut(&mut SimTime, Hop)) {
+    let stage = Hop::Stage(sw.stage_latency());
+    for free in sw.path(from, to) {
+        visit(free, stage);
+    }
+}
+
+/// The closed form of the module docs, evaluated hop by hop along a
+/// route. After the egress hop it prices any surviving cell's arrival
+/// ([`Walk::arrival`]).
+struct Walk {
+    /// Serialisation time of one cell on an access or trunk link.
+    ser: SimTime,
+    /// `a_K`: the switch arrival of the train's last surviving cell.
+    last: SimTime,
+    /// `K`: that cell's rank among the survivors.
+    k: u64,
+    /// `D_{1→j}`: hop latency from the switch input to hop `j`.
+    latency: SimTime,
+    /// `max_l (F_l + D_{l→j})`: the earliest earlier PDUs let a cell
+    /// start on hop `j`.
+    floor: SimTime,
+    /// `max_l (F_l + D_{l→j} + K·M_{l..j})`: the earliest they let the
+    /// last survivor start there.
+    bound: SimTime,
+}
+
+impl Walk {
+    /// Take the next hop: its register reads `free`, it holds each cell
+    /// for `hold`, and a head leaves it `latency` after starting on it.
+    /// Returns when the last survivor's head starts on it.
+    fn hop(&mut self, free: SimTime, hold: SimTime, latency: SimTime) -> SimTime {
+        self.floor = self.floor.max(free);
+        self.bound = if hold < self.ser {
+            // A stage link holding cells for less than `ser` adds its own
+            // slope; hops behind it keep theirs.
+            self.bound.max(free + times(hold, self.k))
+        } else {
+            // A hop holding cells for `ser` sets the slope of every hop
+            // behind it too.
+            self.floor + times(self.ser, self.k)
+        };
+        let head = (self.last + self.latency).max(self.bound);
+        self.latency += latency;
+        self.floor += latency;
+        self.bound += latency;
+        head
     }
 
-    fn contention_waits(&self) -> u64 {
-        match self {
-            Interconnect::Single(sw) => sw.contention_waits(),
-            Interconnect::FatTree { leaves, spines, .. } => leaves
-                .iter()
-                .chain(spines.iter())
-                .map(BanyanSwitch::contention_waits)
-                .sum(),
-        }
+    /// Arrival at the destination of the surviving cell of rank `k` that
+    /// reached the switch at `at_switch`, once the walk has taken the
+    /// egress hop (whose latency includes the cell's `ser` and the
+    /// propagation delay).
+    fn arrival(&self, at_switch: SimTime, k: u64) -> SimTime {
+        (at_switch + self.latency).max(self.floor + times(self.ser, k))
     }
 }
 
@@ -231,6 +320,9 @@ impl Interconnect {
 pub struct Fabric {
     cfg: AtmConfig,
     segmenter: Segmenter,
+    /// Serialisation time of a standard cell: a switch stage link holds
+    /// no cell for longer.
+    std_cell: SimTime,
     ingress: Vec<Link>,
     egress: Vec<Link>,
     interconnect: Interconnect,
@@ -245,15 +337,13 @@ impl Fabric {
         if let Err(e) = cfg.topology.validate(cfg.ports) {
             panic!("invalid fabric topology: {e}");
         }
-        let hosts = cfg.hosts();
+        let link = || Link::new(cfg.link_mbps);
+        let links = || (0..cfg.hosts()).map(|_| link()).collect();
         Fabric {
             segmenter: cfg.segmenter(),
-            ingress: (0..hosts)
-                .map(|_| Link::new(cfg.link_mbps, cfg.prop_delay))
-                .collect(),
-            egress: (0..hosts)
-                .map(|_| Link::new(cfg.link_mbps, cfg.prop_delay))
-                .collect(),
+            std_cell: link().serialization(ATM_CELL_BYTES),
+            ingress: links(),
+            egress: links(),
             interconnect: Interconnect::new(&cfg),
             pdus_sent: 0,
             cfg,
@@ -289,41 +379,18 @@ impl Fabric {
         let cells = self.segmenter.cell_count(pdu_len);
         let wire_bytes = self.segmenter.wire_bytes(pdu_len);
         // Cell size on the wire: equal split of the PDU across cells.
-        let per_cell_bytes = wire_bytes / cells;
-        let ser = self.ingress[src].serialization(per_cell_bytes);
-        // Internal-link occupancy: a standard cell blocks a banyan link for
-        // its serialisation time. The paper's unrestricted-cell-size mode
-        // is a *mythical* network with "the same characteristics as ATM but
-        // with unlimited cell size" — it removes the fragmentation tax, not
-        // interleaving, so a jumbo cell is not allowed to monopolise the
-        // switch for its whole (multi-microsecond) length.
-        let std_cell = self.ingress[src].serialization(crate::cell::ATM_CELL_BYTES);
-        let occupancy = ser.min(std_cell);
-        let prop = self.cfg.prop_delay;
-        let mut first = SimTime::MAX;
-        let mut last = SimTime::ZERO;
-        for i in 0..cells {
-            let ready = start + SimTime::from_ps(cell_gap.as_ps() * i as u64);
-            // Virtual cut-through: the cell's head advances through
-            // ingress link → switch stages → egress link as soon as each is
-            // free; each hop stays occupied for one serialisation time
-            // behind the head, and the last bit trails the head by `ser`.
-            let head_start = ready.max(self.ingress[src].next_free());
-            self.ingress[src].transmit(ready, per_cell_bytes);
-            let head_at_switch = head_start + prop;
-            let head_exit =
-                self.interconnect
-                    .forward_head(head_at_switch, src, dst, occupancy, per_cell_bytes);
-            let head_egress = head_exit.max(self.egress[dst].next_free());
-            self.egress[dst].transmit(head_egress, per_cell_bytes);
-            let arrival = head_egress + ser + prop;
-            first = first.min(arrival);
-            last = last.max(arrival);
-        }
+        let ser = self.ingress[src].serialization(wire_bytes / cells);
+        let k = cells as u64 - 1;
+        let ingress = &mut self.ingress[src];
+        let first = ingress.head(start, cell_gap, ser, 0) + self.cfg.prop_delay;
+        let last_head = ingress.head(start, cell_gap, ser, k);
+        ingress.carry(last_head, k + 1, ser);
+        let last = last_head + self.cfg.prop_delay;
+        let walk = self.walk_route(src, dst, ser, Some((last, k)));
         self.pdus_sent += 1;
         PduTiming {
-            first_cell_arrival: first,
-            last_cell_arrival: last,
+            first_cell_arrival: walk.arrival(first, 0),
+            last_cell_arrival: walk.arrival(last, k),
             cells,
             wire_bytes,
         }
@@ -335,8 +402,9 @@ impl Fabric {
     /// at the switch input and never touches the switch stages or the
     /// egress link; a corrupted cell travels the full path with normal
     /// timing; a delivered cell may additionally be delayed by the plan's
-    /// latency jitter. With a zero plan this walks the exact same timing
-    /// recurrence as `send_pdu` and consumes no RNG draws.
+    /// latency jitter. The draws run in transmission order: cell `i`'s
+    /// fate, then its jitter if it survived. With a zero plan this prices
+    /// exactly what `send_pdu` does and consumes no RNG draws.
     pub fn send_pdu_faulty(
         &mut self,
         start: SimTime,
@@ -354,32 +422,35 @@ impl Fabric {
         let cells = self.segmenter.cell_count(pdu_len);
         let wire_bytes = self.segmenter.wire_bytes(pdu_len);
         let per_cell_bytes = wire_bytes / cells;
-        let per_cell_payload = per_cell_bytes - crate::cell::ATM_HEADER_BYTES;
         let ser = self.ingress[src].serialization(per_cell_bytes);
-        let std_cell = self.ingress[src].serialization(crate::cell::ATM_CELL_BYTES);
-        let occupancy = ser.min(std_cell);
         let prop = self.cfg.prop_delay;
+        // The route's floor first: it only reads the registers this PDU
+        // finds, and every cell's arrival needs it.
+        let walk = self.walk_route(src, dst, ser, None);
+        let ingress = &mut self.ingress[src];
         let mut first: Option<SimTime> = None;
         let mut last: Option<SimTime> = None;
+        // The last surviving cell so far: its switch arrival and rank.
+        let mut survivor: Option<(SimTime, u64)> = None;
         let mut fates = Vec::with_capacity(cells);
-        for i in 0..cells {
-            let ready = start + SimTime::from_ps(cell_gap.as_ps() * i as u64);
-            let head_start = ready.max(self.ingress[src].next_free());
-            self.ingress[src].transmit(ready, per_cell_bytes);
-            let fate = inj.cell_fate(head_start.as_ps(), src, per_cell_payload);
+        let mut head = SimTime::ZERO;
+        for i in 0..cells as u64 {
+            head = ingress.head(start, cell_gap, ser, i);
+            let fate = inj.cell_fate(head.as_ps(), src, per_cell_bytes - ATM_HEADER_BYTES);
             fates.push(fate);
             if fate.is_drop() {
                 continue;
             }
-            let head_at_switch = head_start + prop;
-            let head_exit =
-                self.interconnect
-                    .forward_head(head_at_switch, src, dst, occupancy, per_cell_bytes);
-            let head_egress = head_exit.max(self.egress[dst].next_free());
-            self.egress[dst].transmit(head_egress, per_cell_bytes);
-            let arrival = head_egress + ser + prop + SimTime::from_ps(inj.jitter_ps());
+            let rank = survivor.map_or(0, |(_, k)| k + 1);
+            let at_switch = head + prop;
+            let arrival = walk.arrival(at_switch, rank) + SimTime::from_ps(inj.jitter_ps());
             first = Some(first.map_or(arrival, |f| f.min(arrival)));
             last = Some(last.map_or(arrival, |l| l.max(arrival)));
+            survivor = Some((at_switch, rank));
+        }
+        ingress.carry(head, cells as u64, ser);
+        if survivor.is_some() {
+            self.walk_route(src, dst, ser, survivor);
         }
         self.pdus_sent += 1;
         FaultyPduTiming {
@@ -389,6 +460,56 @@ impl Fabric {
             wire_bytes,
             fates,
         }
+    }
+
+    /// Walk the route from `src`'s switch input to `dst`, the egress link
+    /// included, pricing a train of `ser`-long cells against the
+    /// registers earlier PDUs left. Given the switch arrival and rank of
+    /// the train's last surviving cell, also leave every register on the
+    /// route where that cell leaves it; given `None`, change nothing.
+    fn walk_route(
+        &mut self,
+        src: usize,
+        dst: usize,
+        ser: SimTime,
+        last: Option<(SimTime, u64)>,
+    ) -> Walk {
+        let (at_switch, k) = last.unwrap_or((SimTime::ZERO, 0));
+        let mut walk = Walk {
+            ser,
+            last: at_switch,
+            k,
+            latency: SimTime::ZERO,
+            floor: SimTime::ZERO,
+            bound: SimTime::ZERO,
+        };
+        // Internal-link occupancy: a standard cell blocks a banyan link for
+        // its serialisation time. The paper's unrestricted-cell-size mode
+        // is a *mythical* network with "the same characteristics as ATM but
+        // with unlimited cell size" — it removes the fragmentation tax, not
+        // interleaving, so a jumbo cell is not allowed to monopolise the
+        // switch for its whole (multi-microsecond) length.
+        let stage_hold = ser.min(self.std_cell);
+        let prop = self.cfg.prop_delay;
+        let route = self.cfg.topology.route(src, dst);
+        self.interconnect.hops(route, src, dst, |free, hop| {
+            let (hold, latency) = match hop {
+                Hop::Stage(latency) => (stage_hold, latency),
+                Hop::Trunk => (ser, prop),
+            };
+            let head = walk.hop(*free, hold, latency);
+            if last.is_some() {
+                *free = head + hold;
+            }
+        });
+        // The last bit leaves the egress link `ser` after the head, and
+        // reaches the host one propagation delay later.
+        let egress = &mut self.egress[dst];
+        let head = walk.hop(egress.next_free(), ser, ser + prop);
+        if last.is_some() {
+            egress.carry(head, k + 1, ser);
+        }
+        walk
     }
 
     /// Total PDUs sent through the fabric.
@@ -405,19 +526,6 @@ impl Fabric {
             self.ingress[port].busy_time(),
             self.egress[port].busy_time(),
         )
-    }
-
-    /// Total cell-forwarding operations across all switches. On a
-    /// fat-tree a cross-leaf cell is counted once per switch it falls
-    /// through (leaf, spine, leaf), so this measures switching work, not
-    /// delivered cells.
-    pub fn cells_forwarded(&self) -> u64 {
-        self.interconnect.cells_forwarded()
-    }
-
-    /// Stage-link contention events observed across all switches.
-    pub fn contention_waits(&self) -> u64 {
-        self.interconnect.contention_waits()
     }
 }
 
@@ -436,7 +544,7 @@ mod tests {
         // 40-byte PDU -> exactly one 53-byte cell.
         let t = f.send_pdu(SimTime::ZERO, 0, 1, 40, SimTime::ZERO);
         assert_eq!(t.cells, 1);
-        let ser = Link::new(622, SimTime::ZERO).serialization(53);
+        let ser = Link::new(622).serialization(53);
         // Cut-through: propagation + switch fall-through + one
         // serialisation + propagation.
         let expect = SimTime::from_ns(150) + SimTime::from_ns(500) + ser + SimTime::from_ns(150);
@@ -451,7 +559,7 @@ mod tests {
         assert_eq!(t.cells, 86);
         // Pipelined: total ≈ per-cell path latency + 85 cell serialisations,
         // far less than 86 × full path latency.
-        let ser = Link::new(622, SimTime::ZERO).serialization(53);
+        let ser = Link::new(622).serialization(53);
         let path = SimTime::from_ns(150) + SimTime::from_ns(500) + ser + SimTime::from_ns(150);
         let serialized_tail = SimTime::from_ps(ser.as_ps() * 85);
         assert!(t.last_cell_arrival >= path + serialized_tail.saturating_sub(SimTime::from_ns(1)));
@@ -468,7 +576,7 @@ mod tests {
             (0, (SimTime::ZERO, SimTime::ZERO))
         );
         let t = f.send_pdu(SimTime::ZERO, 2, 9, 4096, SimTime::ZERO);
-        let ser = Link::new(622, SimTime::ZERO).serialization(53);
+        let ser = Link::new(622).serialization(53);
         let train = SimTime::from_ps(ser.as_ps() * t.cells as u64);
         assert_eq!(f.pdus_sent(), 1);
         // The source's ingress and the sink's egress carry every cell.
@@ -526,8 +634,15 @@ mod tests {
         };
         f.send_pdu(SimTime::ZERO, 1, 5, 4096, SimTime::ZERO);
         let contended = f.send_pdu(SimTime::ZERO, 0, 5, 4096, SimTime::ZERO);
-        assert!(contended.last_cell_arrival > solo.last_cell_arrival);
-        assert!(f.contention_waits() > 0);
+        // Both trains reach the final stage link and the egress link
+        // together; the second waits out every cell of the first there.
+        let ser = Link::new(622).serialization(53);
+        let train = SimTime::from_ps(ser.as_ps() * solo.cells as u64);
+        assert_eq!(
+            contended.first_cell_arrival,
+            solo.first_cell_arrival + train
+        );
+        assert_eq!(contended.last_cell_arrival, solo.last_cell_arrival + train);
     }
 
     // `send_pdu` checks its endpoints with a `debug_assert!`.

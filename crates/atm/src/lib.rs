@@ -23,9 +23,9 @@
 //! * [`topology`] — fabric topologies: the paper's single switch, or a
 //!   2-level fat-tree of banyans with unique deterministic routes.
 //! * [`fabric`] — the whole network seen by a NIC: segments a PDU into
-//!   cells and pipelines them through source link → switch(es) → sink
-//!   link per the configured topology, returning cell-accurate
-//!   first/last arrival times.
+//!   cells and prices their train through source link → switch(es) →
+//!   sink link per the configured topology in one walk of its route,
+//!   returning cell-accurate first/last arrival times.
 
 #![deny(missing_docs)]
 

@@ -6,7 +6,8 @@
 //! given output traverses exactly one internal link per stage, and two cells
 //! contend when their paths share such a link. We model each internal link
 //! with a next-free-time register (one new cell per cell-time) and split the
-//! quoted end-to-end switch latency evenly across the stages.
+//! quoted end-to-end switch latency evenly across the stages. The fabric
+//! prices cells through these registers ([`crate::fabric`]).
 
 use cni_sim::SimTime;
 
@@ -18,11 +19,9 @@ pub struct BanyanSwitch {
     ports: usize,
     stages: usize,
     stage_latency: SimTime,
-    /// `next_free[stage][link]`: earliest time the link after `stage` can
-    /// accept a new cell.
-    next_free: Vec<Vec<SimTime>>,
-    cells_forwarded: u64,
-    contention_waits: u64,
+    /// `next_free[stage * ports + link]`: earliest time the link after
+    /// `stage` can accept a new cell.
+    next_free: Vec<SimTime>,
 }
 
 impl BanyanSwitch {
@@ -38,9 +37,7 @@ impl BanyanSwitch {
             ports,
             stages,
             stage_latency: SimTime::from_ps(switch_latency.as_ps() / stages as u64),
-            next_free: vec![vec![SimTime::ZERO; ports]; stages],
-            cells_forwarded: 0,
-            contention_waits: 0,
+            next_free: vec![SimTime::ZERO; ports * stages],
         }
     }
 
@@ -54,61 +51,38 @@ impl BanyanSwitch {
         self.stages
     }
 
-    /// The internal link index a `src`→`dst` cell occupies after `stage`.
-    ///
-    /// Destination-tag routing: after stage `s` the cell's current address
-    /// has its top `s+1` bits replaced by the destination's top `s+1` bits.
-    fn stage_link(&self, stage: usize, src: usize, dst: usize) -> usize {
-        let k = self.stages;
-        let high_bits = stage + 1;
-        let low_mask = (1usize << (k - high_bits)) - 1;
-        let high = dst >> (k - high_bits) << (k - high_bits);
-        high | (src & low_mask)
+    /// Fall-through latency of one stage: a cell's head leaves a stage
+    /// this long after it starts on the stage's link.
+    pub fn stage_latency(&self) -> SimTime {
+        self.stage_latency
     }
 
-    /// Forward one cell whose *head* arrives at the switch input at
-    /// `arrival` and whose body occupies each traversed link for
-    /// `occupancy` (its serialisation time). Returns the time the head
-    /// leaves the last stage.
-    pub fn forward(
-        &mut self,
-        arrival: SimTime,
-        src: usize,
-        dst: usize,
-        occupancy: SimTime,
-    ) -> SimTime {
+    /// The next-free registers of the internal links a `src`→`dst` cell
+    /// occupies, one per stage, in the order its head crosses them.
+    pub(crate) fn path(&mut self, src: usize, dst: usize) -> impl Iterator<Item = &mut SimTime> {
         debug_assert!(src < self.ports && dst < self.ports, "port out of range");
-        let mut t = arrival;
-        for stage in 0..self.stages {
-            let link = self.stage_link(stage, src, dst);
-            let free = self.next_free[stage][link];
-            if free > t {
-                self.contention_waits += 1;
-                t = free;
-            }
-            self.next_free[stage][link] = t + occupancy;
-            t += self.stage_latency;
-        }
-        self.cells_forwarded += 1;
-        t
+        let stages = self.stages;
+        self.next_free
+            .chunks_exact_mut(self.ports)
+            .enumerate()
+            .map(move |(stage, links)| &mut links[stage_link(stages, stage, src, dst)])
     }
+}
 
-    /// Total cells forwarded.
-    pub fn cells_forwarded(&self) -> u64 {
-        self.cells_forwarded
-    }
-
-    /// How many stage traversals had to wait on a busy internal link.
-    pub fn contention_waits(&self) -> u64 {
-        self.contention_waits
-    }
+/// The internal link index a `src`→`dst` cell occupies after `stage` of a
+/// `stages`-stage banyan.
+///
+/// Destination-tag routing: after stage `s` the cell's current address
+/// has its top `s+1` bits replaced by the destination's top `s+1` bits.
+fn stage_link(stages: usize, stage: usize, src: usize, dst: usize) -> usize {
+    let low_bits = stages - (stage + 1);
+    let low_mask = (1usize << low_bits) - 1;
+    ((dst >> low_bits) << low_bits) | (src & low_mask)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const CELL: SimTime = SimTime(682_000); // 682 ns occupancy
 
     fn sw() -> BanyanSwitch {
         BanyanSwitch::new(32, SimTime::from_ns(500))
@@ -118,27 +92,30 @@ mod tests {
     fn stage_count_and_latency_split() {
         let s = sw();
         assert_eq!(s.stages(), 5);
-        assert_eq!(s.stage_latency, SimTime::from_ns(100));
+        assert_eq!(s.stage_latency(), SimTime::from_ns(100));
     }
 
     #[test]
     fn uncontended_forward_takes_switch_latency() {
+        // A fresh switch holds no cell anywhere, and a head falls through
+        // its stages in exactly the switch latency.
         let mut s = sw();
-        let out = s.forward(SimTime::from_us(1), 3, 17, CELL);
-        assert_eq!(out, SimTime::from_us(1) + SimTime::from_ns(500));
-        assert_eq!(s.contention_waits(), 0);
-        assert_eq!(s.cells_forwarded(), 1);
+        assert!(s.path(3, 17).all(|free| *free == SimTime::ZERO));
+        let through = s.path(3, 17).count() as u64 * s.stage_latency().as_ps();
+        assert_eq!(SimTime::from_ps(through), SimTime::from_ns(500));
     }
 
     #[test]
     fn same_output_contends() {
+        // Both cells need the final-stage link to port 9: a cell from 0
+        // holds it, and a cell from 1 finds it busy there.
         let mut s = sw();
-        let a = s.forward(SimTime::ZERO, 0, 9, CELL);
-        let b = s.forward(SimTime::ZERO, 1, 9, CELL);
-        // Both cells need the final-stage link to port 9, so the second is
-        // pushed back by at least one cell time somewhere along the path.
-        assert!(b > a, "second cell must be delayed: {a:?} vs {b:?}");
-        assert!(s.contention_waits() > 0);
+        let held = SimTime::from_ns(682);
+        for free in s.path(0, 9) {
+            *free = held;
+        }
+        let seen: Vec<SimTime> = s.path(1, 9).map(|free| *free).collect();
+        assert_eq!(seen.last(), Some(&held));
     }
 
     #[test]
@@ -146,10 +123,10 @@ mod tests {
         let mut s = sw();
         // src/dst pairs chosen so every stage link differs (dst bits and
         // src low bits all distinct).
-        let a = s.forward(SimTime::ZERO, 0, 0, CELL);
-        let b = s.forward(SimTime::ZERO, 31, 31, CELL);
-        assert_eq!(a, b);
-        assert_eq!(s.contention_waits(), 0);
+        for free in s.path(0, 0) {
+            *free = SimTime::from_ns(682);
+        }
+        assert!(s.path(31, 31).all(|free| *free == SimTime::ZERO));
     }
 
     #[test]
@@ -158,17 +135,16 @@ mod tests {
         // After the final stage the link index must equal the destination.
         for src in 0..32 {
             for dst in [0usize, 7, 16, 31] {
-                assert_eq!(s.stage_link(s.stages() - 1, src, dst), dst);
+                assert_eq!(stage_link(s.stages(), s.stages() - 1, src, dst), dst);
             }
         }
     }
 
     #[test]
     fn stage_link_first_stage_uses_top_dst_bit() {
-        let s = sw();
         // After stage 0, the top bit is the destination's; the rest is src.
-        assert_eq!(s.stage_link(0, 0b01010, 0b10000), 0b11010);
-        assert_eq!(s.stage_link(0, 0b01010, 0b00000), 0b01010);
+        assert_eq!(stage_link(5, 0, 0b01010, 0b10000), 0b11010);
+        assert_eq!(stage_link(5, 0, 0b01010, 0b00000), 0b01010);
     }
 
     #[test]

@@ -208,15 +208,15 @@ impl Config {
     }
 
     /// `Err` naming the first invariant this configuration breaks: a
-    /// valid topology that serves every processor, word-aligned pages of
-    /// at least 512 bytes, a power-of-two cache line of 8 bytes up to a
-    /// page, a Message Cache of at most [`MAX_MSG_CACHE_BYTES`], at least
-    /// one engine worker and a valid fault plan. [`crate::World::new`]
-    /// panics through this check; configurations read from outside
-    /// (checkpoints, sweep files, command-line flags) are checked with it
-    /// first.
+    /// fabric [`AtmConfig::check`] accepts that serves every processor,
+    /// word-aligned pages of at least 512 bytes, a power-of-two cache line
+    /// of 8 bytes up to a page, a Message Cache of at most
+    /// [`MAX_MSG_CACHE_BYTES`], at least one engine worker and a valid
+    /// fault plan. [`crate::World::new`] panics through this check;
+    /// configurations read from outside (checkpoints, sweep files,
+    /// command-line flags) are checked with it first.
     pub fn check(&self) -> Result<(), String> {
-        self.atm.topology.validate(self.atm.ports)?;
+        self.atm.check()?;
         let hosts = self.atm.hosts();
         if !(1..=hosts).contains(&self.procs) {
             return Err(format!(
@@ -367,6 +367,22 @@ mod tests {
             up: 16,
         };
         assert!(bad.check().is_err());
+        let mut bad = ok;
+        bad.atm.cell_payload = Some(0);
+        assert!(bad.check().unwrap_err().contains("cell_payload"));
+        bad.atm.cell_payload = Some(cni_atm::aal5::AAL5_MAX_PDU + 9);
+        assert!(bad.check().unwrap_err().contains("cell_payload"));
+        let mut edge = ok.with_unrestricted_cells();
+        assert_eq!(edge.check(), Ok(()));
+        edge.atm.cell_payload = Some(cni_atm::aal5::AAL5_MAX_PDU + 8);
+        assert_eq!(edge.check(), Ok(()));
+        let mut bad = ok;
+        bad.atm.link_mbps = 0;
+        assert!(bad.check().unwrap_err().contains("link_mbps"));
+        bad.atm.link_mbps = u64::MAX / 1000;
+        assert!(bad.check().unwrap_err().contains("link_mbps"));
+        bad.atm.link_mbps = u64::MAX / 1_000_000;
+        assert_eq!(bad.check(), Ok(()));
     }
 
     #[test]

@@ -81,22 +81,9 @@ pub struct KindLatency {
     pub p99_us: f64,
 }
 
-/// Human-readable name of a wire kind byte (see [`KindLatency::kind`]).
-pub fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        0xD0 => "acquire-req",
-        0xD1 => "acquire-fwd",
-        0xD2 => "acquire-grant",
-        0xD3 => "barrier-arrive",
-        0xD4 => "barrier-release",
-        0xD5 => "page-req",
-        0xD6 => "page-resp",
-        0xD7 => "diff-req",
-        0xD8 => "diff-resp",
-        0xA0 => "app",
-        _ => "unknown",
-    }
-}
+/// Human-readable name of a wire kind byte (see [`KindLatency::kind`]):
+/// the name `cni-analyze` gives it too.
+pub use cni_obs::kind_label as kind_name;
 
 /// Everything measured in one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -337,14 +324,10 @@ mod tests {
         assert_eq!(names.len(), protocol.len(), "{names:?}");
         assert!(!names.contains("unknown"));
         assert_eq!(kind_name(0xA0), "app");
-        // A report and cni-analyze name a kind alike; only the reliability
-        // layer's ACK, which no report's latency table carries, differs.
-        for k in 0..=u8::MAX {
-            if k != 0xF1 {
-                assert_eq!(kind_name(k), cni_obs::kind_label(k), "kind {k:#04x}");
-            }
-        }
-        assert_eq!(kind_name(0xF1), "unknown");
+        // The reliability layer's ACK never reaches a report's latency
+        // table, but cni-analyze names it.
+        assert_eq!(kind_name(0xF1), "ack");
+        assert_eq!(kind_name(0x00), "unknown");
     }
 
     #[test]

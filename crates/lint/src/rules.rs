@@ -69,15 +69,15 @@ pub const PANIC_PATH_REGIONS: &[(&str, &[&str])] = &[
         "crates/atm/src/buf.rs",
         &["as_slice", "view", "chunks", "xor_bit"],
     ),
-    // Topology routing decides the path of every cell; it runs under the
-    // fabric's per-cell forwarding, so a panicking index would be
+    // Topology routing decides the path of every cell; the fabric's route
+    // walk calls it for every PDU, so a panicking index would be
     // reachable from any send.
     (
         "crates/atm/src/topology.rs",
         &["route", "leaf_of", "hosts", "validate"],
     ),
-    // Multi-switch forwarding walks the routed path per cell head.
-    ("crates/atm/src/fabric.rs", &["forward_head"]),
+    // The fabric prices each PDU's cell train in one walk of its route.
+    ("crates/atm/src/fabric.rs", &["walk_route"]),
     // Go-back-N frame and acknowledgement receive.
     ("crates/core/src/gbn.rs", &["on_frame_rx", "on_ack_rx"]),
     // Span-recording helpers run inside the frame/ack receive paths, so

@@ -231,7 +231,7 @@ fn p1_quiet_on_panic_free_span_helpers() {
 
 #[test]
 fn p1_covers_topology_routing() {
-    // Topology routing runs under the fabric's per-cell forwarding:
+    // Topology routing runs under the fabric's route walk:
     // panicking operators inside `route`/`leaf_of` are P1 findings,
     // while shape arithmetic helpers in the same file stay out of scope.
     let src = fixture("p1_routing_bad.rs");

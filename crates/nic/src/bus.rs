@@ -70,16 +70,14 @@ impl MemoryBus {
                 end: ready,
             };
         }
-        let mut first = None;
-        let mut t = ready;
-        for _ in 0..lines {
-            let x = self.transfer(t, line_bytes);
-            first.get_or_insert(x.start);
-            t = x.end;
+        let first = self.transfer(ready, line_bytes);
+        let mut end = first.end;
+        for _ in 1..lines {
+            end = self.transfer(end, line_bytes).end;
         }
         BusXfer {
-            start: first.expect("lines > 0"),
-            end: t,
+            start: first.start,
+            end,
         }
     }
 
