@@ -26,7 +26,9 @@ use crate::ctx::{Op, Reply, YieldMsg};
 use crate::gbn::{ChanRx, ChanTx, WireMsg};
 use crate::world::{Ev, SendIntent, Shared};
 use cni_atm::Segmenter;
-use cni_dsm::{DsmConfig, DsmNode, HandleResult, Msg, NodeSpace, PageId, Payload, ProcId, Work};
+use cni_dsm::{
+    DsmConfig, DsmNode, HandleResult, Msg, NodeSpace, NoticeLog, PageId, Payload, ProcId, Work,
+};
 use cni_nic::device::TxOrigin;
 use cni_nic::{Nic, NicConfig, NicKind, RxDisposition, TxRequest};
 use cni_pathfinder::{FieldTest, Pattern};
@@ -177,8 +179,15 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    /// Node `id` of a cluster per `cfg`.
-    pub(crate) fn new(id: usize, cfg: &Config, nic_cfg: NicConfig, dsm_cfg: DsmConfig) -> Self {
+    /// Node `id` of a cluster per `cfg`, sharing the cluster's notice
+    /// `log`.
+    pub(crate) fn new(
+        id: usize,
+        cfg: &Config,
+        nic_cfg: NicConfig,
+        dsm_cfg: DsmConfig,
+        log: &Rc<NoticeLog>,
+    ) -> Self {
         let space = Rc::new(NodeSpace::new(cfg.page_bytes, cfg.nic.cache_line_bytes));
         let mut nic = Nic::new(cfg.nic_kind, nic_cfg);
         if cfg.nic_kind == NicKind::Cni && cfg.nic.cni_features.aih {
@@ -196,7 +205,7 @@ impl Node {
             id,
             cpu: Cpu::new(),
             nic,
-            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, space),
+            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, space, Rc::clone(log)),
             jitter: SplitMix64::new(cfg.seed ^ 0xC31_0C31 ^ id as u64),
             rel_tx: BTreeMap::new(),
             rel_rx: BTreeMap::new(),

@@ -40,7 +40,7 @@ use crate::gbn::Frag;
 use crate::node::{Env, Node};
 use crate::report::{KindHistogram, KindLatency, ProcTimes, RunReport, REPORT_VERSION};
 use cni_atm::{CellTrain, Fabric};
-use cni_dsm::{DsmConfig, Msg, NodeSpace, PageId, ProcId, VAddr};
+use cni_dsm::{DsmConfig, Msg, NodeSpace, NoticeLog, PageId, ProcId, VAddr};
 use cni_faults::{FaultInjector, FaultStats};
 use cni_sim::stats::Histogram;
 use cni_sim::{EventQueue, SimTime, Task};
@@ -310,9 +310,10 @@ impl World {
         };
         let fabric = Fabric::new(cfg.atm);
         let seg = fabric.segmenter();
+        let log = Rc::new(NoticeLog::default());
         World {
             nodes: (0..cfg.procs)
-                .map(|p| Node::new(p, &cfg, nic_cfg, dsm_cfg))
+                .map(|p| Node::new(p, &cfg, nic_cfg, dsm_cfg, &log))
                 .collect(),
             shared: Shared {
                 q: EventQueue::new(),
@@ -914,7 +915,8 @@ impl Shared {
 
 #[cfg(test)]
 mod tests {
-    use super::Ev;
+    use super::{program, Config, Ev, Rc, World};
+    use cni_dsm::{DsmCluster, DsmConfig, NoticeLog, ProcId};
 
     #[test]
     fn an_event_fits_in_112_bytes() {
@@ -923,5 +925,64 @@ mod tests {
             "Ev grew to {} bytes",
             std::mem::size_of::<Ev>()
         );
+    }
+
+    /// Every notice in `log`, writer by writer, checked to appear once.
+    fn logged_once(log: &NoticeLog, procs: u32) -> usize {
+        let mut all = Vec::new();
+        for w in (0..procs).map(ProcId) {
+            log.writer_notices_through(w, 0, u32::MAX, &mut all);
+        }
+        let mut keys: Vec<_> = all.iter().map(|n| (n.writer, n.interval, n.page)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), all.len(), "a notice logged twice");
+        all.len()
+    }
+
+    /// The nodes of a `World` and of a `DsmCluster` read one write-notice
+    /// log, which holds each published notice once: four writers each
+    /// write their own page in three barrier rounds, so it holds twelve.
+    #[test]
+    fn every_node_shares_one_notice_log() {
+        let mut w = World::new(Config::paper_default().with_procs(4));
+        let page_bytes = w.config().page_bytes as u64;
+        let base = w.alloc(4 * page_bytes as usize);
+        let programs = (0..4u64)
+            .map(|p| {
+                program(move |ctx| {
+                    Box::pin(async move {
+                        for round in 1..=3 {
+                            ctx.write_u64(base.add(p * page_bytes), round).await;
+                            ctx.barrier().await;
+                        }
+                    })
+                })
+            })
+            .collect();
+        w.run(programs);
+        let log = w.nodes[0].dsm.notice_log();
+        assert!(w.nodes.iter().all(|n| Rc::ptr_eq(n.dsm.notice_log(), log)));
+        assert_eq!(Rc::strong_count(log), 4, "held by the nodes alone");
+        assert_eq!(logged_once(log, 4), 12);
+
+        let mut c = DsmCluster::new(DsmConfig {
+            procs: 4,
+            page_bytes: 2048,
+            line_bytes: 32,
+            tree_barrier: true,
+            barrier_arity: 2,
+        });
+        let base = c.alloc(4 * 2048);
+        for round in 1..=3 {
+            for p in 0..4 {
+                c.write_u64(ProcId(p), base.add(p as u64 * 2048), round);
+            }
+            c.barrier_all();
+        }
+        let log = c.node(ProcId(0)).notice_log();
+        assert!((0..4).all(|p| Rc::ptr_eq(c.node(ProcId(p)).notice_log(), log)));
+        assert_eq!(Rc::strong_count(log), 4, "held by the nodes alone");
+        assert_eq!(logged_once(log, 4), 12);
     }
 }

@@ -14,7 +14,9 @@
 //!   sharing).
 //! * [`protocol`] — the message vocabulary, with wire sizes and the header
 //!   kind bytes PATHFINDER patterns match.
-//! * [`node`] — the per-processor engine: intervals, notice logs,
+//! * [`notices`] — the cluster's one write-notice log, which each node
+//!   reads through its own vector clock.
+//! * [`node`] — the per-processor engine: intervals, write notices,
 //!   invalidation, distributed lock managers, the barrier manager, and the
 //!   page/diff fetch state machines. Timing-free: it reports messages,
 //!   wakeups and labour; the simulation charges costs.
@@ -31,6 +33,7 @@
 pub mod cluster;
 pub mod diff;
 pub mod node;
+pub mod notices;
 pub mod protocol;
 pub mod space;
 pub mod types;
@@ -38,6 +41,7 @@ pub mod types;
 pub use cluster::DsmCluster;
 pub use diff::Diff;
 pub use node::{DsmConfig, DsmNode, DsmStats, HandleResult, Wakeup, Work};
+pub use notices::NoticeLog;
 pub use protocol::{Msg, Payload};
 pub use space::{access, Frame, NodeSpace, Page, PageFlags, PageHandle};
 pub use types::{LockId, PageId, ProcId, VAddr, VClock, WriteNotice, SHARED_BASE};

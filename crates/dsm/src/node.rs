@@ -21,12 +21,14 @@
 //! ([`DsmConfig::tree_barrier`]).
 
 use crate::diff::Diff;
+use crate::notices::NoticeLog;
 use crate::protocol::{Msg, Payload};
 use crate::space::{access, NodeSpace};
 use crate::types::{LockId, PageId, ProcId, VClock, WriteNotice};
 use cni_trace::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Included};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -117,53 +119,6 @@ struct HolderState {
     pending: VecDeque<(ProcId, VClock)>,
 }
 
-/// The writers known to have written one page, each with the highest
-/// interval it is known to have written there (never 0), ascending by id.
-/// Most pages have one writer, held inline; a second writer spills the set
-/// to a sorted `Vec`.
-#[derive(Clone, Debug, Default)]
-enum WriterSet {
-    #[default]
-    Empty,
-    One((ProcId, u32)),
-    Many(Vec<(ProcId, u32)>),
-}
-
-impl WriterSet {
-    fn as_slice(&self) -> &[(ProcId, u32)] {
-        match self {
-            WriterSet::Empty => &[],
-            WriterSet::One(entry) => std::slice::from_ref(entry),
-            WriterSet::Many(entries) => entries,
-        }
-    }
-
-    /// Highest interval `w` is known to have written (0: none).
-    fn get(&self, w: ProcId) -> u32 {
-        let entries = self.as_slice();
-        entries
-            .binary_search_by_key(&w, |&(p, _)| p)
-            .map_or(0, |k| entries[k].1)
-    }
-
-    /// Raise `w`'s interval to at least `interval` (> 0), adding `w`.
-    fn raise(&mut self, w: ProcId, interval: u32) {
-        match self {
-            WriterSet::Empty => *self = WriterSet::One((w, interval)),
-            WriterSet::One((p, i)) if *p == w => *i = (*i).max(interval),
-            WriterSet::One(first) => {
-                let mut entries = vec![*first, (w, interval)];
-                entries.sort_unstable_by_key(|&(p, _)| p);
-                *self = WriterSet::Many(entries);
-            }
-            WriterSet::Many(entries) => match entries.binary_search_by_key(&w, |&(p, _)| p) {
-                Ok(k) => entries[k].1 = entries[k].1.max(interval),
-                Err(k) => entries.insert(k, (w, interval)),
-            },
-        }
-    }
-}
-
 /// Barrier-manager state (processor 0 only).
 #[derive(Debug)]
 struct BarrierMgr {
@@ -226,14 +181,12 @@ pub struct DsmNode {
     cfg: DsmConfig,
     space: Rc<NodeSpace>,
     vc: VClock,
-    /// Write-notice log per writer, ascending by interval.
-    log: Vec<Vec<(u32, PageId)>>,
+    /// The cluster's write notices, shared by every node; this node sees
+    /// writer `w`'s entries up to `vc[w]`.
+    log: Rc<NoticeLog>,
     /// Per page: writer intervals reflected in the local frame. Keyed:
     /// only pages this node holds a copy of have one.
     pv: BTreeMap<PageId, VClock>,
-    /// Per allocated page, indexed by id: the writers known to have
-    /// written it. Sized by [`DsmNode::set_home`], never by a message.
-    knowledge: Vec<WriterSet>,
     /// Twins for pages written in the current interval.
     twins: BTreeMap<PageId, Vec<u64>>,
     /// Pages written in the current interval (insertion-ordered).
@@ -248,8 +201,8 @@ pub struct DsmNode {
     probable: BTreeMap<LockId, ProcId>,
     /// Holder side: token state per lock.
     holders: BTreeMap<LockId, HolderState>,
-    /// Per allocated page, indexed by id: its home. Sized with
-    /// `knowledge`; pages past it default to `page mod N`.
+    /// Per allocated page, indexed by id: its home. Sized with the log's
+    /// page table; pages past it default to `page mod N`.
     homes: Vec<ProcId>,
     /// Barrier manager (processor 0).
     barrier_mgr: Option<BarrierMgr>,
@@ -263,8 +216,9 @@ pub struct DsmNode {
 }
 
 impl DsmNode {
-    /// Engine for processor `me` of `cfg.procs`, operating on `space`.
-    pub fn new(me: ProcId, cfg: DsmConfig, space: Rc<NodeSpace>) -> Self {
+    /// Engine for processor `me` of `cfg.procs`, operating on `space` and
+    /// sharing the cluster's write-notice `log` with every other node.
+    pub fn new(me: ProcId, cfg: DsmConfig, space: Rc<NodeSpace>, log: Rc<NoticeLog>) -> Self {
         let n = cfg.procs;
         assert!((me.0 as usize) < n, "proc id out of range");
         DsmNode {
@@ -272,9 +226,8 @@ impl DsmNode {
             cfg,
             space,
             vc: VClock::zero(n),
-            log: vec![Vec::new(); n],
+            log,
             pv: BTreeMap::new(),
-            knowledge: Vec::new(),
             twins: BTreeMap::new(),
             dirty_pages: Vec::new(),
             pending_self: BTreeMap::new(),
@@ -312,6 +265,12 @@ impl DsmNode {
         &self.space
     }
 
+    /// The cluster's write-notice log, which every node of the cluster
+    /// shares.
+    pub fn notice_log(&self) -> &Rc<NoticeLog> {
+        &self.log
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> DsmStats {
         self.stats
@@ -341,9 +300,9 @@ impl DsmNode {
 
     /// Register an allocated `page` and its home (allocation-time
     /// placement; must be called identically on every node). This is the
-    /// only call that sizes the per-page tables: a page id read from a
-    /// message never grows them. Pages skipped over keep the round-robin
-    /// home.
+    /// only call that sizes the per-page tables, the node's homes and the
+    /// shared log's pages: a page id read from a message never grows
+    /// them. Pages skipped over keep the round-robin home.
     pub fn set_home(&mut self, page: PageId, home: ProcId) {
         let idx = page.0 as usize;
         if idx >= self.homes.len() {
@@ -351,7 +310,7 @@ impl DsmNode {
             let from = self.homes.len();
             self.homes
                 .extend((from..=idx).map(|p| ProcId((p % procs) as u32)));
-            self.knowledge.resize_with(idx + 1, WriterSet::default);
+            self.log.register_page(page);
         }
         self.homes[idx] = home;
     }
@@ -367,35 +326,17 @@ impl DsmNode {
 
     // --- Page knowledge -------------------------------------------------------
 
-    /// Highest interval `w` is known to have written `page` (0: none).
-    fn known(&self, page: PageId, w: ProcId) -> u32 {
-        self.knowledge
-            .get(page.0 as usize)
-            .map_or(0, |writers| writers.get(w))
-    }
-
-    /// Record that `w` wrote `page` in `interval`. Intervals count from 1;
-    /// a 0, which only a malformed message could carry, records nothing, so
-    /// every entry names a real write. So does a page outside the
-    /// allocated segment.
-    fn raise_known(&mut self, page: PageId, w: ProcId, interval: u32) {
-        if interval == 0 {
-            return;
-        }
-        if let Some(writers) = self.knowledge.get_mut(page.0 as usize) {
-            writers.raise(w, interval);
-        }
+    /// Highest interval `w` is known to have written `page` (0: none):
+    /// its last write of the page the node's clock covers.
+    pub(crate) fn known(&self, page: PageId, w: ProcId) -> u32 {
+        self.log.last_write_through(page, w, self.vc.get(w))
     }
 
     /// The writers known to have written `page`, each with its highest
     /// known interval (never 0). Ascending by id: faults break ties and
     /// send diff requests in this order, and reports depend on it.
-    fn writers_of(&self, page: PageId) -> impl Iterator<Item = (ProcId, u32)> + '_ {
-        self.knowledge
-            .get(page.0 as usize)
-            .map_or(&[][..], WriterSet::as_slice)
-            .iter()
-            .copied()
+    pub(crate) fn writers_of(&self, page: PageId) -> Vec<(ProcId, u32)> {
+        self.log.page_writers_through(page, &self.vc)
     }
 
     // --- Interval machinery -------------------------------------------------
@@ -440,8 +381,7 @@ impl DsmNode {
             let mut ivc = self.vc.clone();
             ivc.set(self.me, i);
             self.my_diffs.insert((p, i), (d, ivc));
-            self.log[self.me.0 as usize].push((i, p));
-            self.raise_known(p, self.me, i);
+            self.log.publish_write(self.me, i, p);
             self.pv
                 .entry(p)
                 .or_insert_with(|| VClock::zero(self.cfg.procs))
@@ -453,46 +393,32 @@ impl DsmNode {
         }
     }
 
-    /// All notices in the log newer than `vc` (grant piggybacking).
-    fn notices_since(&self, vc: &VClock) -> Vec<WriteNotice> {
+    /// Every notice this node knows of that `vc` does not cover (grant
+    /// piggybacking), ascending by `(writer, interval)`.
+    pub(crate) fn notices_since(&self, vc: &VClock) -> Vec<WriteNotice> {
         let mut out = Vec::new();
-        for (w, entries) in self.log.iter().enumerate() {
-            let writer = ProcId(w as u32);
-            let floor = vc.get(writer);
-            let start = entries.partition_point(|&(i, _)| i <= floor);
-            out.extend(
-                entries[start..]
-                    .iter()
-                    .map(|&(interval, page)| WriteNotice {
-                        writer,
-                        interval,
-                        page,
-                    }),
-            );
+        for w in (0..self.cfg.procs as u32).map(ProcId) {
+            self.log
+                .writer_notices_through(w, vc.get(w), self.vc.get(w), &mut out);
         }
         out
     }
 
     /// Own notices with interval beyond `floor` (barrier arrivals).
     fn own_notices_since(&self, floor: u32) -> Vec<WriteNotice> {
-        let entries = &self.log[self.me.0 as usize];
-        let start = entries.partition_point(|&(i, _)| i <= floor);
-        entries[start..]
-            .iter()
-            .map(|&(interval, page)| WriteNotice {
-                writer: self.me,
-                interval,
-                page,
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.log
+            .writer_notices_through(self.me, floor, self.vc.get(self.me), &mut out);
+        out
     }
 
-    /// Record incoming notices: extend the log, update page knowledge, and
-    /// invalidate uncovered local copies (taking early diffs for pages the
-    /// current interval has dirtied — concurrent write sharing).
+    /// Take in incoming notices: invalidate uncovered local copies (taking
+    /// early diffs for pages the current interval has dirtied — concurrent
+    /// write sharing). Nothing is stored: the message's clock, merged
+    /// before this runs, already covers the notices in the shared log.
     ///
     /// `notices` must be ascending by `(writer, interval)`: a grant's come
-    /// from the granter's per-writer logs, and a barrier's root sorts the
+    /// from the log writer by writer, and a barrier's root sorts the
     /// combined list once for every receiver. A notice for a page outside
     /// the allocated segment names no page this node can hold, and one from
     /// a writer outside the cluster names no processor; both are skipped.
@@ -503,34 +429,12 @@ impl DsmNode {
                 .all(|w| (w[0].writer, w[0].interval) <= (w[1].writer, w[1].interval)),
             "write notices out of (writer, interval) order"
         );
-        let (me, segment, procs) = (self.me, self.knowledge.len(), self.log.len());
+        let (me, segment, procs) = (self.me, self.log.segment_pages(), self.cfg.procs);
         for n in notices.iter().filter(|n| {
             n.writer != me && (n.page.0 as usize) < segment && (n.writer.0 as usize) < procs
         }) {
             work.notices += 1;
             self.stats.notices_in += 1;
-            let log = &mut self.log[n.writer.0 as usize];
-            let last = log.last().map(|&(i, _)| i).unwrap_or(0);
-            if n.interval > last {
-                log.push((n.interval, n.page));
-            } else {
-                // One interval may dirty several pages, and the same notice
-                // can arrive twice (lock grant then barrier): insert in
-                // sorted position only if it is genuinely new.
-                let mut k = log.partition_point(|&(i, _)| i < n.interval);
-                let mut exists = false;
-                while k < log.len() && log[k].0 == n.interval {
-                    if log[k].1 == n.page {
-                        exists = true;
-                        break;
-                    }
-                    k += 1;
-                }
-                if !exists {
-                    log.insert(k, (n.interval, n.page));
-                }
-            }
-            self.raise_known(n.page, n.writer, n.interval);
             let covered = self
                 .pv
                 .get(&n.page)
@@ -631,6 +535,7 @@ impl DsmNode {
         let base = pv.is_some();
         let needed: Vec<(ProcId, u32, u32)> = self
             .writers_of(page)
+            .into_iter()
             .filter(|&(w, _)| w != self.me)
             .filter_map(|(w, upto)| {
                 let fl = pv.map_or(0, |v| v.get(w));
@@ -1114,11 +1019,16 @@ impl DsmNode {
                 floor,
                 upto,
             } => {
+                // Only the diffs held are walked, so a forged range costs
+                // nothing; an empty or inverted one is answered empty.
                 let mut intervals = Vec::new();
                 let mut vcs = Vec::new();
                 let mut diffs = Vec::new();
-                for i in (floor + 1)..=upto {
-                    if let Some((d, ivc)) = self.my_diffs.get(&(page, i)) {
+                if floor < upto {
+                    let held = self
+                        .my_diffs
+                        .range((Excluded((page, floor)), Included((page, upto))));
+                    for (&(_, i), (d, ivc)) in held {
                         work.diff_words += d.words() as u64;
                         intervals.push(i);
                         vcs.push(ivc.clone());
@@ -1184,16 +1094,15 @@ impl DsmNode {
         // write.
         let mut buffered: Vec<(ProcId, u32, VClock, Diff)> = Vec::new();
         let mut committed: Vec<(ProcId, u32)> = Vec::new();
-        let my_k = self.known(page, self.me);
-        if my_k > pv.get(self.me) {
-            for i in (pv.get(self.me) + 1)..=my_k {
-                if let Some((d, ivc)) = self.my_diffs.get(&(page, i)) {
-                    buffered.push((self.me, i, ivc.clone(), d.clone()));
-                }
-            }
-            committed.push((self.me, my_k));
-        }
         let me = self.me;
+        let my_k = self.known(page, me);
+        if my_k > pv.get(me) {
+            let own = self
+                .my_diffs
+                .range((Excluded((page, pv.get(me))), Included((page, my_k))));
+            buffered.extend(own.map(|(&(_, i), (d, ivc))| (me, i, ivc.clone(), d.clone())));
+            committed.push((me, my_k));
+        }
         let mut outstanding = BTreeMap::new();
         for (w, upto) in self.writers_of(page) {
             let fl = pv.get(w);
@@ -1343,44 +1252,80 @@ mod tests {
         }
     }
 
-    /// Processor `me` of 64 with pages `0..pages` registered.
-    fn node_with_pages(me: u32, pages: u32) -> DsmNode {
-        let mut node = DsmNode::new(ProcId(me), config(64), Rc::new(NodeSpace::new(2048, 32)));
+    /// Processor `me` of `procs` on its own log, with pages `0..pages`
+    /// registered round-robin.
+    fn node_with_pages(me: u32, procs: usize, pages: u32) -> DsmNode {
+        let mut node = DsmNode::new(
+            ProcId(me),
+            config(procs),
+            Rc::new(NodeSpace::new(2048, 32)),
+            Rc::new(NoticeLog::default()),
+        );
         for p in 0..pages {
-            node.set_home(PageId(p), ProcId(p % 64));
+            node.set_home(PageId(p), ProcId(p % procs as u32));
         }
         node
     }
 
-    /// Writers held by `page`'s set, checked against its representation:
-    /// none, one inline, or two or more spilled.
-    fn writer_count(node: &DsmNode, page: PageId) -> usize {
-        let set = &node.knowledge[page.0 as usize];
-        let n = set.as_slice().len();
-        match set {
-            WriterSet::Empty => assert_eq!(n, 0),
-            WriterSet::One(_) => assert_eq!(n, 1),
-            WriterSet::Many(_) => assert!(n >= 2, "{set:?} should be inline"),
+    fn notice(writer: u32, interval: u32, page: u32) -> WriteNotice {
+        WriteNotice {
+            writer: ProcId(writer),
+            interval,
+            page: PageId(page),
         }
-        n
+    }
+
+    /// A grant of `lock` from processor 1 to processor 0, which must be
+    /// waiting for it.
+    fn grant(lock: u32, vc: VClock, notices: Vec<WriteNotice>) -> Msg {
+        Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::AcquireGrant {
+                lock: LockId(lock),
+                vc,
+                notices,
+                then_serve: vec![],
+            },
+        }
     }
 
     proptest! {
-        /// The per-page writer sets answer every query exactly as a dense
-        /// clock per page would, and walk writers in ascending order. A
-        /// raise to interval 0 is a no-op in both, and a raise naming a
-        /// page past the 8 registered ones records nothing.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Page knowledge read through the shared log answers every query
+        /// exactly as a dense clock per page would, built from the writes
+        /// the node's clock covers, and walks writers in ascending order.
+        /// Each op publishes a write of `page` by `w`, in a new interval or
+        /// in `w`'s last one, then lets the node's clock see `w`'s
+        /// intervals up to `lag` behind its newest. A write of a page past
+        /// the 8 registered ones is not published.
         fn page_knowledge_matches_a_dense_clock_per_page(
-            raises in proptest::collection::vec((0u32..10, 0u32..64, 0u32..50), 1..200)
+            ops in proptest::collection::vec((0u32..10, 0u32..64, any::<bool>(), 0u32..3), 1..200)
         ) {
-            let mut node = node_with_pages(0, 8);
-            let mut model = vec![VClock::zero(64); 10];
-            for (page, w, interval) in raises {
-                node.raise_known(PageId(page), ProcId(w), interval);
-                if page < 8 {
-                    model[page as usize].raise(ProcId(w), interval);
+            let mut node = node_with_pages(0, 64, 8);
+            let mut newest = vec![0u32; 64];
+            let mut published: Vec<(ProcId, u32, PageId)> = Vec::new();
+            for (page, w, fresh, lag) in ops {
+                let (page, w) = (PageId(page), ProcId(w));
+                let i = &mut newest[w.0 as usize];
+                if fresh || *i == 0 {
+                    *i += 1;
                 }
-                prop_assert_eq!(node.knowledge.len(), 8);
+                let write = (w, *i, page);
+                if !published.contains(&write) {
+                    node.log.publish_write(w, *i, page);
+                    if page.0 < 8 {
+                        published.push(write);
+                    }
+                }
+                node.vc.raise(w, i.saturating_sub(lag));
+                let mut model = vec![VClock::zero(64); 10];
+                for &(w, i, p) in &published {
+                    if i <= node.vc.get(w) {
+                        model[p.0 as usize].raise(w, i);
+                    }
+                }
+                prop_assert_eq!(node.log.segment_pages(), 8);
                 for (pg, clock) in model.iter().enumerate() {
                     let page = PageId(pg as u32);
                     for w in (0..64).map(ProcId) {
@@ -1391,142 +1336,127 @@ mod tests {
                         .map(|w| (w, clock.get(w)))
                         .filter(|&(_, i)| i > 0)
                         .collect();
-                    if pg < 8 {
-                        prop_assert_eq!(writer_count(&node, page), dense.len());
-                    }
-                    prop_assert_eq!(node.writers_of(page).collect::<Vec<_>>(), dense);
+                    prop_assert_eq!(node.writers_of(page), dense);
                 }
             }
         }
     }
 
     #[test]
-    fn a_writer_set_is_inline_until_a_second_writer() {
-        assert_eq!(std::mem::size_of::<WriterSet>(), 24);
-        let mut node = node_with_pages(0, 2);
+    fn writers_come_back_in_ascending_id_order() {
+        let mut node = node_with_pages(0, 64, 2);
         let page = PageId(1);
-        node.raise_known(page, ProcId(9), 0);
-        assert_eq!(writer_count(&node, page), 0, "interval 0 records nothing");
-        node.raise_known(page, ProcId(9), 3);
-        node.raise_known(page, ProcId(9), 2);
-        assert_eq!(writer_count(&node, page), 1);
-        assert_eq!(node.known(page, ProcId(9)), 3, "a raise never lowers");
-        node.raise_known(page, ProcId(4), 0);
-        assert_eq!(writer_count(&node, page), 1, "interval 0 records nothing");
-        node.raise_known(page, ProcId(4), 1);
-        assert_eq!(writer_count(&node, page), 2);
-        node.raise_known(page, ProcId(63), 7);
-        node.raise_known(page, ProcId(4), 5);
-        let writers: Vec<_> = node.writers_of(page).collect();
+        for (w, i) in [(9, 2), (9, 3), (4, 1), (63, 7), (4, 5)] {
+            node.log.publish_write(ProcId(w), i, page);
+        }
+        assert!(node.writers_of(page).is_empty(), "the clock covers none");
+        for (w, i) in [(9, 3), (4, 5), (63, 7)] {
+            node.vc.set(ProcId(w), i);
+        }
         assert_eq!(
-            writers,
+            node.writers_of(page),
             [(ProcId(4), 5), (ProcId(9), 3), (ProcId(63), 7)],
             "ascending by writer"
         );
-        assert_eq!(writer_count(&node, PageId(0)), 0);
+        node.vc = VClock::zero(64);
+        node.vc.set(ProcId(4), 4);
+        node.vc.set(ProcId(9), 2);
+        assert_eq!(node.known(page, ProcId(9)), 2);
+        assert_eq!(
+            node.writers_of(page),
+            [(ProcId(4), 1), (ProcId(9), 2)],
+            "each writer's last write the clock covers"
+        );
+        assert!(node.writers_of(PageId(0)).is_empty());
     }
 
     #[test]
     fn set_home_sizes_the_tables_and_keeps_round_robin_gaps() {
-        let mut node = DsmNode::new(ProcId(0), config(4), Rc::new(NodeSpace::new(2048, 32)));
+        let mut node = node_with_pages(0, 4, 0);
+        let mut peer = DsmNode::new(
+            ProcId(1),
+            config(4),
+            Rc::new(NodeSpace::new(2048, 32)),
+            Rc::clone(&node.log),
+        );
         assert_eq!(node.page_home(PageId(6)), ProcId(2));
         node.set_home(PageId(5), ProcId(0));
-        assert_eq!((node.homes.len(), node.knowledge.len()), (6, 6));
+        assert_eq!((node.homes.len(), node.log.segment_pages()), (6, 6));
         let homes: Vec<_> = (0..7).map(|p| node.page_home(PageId(p)).0).collect();
         assert_eq!(homes, [0, 1, 2, 3, 0, 0, 2]);
         node.set_home(PageId(2), ProcId(3));
         assert_eq!(node.page_home(PageId(2)), ProcId(3));
         assert_eq!(node.homes.len(), 6, "re-registering a page does not grow");
+        peer.set_home(PageId(3), ProcId(3));
+        assert_eq!((peer.homes.len(), peer.log.segment_pages()), (4, 6));
     }
 
     /// Page ids past the allocated segment reach a node in notices,
     /// grants, releases and faults; none of them may panic or size a table.
     #[test]
     fn a_page_past_the_segment_grows_no_table() {
-        let beyond = |p: u32| WriteNotice {
-            writer: ProcId(1),
-            interval: 1,
-            page: PageId(p),
-        };
-        let mut node = node_with_pages(0, 2);
+        let mut node = node_with_pages(0, 64, 2);
         node.on_acquire(LockId(1));
-        node.on_message(Msg {
-            src: ProcId(1),
-            dst: ProcId(0),
-            payload: Payload::AcquireGrant {
-                lock: LockId(1),
-                vc: VClock::zero(64),
-                notices: vec![beyond(2), beyond(u32::MAX)],
-                then_serve: vec![],
-            },
-        });
+        node.on_message(grant(
+            1,
+            VClock::zero(64),
+            vec![notice(1, 1, 2), notice(1, 1, u32::MAX)],
+        ));
         node.on_message(Msg {
             src: ProcId(1),
             dst: ProcId(0),
             payload: Payload::BarrierRelease {
                 epoch: 0,
                 vc: VClock::zero(64),
-                notices: vec![beyond(1000)].into(),
+                notices: vec![notice(1, 1, 1000)].into(),
             },
         });
-        assert_eq!((node.homes.len(), node.knowledge.len()), (2, 2));
+        assert_eq!((node.homes.len(), node.log.segment_pages()), (2, 2));
         assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
 
         // A program that faults on, writes and publishes a page past the
-        // segment: the page's round-robin home serves a zero frame, and
-        // every node skips the write notice the barrier carries, so the
-        // write is not published.
+        // segment beside one inside it: the page's round-robin home serves
+        // a zero frame, and the log takes only the write inside, so no
+        // barrier and no grant carries the other.
         let mut c = crate::DsmCluster::new(DsmConfig {
             tree_barrier: false,
             ..config(4)
         });
-        c.alloc(2 * 2048);
+        let base = c.alloc(2 * 2048);
         let addr = crate::VAddr::of_page(PageId(1000), 2048);
         assert_eq!(c.read_u64(ProcId(1), addr), 0);
+        c.acquire(ProcId(1), LockId(1));
         c.write_u64(ProcId(1), addr, 5);
+        c.write_u64(ProcId(1), base, 6);
+        c.release(ProcId(1), LockId(1));
+        c.acquire(ProcId(2), LockId(1));
+        assert_eq!(c.read_u64(ProcId(2), base), 6);
+        c.release(ProcId(2), LockId(1));
         c.barrier_all();
         assert_eq!(c.read_u64(ProcId(2), addr), 0);
         for p in (0..4).map(ProcId) {
             let node = c.node(p);
-            assert_eq!((node.homes.len(), node.knowledge.len()), (2, 2));
+            assert_eq!((node.homes.len(), node.log.segment_pages()), (2, 2));
+            assert_eq!(
+                node.notices_since(&VClock::zero(4)),
+                [notice(1, 1, 0)],
+                "the notices any grant of {p:?} can carry"
+            );
         }
     }
 
     /// Forged messages naming writer 9 and carrying clocks of another
-    /// width reach a 4-processor node: no panic, no notice integrated, and
-    /// the clock keeps its width.
+    /// width reach a 4-processor node: no panic, no notice integrated, the
+    /// shared log unchanged, and the clock keeps its width.
     #[test]
     fn a_writer_outside_the_cluster_and_a_clock_of_another_width_are_ignored() {
-        let mut node = DsmNode::new(ProcId(0), config(4), Rc::new(NodeSpace::new(2048, 32)));
-        for p in 0..2 {
-            node.set_home(PageId(p), ProcId(p % 4));
-        }
-        let tables = |node: &DsmNode| {
-            let known: Vec<Vec<(ProcId, u32)>> = node
-                .knowledge
-                .iter()
-                .map(|set| set.as_slice().to_vec())
-                .collect();
-            (node.log.clone(), known)
-        };
-        let before = tables(&node);
-        let outsider = vec![WriteNotice {
-            writer: ProcId(9),
-            interval: 3,
-            page: PageId(1),
-        }];
+        let mut node = node_with_pages(0, 4, 2);
+        node.log.publish_write(ProcId(2), 1, PageId(1));
+        let before = (*node.log).clone();
+        let outsider = vec![notice(9, 3, 1)];
         let wide = VClock(vec![1, 2, 3, 4, 5]);
         node.on_acquire(LockId(1));
-        node.on_message(Msg {
-            src: ProcId(1),
-            dst: ProcId(0),
-            payload: Payload::AcquireGrant {
-                lock: LockId(1),
-                vc: wide.clone(),
-                notices: outsider.clone(),
-                then_serve: vec![],
-            },
-        });
+        node.on_message(grant(1, wide.clone(), outsider.clone()));
         node.on_message(Msg {
             src: ProcId(1),
             dst: ProcId(0),
@@ -1549,11 +1479,86 @@ mod tests {
         });
         assert!(matches!(
             res.out.last().map(|m| &m.payload),
-            Some(Payload::AcquireGrant { .. })
+            Some(Payload::AcquireGrant { notices, .. }) if notices[..] == [notice(2, 1, 1)]
         ));
-        assert_eq!(tables(&node), before);
+        assert_eq!(*node.log, before);
         assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
         assert_eq!(node.vc, VClock(vec![1, 2, 3, 4]));
+    }
+
+    /// A real message's clock covers every notice it carries; a forged one
+    /// may carry a notice past it. Such a notice is counted and checked
+    /// against the local copy like any other, but adds no knowledge.
+    #[test]
+    fn a_notice_the_messages_clock_does_not_cover_adds_nothing() {
+        let mut node = node_with_pages(0, 4, 2);
+        node.init_home_page(PageId(0));
+        node.log.publish_write(ProcId(1), 1, PageId(0));
+        let before = (*node.log).clone();
+        node.on_acquire(LockId(1));
+        node.on_message(grant(
+            1,
+            VClock(vec![0, 1, 0, 0]),
+            vec![notice(1, 1, 0), notice(1, 2, 1)],
+        ));
+        assert_eq!(node.stats().notices_in, 2);
+        assert_eq!(node.known(PageId(0), ProcId(1)), 1, "covered by the clock");
+        assert_eq!(node.known(PageId(1), ProcId(1)), 0, "past the clock");
+        assert!(node.writers_of(PageId(1)).is_empty());
+        assert_eq!(*node.log, before);
+        assert_eq!(
+            node.space().page(PageId(0)).flags.state(),
+            access::INVALID,
+            "the covered notice invalidates the stale copy"
+        );
+    }
+
+    /// A diff request's range comes from the wire. The reply walks only
+    /// the diffs the node holds: a floor at `u32::MAX`, an inverted range
+    /// and a huge `upto` each cost one range lookup, and a real request
+    /// gets the same reply as before.
+    #[test]
+    fn a_forged_diff_request_is_served_from_the_held_diffs() {
+        let mut node = node_with_pages(0, 4, 2);
+        node.init_home_page(PageId(0));
+        node.on_acquire(LockId(0));
+        node.on_write_fault(PageId(0));
+        let page = node.space().page(PageId(0));
+        page.frame.store(3, 7);
+        page.flags.mark_dirty(0);
+        node.on_release(LockId(0));
+        let mut reply = |floor, upto| {
+            let res = node.on_message(Msg {
+                src: ProcId(1),
+                dst: ProcId(0),
+                payload: Payload::DiffReq {
+                    page: PageId(0),
+                    requester: ProcId(1),
+                    floor,
+                    upto,
+                },
+            });
+            match res.out.as_slice() {
+                [Msg {
+                    dst: ProcId(1),
+                    payload:
+                        Payload::DiffResp {
+                            intervals, diffs, ..
+                        },
+                    ..
+                }] => (
+                    intervals.clone(),
+                    diffs.iter().map(Diff::words).sum::<usize>(),
+                ),
+                other => panic!("expected one DiffResp, got {other:?}"),
+            }
+        };
+        assert_eq!(reply(0, 1), (vec![1], 1), "a real request");
+        assert_eq!(reply(0, 50_000_000), (vec![1], 1));
+        assert_eq!(reply(u32::MAX, u32::MAX), (vec![], 0));
+        assert_eq!(reply(u32::MAX, 1), (vec![], 0));
+        assert_eq!(reply(1, 1), (vec![], 0));
+        assert_eq!(reply(5, 3), (vec![], 0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (`then_serve`) that keep queued requests moving when several
 //! processors pile onto one lock.
 
-use cni_dsm::{DsmConfig, DsmNode, LockId, Msg, NodeSpace, ProcId, Wakeup};
+use cni_dsm::{DsmConfig, DsmNode, LockId, Msg, NodeSpace, NoticeLog, ProcId, Wakeup};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -22,9 +22,13 @@ impl Net {
             tree_barrier: false,
             barrier_arity: 2,
         };
+        let log = Rc::new(NoticeLog::default());
         Net {
             nodes: (0..n)
-                .map(|p| DsmNode::new(ProcId(p as u32), cfg, Rc::new(NodeSpace::new(1024, 32))))
+                .map(|p| {
+                    let space = Rc::new(NodeSpace::new(1024, 32));
+                    DsmNode::new(ProcId(p as u32), cfg, space, Rc::clone(&log))
+                })
                 .collect(),
             queue: VecDeque::new(),
             wakeups: vec![Vec::new(); n],

@@ -2,7 +2,8 @@
 //! through the synchronous DSM cluster must agree with a flat reference
 //! memory. This is the release-consistency contract checked in bulk:
 //! every read under a lock sees exactly the value the serialised lock
-//! order produced.
+//! order produced. Each case runs under the centralised barrier or a
+//! combining tree of arity 2 or 4.
 
 use cni_dsm::{DsmCluster, DsmConfig, LockId, ProcId, VAddr};
 use proptest::prelude::*;
@@ -16,6 +17,20 @@ struct Cs {
     lock: u8,
     slot: u8,
     delta: u64,
+}
+
+/// The cluster for `procs` processors, `page_bytes` pages and barrier
+/// kind `barrier`: 0 centralised, 1 a binary combining tree, 2 a tree of
+/// arity 4.
+fn cluster(procs: usize, page_bytes: usize, barrier: usize) -> DsmCluster {
+    let (tree_barrier, barrier_arity) = [(false, 2), (true, 2), (true, 4)][barrier];
+    DsmCluster::new(DsmConfig {
+        procs,
+        page_bytes,
+        line_bytes: 32,
+        tree_barrier,
+        barrier_arity,
+    })
 }
 
 fn arb_cs(procs: u8) -> impl Strategy<Value = Cs> {
@@ -33,15 +48,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     fn lock_disciplined_updates_serialise(
         procs in 2u8..5,
+        barrier in 0usize..3,
         css in proptest::collection::vec(arb_cs(4), 1..120),
     ) {
-        let mut cluster = DsmCluster::new(DsmConfig {
-            procs: procs as usize,
-            page_bytes: 2048,
-            line_bytes: 32,
-            tree_barrier: false,
-            barrier_arity: 2,
-        });
+        let mut cluster = cluster(procs as usize, 2048, barrier);
         // 32 slots spread over 2 pages to force real sharing.
         let base = cluster.alloc(32 * 64);
         let slot_addr = |s: u8| -> VAddr { base.add(s as u64 * 64) };
@@ -71,18 +81,13 @@ proptest! {
     }
 
     fn barrier_rounds_publish_disjoint_writers(
-        procs in 2u8..5,
+        procs in 2u8..9,
+        barrier in 0usize..3,
         rounds in 1usize..5,
-        values in proptest::collection::vec(any::<u64>(), 4 * 5),
+        values in proptest::collection::vec(any::<u64>(), 8 * 5),
     ) {
         let n = procs as usize;
-        let mut cluster = DsmCluster::new(DsmConfig {
-            procs: n,
-            page_bytes: 1024,
-            line_bytes: 32,
-            tree_barrier: false,
-            barrier_arity: 2,
-        });
+        let mut cluster = cluster(n, 1024, barrier);
         let base = cluster.alloc(n * 1024);
         for round in 0..rounds {
             for p in 0..n {

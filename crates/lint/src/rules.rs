@@ -19,7 +19,7 @@
 
 use crate::callgraph::Workspace;
 use crate::parse::{parse_file, FileModel};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// The crates whose iteration order, randomness, and clocks can reach
 /// `RunReport`, trace output, or protocol decisions.
@@ -646,25 +646,30 @@ fn direct_token_rules(ws: &Workspace, cand: &mut Candidates) {
     }
 }
 
-/// P1: interprocedural panic-reachability from the receive roots.
-fn rule_p1(ws: &Workspace, cand: &mut Candidates) {
+/// The functions P1 checks: every function its walk reaches from the
+/// receive roots, mapped to its caller on the walk (`None` for a root).
+pub fn panic_path_reach(ws: &Workspace) -> BTreeMap<usize, Option<usize>> {
     let mut roots = Vec::new();
     for (suffix, names) in PANIC_PATH_REGIONS {
         for name in *names {
             roots.extend(ws.find(suffix, name));
         }
     }
-    let parents = ws.bfs(&roots, |m| {
+    ws.bfs(&roots, |m| {
         is_sim_crate(ws.path(m))
             && !ws.def(m).in_test
             && !P1_BOUNDARY_FNS.contains(&ws.def(m).name.as_str())
-    });
-    let root_set: BTreeSet<usize> = roots.iter().copied().collect();
+    })
+}
+
+/// P1: interprocedural panic-reachability from the receive roots.
+fn rule_p1(ws: &Workspace, cand: &mut Candidates) {
+    let parents = panic_path_reach(ws);
     // Visit in deterministic node order.
-    for (&n, _) in parents.iter() {
+    for (&n, caller) in parents.iter() {
         let path = ws.path(n).to_string();
         let facts = &ws.facts[n];
-        let is_root = root_set.contains(&n);
+        let is_root = caller.is_none();
         let chain = ws.chain(&parents, n);
         let root_name = chain.first().cloned().unwrap_or_default();
         let via = chain.join(" → ");

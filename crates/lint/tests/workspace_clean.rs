@@ -90,6 +90,42 @@ fn lint_roots_and_exemptions_resolve() {
     }
 }
 
+/// The DSM's shared write-notice log is read on protocol receive paths:
+/// a grant copies notices out of it, a barrier release checks the
+/// segment, and a page reply asks it for the page's writers. P1 resolves
+/// a call on a field (`self.log.m(..)`) only through a method name no
+/// other workspace function has, so a log method that shared a name
+/// (`known` beside `DsmNode::known`) would leave P1's walk without a
+/// finding. The walk from the receive roots must reach each read.
+#[test]
+fn p1_walks_into_the_shared_notice_log() {
+    use cni_lint::callgraph::Workspace;
+    use cni_lint::parse::parse_file;
+    use cni_lint::rules::panic_path_reach;
+
+    let files: Vec<_> = workspace_inputs(&workspace_root())
+        .iter()
+        .map(|(p, s)| parse_file(p, s))
+        .collect();
+    let ws = Workspace::build(files);
+    let reach = panic_path_reach(&ws);
+    for name in [
+        "segment_pages",
+        "writer_notices_through",
+        "last_write_through",
+        "page_writers_through",
+        "latest_through",
+    ] {
+        let found = ws.find("crates/dsm/src/notices.rs", name);
+        assert_eq!(found.len(), 1, "`{name}` is not one function of notices.rs");
+        assert!(
+            reach.contains_key(&found[0]),
+            "P1's walk from the receive roots misses `{}`",
+            ws.name(found[0])
+        );
+    }
+}
+
 /// The analyzer runs on every push and is meant to be cheap enough for
 /// an editor save hook, so a whole-workspace pass has a budget of 3 s.
 /// The scan runs on a worker thread and the test waits for it with a
