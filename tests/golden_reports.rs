@@ -12,10 +12,11 @@
 //! CNI_BLESS=1 cargo test --test golden_reports
 //! ```
 //!
-//! The six configs cover the matrix that matters: both NIC kinds, the
+//! The nine configs cover the matrix that matters: both NIC kinds, the
 //! lossless fast path and the go-back-N fault path, single-switch and
-//! fat-tree fabrics (lossless and lossy with delivery jitter), and four
-//! process counts.
+//! fat-tree fabrics (lossless and lossy with delivery jitter), four
+//! process counts, and both programming paradigms: shared memory, and
+//! message passing through `send_data`/`recv_data`.
 //!
 //! What a fixture may pin: anything observable through the `(time, seq)`
 //! event order — timings, counters, histograms, fault statistics. What it
@@ -27,9 +28,10 @@
 //! interleaving rather than the drawing node's own history; it was
 //! replaced by per-node streams, and the fixtures re-blessed.
 
-use cni::Config;
+use cni::{Config, World};
 use cni_apps::cholesky::CholeskyMatrix;
 use cni_apps::experiments::{run_app, App};
+use cni_apps::mp_jacobi::{self, MpJacobiParams};
 use cni_faults::FaultPlan;
 use std::path::PathBuf;
 
@@ -66,8 +68,13 @@ fn first_difference(got: &str, want: &str) -> String {
 }
 
 fn check_golden(name: &str, cfg: Config, app: App) {
-    let report = run_app(cfg, app);
-    let got = render(&report);
+    check_report(name, &run_app(cfg, app));
+}
+
+/// Compare `report` byte-for-byte against fixture `name` (or rewrite the
+/// fixture under `CNI_BLESS`).
+fn check_report(name: &str, report: &cni::RunReport) {
+    let got = render(report);
     let path = golden_path(name);
     if std::env::var_os("CNI_BLESS").is_some() {
         std::fs::write(&path, &got).expect("write blessed fixture");
@@ -183,5 +190,44 @@ fn cholesky4_report_is_golden() {
         App::Cholesky {
             matrix: CholeskyMatrix::Mesh { rows: 12, cols: 12 },
         },
+    );
+}
+
+/// Message-passing Jacobi on 8 processors: every boundary row is an
+/// application message (`send_data` to `recv_data`), so these fixtures pin
+/// the app-message send and arrival path, which no DSM run takes.
+fn check_mp_jacobi8(name: &str, cfg: Config) {
+    let mut world = World::new(cfg);
+    let (_, report) = mp_jacobi::run(&mut world, MpJacobiParams { n: 48, iters: 6 });
+    check_report(name, &report);
+}
+
+#[test]
+fn mp_jacobi8_cni_report_is_golden() {
+    // Fixed send buffers: transmit-cache hits from the second exchange of
+    // each buffer on, and polled receives.
+    check_mp_jacobi8("mp_jacobi8_cni", Config::paper_default());
+}
+
+#[test]
+fn mp_jacobi8_standard_report_is_golden() {
+    // Kernel-mediated sends, a DMA per message and an interrupt per
+    // arrival.
+    check_mp_jacobi8("mp_jacobi8_std", Config::paper_default().standard());
+}
+
+#[test]
+fn mp_jacobi8_lossy_report_is_golden() {
+    // App messages through go-back-N: fragmentation, retransmits and CRC
+    // failures on the message-passing path.
+    let plan = FaultPlan {
+        drop_prob: 0.02,
+        corrupt_prob: 0.01,
+        seed: 7,
+        ..FaultPlan::none()
+    };
+    check_mp_jacobi8(
+        "mp_jacobi8_lossy",
+        Config::paper_default().with_faults(plan),
     );
 }
