@@ -8,42 +8,21 @@
 //! the `src -> dst` sender window, `dst`'s [`Node::rel_rx`] its receive
 //! state. The handlers below are [`Node`] methods, so a channel is only
 //! ever touched by its owner; frames and acknowledgements cross nodes as
-//! [`SendIntent`]s through the fault-injecting fabric.
+//! cell trains through the fault-injecting fabric, in [`Ev::FrameRx`] and
+//! [`Ev::AckRx`] events.
+//!
+//! The wire carries a real byte image of each frame (segmented,
+//! CRC-protected, corruptible); the event carries the frame's logical
+//! message, a [`WireMsg`], for dispatch once the image survives.
 
-use crate::node::{Env, Node};
-use crate::world::{Ev, SendIntent, Shared};
+use crate::node::{latency_slot, Env, Node, WireMsg};
+use crate::world::{Ev, Shared};
 use cni_atm::CellTrain;
-use cni_dsm::Msg;
-use cni_nic::device::TxOrigin;
-use cni_nic::TxRequest;
+use cni_nic::{TxPath, TxRequest};
 use cni_sim::SimTime;
 use cni_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// A logical message queued on the reliable-delivery layer: either a DSM
-/// protocol message or an application-level send. The wire carries a real
-/// byte image of it (segmented, CRC-protected, corruptible); the event
-/// queue carries the structured form for dispatch once the image survives.
-#[derive(Clone)]
-pub(crate) enum WireMsg {
-    Proto(Msg),
-    App {
-        src: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-    },
-}
-
-/// Wire length of a logical message in bytes.
-pub(crate) fn wire_len(wire: &WireMsg) -> usize {
-    match wire {
-        WireMsg::Proto(msg) => msg.payload.wire_bytes(),
-        WireMsg::App { len, .. } => *len as usize,
-    }
-}
 
 /// One wire frame of a logical message. Messages longer than the plan's
 /// `max_frame_bytes` are split into several frames, each with its own
@@ -133,24 +112,20 @@ impl Node {
             .or_insert(ChanRx { expected: 0 })
     }
 
-    /// Hand a logical message to the `self -> dst` go-back-N channel: send
-    /// it immediately if the window has room, park it otherwise. `span`
-    /// is the message span every fragment carries; each wire attempt
-    /// opens a frame span under it.
+    /// Hand a logical message to its go-back-N channel: send it
+    /// immediately if the window has room, park it otherwise. `span` is
+    /// the message span every fragment carries; each wire attempt opens a
+    /// frame span under it.
     pub(crate) fn queue_reliable(
         &mut self,
         env: &Env,
         sh: &mut Shared,
         now: SimTime,
-        dst: usize,
         wire: WireMsg,
         span: u64,
     ) {
-        if let WireMsg::Proto(msg) = &wire {
-            let kind = msg.payload.kind();
-            sh.count_proto(kind);
-        }
-        let total = wire_len(&wire).max(1);
+        let dst = wire.dst();
+        let total = wire.wire_bytes().max(1);
         let fmax = env.cfg.faults.max_frame_bytes as usize;
         let nfrags = total.div_ceil(fmax) as u32;
         let cap = env.cfg.faults.window as usize;
@@ -194,11 +169,10 @@ impl Node {
     }
 
     /// Transmit one data frame: build its byte image (header, sequence
-    /// number, zero fill), push it through the NIC, and emit the
-    /// fabric-facing half as a [`SendIntent::Frame`] (which draws the
-    /// injector fates and schedules the receive event if the end-of-PDU
-    /// cell survives). `sent_at` is the fragment's *first* transmission
-    /// time, carried to the receiver for one-way latency accounting.
+    /// number, zero fill), push it through the NIC and the faulty fabric,
+    /// and schedule the receive event if the end-of-PDU cell survives.
+    /// `sent_at` is the fragment's *first* transmission time, carried to
+    /// the receiver for one-way latency accounting.
     /// Opens a frame span under `parent` (the message span on a first
     /// attempt, the first attempt's frame span on a retransmission) and
     /// returns it.
@@ -214,28 +188,11 @@ impl Node {
         sent_at: SimTime,
         parent: u64,
     ) -> u64 {
-        let (header, page, cacheable) = match &*frag.wire {
-            WireMsg::Proto(msg) => (
-                msg.payload.header_bytes(msg.src),
-                msg.payload.page_payload().map(|p| p.0 as u64),
-                msg.payload.cacheable(),
-            ),
-            WireMsg::App {
-                src: asrc,
-                page,
-                cacheable,
-                ..
-            } => {
-                let mut h = [0u8; 8];
-                h[0] = 0xA0;
-                h[1] = *asrc as u8;
-                (h, *page, *cacheable)
-            }
-        };
+        let header = frag.wire.header();
         // The host DMA / Message-Cache interaction belongs to the message,
         // not to each fragment: later fragments ship board-resident bytes.
         let (page, cacheable) = if frag.frag == 0 {
-            (page, cacheable)
+            frag.wire.tx_page()
         } else {
             (None, false)
         };
@@ -269,29 +226,85 @@ impl Node {
                 cells: env.seg.cell_count(bytes),
                 page,
                 cacheable,
-                dirty_lines: 0,
-                origin: TxOrigin::Board,
             },
         );
-        sh.commit_send(
-            env,
-            SendIntent::Frame {
-                src: self.id,
-                dst,
-                seq,
-                frag: frag.clone(),
-                sent_at,
-                prefix,
-                prefix_len: end as u8,
-                bytes: bytes as u32,
-                span: fspan,
-                now,
-                host_done: tx.host_done,
-                wire_start: tx.wire_start,
-                cell_gap: tx.cell_gap,
-            },
-        );
+        // Data frames travel on VCI `src * 2`; acknowledgements on
+        // `src * 2 + 1`, so a retransmission can never interleave with the
+        // reverse stream inside the destination's per-VCI reassembler.
+        let src = self.id;
+        let vci = (src * 2) as u16;
+        let arrived = self.commit_faulty(env, sh, dst, vci, &prefix[..end], bytes, fspan, now, &tx);
+        if let Some((train, arrival)) = arrived {
+            env.trace.emit_at(
+                arrival.as_ps(),
+                src as u32,
+                TraceEvent::ProtoTx {
+                    kind: prefix[0],
+                    bytes: bytes as u32,
+                    dur_ps: (arrival - now).as_ps(),
+                },
+            );
+            sh.q.schedule_at(
+                arrival,
+                Ev::FrameRx {
+                    src,
+                    dst,
+                    seq,
+                    train,
+                    span: fspan,
+                    frag: frag.clone(),
+                    sent_at,
+                },
+            );
+        }
         fspan
+    }
+
+    /// Send a go-back-N frame of `bytes` bytes, `prefix` and then zero
+    /// fill, into the faulty fabric on `vci` once the NIC has resolved its
+    /// transmit `tx`: draw the injector's per-cell fates, occupy the
+    /// fabric, and — when the end-of-PDU cell survives, so reassembly
+    /// completes at `dst` — return the frame as one cell train plus the
+    /// reassembly-complete time. A frame whose end-of-PDU cell is lost
+    /// never reaches the receiver, so its image is never built.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_faulty(
+        &self,
+        env: &Env,
+        sh: &mut Shared,
+        dst: usize,
+        vci: u16,
+        prefix: &[u8],
+        bytes: usize,
+        span: u64,
+        now: SimTime,
+        tx: &TxPath,
+    ) -> Option<(Box<CellTrain>, SimTime)> {
+        let src = self.id;
+        let inj = sh
+            .injector
+            .as_mut()
+            // cni-lint: allow(panic-path) -- frames are only sent on reliable runs (a non-zero fault plan), which always build an injector; this Option is engine state, not wire data
+            .expect("fault transmit needs an injector");
+        let fpt = sh
+            .fabric
+            .send_pdu_faulty(tx.wire_start, src, dst, bytes, tx.cell_gap, inj);
+        for (i, fate) in fpt.fates.iter().enumerate() {
+            if fate.is_drop() {
+                env.trace.emit_at(
+                    now.as_ps(),
+                    src as u32,
+                    TraceEvent::CellDropped {
+                        vci: vci as u32,
+                        cell: i as u32,
+                    },
+                );
+            }
+        }
+        let arrival = fpt.last_delivered.filter(|_| fpt.eop_delivered())?;
+        self.record_tx_span(env, span, now, tx.wire_start, arrival);
+        let train = sh.fabric.segmenter().train(vci, prefix, bytes, fpt.fates);
+        Some((Box::new(train), arrival))
     }
 
     /// Restart the `self -> dst` retransmission timer (invalidating any
@@ -338,24 +351,24 @@ impl Node {
                 cells: env.seg.cell_count(16),
                 page: None,
                 cacheable: false,
-                dirty_lines: 0,
-                origin: TxOrigin::Board,
             },
         );
-        sh.commit_send(
-            env,
-            SendIntent::Ack {
-                from,
-                to,
-                ack,
-                image,
-                span: aspan,
-                now,
-                host_done: tx.host_done,
-                wire_start: tx.wire_start,
-                cell_gap: tx.cell_gap,
-            },
-        );
+        sh.rel_stats.acks_sent += 1;
+        let vci = (from * 2 + 1) as u16;
+        if let Some((train, arrival)) =
+            self.commit_faulty(env, sh, to, vci, &image, 16, aspan, now, &tx)
+        {
+            sh.q.schedule_at(
+                arrival,
+                Ev::AckRx {
+                    to,
+                    from,
+                    ack,
+                    train,
+                    span: aspan,
+                },
+            );
+        }
     }
 
     /// A data frame's cell train reached this node: reassemble and
@@ -432,27 +445,8 @@ impl Node {
         self.chan_rx(src).expected = seq + 1;
         // One-way latency measured from the final fragment's *first*
         // transmission.
-        let kind = match &*frag.wire {
-            WireMsg::Proto(msg) => msg.payload.kind(),
-            WireMsg::App { .. } => 0xA0,
-        };
-        let li = if kind == 0xA0 {
-            9
-        } else {
-            (kind - 0xD0) as usize
-        };
-        sh.latency[li].record((t - sent_at).as_ps() / 1000);
-        match (*frag.wire).clone() {
-            WireMsg::Proto(msg) => self.arrive_proto(env, sh, t, msg, frag.span),
-            WireMsg::App {
-                src: asrc,
-                len,
-                page,
-                cacheable,
-                data,
-                ..
-            } => self.arrive_app(env, sh, t, asrc, len, page, cacheable, data, frag.span),
-        }
+        sh.latency[latency_slot(frag.wire.kind())].record((t - sent_at).as_ps() / 1000);
+        self.arrive(env, sh, t, Arc::unwrap_or_clone(frag.wire), frag.span);
         // The frame occupies its ring slot until the NIC processor is done
         // handling it.
         let release = self.nic.nic_busy_until().max(t);

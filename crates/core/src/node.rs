@@ -23,13 +23,12 @@
 
 use crate::config::Config;
 use crate::ctx::{Op, Reply, YieldMsg};
-use crate::gbn::{ChanRx, ChanTx, WireMsg};
-use crate::world::{Ev, SendIntent, Shared};
+use crate::gbn::{ChanRx, ChanTx};
+use crate::world::{Ev, Shared};
 use cni_atm::Segmenter;
 use cni_dsm::{
     DsmConfig, DsmNode, HandleResult, Msg, NodeSpace, NoticeLog, PageId, Payload, ProcId, Work,
 };
-use cni_nic::device::TxOrigin;
 use cni_nic::{Nic, NicConfig, NicKind, RxDisposition, TxRequest};
 use cni_pathfinder::{FieldTest, Pattern};
 use cni_sim::{SimTime, SplitMix64, Task, Yield};
@@ -43,6 +42,106 @@ type InboxMsg = (u32, u32, Option<Arc<Vec<u64>>>);
 
 /// The AIH handler id the DSM protocol is installed under.
 const DSM_HANDLER: u32 = 1;
+
+/// The kind byte that heads an application message.
+const APP_KIND: u8 = 0xA0;
+
+/// One message from program to wire: a DSM protocol message or an
+/// application message. Every send hands one to [`Node::transport`]; the
+/// lossless path carries it to the receiver in an [`Ev::Arrive`], the
+/// go-back-N path inside its frames.
+#[derive(Clone)]
+pub(crate) enum WireMsg {
+    Proto(Msg),
+    App(AppMsg),
+}
+
+/// An application-level message (`ProcCtx::send_to`/`send_data`).
+#[derive(Clone)]
+pub(crate) struct AppMsg {
+    pub(crate) src: usize,
+    pub(crate) dst: usize,
+    /// Length in bytes.
+    pub(crate) len: u32,
+    /// Backing page of a page-sized buffer (enables transmit caching).
+    pub(crate) page: Option<u64>,
+    /// The header's cache bit.
+    pub(crate) cacheable: bool,
+    /// Payload words, when the receiver needs the data.
+    pub(crate) data: Option<Arc<Vec<u64>>>,
+}
+
+impl WireMsg {
+    /// The sending node.
+    pub(crate) fn src(&self) -> usize {
+        match self {
+            WireMsg::Proto(msg) => msg.src.0 as usize,
+            WireMsg::App(m) => m.src,
+        }
+    }
+
+    /// The receiving node.
+    pub(crate) fn dst(&self) -> usize {
+        match self {
+            WireMsg::Proto(msg) => msg.dst.0 as usize,
+            WireMsg::App(m) => m.dst,
+        }
+    }
+
+    /// Wire length in bytes.
+    pub(crate) fn wire_bytes(&self) -> usize {
+        match self {
+            WireMsg::Proto(msg) => msg.payload.wire_bytes(),
+            WireMsg::App(m) => m.len as usize,
+        }
+    }
+
+    /// The kind byte: `0xD0..=0xD8` for protocol messages, `0xA0` for
+    /// application messages.
+    pub(crate) fn kind(&self) -> u8 {
+        match self {
+            WireMsg::Proto(msg) => msg.payload.kind(),
+            WireMsg::App(_) => APP_KIND,
+        }
+    }
+
+    /// The leading bytes PATHFINDER examines: the kind byte, then the
+    /// sender. No AIH pattern matches an application header, so
+    /// application messages demultiplex to the host.
+    pub(crate) fn header(&self) -> [u8; 8] {
+        match self {
+            WireMsg::Proto(msg) => msg.payload.header_bytes(msg.src),
+            WireMsg::App(m) => {
+                let mut h = [0u8; 8];
+                h[0] = APP_KIND;
+                h[1] = m.src as u8;
+                h
+            }
+        }
+    }
+
+    /// The host page backing the payload and the header's cache bit: what
+    /// the transmit offers the Message Cache.
+    pub(crate) fn tx_page(&self) -> (Option<u64>, bool) {
+        match self {
+            WireMsg::Proto(msg) => (
+                msg.payload.page_payload().map(|p| p.0 as u64),
+                msg.payload.cacheable(),
+            ),
+            WireMsg::App(m) => (m.page, m.cacheable),
+        }
+    }
+}
+
+/// The one-way latency histogram of message kind `kind`: indices 0..=8
+/// are the protocol kinds `0xD0..=0xD8`, index 9 the application kind.
+pub(crate) fn latency_slot(kind: u8) -> usize {
+    if kind == APP_KIND {
+        9
+    } else {
+        (kind - 0xD0) as usize
+    }
+}
 
 /// What every handler may read and none may write: fixed for the whole
 /// run. Disjoint from [`Shared`], so a handler can hold `&mut Shared`
@@ -220,28 +319,8 @@ impl Node {
     pub(crate) fn dispatch(&mut self, env: &Env, sh: &mut Shared, t: SimTime, ev: Ev) {
         match ev {
             Ev::Resume(_) => self.resume(env, sh, Reply::Ok),
-            Ev::Xmit { msg, cause, .. } => {
-                self.transport(env, sh, msg, TxOrigin::Board, t, cause);
-            }
-            Ev::XmitApp {
-                dst,
-                len,
-                page,
-                cacheable,
-                data,
-                cause,
-                ..
-            } => self.xmit_app(env, sh, t, dst, len, page, cacheable, data, cause),
-            Ev::Proto { msg, span } => self.arrive_proto(env, sh, t, msg, span),
-            Ev::App {
-                src,
-                len,
-                page,
-                cacheable,
-                data,
-                span,
-                ..
-            } => self.arrive_app(env, sh, t, src, len, page, cacheable, data, span),
+            Ev::Xmit { msg, cause } => self.transport(env, sh, msg, t, cause),
+            Ev::Arrive { msg, span } => self.arrive(env, sh, t, msg, span),
             Ev::Wake { overhead, .. } => self.wake(env, sh, t, overhead),
             Ev::FrameRx {
                 src,
@@ -320,6 +399,32 @@ impl Node {
             },
         );
         span
+    }
+
+    /// Record the transmit-side stage durations of `span`, handed to the
+    /// board at `now`, its first cell on the wire at `wire_start` and its
+    /// last cell at the receiver at `arrival`. Every transmit starts on the
+    /// board (the host's part of a send is charged before it), so the
+    /// host-DMA stage is zero and the payload DMA lands in the tx-queue
+    /// stage.
+    pub(crate) fn record_tx_span(
+        &self,
+        env: &Env,
+        span: u64,
+        now: SimTime,
+        wire_start: SimTime,
+        arrival: SimTime,
+    ) {
+        env.trace.emit_at(
+            arrival.as_ps(),
+            self.id as u32,
+            TraceEvent::SpanTx {
+                span,
+                host_dma_ps: 0,
+                tx_queue_ps: wire_start.saturating_sub(now).as_ps(),
+                wire_ps: arrival.saturating_sub(wire_start).as_ps(),
+            },
+        );
     }
 
     /// Record the receive-side stage durations of `span` from the NIC's
@@ -451,21 +556,18 @@ impl Node {
                         self.nic.snoop_write(pg);
                     }
                 }
-                let at = self.cpu.clock;
-                let cause = self.cpu.last_wake_span;
-                sh.q.schedule_at(
-                    at,
-                    Ev::XmitApp {
+                self.xmit_at_clock(
+                    sh,
+                    WireMsg::App(AppMsg {
                         src: p,
                         dst: dst as usize,
                         len,
                         page,
                         cacheable,
                         data,
-                        cause,
-                    },
+                    }),
                 );
-                sh.q.schedule_at(at, Ev::Resume(p));
+                sh.q.schedule_at(self.cpu.clock, Ev::Resume(p));
             }
             Op::Backoff(cycles) => {
                 self.charge_ov(env, cycles);
@@ -545,146 +647,92 @@ impl Node {
     }
 
     /// Transmit a protocol message initiated by this processor's own
-    /// (synchronous) operation: the host-side cost advances its clock now;
-    /// the NIC-side work runs as an [`Ev::Xmit`] at that time. The send's
-    /// span parent is whatever span last woke the processor —
-    /// program-order causality.
+    /// (synchronous) operation: the host-side cost advances its clock now.
     fn send_proto_sync(&mut self, env: &Env, sh: &mut Shared, msg: Msg) {
         self.charge_ov(env, env.host_send_cycles());
-        let cause = self.cpu.last_wake_span;
-        sh.q.schedule_at(
-            self.cpu.clock,
-            Ev::Xmit {
-                src: self.id,
-                msg,
-                cause,
-            },
-        );
+        self.xmit_at_clock(sh, WireMsg::Proto(msg));
     }
 
-    /// Push `msg` through this node's NIC and the fabric; the host-side
-    /// part finishes at `now` for board-origin sends. Opens the message's
-    /// span as a child of `cause`.
-    fn transport(
-        &mut self,
-        env: &Env,
-        sh: &mut Shared,
-        msg: Msg,
-        origin: TxOrigin,
-        now: SimTime,
-        cause: u64,
-    ) {
+    /// Hand `msg` to the NIC at this processor's clock, once the host's
+    /// part of the send is charged: the NIC-side work runs as an
+    /// [`Ev::Xmit`] at that time. The send's span parent is whatever span
+    /// last woke the processor — program-order causality.
+    fn xmit_at_clock(&mut self, sh: &mut Shared, msg: WireMsg) {
+        let cause = self.cpu.last_wake_span;
+        sh.q.schedule_at(self.cpu.clock, Ev::Xmit { msg, cause });
+    }
+
+    /// Push `msg` through this node's NIC, handed to it at `now`, and into
+    /// the fabric: the one send path of every protocol and application
+    /// message. The host's part of the send (kernel entry or ADC enqueue,
+    /// and any flush) was charged before `now`, or the send is an AIH reply
+    /// that never left the board. Opens the message's span as a child of
+    /// `cause`. Under a fault plan the message goes through go-back-N;
+    /// otherwise its arrival event is scheduled at the receiver.
+    fn transport(&mut self, env: &Env, sh: &mut Shared, msg: WireMsg, now: SimTime, cause: u64) {
         let src = self.id;
-        let dst = msg.dst.0 as usize;
-        debug_assert_ne!(src, dst, "protocol self-sends are handled locally");
-        let bytes = msg.payload.wire_bytes();
-        let kind = msg.payload.kind();
+        let dst = msg.dst();
+        debug_assert_ne!(src, dst, "self-sends are handled locally");
+        let bytes = msg.wire_bytes();
+        let kind = msg.kind();
         let span = self.open_span(env, sh, now, cause, cni_trace::SPAN_MSG, kind, dst, bytes);
+        if let WireMsg::Proto(_) = msg {
+            sh.count_proto(kind);
+        }
         if env.reliable {
-            debug_assert_eq!(origin, TxOrigin::Board);
-            self.queue_reliable(env, sh, now, dst, WireMsg::Proto(msg), span);
+            self.queue_reliable(env, sh, now, msg, span);
             return;
         }
+        let (page, cacheable) = msg.tx_page();
         let tx = self.nic.transmit(
             now,
             &TxRequest {
                 len: bytes,
                 cells: env.seg.cell_count(bytes),
-                page: msg.payload.page_payload().map(|p| p.0 as u64),
-                cacheable: msg.payload.cacheable(),
-                dirty_lines: 0,
-                origin,
+                page,
+                cacheable,
             },
         );
-        sh.commit_send(
-            env,
-            SendIntent::Proto {
-                src,
-                msg,
-                span,
-                now,
-                host_done: tx.host_done,
-                wire_start: tx.wire_start,
-                cell_gap: tx.cell_gap,
+        let arrival = sh
+            .fabric
+            .send_pdu(tx.wire_start, src, dst, bytes, tx.cell_gap)
+            .last_cell_arrival;
+        let lat = arrival - now;
+        sh.latency[latency_slot(kind)].record(lat.as_ps() / 1000);
+        env.trace.emit_at(
+            arrival.as_ps(),
+            src as u32,
+            TraceEvent::ProtoTx {
+                kind,
+                bytes: bytes as u32,
+                dur_ps: lat.as_ps(),
             },
         );
+        self.record_tx_span(env, span, now, tx.wire_start, arrival);
+        sh.q.schedule_at(arrival, Ev::Arrive { msg, span });
     }
 
     // --- network-side event handling -----------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn xmit_app(
+    /// A message finished arriving at this node: a protocol message goes
+    /// to [`Self::arrive_proto`], an application message to
+    /// [`Self::arrive_app`].
+    pub(crate) fn arrive(
         &mut self,
         env: &Env,
         sh: &mut Shared,
         t: SimTime,
-        dst: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-        cause: u64,
+        msg: WireMsg,
+        span: u64,
     ) {
-        let src = self.id;
-        let span = self.open_span(
-            env,
-            sh,
-            t,
-            cause,
-            cni_trace::SPAN_MSG,
-            0xA0,
-            dst,
-            len as usize,
-        );
-        if env.reliable {
-            let wire = WireMsg::App {
-                src,
-                len,
-                page,
-                cacheable,
-                data,
-            };
-            self.queue_reliable(env, sh, t, dst, wire, span);
-            return;
+        match msg {
+            WireMsg::Proto(msg) => self.arrive_proto(env, sh, t, msg, span),
+            WireMsg::App(msg) => self.arrive_app(env, sh, t, msg, span),
         }
-        let tx = self.nic.transmit(
-            t,
-            &TxRequest {
-                len: len as usize,
-                cells: env.seg.cell_count(len as usize),
-                page,
-                cacheable,
-                dirty_lines: 0,
-                origin: TxOrigin::Board,
-            },
-        );
-        sh.commit_send(
-            env,
-            SendIntent::App {
-                src,
-                dst,
-                len,
-                page,
-                cacheable,
-                data,
-                span,
-                now: t,
-                host_done: tx.host_done,
-                wire_start: tx.wire_start,
-                cell_gap: tx.cell_gap,
-            },
-        );
     }
 
     /// A protocol PDU finished arriving at this node's NIC.
-    pub(crate) fn arrive_proto(
-        &mut self,
-        env: &Env,
-        sh: &mut Shared,
-        t: SimTime,
-        msg: Msg,
-        span: u64,
-    ) {
+    fn arrive_proto(&mut self, env: &Env, sh: &mut Shared, t: SimTime, msg: Msg, span: u64) {
         let dst = self.id;
         let bytes = msg.payload.wire_bytes();
         let header = msg.payload.header_bytes(msg.src);
@@ -729,7 +777,7 @@ impl Node {
                 // AIH replies leave straight from the board, as children
                 // of the message that provoked them.
                 for m in res.out {
-                    self.transport(env, sh, m, TxOrigin::Board, t_done, span);
+                    self.transport(env, sh, WireMsg::Proto(m), t_done, span);
                 }
                 debug_assert!(res.flushed.is_empty(), "AIH handling never flushes");
                 if res.wakeup.is_none() {
@@ -802,8 +850,7 @@ impl Node {
                     sh.q.schedule_at(
                         t_occ,
                         Ev::Xmit {
-                            src: dst,
-                            msg: m,
+                            msg: WireMsg::Proto(m),
                             cause: span,
                         },
                     );
@@ -834,32 +881,21 @@ impl Node {
         }
     }
 
-    /// An application-level message from `src` finished arriving.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn arrive_app(
-        &mut self,
-        env: &Env,
-        sh: &mut Shared,
-        t: SimTime,
-        src: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-        span: u64,
-    ) {
+    /// An application-level message finished arriving.
+    fn arrive_app(&mut self, env: &Env, sh: &mut Shared, t: SimTime, msg: AppMsg, span: u64) {
         // Application messages carry an app header PATHFINDER has no AIH
         // pattern for: they demultiplex to the host channel.
+        let len = msg.len;
         let cells = env.seg.cell_count(len as usize);
-        let rx = self.nic.receive(t, cells, &[0xA0, src as u8]);
+        let rx = self.nic.receive(t, cells, &[APP_KIND, msg.src as u8]);
         self.record_rx_span(env, t, span, &rx);
         debug_assert_eq!(rx.disposition, RxDisposition::HostBound);
         let waiting = self.cpu.waiting_recv;
-        let d = self
-            .nic
-            .deliver_to_host(rx.ready_at, len as usize, page, cacheable, waiting);
+        let d =
+            self.nic
+                .deliver_to_host(rx.ready_at, len as usize, msg.page, msg.cacheable, waiting);
         let ov = env.host(d.host_cycles);
-        self.cpu.inbox.push_back((src as u32, len, data));
+        self.cpu.inbox.push_back((msg.src as u32, len, msg.data));
         if waiting {
             self.cpu.waiting_recv = false;
             // cni-lint: allow(panic-path) -- the inbox was pushed two lines up; pop_front on it cannot fail and the value is local engine state

@@ -37,10 +37,10 @@
 use crate::config::Config;
 use crate::ctx::{AccessCosts, ProcCtx};
 use crate::gbn::Frag;
-use crate::node::{Env, Node};
+use crate::node::{Env, Node, WireMsg};
 use crate::report::{KindHistogram, KindLatency, ProcTimes, RunReport, REPORT_VERSION};
 use cni_atm::{CellTrain, Fabric};
-use cni_dsm::{DsmConfig, Msg, NodeSpace, NoticeLog, PageId, ProcId, VAddr};
+use cni_dsm::{DsmConfig, NodeSpace, NoticeLog, PageId, ProcId, VAddr};
 use cni_faults::{FaultInjector, FaultStats};
 use cni_sim::stats::Histogram;
 use cni_sim::{EventQueue, SimTime, Task};
@@ -48,7 +48,6 @@ use cni_trace::{TraceEvent, TraceSink};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// A program to run on one simulated processor: given the processor's
 /// context, it returns the future the engine polls. Build one with
@@ -80,36 +79,16 @@ where
 pub(crate) enum Ev {
     /// Resume processor `p`'s program.
     Resume(usize),
-    /// Hand a protocol message to `src`'s NIC (the host-side work was
-    /// already charged; scheduling this at the right virtual time keeps
-    /// the NIC-processor busy register causal — a lump-charged compute
+    /// Hand `msg` to its sender's NIC (the host-side work was already
+    /// charged; scheduling this at the right virtual time keeps the
+    /// NIC-processor busy register causal — a lump-charged compute
     /// quantum must not reserve the NIC into the future and stall
     /// arrivals). `cause` is the span whose effect provoked this send
     /// (0 for a root cause).
-    Xmit { src: usize, msg: Msg, cause: u64 },
-    /// Hand an application message to `src`'s NIC.
-    XmitApp {
-        src: usize,
-        dst: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-        cause: u64,
-    },
-    /// A protocol PDU finished arriving at `dst`'s NIC; `span` is its
-    /// message span.
-    Proto { msg: Msg, span: u64 },
-    /// An application-level message finished arriving.
-    App {
-        dst: usize,
-        src: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-        span: u64,
-    },
+    Xmit { msg: WireMsg, cause: u64 },
+    /// A lossless-path message finished arriving at its receiver's NIC;
+    /// `span` is its message span.
+    Arrive { msg: WireMsg, span: u64 },
     /// Wake a blocked processor; `overhead` is host time already spent on
     /// its behalf during the wait (delivery, protocol, poll/interrupt).
     Wake { p: usize, overhead: SimTime },
@@ -157,76 +136,14 @@ impl Ev {
     pub(crate) fn shard(&self) -> Option<usize> {
         match self {
             Ev::Resume(p) | Ev::Wake { p, .. } => Some(*p),
-            Ev::Xmit { src, .. } | Ev::XmitApp { src, .. } | Ev::RxmitTimer { src, .. } => {
-                Some(*src)
-            }
-            Ev::Proto { msg, .. } => Some(msg.dst.0 as usize),
-            Ev::App { dst, .. } | Ev::FrameRx { dst, .. } | Ev::RingRelease { dst } => Some(*dst),
+            Ev::Xmit { msg, .. } => Some(msg.src()),
+            Ev::Arrive { msg, .. } => Some(msg.dst()),
+            Ev::RxmitTimer { src, .. } => Some(*src),
+            Ev::FrameRx { dst, .. } | Ev::RingRelease { dst } => Some(*dst),
             Ev::AckRx { to, .. } => Some(*to),
             Ev::MetricsTick => None,
         }
     }
-}
-
-/// A send's node half: everything the acting node decided locally (NIC
-/// transmit timing, payload, spans), handed to [`Shared::commit_send`]
-/// for the shared parts — fabric link occupancy, fault-injector draws,
-/// arrival-event scheduling and the send's counters.
-pub(crate) enum SendIntent {
-    /// A lossless-path protocol PDU (no fault plan active).
-    Proto {
-        src: usize,
-        msg: Msg,
-        span: u64,
-        now: SimTime,
-        host_done: SimTime,
-        wire_start: SimTime,
-        cell_gap: SimTime,
-    },
-    /// A lossless-path application PDU.
-    App {
-        src: usize,
-        dst: usize,
-        len: u32,
-        page: Option<u64>,
-        cacheable: bool,
-        data: Option<Arc<Vec<u64>>>,
-        span: u64,
-        now: SimTime,
-        host_done: SimTime,
-        wire_start: SimTime,
-        cell_gap: SimTime,
-    },
-    /// A reliable-layer data frame entering the faulty fabric.
-    Frame {
-        src: usize,
-        dst: usize,
-        seq: u64,
-        frag: Frag,
-        sent_at: SimTime,
-        /// First 16 bytes of the frame image (header + sequence number);
-        /// the rest is zero fill the segmenter materialises.
-        prefix: [u8; 16],
-        prefix_len: u8,
-        bytes: u32,
-        span: u64,
-        now: SimTime,
-        host_done: SimTime,
-        wire_start: SimTime,
-        cell_gap: SimTime,
-    },
-    /// A reliable-layer cumulative acknowledgement frame.
-    Ack {
-        from: usize,
-        to: usize,
-        ack: u64,
-        image: [u8; 16],
-        span: u64,
-        now: SimTime,
-        host_done: SimTime,
-        wire_start: SimTime,
-        cell_gap: SimTime,
-    },
 }
 
 /// Engine state shared by every node. The event loop lends it to one
@@ -342,8 +259,8 @@ impl World {
     }
 
     /// Attach a trace sink to every instrumented component: the event
-    /// queue, each NIC (device, Message Cache, ADC rings, classifier) and
-    /// each DSM node. Co-threads pick the sink up when [`World::run`]
+    /// queue, each NIC (device, Message Cache, classifier) and each DSM
+    /// node. Co-threads pick the sink up when [`World::run`]
     /// spawns them. Call before `run`.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.shared.q.set_trace(sink.clone());
@@ -670,253 +587,13 @@ impl Shared {
         self.proto_messages += 1;
         self.msg_kinds[(kind - 0xD0) as usize] += 1;
     }
-
-    /// Apply one [`SendIntent`]: the shared half of a send. This is the
-    /// only place that touches the fabric's link state and the fault
-    /// injector, and the only source of arrival events.
-    pub(crate) fn commit_send(&mut self, env: &Env, intent: SendIntent) {
-        let trace = &env.trace;
-        match intent {
-            SendIntent::Proto {
-                src,
-                msg,
-                span,
-                now,
-                host_done,
-                wire_start,
-                cell_gap,
-            } => {
-                let dst = msg.dst.0 as usize;
-                let bytes = msg.payload.wire_bytes();
-                let kind = msg.payload.kind();
-                let timing = self.fabric.send_pdu(wire_start, src, dst, bytes, cell_gap);
-                let lat = timing.last_cell_arrival - now;
-                self.latency[(kind - 0xD0) as usize].record(lat.as_ps() / 1000);
-                trace.emit_at(
-                    timing.last_cell_arrival.as_ps(),
-                    src as u32,
-                    TraceEvent::ProtoTx {
-                        kind,
-                        bytes: bytes as u32,
-                        dur_ps: lat.as_ps(),
-                    },
-                );
-                trace.emit_at(
-                    timing.last_cell_arrival.as_ps(),
-                    src as u32,
-                    TraceEvent::SpanTx {
-                        span,
-                        host_dma_ps: host_done.saturating_sub(now).as_ps(),
-                        tx_queue_ps: wire_start.saturating_sub(host_done).as_ps(),
-                        wire_ps: timing.last_cell_arrival.saturating_sub(wire_start).as_ps(),
-                    },
-                );
-                self.q
-                    .schedule_at(timing.last_cell_arrival, Ev::Proto { msg, span });
-                self.count_proto(kind);
-            }
-            SendIntent::App {
-                src,
-                dst,
-                len,
-                page,
-                cacheable,
-                data,
-                span,
-                now,
-                host_done,
-                wire_start,
-                cell_gap,
-            } => {
-                let timing = self
-                    .fabric
-                    .send_pdu(wire_start, src, dst, len as usize, cell_gap);
-                let lat = timing.last_cell_arrival - now;
-                self.latency[9].record(lat.as_ps() / 1000);
-                trace.emit_at(
-                    timing.last_cell_arrival.as_ps(),
-                    src as u32,
-                    TraceEvent::ProtoTx {
-                        kind: 0xA0,
-                        bytes: len,
-                        dur_ps: lat.as_ps(),
-                    },
-                );
-                trace.emit_at(
-                    timing.last_cell_arrival.as_ps(),
-                    src as u32,
-                    TraceEvent::SpanTx {
-                        span,
-                        host_dma_ps: host_done.saturating_sub(now).as_ps(),
-                        tx_queue_ps: wire_start.saturating_sub(host_done).as_ps(),
-                        wire_ps: timing.last_cell_arrival.saturating_sub(wire_start).as_ps(),
-                    },
-                );
-                self.q.schedule_at(
-                    timing.last_cell_arrival,
-                    Ev::App {
-                        dst,
-                        src,
-                        len,
-                        page,
-                        cacheable,
-                        data,
-                        span,
-                    },
-                );
-            }
-            SendIntent::Frame {
-                src,
-                dst,
-                seq,
-                frag,
-                sent_at,
-                prefix,
-                prefix_len,
-                bytes,
-                span,
-                now,
-                host_done,
-                wire_start,
-                cell_gap,
-            } => {
-                // Data frames travel on VCI `src * 2`; acknowledgements on
-                // `src * 2 + 1`, so a retransmission can never interleave
-                // with the reverse stream inside the destination's per-VCI
-                // reassembler.
-                let vci = (src * 2) as u16;
-                let arrived = self.commit_faulty(
-                    env,
-                    src,
-                    dst,
-                    vci,
-                    &prefix[..prefix_len as usize],
-                    bytes as usize,
-                    span,
-                    now,
-                    host_done,
-                    wire_start,
-                    cell_gap,
-                );
-                if let Some((train, arrival)) = arrived {
-                    trace.emit_at(
-                        arrival.as_ps(),
-                        src as u32,
-                        TraceEvent::ProtoTx {
-                            kind: prefix[0],
-                            bytes,
-                            dur_ps: (arrival - now).as_ps(),
-                        },
-                    );
-                    self.q.schedule_at(
-                        arrival,
-                        Ev::FrameRx {
-                            src,
-                            dst,
-                            seq,
-                            train,
-                            span,
-                            frag,
-                            sent_at,
-                        },
-                    );
-                }
-            }
-            SendIntent::Ack {
-                from,
-                to,
-                ack,
-                image,
-                span,
-                now,
-                host_done,
-                wire_start,
-                cell_gap,
-            } => {
-                self.rel_stats.acks_sent += 1;
-                let vci = (from * 2 + 1) as u16;
-                let arrived = self.commit_faulty(
-                    env, from, to, vci, &image, 16, span, now, host_done, wire_start, cell_gap,
-                );
-                if let Some((train, arrival)) = arrived {
-                    self.q.schedule_at(
-                        arrival,
-                        Ev::AckRx {
-                            to,
-                            from,
-                            ack,
-                            train,
-                            span,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// The serial half of a faulty-fabric frame transmission: draw the
-    /// injector's per-cell fates, occupy the fabric, and — when the
-    /// end-of-PDU cell survives, so reassembly completes at the receiver —
-    /// return the frame as one cell train plus the reassembly-complete
-    /// time (the NIC-side transmit already ran on the sending node — its
-    /// timings arrive as `host_done`/`wire_start`/`cell_gap`). A frame
-    /// whose end-of-PDU cell is lost never reaches the receiver, so its
-    /// image is never built.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_faulty(
-        &mut self,
-        env: &Env,
-        src: usize,
-        dst: usize,
-        vci: u16,
-        prefix: &[u8],
-        bytes: usize,
-        span: u64,
-        now: SimTime,
-        host_done: SimTime,
-        wire_start: SimTime,
-        cell_gap: SimTime,
-    ) -> Option<(Box<CellTrain>, SimTime)> {
-        let inj = self
-            .injector
-            .as_mut()
-            // cni-lint: allow(panic-path) -- frame intents are only emitted on reliable runs (a non-zero fault plan), which always build an injector; this Option is engine state, not wire data
-            .expect("fault transmit needs an injector");
-        let fpt = self
-            .fabric
-            .send_pdu_faulty(wire_start, src, dst, bytes, cell_gap, inj);
-        for (i, fate) in fpt.fates.iter().enumerate() {
-            if fate.is_drop() {
-                env.trace.emit_at(
-                    now.as_ps(),
-                    src as u32,
-                    TraceEvent::CellDropped {
-                        vci: vci as u32,
-                        cell: i as u32,
-                    },
-                );
-            }
-        }
-        let arrival = fpt.last_delivered.filter(|_| fpt.eop_delivered())?;
-        env.trace.emit_at(
-            arrival.as_ps(),
-            src as u32,
-            TraceEvent::SpanTx {
-                span,
-                host_dma_ps: host_done.saturating_sub(now).as_ps(),
-                tx_queue_ps: wire_start.saturating_sub(host_done).as_ps(),
-                wire_ps: arrival.saturating_sub(wire_start).as_ps(),
-            },
-        );
-        let train = self.fabric.segmenter().train(vci, prefix, bytes, fpt.fates);
-        Some((Box::new(train), arrival))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::{program, Config, Ev, Rc, World};
-    use cni_dsm::{DsmCluster, DsmConfig, NoticeLog, ProcId};
+    use crate::node::{latency_slot, AppMsg, WireMsg};
+    use cni_dsm::{DsmCluster, DsmConfig, Msg, NoticeLog, PageId, Payload, ProcId};
 
     #[test]
     fn an_event_fits_in_112_bytes() {
@@ -925,6 +602,62 @@ mod tests {
             "Ev grew to {} bytes",
             std::mem::size_of::<Ev>()
         );
+    }
+
+    fn page_resp(src: u32, dst: u32) -> WireMsg {
+        WireMsg::Proto(Msg {
+            src: ProcId(src),
+            dst: ProcId(dst),
+            payload: Payload::PageResp {
+                page: PageId(7),
+                version: cni_dsm::VClock::zero(8),
+                data: vec![0; 256],
+            },
+        })
+    }
+
+    fn app(src: usize, dst: usize) -> WireMsg {
+        WireMsg::App(AppMsg {
+            src,
+            dst,
+            len: 300,
+            page: Some(0x0100_0000),
+            cacheable: true,
+            data: None,
+        })
+    }
+
+    /// One message type carries both kinds, and both events of the send
+    /// path name their node through it: a transmit runs on the sender, an
+    /// arrival on the receiver.
+    #[test]
+    fn a_message_transmits_on_its_sender_and_arrives_on_its_receiver() {
+        for (msg, src, dst) in [(page_resp(2, 5), 2, 5), (app(3, 1), 3, 1)] {
+            let xmit = Ev::Xmit {
+                msg: msg.clone(),
+                cause: 0,
+            };
+            assert_eq!(xmit.shard(), Some(src));
+            assert_eq!(Ev::Arrive { msg, span: 0 }.shard(), Some(dst));
+        }
+    }
+
+    /// What the send path reads off each kind: the PATHFINDER header (the
+    /// first bytes of every go-back-N frame), the length, the page the
+    /// transmit offers the Message Cache, and the latency histogram.
+    #[test]
+    fn a_wire_message_describes_both_kinds() {
+        let proto = page_resp(2, 5);
+        assert_eq!(proto.kind(), 0xD6);
+        assert_eq!(&proto.header()[..2], &[0xD6, 2]);
+        assert_eq!(proto.tx_page(), (Some(7), true));
+        assert_eq!(latency_slot(proto.kind()), 6);
+        let app = app(3, 1);
+        assert_eq!(app.kind(), 0xA0);
+        assert_eq!(app.header(), [0xA0, 3, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(app.wire_bytes(), 300);
+        assert_eq!(app.tx_page(), (Some(0x0100_0000), true));
+        assert_eq!(latency_slot(app.kind()), 9);
     }
 
     /// Every notice in `log`, writer by writer, checked to appear once.

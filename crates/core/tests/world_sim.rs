@@ -268,6 +268,57 @@ fn message_passing_ping_pong_roundtrip() {
     assert_eq!(tx_total, 10);
 }
 
+/// Processor 0's overhead when its whole program is one `send_to` of
+/// `len` bytes to processor 1, with `dirty_lines` of the buffer dirty.
+fn send_to_overhead(cfg: Config, len: u32, page: Option<u64>, dirty_lines: u32) -> SimTime {
+    let r = run(cfg.with_procs(2), |_| {
+        vec![
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    ctx.send_to(1, len, page, page.is_some(), dirty_lines).await;
+                })
+            }),
+            cni::program(|ctx| {
+                Box::pin(async move {
+                    ctx.recv().await;
+                })
+            }),
+        ]
+    });
+    r.procs[0].overhead
+}
+
+/// What a host pays to hand the board a message is priced once, by the
+/// engine: a kernel entry on the standard NIC, a user-level ADC enqueue on
+/// the CNI. A lone send is the sender's only overhead, so the two NIC kinds
+/// differ by exactly the two configured costs.
+#[test]
+fn cni_send_charges_less_host_time_than_standard() {
+    let cfg = Config::paper_default();
+    let cni = send_to_overhead(cfg, 64, None, 0);
+    let std = send_to_overhead(cfg.standard(), 64, None, 0);
+    assert_eq!(cni, cfg.nic.host(cfg.nic.adc_enqueue_cycles));
+    assert_eq!(std, cfg.nic.host(cfg.nic.kernel_send_cycles));
+    assert!(cni < std);
+}
+
+/// A send's dirty buffer lines are written back over the bus before the
+/// board may read the buffer; the sender stalls for the flush, on either
+/// NIC kind.
+#[test]
+fn a_send_flushes_its_dirty_lines_before_the_transmit() {
+    let cfg = Config::paper_default();
+    let flush = cni_nic::MemoryBus::new(&cfg.nic)
+        .flush_lines(SimTime::ZERO, 8, cfg.nic.cache_line_bytes)
+        .end;
+    for cfg in [cfg, cfg.standard()] {
+        let clean = send_to_overhead(cfg, 2048, Some(7), 0);
+        let dirty = send_to_overhead(cfg, 2048, Some(7), 8);
+        assert!(flush > SimTime::ZERO);
+        assert_eq!(dirty - clean, flush - SimTime::ZERO);
+    }
+}
+
 #[test]
 fn breakdown_buckets_sum_to_total() {
     let r = run(

@@ -38,6 +38,12 @@ impl Diff {
         }
     }
 
+    /// Does every entry name a word of a `words`-word page? A diff this
+    /// node created always does; one from a message may not.
+    pub fn fits(&self, words: usize) -> bool {
+        self.entries.iter().all(|&(i, _)| (i as usize) < words)
+    }
+
     /// Number of changed words.
     pub fn words(&self) -> usize {
         self.entries.len()
@@ -77,6 +83,21 @@ mod tests {
         assert_eq!(d.entries, vec![(2, 99), (7, 100)]);
         assert_eq!(d.words(), 2);
         assert_eq!(d.wire_bytes(), 24);
+    }
+
+    #[test]
+    fn fits_checks_every_entry_against_the_page() {
+        let d = Diff {
+            entries: vec![(0, 1), (7, 2)],
+        };
+        assert!(d.fits(8));
+        assert!(!d.fits(7));
+        assert!(Diff::default().fits(0));
+        // Entries from a message need not be sorted.
+        let forged = Diff {
+            entries: vec![(10_000, 5), (3, 7)],
+        };
+        assert!(!forged.fits(256));
     }
 
     #[test]

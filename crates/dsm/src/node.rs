@@ -881,7 +881,7 @@ impl DsmNode {
         notices: &[WriteNotice],
         work: &mut Work,
     ) -> Option<Wakeup> {
-        self.vc.merge(vc);
+        self.vc.merge_except(vc, self.me);
         self.integrate_notices(notices, work);
         self.barrier_epoch = epoch + 1;
         match self.blocked {
@@ -955,7 +955,7 @@ impl DsmNode {
                 notices,
                 then_serve,
             } => {
-                self.vc.merge(&vc);
+                self.vc.merge_except(&vc, self.me);
                 self.integrate_notices(&notices, &mut work);
                 let hs = self.holders.entry(lock).or_default();
                 debug_assert!(!hs.held);
@@ -1081,6 +1081,11 @@ impl DsmNode {
         };
         debug_assert_eq!(fault_page, page, "PageResp for wrong page");
         let h = self.space.page(page);
+        if data.len() != h.frame.len() {
+            // Not one page: a forged reply. Drop it; the fault keeps
+            // waiting for the real one.
+            return None;
+        }
         h.frame.fill_from(&data);
         work.page_copy_words += data.len() as u64;
         let pv = version;
@@ -1176,6 +1181,12 @@ impl DsmNode {
         diffs: Vec<Diff>,
         work: &mut Work,
     ) -> Option<Wakeup> {
+        let words = self.cfg.page_bytes / 8;
+        if !diffs.iter().all(|d| d.fits(words)) {
+            // A word past the page: a forged reply. Drop it whole; the
+            // fault keeps waiting for the writer's real one.
+            return None;
+        }
         let (want_write, done) = match &mut self.blocked {
             Some(Blocked::Fault {
                 page: p,
@@ -1483,7 +1494,9 @@ mod tests {
         ));
         assert_eq!(*node.log, before);
         assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
-        assert_eq!(node.vc, VClock(vec![1, 2, 3, 4]));
+        // The node's own component is its own to advance: the forged 1
+        // there is not merged.
+        assert_eq!(node.vc, VClock(vec![0, 2, 3, 4]));
     }
 
     /// A real message's clock covers every notice it carries; a forged one
@@ -1559,6 +1572,114 @@ mod tests {
         assert_eq!(reply(u32::MAX, 1), (vec![], 0));
         assert_eq!(reply(1, 1), (vec![], 0));
         assert_eq!(reply(5, 3), (vec![], 0));
+    }
+
+    /// A page or diff reply comes from the wire. One that does not fit
+    /// the page (a copy of the wrong length, a diff entry past the page's
+    /// last word) is dropped whole and the fault keeps waiting, so the
+    /// real replies that follow apply exactly as they would alone.
+    #[test]
+    fn forged_page_and_diff_replies_are_dropped() {
+        let mut node = node_with_pages(0, 4, 2);
+        // Concurrent writers of page 1, both covered by this node's clock:
+        // the fault fetches the page from writer 3, whose copy lacks
+        // writer 2's interval, so it then needs writer 2's diff.
+        node.log.publish_write(ProcId(2), 1, PageId(1));
+        node.log.publish_write(ProcId(3), 2, PageId(1));
+        node.vc = VClock(vec![0, 0, 1, 2]);
+        let req = node.on_read_fault(PageId(1));
+        assert!(matches!(
+            req.out.as_slice(),
+            [Msg {
+                dst: ProcId(3),
+                payload: Payload::PageReq { .. },
+                ..
+            }]
+        ));
+        let page_resp = |data: Vec<u64>| Msg {
+            src: ProcId(3),
+            dst: ProcId(0),
+            payload: Payload::PageResp {
+                page: PageId(1),
+                version: VClock(vec![0, 0, 0, 2]),
+                data,
+            },
+        };
+        let diff_resp = |entries: Vec<(u32, u64)>| Msg {
+            src: ProcId(2),
+            dst: ProcId(0),
+            payload: Payload::DiffResp {
+                page: PageId(1),
+                writer: ProcId(2),
+                intervals: vec![1],
+                vcs: vec![VClock(vec![0, 0, 1, 0])],
+                diffs: vec![Diff { entries }],
+            },
+        };
+        for forged in [vec![9; 10], vec![9; 300]] {
+            let res = node.on_message(page_resp(forged));
+            assert!(res.out.is_empty() && res.wakeup.is_none());
+        }
+        let mut copy = vec![0u64; 256];
+        copy[0] = 42;
+        let res = node.on_message(page_resp(copy));
+        assert!(matches!(
+            res.out.as_slice(),
+            [Msg {
+                dst: ProcId(2),
+                payload: Payload::DiffReq {
+                    floor: 0,
+                    upto: 1,
+                    ..
+                },
+                ..
+            }]
+        ));
+        assert!(res.wakeup.is_none(), "waiting for writer 2's diff");
+        let res = node.on_message(diff_resp(vec![(3, 7), (10_000, 5)]));
+        assert!(res.out.is_empty() && res.wakeup.is_none());
+        let res = node.on_message(diff_resp(vec![(3, 7), (255, 8)]));
+        assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
+        let frame = &node.space().page(PageId(1)).frame;
+        assert_eq!((frame.load(0), frame.load(3), frame.load(255)), (42, 7, 8));
+        assert_eq!(node.pv[&PageId(1)], VClock(vec![0, 0, 1, 2]));
+    }
+
+    /// Only a node advances its own clock component. A grant or barrier
+    /// release whose clock carries `u32::MAX` there (no real message's
+    /// does) leaves it alone, so the next interval is numbered on.
+    #[test]
+    fn a_forged_clock_leaves_the_receivers_own_component_alone() {
+        let mut node = node_with_pages(0, 4, 2);
+        node.init_home_page(PageId(0));
+        let write_and_release = |node: &mut DsmNode, value| {
+            node.on_acquire(LockId(0));
+            node.on_write_fault(PageId(0));
+            let page = node.space().page(PageId(0));
+            page.frame.store(3, value);
+            page.flags.mark_dirty(0);
+            node.on_release(LockId(0));
+        };
+        write_and_release(&mut node, 1);
+        assert_eq!(node.vc.get(ProcId(0)), 1);
+        node.on_acquire(LockId(1));
+        node.on_message(grant(1, VClock(vec![u32::MAX, 2, 0, 0]), vec![]));
+        assert_eq!(node.vc, VClock(vec![1, 2, 0, 0]));
+        write_and_release(&mut node, 2);
+        assert_eq!(node.vc.get(ProcId(0)), 2);
+        node.on_message(Msg {
+            src: ProcId(1),
+            dst: ProcId(0),
+            payload: Payload::BarrierRelease {
+                epoch: 0,
+                vc: VClock(vec![u32::MAX, 2, 5, 0]),
+                notices: vec![].into(),
+            },
+        });
+        assert_eq!(node.vc, VClock(vec![2, 2, 5, 0]));
+        write_and_release(&mut node, 3);
+        assert_eq!(node.vc.get(ProcId(0)), 3);
+        assert_eq!(node.stats().intervals, 3);
     }
 
     #[test]

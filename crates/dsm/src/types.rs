@@ -114,6 +114,18 @@ impl VClock {
         }
     }
 
+    /// [`Self::merge`] a clock received from another node into `me`'s
+    /// own, leaving `me`'s component alone: only `me` advances it, when it
+    /// closes an interval. A real message's clock never exceeds it, so a
+    /// larger one is forged and must not move `me`'s interval counter.
+    pub fn merge_except(&mut self, other: &VClock, me: ProcId) {
+        let own = self.get(me);
+        self.merge(other);
+        if let Some(e) = self.0.get_mut(me.0 as usize) {
+            *e = own;
+        }
+    }
+
     /// Does every component of `self` cover `other`?
     pub fn covers(&self, other: &VClock) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a >= b)
@@ -167,6 +179,18 @@ mod tests {
         assert_eq!(a.get(ProcId(1)), 2, "raise must not lower");
         a.raise(ProcId(2), 7);
         assert_eq!(a.get(ProcId(2)), 7);
+    }
+
+    #[test]
+    fn merge_except_leaves_the_own_component_alone() {
+        let mut a = VClock(vec![4, 2, 0]);
+        a.merge_except(&VClock(vec![u32::MAX, 5, 9]), ProcId(0));
+        assert_eq!(a.0, vec![4, 5, 9], "a larger own component is ignored");
+        a.merge_except(&VClock(vec![0, 1, 1]), ProcId(1));
+        assert_eq!(a.0, vec![4, 5, 9], "a smaller one lowers nothing");
+        // A node outside the clock's width has no component to keep.
+        a.merge_except(&VClock(vec![6, 0, 0, 1]), ProcId(3));
+        assert_eq!(a.0, vec![6, 5, 9]);
     }
 
     #[test]

@@ -295,8 +295,7 @@ impl Rule {
                  crates either does nothing on the serial loop or — worse —\n\
                  invites ad-hoc communication whose ordering depends on the\n\
                  host scheduler, silently breaking byte-identity across reruns.\n\
-                 Route cross-node effects through the event queue and\n\
-                 `SendIntent` commits."
+                 Route cross-node effects through the event queue."
             }
             Rule::BadSuppression => {
                 "S1 bad-suppression — malformed waiver comment.\n\

@@ -90,15 +90,9 @@ fn lint_roots_and_exemptions_resolve() {
     }
 }
 
-/// The DSM's shared write-notice log is read on protocol receive paths:
-/// a grant copies notices out of it, a barrier release checks the
-/// segment, and a page reply asks it for the page's writers. P1 resolves
-/// a call on a field (`self.log.m(..)`) only through a method name no
-/// other workspace function has, so a log method that shared a name
-/// (`known` beside `DsmNode::known`) would leave P1's walk without a
-/// finding. The walk from the receive roots must reach each read.
-#[test]
-fn p1_walks_into_the_shared_notice_log() {
+/// Require P1's walk from the receive roots to reach each `(file, name)`
+/// function, each one non-test function of its file.
+fn assert_p1_reaches(fns: &[(&str, &str)]) {
     use cni_lint::callgraph::Workspace;
     use cni_lint::parse::parse_file;
     use cni_lint::rules::panic_path_reach;
@@ -109,21 +103,54 @@ fn p1_walks_into_the_shared_notice_log() {
         .collect();
     let ws = Workspace::build(files);
     let reach = panic_path_reach(&ws);
-    for name in [
-        "segment_pages",
-        "writer_notices_through",
-        "last_write_through",
-        "page_writers_through",
-        "latest_through",
-    ] {
-        let found = ws.find("crates/dsm/src/notices.rs", name);
-        assert_eq!(found.len(), 1, "`{name}` is not one function of notices.rs");
+    for &(file, name) in fns {
+        let found = ws.find(file, name);
+        assert_eq!(found.len(), 1, "`{name}` is not one function of {file}");
         assert!(
             reach.contains_key(&found[0]),
             "P1's walk from the receive roots misses `{}`",
             ws.name(found[0])
         );
     }
+}
+
+/// The DSM's shared write-notice log is read on protocol receive paths:
+/// a grant copies notices out of it, a barrier release checks the
+/// segment, and a page reply asks it for the page's writers. P1 resolves
+/// a call on a field (`self.log.m(..)`) only through a method name no
+/// other workspace function has, so a log method that shared a name
+/// (`known` beside `DsmNode::known`) would leave P1's walk without a
+/// finding. The walk from the receive roots must reach each read.
+#[test]
+fn p1_walks_into_the_shared_notice_log() {
+    let log = "crates/dsm/src/notices.rs";
+    assert_p1_reaches(&[
+        (log, "segment_pages"),
+        (log, "writer_notices_through"),
+        (log, "last_write_through"),
+        (log, "page_writers_through"),
+        (log, "latest_through"),
+    ]);
+}
+
+/// Receive paths send: an AIH reply leaves `arrive_proto` through
+/// `Node::transport`, the one send path of every message, and a go-back-N
+/// acknowledgement leaves `on_frame_rx` through `commit_faulty`. So P1's
+/// walk must reach the NIC transmit, both fabric sends and the
+/// segmenter's cell train behind them. A call whose method name another
+/// workspace function shares resolves to nothing, so a rename here would
+/// cut the walk without a finding.
+#[test]
+fn p1_walks_the_send_path() {
+    let fabric = "crates/atm/src/fabric.rs";
+    assert_p1_reaches(&[
+        ("crates/nic/src/device.rs", "transmit"),
+        (fabric, "send_pdu"),
+        (fabric, "send_pdu_faulty"),
+        ("crates/atm/src/aal5.rs", "train"),
+        ("crates/core/src/gbn.rs", "commit_faulty"),
+        ("crates/core/src/node.rs", "transport"),
+    ]);
 }
 
 /// The analyzer runs on every push and is meant to be cheap enough for

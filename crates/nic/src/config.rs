@@ -84,7 +84,10 @@ pub struct NicConfig {
     pub kernel_recv_cycles: u64,
 
     /// Cost for the application to enqueue a descriptor on an ADC transmit
-    /// queue (a handful of user-level stores), host cycles.
+    /// queue (a handful of user-level stores), host cycles: the CNI's
+    /// host send path, charged by the engine per send in place of
+    /// [`Self::kernel_send_cycles`]. The rings themselves are not
+    /// simulated.
     pub adc_enqueue_cycles: u64,
     /// Cost of one poll of the ADC receive/free queues, host cycles.
     pub poll_cycles: u64,

@@ -4,10 +4,12 @@
 //! The device exposes the three path segments the cluster simulation
 //! composes with the ATM fabric:
 //!
-//! * [`Nic::transmit`] — from "the application decides to send" to "the
-//!   first cell can enter the fabric", charging kernel/ADC work to the
-//!   host, flushes and DMA to the bus, and descriptor/segmentation work to
-//!   the NIC processor. This is where **transmit caching** happens.
+//! * [`Nic::transmit`] — from "the board takes the message" to "the
+//!   first cell can enter the fabric", charging DMA to the bus and
+//!   descriptor/segmentation work to the NIC processor. This is where
+//!   **transmit caching** happens. The host's part of a send (kernel entry
+//!   or ADC enqueue, and the pre-send flush) is charged by the caller
+//!   before it hands the message over.
 //! * [`Nic::receive`] — from "last cell arrived" to "the PDU is assembled
 //!   on the board and classified": reassembly residual plus PATHFINDER
 //!   classification (CNI) deciding whether an **Application Interrupt
@@ -22,23 +24,12 @@
 use crate::bus::MemoryBus;
 use crate::config::{NicConfig, NicKind};
 use crate::msgcache::{MessageCache, MsgCacheStats};
-use crate::queues::ChannelQueues;
 use crate::stats::NicStats;
 use cni_atm::PduBuf;
 use cni_atm::{CellTrain, Reassembler, ReassemblyError};
 use cni_pathfinder::{Classifier, Pattern};
 use cni_sim::SimTime;
 use cni_trace::{TraceEvent, TraceSink};
-
-/// Who initiates a transmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxOrigin {
-    /// The host application/protocol stack.
-    Host,
-    /// Code already running on the board (an AIH reply); no host work and
-    /// no host flush are charged.
-    Board,
-}
 
 /// A transmission request.
 #[derive(Clone, Copy, Debug)]
@@ -52,19 +43,11 @@ pub struct TxRequest {
     pub page: Option<u64>,
     /// The header's cache bit: bind this buffer on a miss?
     pub cacheable: bool,
-    /// Dirty host-cache lines that must be flushed before the board can
-    /// see a consistent copy.
-    pub dirty_lines: u64,
-    /// Host- or board-initiated.
-    pub origin: TxOrigin,
 }
 
 /// Resolved transmit timing.
 #[derive(Clone, Copy, Debug)]
 pub struct TxPath {
-    /// When the host CPU is free again (equals the request time for
-    /// board-origin sends).
-    pub host_done: SimTime,
     /// When the first cell may enter the fabric.
     pub wire_start: SimTime,
     /// Per-cell gap for the fabric (NIC segmentation rate).
@@ -121,7 +104,6 @@ pub struct Nic {
     pub bus: MemoryBus,
     msg_cache: Option<MessageCache>,
     classifier: Classifier<u32>,
-    channels: Vec<ChannelQueues>,
     reassembler: Reassembler,
     nic_busy: SimTime,
     busy_accum: SimTime,
@@ -144,7 +126,6 @@ impl Nic {
             bus: MemoryBus::new(&cfg),
             msg_cache,
             classifier: Classifier::new(),
-            channels: Vec::new(),
             reassembler: Reassembler::new(),
             nic_busy: SimTime::ZERO,
             busy_accum: SimTime::ZERO,
@@ -156,44 +137,9 @@ impl Nic {
     }
 
     /// Attach a trace sink, tagging this device's events with `node`.
-    /// Propagates to already-open device channels.
     pub fn set_trace(&mut self, trace: TraceSink, node: u32) {
-        for (id, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_trace(trace.clone(), node, id as u32);
-        }
         self.trace = trace;
         self.node = node;
-    }
-
-    /// Open an Application Device Channel: the kernel carves a queue
-    /// triplet out of the board's dual-ported memory, validates the
-    /// application's buffer region once, and maps the queues into user
-    /// space (CNI only — the standard interface keeps the kernel on the
-    /// data path). Returns the channel id.
-    ///
-    /// # Panics
-    /// Panics on a standard NIC.
-    pub fn open_channel(&mut self, capacity: usize, region_base: u64, region_len: u64) -> usize {
-        assert_eq!(
-            self.kind,
-            NicKind::Cni,
-            "standard NICs have no user-mapped device channels"
-        );
-        let mut q = ChannelQueues::new(capacity);
-        q.register_region(region_base, region_len);
-        q.set_trace(self.trace.clone(), self.node, self.channels.len() as u32);
-        self.channels.push(q);
-        self.channels.len() - 1
-    }
-
-    /// The queue triplet of an open channel (application side).
-    pub fn channel_mut(&mut self, id: usize) -> &mut ChannelQueues {
-        &mut self.channels[id]
-    }
-
-    /// Number of open channels.
-    pub fn channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// This NIC's personality.
@@ -220,34 +166,11 @@ impl Nic {
         self.classifier.install(pattern, handler);
     }
 
-    /// Resolve the transmit path for `req` issued at `now`.
+    /// Resolve the transmit path for `req`, handed to the board at `now`.
     pub fn transmit(&mut self, now: SimTime, req: &TxRequest) -> TxPath {
         self.stats.tx_messages += 1;
         self.stats.tx_cells += req.cells as u64;
-
-        // --- Host segment -------------------------------------------------
-        let (host_free, host_origin) = match req.origin {
-            TxOrigin::Board => (now, false),
-            TxOrigin::Host => {
-                let cpu = match self.kind {
-                    NicKind::Standard => self.cfg.kernel_send_cycles,
-                    NicKind::Cni => self.cfg.adc_enqueue_cycles,
-                };
-                let mut t = now + self.cfg.host(cpu);
-                if req.dirty_lines > 0 {
-                    // Write-back discipline: dirty lines must reach memory
-                    // (and the snooper) before the board reads or sends.
-                    let x = self
-                        .bus
-                        .flush_lines(t, req.dirty_lines, self.cfg.cache_line_bytes);
-                    t = x.end;
-                }
-                (t, true)
-            }
-        };
-
-        // --- NIC segment ---------------------------------------------------
-        let work_start = host_free.max(self.nic_busy);
+        let work_start = now.max(self.nic_busy);
         let mut t = work_start + self.cfg.nic(self.cfg.descriptor_cycles);
         let mut hit = false;
         if let Some(page) = req.page {
@@ -292,7 +215,6 @@ impl Nic {
         self.nic_busy = nic_done;
 
         TxPath {
-            host_done: if host_origin { host_free } else { now },
             wire_start,
             cell_gap,
             nic_done,
@@ -544,23 +466,21 @@ mod tests {
     use cni_atm::CellFate;
     use cni_pathfinder::FieldTest;
 
-    fn page_req(page: u64, dirty: u64) -> TxRequest {
+    fn page_req(page: u64) -> TxRequest {
         TxRequest {
             len: 2048,
             cells: 43,
             page: Some(page),
             cacheable: true,
-            dirty_lines: dirty,
-            origin: TxOrigin::Host,
         }
     }
 
     #[test]
     fn cni_second_send_of_same_page_hits() {
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        let t1 = nic.transmit(SimTime::ZERO, &page_req(7, 8));
+        let t1 = nic.transmit(SimTime::ZERO, &page_req(7));
         assert!(!t1.cache_hit);
-        let t2 = nic.transmit(t1.nic_done, &page_req(7, 0));
+        let t2 = nic.transmit(t1.nic_done, &page_req(7));
         assert!(t2.cache_hit);
         assert_eq!(nic.stats().tx_cache_hits, 1);
         assert_eq!(nic.stats().dma_bytes_to_board, 2048);
@@ -570,8 +490,8 @@ mod tests {
     #[test]
     fn standard_never_hits() {
         let mut nic = Nic::new(NicKind::Standard, NicConfig::default());
-        let t1 = nic.transmit(SimTime::ZERO, &page_req(7, 8));
-        let t2 = nic.transmit(t1.nic_done, &page_req(7, 0));
+        let t1 = nic.transmit(SimTime::ZERO, &page_req(7));
+        let t2 = nic.transmit(t1.nic_done, &page_req(7));
         assert!(!t1.cache_hit && !t2.cache_hit);
         assert_eq!(nic.stats().dma_bytes_to_board, 4096);
     }
@@ -580,9 +500,9 @@ mod tests {
     fn cache_hit_is_faster_than_miss() {
         let cfg = NicConfig::default();
         let mut nic = Nic::new(NicKind::Cni, cfg);
-        let miss = nic.transmit(SimTime::ZERO, &page_req(1, 0));
+        let miss = nic.transmit(SimTime::ZERO, &page_req(1));
         let start = miss.nic_done;
-        let hit = nic.transmit(start, &page_req(1, 0));
+        let hit = nic.transmit(start, &page_req(1));
         let miss_latency = miss.wire_start;
         let hit_latency = hit.wire_start - start;
         assert!(
@@ -594,30 +514,33 @@ mod tests {
         assert!(miss_latency - hit_latency >= SimTime::from_ps(dma.as_ps() * 9 / 10));
     }
 
-    #[test]
-    fn cni_send_charges_less_host_time_than_standard() {
-        let cfg = NicConfig::default();
-        let mut cni = Nic::new(NicKind::Cni, cfg);
-        let mut std_ = Nic::new(NicKind::Standard, cfg);
-        let a = cni.transmit(SimTime::ZERO, &page_req(1, 4));
-        let b = std_.transmit(SimTime::ZERO, &page_req(1, 4));
-        assert!(
-            a.host_done < b.host_done,
-            "{:?} vs {:?}",
-            a.host_done,
-            b.host_done
-        );
-    }
-
+    /// A transmit starts on the board: the NIC processor takes the
+    /// descriptor at the request time, with no host cycles before it.
     #[test]
     fn board_origin_charges_no_host_time() {
-        let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        let req = TxRequest {
-            origin: TxOrigin::Board,
-            ..page_req(3, 99)
-        };
-        let t = nic.transmit(SimTime::from_us(10), &req);
-        assert_eq!(t.host_done, SimTime::from_us(10));
+        let cfg = NicConfig::default();
+        let mut nic = Nic::new(NicKind::Cni, cfg);
+        let now = SimTime::from_us(10);
+        let t = nic.transmit(now, &page_req(3));
+        let dma = cfg.bus(4 + 256 * 2);
+        let board = cfg.nic(cfg.descriptor_cycles + cfg.buffer_map_cycles);
+        assert_eq!(t.wire_start, now + board + dma + cfg.tx_cell_gap());
+        assert_eq!(nic.busy_time(), t.nic_done - now);
+    }
+
+    /// Back-to-back transmits queue on the one NIC processor: the second
+    /// takes its descriptor when the first has segmented its last cell.
+    #[test]
+    fn transmits_serialise_on_the_nic_processor() {
+        let cfg = NicConfig::default();
+        let mut nic = Nic::new(NicKind::Standard, cfg);
+        let first = nic.transmit(SimTime::ZERO, &page_req(1));
+        let second = nic.transmit(SimTime::ZERO, &page_req(2));
+        let dma = cfg.bus(4 + 256 * 2);
+        let one = cfg.nic(cfg.descriptor_cycles) + dma + cfg.tx_cell_gap();
+        assert_eq!(first.wire_start, SimTime::ZERO + one);
+        assert_eq!(second.wire_start, first.nic_done + one);
+        assert_eq!(nic.nic_busy_until(), second.nic_done);
     }
 
     #[test]
@@ -675,7 +598,7 @@ mod tests {
         assert!(nic.page_resident(42));
         // Page migrates onward: the transmit hits without ever having been
         // DMAed host→board.
-        let t = nic.transmit(d.at, &page_req(42, 0));
+        let t = nic.transmit(d.at, &page_req(42));
         assert!(t.cache_hit);
         assert_eq!(nic.stats().dma_bytes_to_board, 0);
     }
@@ -683,43 +606,12 @@ mod tests {
     #[test]
     fn snoop_keeps_board_copy_live_and_invalidations_kill_it() {
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        nic.transmit(SimTime::ZERO, &page_req(5, 0));
+        nic.transmit(SimTime::ZERO, &page_req(5));
         assert!(nic.page_resident(5));
         assert!(nic.snoop_write(5));
         nic.invalidate_page(5);
         assert!(!nic.page_resident(5));
         assert!(!nic.snoop_write(5));
-    }
-
-    #[test]
-    fn channels_open_and_enforce_protection() {
-        use crate::queues::Descriptor;
-        let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        let ch = nic.open_channel(8, 0x10_000, 0x8000);
-        assert_eq!(nic.channels(), 1);
-        let q = nic.channel_mut(ch);
-        assert!(q
-            .enqueue_transmit(Descriptor {
-                vaddr: 0x10_800,
-                len: 2048,
-                cacheable: true
-            })
-            .is_ok());
-        assert!(q
-            .enqueue_transmit(Descriptor {
-                vaddr: 0x9_000,
-                len: 64,
-                cacheable: false
-            })
-            .is_err());
-        assert_eq!(q.dequeue_transmit().unwrap().vaddr, 0x10_800);
-    }
-
-    #[test]
-    #[should_panic(expected = "no user-mapped device channels")]
-    fn standard_nic_has_no_channels() {
-        let mut nic = Nic::new(NicKind::Standard, NicConfig::default());
-        let _ = nic.open_channel(8, 0, 0x1000);
     }
 
     /// `data` on `vci` as a train whose cells all arrive, except as `fate`
@@ -783,7 +675,7 @@ mod tests {
     #[test]
     fn nic_processor_serialises_work() {
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        let t1 = nic.transmit(SimTime::ZERO, &page_req(1, 0));
+        let t1 = nic.transmit(SimTime::ZERO, &page_req(1));
         // A receive arriving while transmit segmentation is ongoing waits
         // for the NIC processor.
         let rx = nic.receive(SimTime::from_ns(1), 1, &[0]);
@@ -793,7 +685,7 @@ mod tests {
     #[test]
     fn receive_stage_boundaries_are_monotone() {
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
-        nic.transmit(SimTime::ZERO, &page_req(1, 0));
+        nic.transmit(SimTime::ZERO, &page_req(1));
         let arrival = SimTime::from_ns(1);
         let rx = nic.receive(arrival, 2, &[0xD5, 0, 0, 1]);
         // arrival ≤ rx_start ≤ sar_done ≤ ready_at: the span-stage tiling
@@ -809,7 +701,7 @@ mod tests {
     fn busy_time_accumulates_work_not_idle() {
         let mut nic = Nic::new(NicKind::Cni, NicConfig::default());
         assert_eq!(nic.busy_time(), SimTime::ZERO);
-        let t1 = nic.transmit(SimTime::ZERO, &page_req(1, 0));
+        let t1 = nic.transmit(SimTime::ZERO, &page_req(1));
         let after_tx = nic.busy_time();
         // The NIC worked from when the host handed it the request until
         // nic_done — a nonzero span bounded by the whole transmit.

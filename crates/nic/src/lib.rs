@@ -9,14 +9,14 @@
 //! * [`msgcache`] — the **Message Cache**: board-resident page buffers kept
 //!   consistent by bus snooping, with a CLOCK approximate-LRU buffer map
 //!   and an RTLB for physical→virtual translation of snooped writes.
-//! * [`queues`] — **Application Device Channels**: the lock-free transmit/
-//!   receive/free queue triplet mapped into the application, with
-//!   protection checked at buffer registration rather than per operation.
 //! * [`device`] — the [`device::Nic`] itself: the OSIRIS-style *standard*
-//!   personality (kernel send path, DMA both ways, interrupt per arrival)
-//!   and the *CNI* personality (ADC enqueue, Message Cache, PATHFINDER
-//!   dispatch to Application Interrupt Handlers, hybrid poll/interrupt
-//!   receive), with every cost taken from [`config::NicConfig`].
+//!   personality (DMA both ways, interrupt per arrival) and the *CNI*
+//!   personality (Message Cache, PATHFINDER dispatch to Application
+//!   Interrupt Handlers, hybrid poll/interrupt receive), with every cost
+//!   taken from [`config::NicConfig`]. What a host pays to hand the board
+//!   a message (a kernel entry, or a user-level Application Device
+//!   Channel enqueue on the CNI) and the pre-send flush are the engine's
+//!   to charge: every transmit here starts on the board.
 //! * [`config`] / [`stats`] — the tunable cost model and the counters the
 //!   evaluation reads (network-cache hit ratio, DMA bytes, interrupts…).
 
@@ -26,12 +26,10 @@ pub mod bus;
 pub mod config;
 pub mod device;
 pub mod msgcache;
-pub mod queues;
 pub mod stats;
 
 pub use bus::MemoryBus;
 pub use config::{NicConfig, NicKind};
 pub use device::{Nic, RxDisposition, RxPath, TxPath, TxRequest};
 pub use msgcache::MessageCache;
-pub use queues::{ChannelQueues, Descriptor};
 pub use stats::NicStats;

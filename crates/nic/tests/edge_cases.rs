@@ -1,125 +1,13 @@
-//! Edge-case tests for the NIC's user-visible rings ([`ChannelQueues`])
-//! and the Message Cache, plus degenerate PDU shapes through the
-//! zero-copy receive path.
+//! Edge-case tests for the Message Cache, plus degenerate PDU shapes
+//! through the zero-copy receive path.
 //!
-//! These pin behaviours that only show up at boundaries: descriptor rings
-//! cycling through their capacity many times over, a board starved of
-//! free buffers, CLOCK evicting a buffer that snooping had just updated,
-//! and the smallest PDUs AAL5 can express (zero bytes of user data, and
-//! exactly one cell).
+//! These pin behaviours that only show up at boundaries: CLOCK evicting a
+//! buffer that snooping had just updated, and the smallest PDUs AAL5 can
+//! express (zero bytes of user data, and exactly one cell).
 
 use cni_atm::aal5::ReassemblyError;
 use cni_atm::{CellFate, CellTrain, Segmenter};
-use cni_nic::queues::QueueError;
-use cni_nic::{ChannelQueues, Descriptor, MessageCache, Nic, NicConfig, NicKind};
-
-fn desc(vaddr: u64, len: u32) -> Descriptor {
-    Descriptor {
-        vaddr,
-        len,
-        cacheable: false,
-    }
-}
-
-fn channel(capacity: usize) -> ChannelQueues {
-    let mut q = ChannelQueues::new(capacity);
-    q.register_region(0x1000, 0x10000);
-    q
-}
-
-// ---- ADC ring wrap-around -------------------------------------------------
-
-/// Cycle each ring through its capacity many times while holding it at
-/// (or near) full: the internal head/tail indices wrap repeatedly and
-/// FIFO order must survive every wrap.
-#[test]
-fn adc_rings_survive_many_wrap_arounds_at_capacity() {
-    const CAP: usize = 4;
-    let mut q = channel(CAP);
-
-    // Pre-fill to capacity so every subsequent enqueue lands just after a
-    // dequeue — the ring stays full and the indices march around it.
-    for i in 0..CAP as u64 {
-        q.enqueue_transmit(desc(0x1000 + i * 64, 64)).unwrap();
-    }
-    for (round, next) in (0..(8 * CAP as u64)).zip(CAP as u64..) {
-        // Full ring refuses first — proves we really are at capacity on
-        // every single wrap step.
-        assert_eq!(
-            q.enqueue_transmit(desc(0x1000, 64)),
-            Err(QueueError::Full),
-            "round {round}: ring should be full"
-        );
-        let out = q.dequeue_transmit().expect("ring is full");
-        assert_eq!(out.vaddr, 0x1000 + round * 64, "FIFO order across wraps");
-        q.enqueue_transmit(desc(0x1000 + next * 64, 64)).unwrap();
-    }
-    // Drain what remains, still in order.
-    for i in 0..CAP as u64 {
-        let out = q.dequeue_transmit().expect("drain");
-        assert_eq!(out.vaddr, 0x1000 + (8 * CAP as u64 + i) * 64);
-    }
-    assert!(q.dequeue_transmit().is_none());
-    // Every refused enqueue was counted as backpressure, not lost state.
-    assert_eq!(q.overflow_drops(), 8 * CAP as u64);
-    let (enq, deq, faults) = q.stats();
-    assert_eq!(enq, 9 * CAP as u64);
-    assert_eq!(deq, 9 * CAP as u64);
-    assert_eq!(faults, 0);
-}
-
-/// The free and receive rings wrap too: run the full board-side cycle
-/// (post free → claim free → post receive → poll receive) for several
-/// times the ring capacity.
-#[test]
-fn free_receive_cycle_wraps_cleanly() {
-    const CAP: usize = 3;
-    let mut q = channel(CAP);
-    for i in 0..(5 * CAP as u64) {
-        q.enqueue_free(desc(0x2000 + (i % 8) * 2048, 2048)).unwrap();
-        let buf = q.take_free().expect("just posted");
-        q.post_receive(buf).unwrap();
-        let got = q.dequeue_receive().expect("just delivered");
-        assert_eq!(got.vaddr, 0x2000 + (i % 8) * 2048);
-    }
-    assert_eq!(q.free_available(), 0);
-    assert_eq!(q.receive_pending(), 0);
-    assert_eq!(q.overflow_drops(), 0);
-}
-
-// ---- Free-queue exhaustion ------------------------------------------------
-
-/// A board that drains the free queue gets `None` — counted, recoverable
-/// backpressure, never a panic — and the channel keeps working once the
-/// application reprovisions buffers.
-#[test]
-fn free_queue_exhaustion_is_backpressure_not_failure() {
-    const CAP: usize = 2;
-    let mut q = channel(CAP);
-    q.enqueue_free(desc(0x3000, 2048)).unwrap();
-    q.enqueue_free(desc(0x3800, 2048)).unwrap();
-    // Application overprovisions: the ring is at capacity and refuses.
-    assert_eq!(q.enqueue_free(desc(0x4000, 2048)), Err(QueueError::Full));
-    assert_eq!(q.overflow_drops(), 1);
-
-    // Board drains everything...
-    let a = q.take_free().expect("first");
-    let b = q.take_free().expect("second");
-    // ...and the next arrival finds no buffer: exhaustion is a `None`.
-    assert!(q.take_free().is_none());
-    assert!(q.take_free().is_none());
-    assert_eq!(q.free_available(), 0);
-
-    // The dequeue counter only moves for successful takes.
-    let (_, deq, _) = q.stats();
-    assert_eq!(deq, 2);
-
-    // Recovery: the application reposts, the board proceeds.
-    q.enqueue_free(a).unwrap();
-    q.post_receive(b).unwrap();
-    assert_eq!(q.take_free().expect("reprovisioned").vaddr, 0x3000);
-    assert_eq!(q.dequeue_receive().expect("delivered").vaddr, 0x3800);
-}
+use cni_nic::{MessageCache, Nic, NicConfig, NicKind};
 
 // ---- Message Cache: evicting a dirty snooped buffer -----------------------
 

@@ -51,7 +51,8 @@ pub fn job_trace_path(dir: &Path, index: usize, label: &str, ext: &str) -> PathB
 
 /// Stable thread-track ids for the Chrome export (one lane per component).
 /// Append-only: existing positions are the `tid`s of already-exported
-/// traces.
+/// traces. No event renders on `adc` any more; its slot keeps the later
+/// `tid`s where exported traces have them.
 const TRACKS: [&str; 13] = [
     "event-queue",
     "cpu",

@@ -9,8 +9,8 @@
 //!
 //! * [`TraceEvent`] — a typed vocabulary of simulation events (event-queue
 //!   dispatch, engine↔program switches, DMA transfers, Message-Cache
-//!   hits/misses/evictions/snoops, PATHFINDER classifications, ADC queue
-//!   operations, interrupt-vs-poll notifications, DSM protocol
+//!   hits/misses/evictions/snoops, PATHFINDER classifications,
+//!   interrupt-vs-poll notifications, DSM protocol
 //!   transitions, and periodic [`MetricsSample`] counters). Every variant
 //!   carries only `Copy` scalars, so recording an event never allocates.
 //! * [`TraceSink`] — a cheap cloneable handle every instrumented component
@@ -202,22 +202,6 @@ pub enum TraceEvent {
         /// The handler id the classifier routed to.
         handler: u32,
     },
-    /// The application enqueued a descriptor on an Application Device
-    /// Channel ring.
-    AdcEnqueue {
-        /// Channel id.
-        channel: u32,
-        /// Descriptor length in bytes.
-        len: u32,
-    },
-    /// The board dequeued a descriptor from an Application Device Channel
-    /// ring.
-    AdcDequeue {
-        /// Channel id.
-        channel: u32,
-        /// Descriptor length in bytes.
-        len: u32,
-    },
     /// The NIC raised a host interrupt to notify a delivery.
     Interrupt,
     /// The application's poll picked up a delivery (no interrupt).
@@ -406,7 +390,6 @@ impl TraceEvent {
             | MsgCacheSnoop { .. }
             | MsgCacheInvalidate { .. } => "msg-cache",
             Classify { .. } | AihDispatch { .. } => "pathfinder",
-            AdcEnqueue { .. } | AdcDequeue { .. } => "adc",
             Interrupt | Poll => "notify",
             DsmReadFault { .. }
             | DsmWriteFault { .. }
@@ -441,8 +424,6 @@ impl TraceEvent {
             MsgCacheInvalidate { .. } => "msg_cache_invalidate",
             Classify { .. } => "classify",
             AihDispatch { .. } => "aih_dispatch",
-            AdcEnqueue { .. } => "adc_enqueue",
-            AdcDequeue { .. } => "adc_dequeue",
             Interrupt => "interrupt",
             Poll => "poll",
             DsmReadFault { .. } => "dsm_read_fault",
@@ -509,10 +490,6 @@ impl Serialize for TraceEvent {
                 put("matched", matched.to_value());
             }
             AihDispatch { handler } => put("handler", handler.to_value()),
-            AdcEnqueue { channel, len } | AdcDequeue { channel, len } => {
-                put("channel", channel.to_value());
-                put("len", len.to_value());
-            }
             Interrupt | Poll => {}
             DsmReadFault { page } | DsmWriteFault { page } => put("page", page.to_value()),
             DsmAcquire { lock, local } => {
@@ -666,14 +643,6 @@ impl Deserialize for TraceEvent {
             },
             "aih_dispatch" => AihDispatch {
                 handler: field(o, "handler")?,
-            },
-            "adc_enqueue" => AdcEnqueue {
-                channel: field(o, "channel")?,
-                len: field(o, "len")?,
-            },
-            "adc_dequeue" => AdcDequeue {
-                channel: field(o, "channel")?,
-                len: field(o, "len")?,
             },
             "interrupt" => Interrupt,
             "poll" => Poll,
@@ -1094,6 +1063,19 @@ mod tests {
         assert_eq!(back, rec);
     }
 
+    /// The Application Device Channel rings were never simulated, so no
+    /// run recorded their `adc_enqueue`/`adc_dequeue` events and the tags
+    /// are not part of the vocabulary: a line carrying one is refused with
+    /// an error naming it, as any unknown tag is.
+    #[test]
+    fn a_record_with_an_adc_ring_tag_is_refused() {
+        for tag in ["adc_enqueue", "adc_dequeue"] {
+            let line = format!(r#"{{"t_ps":1,"node":0,"ev":"{tag}","channel":0,"len":64}}"#);
+            let err = serde_json::from_str::<TraceRecord>(&line).unwrap_err();
+            assert!(err.to_string().contains(tag), "{err}");
+        }
+    }
+
     #[test]
     fn tracks_cover_the_component_taxonomy() {
         let events = [
@@ -1111,7 +1093,6 @@ mod tests {
                 cells: 1,
                 matched: true,
             },
-            TraceEvent::AdcEnqueue { channel: 0, len: 0 },
             TraceEvent::Interrupt,
             TraceEvent::DsmAcquire {
                 lock: 0,
@@ -1136,7 +1117,7 @@ mod tests {
             TraceEvent::UtilQueue { depth: 0 },
         ];
         let tracks: std::collections::BTreeSet<_> = events.iter().map(|e| e.track()).collect();
-        assert_eq!(tracks.len(), 13);
+        assert_eq!(tracks.len(), 12);
     }
 
     #[test]
