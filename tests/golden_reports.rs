@@ -12,7 +12,7 @@
 //! CNI_BLESS=1 cargo test --test golden_reports
 //! ```
 //!
-//! The nine configs cover the matrix that matters: both NIC kinds, the
+//! The ten configs cover the matrix that matters: both NIC kinds, the
 //! lossless fast path and the go-back-N fault path, single-switch and
 //! fat-tree fabrics (lossless and lossy with delivery jitter), four
 //! process counts, and both programming paradigms: shared memory, and
@@ -187,6 +187,20 @@ fn cholesky4_report_is_golden() {
     check_golden(
         "cholesky4",
         Config::paper_default().with_procs(4),
+        App::Cholesky {
+            matrix: CholeskyMatrix::Mesh { rows: 12, cols: 12 },
+        },
+    );
+}
+
+#[test]
+fn cholesky4_standard_report_is_golden() {
+    // The same Cholesky run under the baseline NIC: pins the fine-grained
+    // lock and page traffic through host interrupts and DMA, where the
+    // CNI run takes the Message Cache and the AIH.
+    check_golden(
+        "cholesky4_std",
+        Config::paper_default().with_procs(4).standard(),
         App::Cholesky {
             matrix: CholeskyMatrix::Mesh { rows: 12, cols: 12 },
         },
