@@ -21,6 +21,9 @@
 //! The factor is stored packed in shared pages (many columns per page →
 //! concurrent write sharing); the read-only symbolic structure is
 //! replicated to every node at start-up, as a real implementation would.
+//! Each `cmod` finds its target entries with one forward
+//! [`ColumnCursor`](crate::sparse::ColumnCursor) walk of the target
+//! column, not a search per entry.
 
 use crate::sparse::{SparseSpd, SymbolicFactor};
 use cni::{LockId, Program, VAddr, World};
@@ -215,9 +218,9 @@ pub fn programs(
                                 ctx.write_f64(layout.slot(sym.offsets[j] + 1 + pos), 0.0)
                                     .await;
                             }
+                            let mut cur = sym.cursor(j);
                             for (k, &i) in a.rows[j].iter().enumerate() {
-                                ctx.write_f64(layout.slot(sym.slot(i, j)), a.vals[j][k])
-                                    .await;
+                                ctx.write_f64(layout.slot(cur.slot(i)), a.vals[j][k]).await;
                             }
                         }
                         ctx.write_u64(layout.counter(t), plan.counts[t] as u64)
@@ -276,9 +279,10 @@ pub fn programs(
                             let root = dj.sqrt();
                             ctx.write_f64(layout.slot(sym.diag_slot(j)), root).await;
                             let st = &sym.structs[j];
+                            let first = sym.diag_slot(j) + 1;
                             let mut col = Vec::with_capacity(st.len());
-                            for &i in st {
-                                let sl = sym.slot(i, j);
+                            for (pos, &i) in st.iter().enumerate() {
+                                let sl = first + pos;
                                 let v = ctx.read_f64(layout.slot(sl)).await / root;
                                 ctx.write_f64(layout.slot(sl), v).await;
                                 col.push((i, v));
@@ -292,8 +296,9 @@ pub fn programs(
                                 let ds = layout.slot(sym.diag_slot(k));
                                 let d = ctx.read_f64(ds).await;
                                 ctx.write_f64(ds, d - ljk * ljk).await;
+                                let mut cur = sym.cursor(k);
                                 for &(i, lij) in &col[ki + 1..] {
-                                    let sl = layout.slot(sym.slot(i, k));
+                                    let sl = layout.slot(cur.slot(i));
                                     let v = ctx.read_f64(sl).await;
                                     ctx.write_f64(sl, v - lij * ljk).await;
                                 }
@@ -321,8 +326,9 @@ pub fn programs(
                                     let ds = layout.slot(sym.diag_slot(k));
                                     let d = ctx.read_f64(ds).await;
                                     ctx.write_f64(ds, d - ljk * ljk).await;
+                                    let mut cur = sym.cursor(k);
                                     for &(i, lij) in &col[ki + 1..] {
-                                        let sl = layout.slot(sym.slot(i, k));
+                                        let sl = layout.slot(cur.slot(i));
                                         let v = ctx.read_f64(sl).await;
                                         ctx.write_f64(sl, v - lij * ljk).await;
                                     }
