@@ -1076,8 +1076,9 @@ impl DsmNode {
                 awaiting_page: true,
                 ..
             }) => (*want_write, *p),
-            // cni-lint: allow(panic-path) -- a PageResp only ever answers this node's own PageReq; any other blocked state is a protocol-engine bug
-            ref b => panic!("unexpected PageResp while blocked on {b:?}"),
+            // Not waiting for a page: a duplicate or forged reply. Drop it
+            // before it touches a frame.
+            _ => return None,
         };
         debug_assert_eq!(fault_page, page, "PageResp for wrong page");
         let h = self.space.page(page);
@@ -1212,8 +1213,8 @@ impl DsmNode {
                 committed.push((writer, upto));
                 (*want_write, outstanding.is_empty())
             }
-            // cni-lint: allow(panic-path) -- a DiffResp only ever answers this node's own DiffReq; any other blocked state is a protocol-engine bug
-            ref b => panic!("unexpected DiffResp while blocked on {b:?}"),
+            // Not waiting for diffs: a duplicate or forged reply. Drop it.
+            _ => return None,
         };
         if !done {
             return None;
@@ -1574,29 +1575,21 @@ mod tests {
         assert_eq!(reply(5, 3), (vec![], 0));
     }
 
-    /// A page or diff reply comes from the wire. One that does not fit
-    /// the page (a copy of the wrong length, a diff entry past the page's
-    /// last word) is dropped whole and the fault keeps waiting, so the
-    /// real replies that follow apply exactly as they would alone.
-    #[test]
-    fn forged_page_and_diff_replies_are_dropped() {
+    /// Processor 0 of 4 with concurrent writers of page 1, both covered
+    /// by its clock: a fault on page 1 fetches the page from writer 3,
+    /// whose copy lacks writer 2's interval, so it then needs writer 2's
+    /// diff.
+    fn node_with_concurrent_writers() -> DsmNode {
         let mut node = node_with_pages(0, 4, 2);
-        // Concurrent writers of page 1, both covered by this node's clock:
-        // the fault fetches the page from writer 3, whose copy lacks
-        // writer 2's interval, so it then needs writer 2's diff.
         node.log.publish_write(ProcId(2), 1, PageId(1));
         node.log.publish_write(ProcId(3), 2, PageId(1));
         node.vc = VClock(vec![0, 0, 1, 2]);
-        let req = node.on_read_fault(PageId(1));
-        assert!(matches!(
-            req.out.as_slice(),
-            [Msg {
-                dst: ProcId(3),
-                payload: Payload::PageReq { .. },
-                ..
-            }]
-        ));
-        let page_resp = |data: Vec<u64>| Msg {
+        node
+    }
+
+    /// Writer 3's copy of page 1.
+    fn page_resp(data: Vec<u64>) -> Msg {
+        Msg {
             src: ProcId(3),
             dst: ProcId(0),
             payload: Payload::PageResp {
@@ -1604,8 +1597,19 @@ mod tests {
                 version: VClock(vec![0, 0, 0, 2]),
                 data,
             },
-        };
-        let diff_resp = |entries: Vec<(u32, u64)>| Msg {
+        }
+    }
+
+    /// A full copy of page 1 whose word 0 is `word0`.
+    fn copy(word0: u64) -> Vec<u64> {
+        let mut data = vec![0u64; 256];
+        data[0] = word0;
+        data
+    }
+
+    /// Writer 2's diff of page 1 for its interval 1.
+    fn diff_resp(entries: Vec<(u32, u64)>) -> Msg {
+        Msg {
             src: ProcId(2),
             dst: ProcId(0),
             payload: Payload::DiffResp {
@@ -1615,14 +1619,40 @@ mod tests {
                 vcs: vec![VClock(vec![0, 0, 1, 0])],
                 diffs: vec![Diff { entries }],
             },
-        };
+        }
+    }
+
+    /// Deliver `msg`, which the node must drop: no message out, no
+    /// wake-up, and the fault state, page versions and clock as before.
+    fn assert_dropped(node: &mut DsmNode, msg: Msg) {
+        let before = format!("{:?} {:?} {:?}", node.blocked, node.pv, node.vc);
+        let res = node.on_message(msg);
+        assert!(res.out.is_empty() && res.wakeup.is_none());
+        let after = format!("{:?} {:?} {:?}", node.blocked, node.pv, node.vc);
+        assert_eq!(before, after);
+    }
+
+    /// A page or diff reply comes from the wire. One that does not fit
+    /// the page (a copy of the wrong length, a diff entry past the page's
+    /// last word) is dropped whole and the fault keeps waiting, so the
+    /// real replies that follow apply exactly as they would alone.
+    #[test]
+    fn forged_page_and_diff_replies_are_dropped() {
+        let mut node = node_with_concurrent_writers();
+        let req = node.on_read_fault(PageId(1));
+        assert!(matches!(
+            req.out.as_slice(),
+            [Msg {
+                dst: ProcId(3),
+                payload: Payload::PageReq { .. },
+                ..
+            }]
+        ));
         for forged in [vec![9; 10], vec![9; 300]] {
             let res = node.on_message(page_resp(forged));
             assert!(res.out.is_empty() && res.wakeup.is_none());
         }
-        let mut copy = vec![0u64; 256];
-        copy[0] = 42;
-        let res = node.on_message(page_resp(copy));
+        let res = node.on_message(page_resp(copy(42)));
         assert!(matches!(
             res.out.as_slice(),
             [Msg {
@@ -1642,6 +1672,45 @@ mod tests {
         assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
         let frame = &node.space().page(PageId(1)).frame;
         assert_eq!((frame.load(0), frame.load(3), frame.load(255)), (42, 7, 8));
+        assert_eq!(node.pv[&PageId(1)], VClock(vec![0, 0, 1, 2]));
+    }
+
+    /// A page reply reaches a node that is not waiting for one: an idle
+    /// node, or one already waiting for diffs (a duplicate). The node
+    /// drops it, its frame untouched, and the real diff that follows
+    /// completes the fault as it would alone.
+    #[test]
+    fn a_page_reply_the_node_is_not_waiting_for_is_dropped() {
+        let mut node = node_with_concurrent_writers();
+        assert_dropped(&mut node, page_resp(copy(5)));
+        assert!(node.space().try_page(PageId(1)).is_none(), "no frame made");
+        node.on_read_fault(PageId(1));
+        let res = node.on_message(page_resp(copy(42)));
+        assert_eq!(res.out.len(), 1, "one DiffReq, to writer 2");
+        assert_dropped(&mut node, page_resp(copy(5)));
+        let res = node.on_message(diff_resp(vec![(3, 7)]));
+        assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
+        assert_dropped(&mut node, page_resp(copy(5)));
+        let frame = &node.space().page(PageId(1)).frame;
+        assert_eq!((frame.load(0), frame.load(3)), (42, 7));
+    }
+
+    /// A diff reply reaches a node that is not waiting for diffs: an idle
+    /// node, or one still waiting for the page. The node drops it, and
+    /// the page and diff that follow complete the fault as they would
+    /// alone.
+    #[test]
+    fn a_diff_reply_the_node_is_not_waiting_for_is_dropped() {
+        let mut node = node_with_concurrent_writers();
+        assert_dropped(&mut node, diff_resp(vec![(3, 5)]));
+        node.on_read_fault(PageId(1));
+        assert_dropped(&mut node, diff_resp(vec![(3, 5)]));
+        node.on_message(page_resp(copy(42)));
+        let res = node.on_message(diff_resp(vec![(3, 7)]));
+        assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
+        assert_dropped(&mut node, diff_resp(vec![(3, 5)]));
+        let frame = &node.space().page(PageId(1)).frame;
+        assert_eq!((frame.load(0), frame.load(3)), (42, 7));
         assert_eq!(node.pv[&PageId(1)], VClock(vec![0, 0, 1, 2]));
     }
 

@@ -583,10 +583,13 @@ pub fn unseal(bytes: &[u8]) -> Result<(u32, &[u8]), SnapError> {
     }
     let len = r.u64("payload length").map_err(|e| bump(e, 8))? as usize;
     let body = &bytes[HEADER_BYTES..];
-    if body.len() < len + 4 {
+    // A forged length near `usize::MAX` saturates here instead of wrapping
+    // past the check below.
+    let needed = len.saturating_add(4);
+    if body.len() < needed {
         return Err(SnapError::Truncated {
             offset: HEADER_BYTES,
-            needed: len + 4,
+            needed,
             have: body.len(),
             what: "payload + CRC trailer",
         });
@@ -833,6 +836,29 @@ mod tests {
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A header whose payload length is forged near `u64::MAX`, over a
+    /// 16-byte body: the length check must not wrap, so every build
+    /// reports truncation instead of slicing past the file.
+    #[test]
+    fn a_forged_payload_length_is_truncation_not_a_panic() {
+        for len in [u64::MAX - 1, u64::MAX, u64::MAX - 3, 13] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&[0; 16]);
+            assert_eq!(bytes.len(), 36);
+            match unseal(&bytes) {
+                Err(SnapError::Truncated {
+                    offset: HEADER_BYTES,
+                    needed,
+                    have: 16,
+                    ..
+                }) => assert_eq!(needed, (len as usize).saturating_add(4)),
+                other => panic!("length {len}: expected Truncated, got {other:?}"),
+            }
+        }
     }
 
     #[test]
