@@ -361,13 +361,17 @@ fn run_resume(path: &str, fork_plan: Option<FaultPlan>, json: bool) -> ExitCode 
 }
 
 /// One sweep job under `--resume-dir`: resume from the newest usable
-/// checkpoint if one exists (and its snapshot still matches the spec),
-/// else run fresh, checkpointing when `every > 0`. Errors panic — the
-/// batch executor isolates them as that job's failure record.
+/// checkpoint if one exists (and its snapshot's app and configuration
+/// still match the spec), else run fresh, checkpointing when `every > 0`.
+/// Errors panic — the batch executor isolates them as that job's failure
+/// record.
 fn run_resumable_job(cfg: Config, app: App, every: u64, ck_dir: &Path, label: &str) -> RunReport {
     use serde::Serialize;
     if let Some(snap_path) = newest_snapshot(ck_dir) {
         match read_snapshot(&snap_path) {
+            Ok(snap) if snap.app != app => {
+                eprintln!("[resume] {label}: checkpoint was taken of a different app, rerunning")
+            }
             // The ignored `engine_workers` field is not an experiment
             // axis: a snapshot whose stored config sets it (older builds
             // took `--engine-workers`) still resumes.

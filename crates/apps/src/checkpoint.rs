@@ -7,29 +7,30 @@
 //!   of the report at that event — and resumes it by re-executing the
 //!   prefix in a fresh [`World`];
 //! * `cni-snap` owns the crash-safe on-disk container (magic, version,
-//!   length, CRC-32, atomic rename);
+//!   length, CRC-32, atomic rename) around a compact-JSON payload;
 //! * this module adds the **application metadata** — which [`App`] and
 //!   which [`Config`] produced the snapshot — so `cni-run --resume FILE`
 //!   can rebuild the identical world and programs without the user
 //!   re-supplying any flags.
 //!
 //! A snapshot file's payload is an object `{ "meta": {...}, "state": ... }`
-//! where `meta` carries the app and full configuration and `state` is the
-//! record from [`World::take_snapshot`]. Resuming re-runs the app's
-//! allocation sequence via [`crate::experiments::build_programs`] and hands
-//! the record to [`World::resume_run`], which re-executes the run up to
-//! the checkpoint and finishes it, so a resume costs one plain run. The
-//! result is byte-identical to the uninterrupted run
-//! (`tests/checkpoint_apps.rs` pins this).
+//! where `meta` carries the app and full configuration, each in its
+//! derived serde form (e.g. `{"Jacobi": {"n": 64, "iters": 5}}`), and
+//! `state` is the record from [`World::take_snapshot`]. Resuming re-runs
+//! the app's allocation sequence via
+//! [`crate::experiments::build_programs`] and hands the record to
+//! [`World::resume_run`], which re-executes the run up to the checkpoint
+//! and finishes it, so a resume costs one plain run. The result is
+//! byte-identical to the uninterrupted run (`tests/checkpoint_apps.rs`
+//! pins this).
 //!
 //! Every error is returned pre-rendered as a rustc-style diagnostic
 //! (`error: ...\n  --> path\n  = help: ...`) ready to print to stderr;
 //! nothing in this module panics on corrupt input.
 
-use crate::cholesky::CholeskyMatrix;
 use crate::experiments::{build_programs, App};
 use cni::{Config, RunReport, World};
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use serde::{Deserialize, Map, Serialize, Value};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -41,90 +42,11 @@ pub fn render_semantic(path: &Path, msg: &str, help: &str) -> String {
     format!("error: {msg}\n  --> {}\n  = help: {help}\n", path.display())
 }
 
-fn app_to_value(app: App) -> Value {
-    let mut m = Map::new();
-    match app {
-        App::Jacobi { n, iters } => {
-            m.insert("app".into(), Value::String("jacobi".into()));
-            m.insert("n".into(), Value::Number(Number::U64(n as u64)));
-            m.insert("iters".into(), Value::Number(Number::U64(iters as u64)));
-        }
-        App::Water { molecules, steps } => {
-            m.insert("app".into(), Value::String("water".into()));
-            m.insert(
-                "molecules".into(),
-                Value::Number(Number::U64(molecules as u64)),
-            );
-            m.insert("steps".into(), Value::Number(Number::U64(steps as u64)));
-        }
-        App::Cholesky { matrix } => {
-            m.insert("app".into(), Value::String("cholesky".into()));
-            match matrix {
-                CholeskyMatrix::Bcsstk14 => {
-                    m.insert("matrix".into(), Value::String("bcsstk14".into()));
-                }
-                CholeskyMatrix::Bcsstk15 => {
-                    m.insert("matrix".into(), Value::String("bcsstk15".into()));
-                }
-                CholeskyMatrix::Small { n, band } => {
-                    m.insert("matrix".into(), Value::String("small".into()));
-                    m.insert("n".into(), Value::Number(Number::U64(n as u64)));
-                    m.insert("band".into(), Value::Number(Number::U64(band as u64)));
-                }
-                CholeskyMatrix::Mesh { rows, cols } => {
-                    m.insert("matrix".into(), Value::String("mesh".into()));
-                    m.insert("rows".into(), Value::Number(Number::U64(rows as u64)));
-                    m.insert("cols".into(), Value::Number(Number::U64(cols as u64)));
-                }
-            }
-        }
-    }
-    Value::Object(m)
-}
-
-fn app_from_value(v: &Value) -> Result<App, String> {
-    let obj = v
-        .as_object()
-        .ok_or("snapshot app metadata is not an object")?;
-    let u = |key: &str| -> Result<usize, String> {
-        obj.get(key)
-            .and_then(Value::as_u64)
-            .map(|x| x as usize)
-            .ok_or_else(|| format!("snapshot app metadata is missing `{key}`"))
-    };
-    match obj.get("app").and_then(Value::as_str) {
-        Some("jacobi") => Ok(App::Jacobi {
-            n: u("n")?,
-            iters: u("iters")?,
-        }),
-        Some("water") => Ok(App::Water {
-            molecules: u("molecules")?,
-            steps: u("steps")?,
-        }),
-        Some("cholesky") => Ok(App::Cholesky {
-            matrix: match obj.get("matrix").and_then(Value::as_str) {
-                Some("bcsstk14") => CholeskyMatrix::Bcsstk14,
-                Some("bcsstk15") => CholeskyMatrix::Bcsstk15,
-                Some("small") => CholeskyMatrix::Small {
-                    n: u("n")?,
-                    band: u("band")?,
-                },
-                Some("mesh") => CholeskyMatrix::Mesh {
-                    rows: u("rows")?,
-                    cols: u("cols")?,
-                },
-                other => return Err(format!("unknown snapshot matrix {other:?}")),
-            },
-        }),
-        other => Err(format!("unknown snapshot app {other:?}")),
-    }
-}
-
 /// Wrap an engine checkpoint record with the app/config metadata that
 /// makes a snapshot self-describing.
 fn payload_value(app: App, cfg: &Config, state: Value) -> Value {
     let mut meta = Map::new();
-    meta.insert("app".into(), app_to_value(app));
+    meta.insert("app".into(), app.to_value());
     meta.insert("config".into(), cfg.to_value());
     let mut payload = Map::new();
     payload.insert("meta".into(), Value::Object(meta));
@@ -169,7 +91,10 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
     let app = meta
         .get("app")
         .ok_or_else(|| semantic("snapshot metadata has no `app`"))
-        .and_then(|a| app_from_value(a).map_err(|e| semantic(&e)))?;
+        .and_then(|a| {
+            App::from_value(a)
+                .map_err(|e| semantic(&format!("snapshot app metadata does not parse: {e}")))
+        })?;
     let config = meta
         .get("config")
         .ok_or_else(|| semantic("snapshot metadata has no `config`"))
@@ -256,11 +181,12 @@ pub fn newest_snapshot(dir: &Path) -> Option<PathBuf> {
     let mut best: Option<PathBuf> = None;
     for entry in std::fs::read_dir(dir).ok()?.flatten() {
         let p = entry.path();
-        let name = p.file_name()?.to_str()?.to_string();
-        if name.starts_with("ck-")
-            && name.ends_with(".cnisnap")
-            && best.as_ref().is_none_or(|b| p > *b)
-        {
+        // A name that is not UTF-8 is no checkpoint: skip it, not the dir.
+        let is_checkpoint = p
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("ck-") && n.ends_with(".cnisnap"));
+        if is_checkpoint && best.as_ref().is_none_or(|b| p > *b) {
             best = Some(p);
         }
     }
@@ -322,7 +248,10 @@ pub fn run_app_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::CholeskyMatrix;
 
+    /// The stored app is `App`'s derived serde form, every variant and
+    /// matrix shape included.
     #[test]
     fn app_metadata_round_trips() {
         for app in [
@@ -334,23 +263,42 @@ mod tests {
             App::Cholesky {
                 matrix: CholeskyMatrix::Bcsstk15,
             },
+            App::Cholesky {
+                matrix: CholeskyMatrix::Small { n: 48, band: 6 },
+            },
+            App::Cholesky {
+                matrix: CholeskyMatrix::Mesh { rows: 12, cols: 9 },
+            },
         ] {
-            let v = app_to_value(app);
-            let back = app_from_value(&v).unwrap();
-            assert_eq!(format!("{app:?}"), format!("{back:?}"));
+            assert_eq!(App::from_value(&app.to_value()).unwrap(), app);
         }
     }
 
     #[test]
     fn bad_app_metadata_errors() {
-        assert!(app_from_value(&Value::Null).is_err());
-        let mut m = Map::new();
-        m.insert("app".into(), Value::String("doom".into()));
-        assert!(app_from_value(&Value::Object(m)).is_err());
-        let mut m = Map::new();
-        m.insert("app".into(), Value::String("jacobi".into()));
-        let err = app_from_value(&Value::Object(m)).unwrap_err();
-        assert!(err.contains("`n`"), "{err}");
+        let parse = |json: &str| App::from_value(&serde_json::from_str(json).unwrap());
+        assert!(parse("null").is_err());
+        assert!(parse(r#"{"Doom": {"n": 1}}"#).is_err());
+        let err = parse(r#"{"Jacobi": {"iters": 3}}"#).unwrap_err();
+        assert!(err.to_string().starts_with("n:"), "{err}");
+    }
+
+    /// One file name that is not UTF-8 must not hide the directory's
+    /// checkpoints.
+    #[cfg(unix)]
+    #[test]
+    fn a_name_that_is_not_utf8_is_skipped() {
+        use std::os::unix::ffi::OsStrExt;
+        let dir = std::env::temp_dir().join(format!("cni-ck-names-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ck = dir.join(snapshot_file_name(720));
+        let stray = dir.join(std::ffi::OsStr::from_bytes(b"\xff\xfe-stray"));
+        for path in [&ck, &stray] {
+            std::fs::write(path, b"").unwrap();
+        }
+        assert_eq!(newest_snapshot(&dir), Some(ck));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

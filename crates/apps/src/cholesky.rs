@@ -49,7 +49,7 @@ pub const POLL_BACKOFF_MAX_CYCLES: u64 = 1_280_000;
 pub const MAX_SUPERNODE: usize = 16;
 
 /// Cholesky workload parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CholeskyMatrix {
     /// The bcsstk14-like matrix (n = 1806).
     Bcsstk14,

@@ -21,7 +21,7 @@ use cni_batch::Pool;
 use serde::{Deserialize, Serialize};
 
 /// Which application an experiment runs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum App {
     /// Jacobi relaxation with an `n × n` grid.
     Jacobi {

@@ -298,6 +298,17 @@ mod tests {
         assert!(err.contains("nesting deeper than 512 levels"), "{err}");
     }
 
+    /// A `\u` escape of a high surrogate must be followed by one of a low
+    /// surrogate. `\uD800\u0000` used to overflow an addition: a panic in
+    /// debug builds, U+2400 in release builds.
+    #[test]
+    fn an_unpaired_surrogate_is_an_error_not_a_panic() {
+        let err = parse_sweep(r#"[{"app": "\uD800\u0000"}]"#).unwrap_err();
+        assert!(err.contains("unpaired surrogate"), "{err}");
+        let runs = parse_sweep(r#"[{"app": "jacobi", "label": "\uD83D\uDE00"}]"#).unwrap();
+        assert_eq!(runs[0].label, "\u{1F600}");
+    }
+
     #[test]
     fn a_one_mib_string_parses_in_under_a_second() {
         // The string scan used to re-validate the rest of the input for

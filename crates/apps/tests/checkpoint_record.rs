@@ -1,13 +1,16 @@
-//! The checkpoint file as input from outside: a damaged file, a stored
+//! The checkpoint file as input from outside: a damaged file, a resealed
+//! payload with a flipped byte or an extreme number, a stored
 //! configuration no cluster can be built from, or a resume under another
 //! configuration is refused with an error, never a panic. A checkpoint an
-//! older build wrote with `--engine-workers` still resumes.
+//! older build wrote with `--engine-workers` still resumes, and fault
+//! probabilities survive the file bit for bit.
 
 use cni::{Config, FaultPlan, RunReport};
 use cni_apps::checkpoint::{read_snapshot, run_app_checkpointed};
 use cni_apps::experiments::App;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
@@ -197,6 +200,101 @@ proptest! {
             Err(e) => prop_assert!(e.starts_with("error:"), "not a diagnostic: {e}"),
             Ok(report) => prop_assert_eq!(&json(&report), golden),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The extremes a mutated number token is set to: 0, 2^32 − 1, 2^63 − 1
+/// and 2^64 − 1.
+const EXTREMES: [u64; 4] = [0, u32::MAX as u64, i64::MAX as u64, u64::MAX];
+
+/// Byte ranges of the number tokens in a JSON text.
+fn number_tokens(json: &[u8]) -> Vec<Range<usize>> {
+    let mut tokens = Vec::new();
+    let (mut i, mut in_string) = (0, false);
+    while i < json.len() {
+        let b = json[i];
+        if in_string {
+            match b {
+                b'\\' => i += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else if b == b'"' {
+            in_string = true;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i;
+            while json
+                .get(i)
+                .is_some_and(|c| matches!(c, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+            {
+                i += 1;
+            }
+            tokens.push(start..i);
+            continue;
+        }
+        i += 1;
+    }
+    tokens
+}
+
+/// A probability anywhere in [0, 1), as its bit pattern: half the draws
+/// are uniform over the value, half over the bit patterns, which reach
+/// subnormals and long decimal expansions (every non-negative double
+/// below 1.0 has a pattern below 1.0's).
+fn probability() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<f64>().prop_map(f64::to_bits), 0..1f64.to_bits()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A payload mutated inside a validly sealed container, by one flipped
+    /// byte or by one number token set to an extreme, is read or refused
+    /// with a diagnostic, never a panic. Resuming an accepted mutant is
+    /// not part of the property: an extreme cycle cost or fabric latency
+    /// still overflows simulated time there (ROADMAP item 4).
+    fn a_resealed_mutant_payload_is_read_or_refused(
+        flip_a_byte in any::<bool>(),
+        at in 0usize..4096,
+        flip in 1u8..=255,
+        extreme in 0usize..EXTREMES.len(),
+    ) {
+        let mut json = cni_snap::unseal(&checkpoint().0)
+            .expect("checkpoint unseals")
+            .to_vec();
+        if flip_a_byte {
+            let i = at % json.len();
+            json[i] ^= flip;
+        } else {
+            let tokens = number_tokens(&json);
+            let token = tokens[at % tokens.len()].clone();
+            json.splice(token, EXTREMES[extreme].to_string().into_bytes());
+        }
+        let dir = tmp_dir("mutant");
+        let path = write(&dir, "ck.cnisnap", &cni_snap::seal(&json));
+        if let Err(e) = read_snapshot(&path) {
+            prop_assert!(e.starts_with("error:"), "not a diagnostic: {e}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fault probabilities drawn anywhere in [0, 1) round-trip through
+    /// `write_value` and `read_value` bit for bit.
+    fn fault_probabilities_round_trip_bit_for_bit(
+        drop in probability(),
+        corrupt in probability(),
+    ) {
+        let dir = tmp_dir("probabilities");
+        let src = write(&dir, "ck.cnisnap", &checkpoint().0);
+        let dst = dir.join("edited.cnisnap");
+        with_stored_config(&src, &dst, |c| {
+            c.faults.drop_prob = f64::from_bits(drop);
+            c.faults.corrupt_prob = f64::from_bits(corrupt);
+        });
+        let faults = read_snapshot(&dst).expect("checkpoint reads").config.faults;
+        prop_assert_eq!(faults.drop_prob.to_bits(), drop);
+        prop_assert_eq!(faults.corrupt_prob.to_bits(), corrupt);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,10 @@
 //! `cni-run --sweep --resume-dir`: an interrupted sweep picks up where it
 //! stopped. A job whose report was persisted is skipped unless the report
 //! is of another schema version, a job that left checkpoints resumes from
-//! its newest one, and a checkpoint that is unreadable or was taken under
-//! another configuration is rerun from scratch. Whatever the path, the
-//! job's report is the uninterrupted run's, byte for byte.
+//! its newest one, and a checkpoint that is unreadable, or was taken of
+//! another app or under another configuration, is rerun from scratch.
+//! Whatever the path, the job's report is the uninterrupted run's, byte
+//! for byte.
 
 use cni::Config;
 use cni_apps::checkpoint::run_app_checkpointed;
@@ -59,12 +60,12 @@ fn sweep(dir: &Path, extra: &[&str]) -> Output {
 }
 
 /// Run the sweep with checkpoints every 80 events over the checkpoints a
-/// killed sweep left in the job's directory, written under `cfg`. Returns
-/// the sweep's stderr and the newest checkpoint's file name; the persisted
-/// report must be the golden one.
-fn resume_over_checkpoints(name: &str, cfg: Config) -> (String, String) {
+/// killed sweep left in the job's directory, written by `app` under `cfg`.
+/// Returns the sweep's stderr and the newest checkpoint's file name; the
+/// persisted report must be the golden one.
+fn resume_over_checkpoints(name: &str, cfg: Config, app: App) -> (String, String) {
     let dir = tmp_dir(name);
-    let run = run_app_checkpointed(cfg, APP, 80, &ck_dir(&dir)).expect("checkpointed run");
+    let run = run_app_checkpointed(cfg, app, 80, &ck_dir(&dir)).expect("checkpointed run");
     let newest = run.snapshots.last().expect("the run checkpointed");
     let newest = newest.file_name().unwrap().to_string_lossy().into_owned();
     let out = sweep(&dir, &["--checkpoint-every", "80"]);
@@ -137,7 +138,7 @@ fn a_report_of_another_version_is_rerun() {
 
 #[test]
 fn an_interrupted_job_resumes_from_its_newest_checkpoint() {
-    let (stderr, newest) = resume_over_checkpoints("newest", job_config());
+    let (stderr, newest) = resume_over_checkpoints("newest", job_config(), APP);
     assert!(stderr.contains("[resume] j: resumed from"), "{stderr}");
     assert!(
         stderr.contains(&newest),
@@ -150,7 +151,7 @@ fn an_interrupted_job_resumes_from_its_newest_checkpoint() {
 /// belongs to the job.
 #[test]
 fn a_checkpoint_that_stored_engine_workers_resumes() {
-    let (stderr, _) = resume_over_checkpoints("workers", job_config().with_engine_workers(2));
+    let (stderr, _) = resume_over_checkpoints("workers", job_config().with_engine_workers(2), APP);
     assert!(stderr.contains("[resume] j: resumed from"), "{stderr}");
 }
 
@@ -158,9 +159,22 @@ fn a_checkpoint_that_stored_engine_workers_resumes() {
 fn a_checkpoint_under_another_config_is_rerun() {
     let mut reseeded = job_config();
     reseeded.seed ^= 1;
-    let (stderr, _) = resume_over_checkpoints("reseeded", reseeded);
+    let (stderr, _) = resume_over_checkpoints("reseeded", reseeded, APP);
     assert!(
         stderr.contains("[resume] j: checkpoint was taken under a different config, rerunning"),
+        "{stderr}"
+    );
+}
+
+/// A spec edited in place keeps its label, so the job's checkpoint
+/// directory still holds checkpoints of the old app. They are not this
+/// job's, whatever the configuration says.
+#[test]
+fn a_checkpoint_of_another_app_is_rerun() {
+    let resized = App::Jacobi { n: 24, iters: 3 };
+    let (stderr, _) = resume_over_checkpoints("resized", job_config(), resized);
+    assert!(
+        stderr.contains("[resume] j: checkpoint was taken of a different app, rerunning"),
         "{stderr}"
     );
 }

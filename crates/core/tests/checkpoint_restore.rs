@@ -324,11 +324,11 @@ fn first_snapshot(cfg: Config, mk: &dyn Fn(VAddr) -> Vec<Program>, at: u64) -> s
         .expect("the run reaches the pinned event count")
 }
 
-/// Byte length and CRC-32 of a snapshot under the snapshot codec: the
-/// exact bytes a checkpoint file carries.
+/// Byte length and CRC-32 of a snapshot as compact JSON: the exact bytes
+/// a checkpoint file carries.
 fn pin(snap: &serde::Value) -> (usize, u32) {
-    let bytes = cni_snap::value_to_bytes(snap);
-    (bytes.len(), cni_snap::crc32(&bytes))
+    let json = serde_json::to_string(snap).expect("the record serializes");
+    (json.len(), cni_atm::crc::crc32(json.as_bytes()))
 }
 
 fn field(snap: &serde::Value, k: &str) -> u64 {
@@ -381,11 +381,11 @@ fn snapshot_bytes_are_pinned_lossy() {
 }
 
 /// The pinned records: `digest` is the CRC-32 of the report JSON at the
-/// checkpoint, `(len, crc)` covers the encoded record.
+/// checkpoint, `(len, crc)` covers the record as compact JSON.
 const DIGEST_LOSSLESS: u64 = 199_767_212;
-const PIN_LOSSLESS: (usize, u32) = (443, 2_554_225_816);
+const PIN_LOSSLESS: (usize, u32) = (283, 3_068_287_409);
 const DIGEST_LOSSY: u64 = 2_796_599_457;
-const PIN_LOSSY: (usize, u32) = (443, 3_386_494_241);
+const PIN_LOSSY: (usize, u32) = (286, 2_996_480_527);
 
 #[test]
 fn events_past_the_end_of_the_run_are_refused() {
