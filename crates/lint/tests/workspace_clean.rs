@@ -233,19 +233,8 @@ fn manifest_table<'a>(manifest: &'a str, table: &str) -> Vec<(&'a str, &'a str)>
         .collect()
 }
 
-/// The determinism rules D1–D4 are presence rules: each checks only
-/// the file it is in. That misses nothing only while a guarded crate
-/// cannot call into unguarded first-party code, where a clock read, an
-/// ambient RNG or a hash iteration would go unseen. So every first-party
-/// package a sim crate depends on must itself be a sim crate. The same
-/// holds for `cni-snap`, which D4 guards. Dev-dependencies are test
-/// code, which no rule covers.
-#[test]
-fn sim_crates_depend_only_on_sim_crates() {
-    use cni_lint::rules::SIM_CRATES;
-
-    let root = workspace_root();
-    // Package name -> crate directory, for every first-party crate.
+/// Package name -> crate directory, for every first-party crate.
+fn first_party_crates(root: &Path) -> std::collections::BTreeMap<String, String> {
     let mut dir_of = std::collections::BTreeMap::new();
     for e in std::fs::read_dir(root.join("crates"))
         .expect("crates dir")
@@ -261,28 +250,53 @@ fn sim_crates_depend_only_on_sim_crates() {
             .expect("every crate manifest names its package");
         dir_of.insert(name, e.file_name().to_string_lossy().into_owned());
     }
-    assert_eq!(dir_of.get("cni").map(String::as_str), Some("core"));
+    dir_of
+}
 
-    for c in SIM_CRATES.iter().chain(&["snap"]) {
-        let path = root.join("crates").join(c).join("Cargo.toml");
-        let manifest = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("crate `{c}` has no manifest at {}: {e}", path.display()));
-        // Dependencies must sit in the one table read below, not in
-        // `[dependencies.<name>]` or `[target.'..'.dependencies]` tables.
-        for l in manifest.lines().filter(|l| l.starts_with('[')) {
-            assert!(
-                !l.contains("dependencies") || l == "[dependencies]" || l == "[dev-dependencies]",
-                "crates/{c}/Cargo.toml: unsupported dependency table `{l}`"
-            );
-        }
-        for (key, value) in manifest_table(&manifest, "dependencies") {
+/// The packages a crate's manifest depends on, outside dev-dependencies.
+fn dependencies(root: &Path, c: &str) -> Vec<String> {
+    let path = root.join("crates").join(c).join("Cargo.toml");
+    let manifest = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("crate `{c}` has no manifest at {}: {e}", path.display()));
+    // Dependencies must sit in the one table read below, not in
+    // `[dependencies.<name>]` or `[target.'..'.dependencies]` tables.
+    for l in manifest.lines().filter(|l| l.starts_with('[')) {
+        assert!(
+            !l.contains("dependencies") || l == "[dependencies]" || l == "[dev-dependencies]",
+            "crates/{c}/Cargo.toml: unsupported dependency table `{l}`"
+        );
+    }
+    manifest_table(&manifest, "dependencies")
+        .into_iter()
+        .map(|(key, value)| {
             // A renamed dependency names its package in the value.
-            let package = value
+            value
                 .split_once("package")
                 .and_then(|(_, rest)| rest.trim_start().strip_prefix('='))
                 .and_then(|rest| rest.split('"').nth(1))
-                .unwrap_or(key);
-            if let Some(dep) = dir_of.get(package) {
+                .unwrap_or(key)
+                .to_string()
+        })
+        .collect()
+}
+
+/// The determinism rules D1–D4 are presence rules: each checks only
+/// the file it is in. That misses nothing only while a guarded crate
+/// cannot call into unguarded first-party code, where a clock read, an
+/// ambient RNG or a hash iteration would go unseen. So every first-party
+/// package a sim crate depends on must itself be a sim crate. The same
+/// holds for `cni-snap`, which D4 guards. Dev-dependencies are test
+/// code, which no rule covers.
+#[test]
+fn sim_crates_depend_only_on_sim_crates() {
+    use cni_lint::rules::SIM_CRATES;
+
+    let root = workspace_root();
+    let dir_of = first_party_crates(&root);
+    assert_eq!(dir_of.get("cni").map(String::as_str), Some("core"));
+    for c in SIM_CRATES.iter().chain(&["snap"]) {
+        for package in dependencies(&root, c) {
+            if let Some(dep) = dir_of.get(&package) {
                 assert!(
                     SIM_CRATES.contains(&dep.as_str()),
                     "crate `{c}` depends on `{package}` (crates/{dep}), which is not a sim \
@@ -291,6 +305,23 @@ fn sim_crates_depend_only_on_sim_crates() {
             }
         }
     }
+}
+
+/// The lint must stay buildable while the rest of the workspace is
+/// mid-refactor, so it depends on no first-party crate; its JSON goes
+/// through the vendored `serde` and `serde_json`.
+#[test]
+fn the_lint_depends_on_no_first_party_crate() {
+    let root = workspace_root();
+    let dir_of = first_party_crates(&root);
+    let deps = dependencies(&root, "lint");
+    for package in &deps {
+        assert!(
+            !dir_of.contains_key(package),
+            "cni-lint depends on first-party `{package}`"
+        );
+    }
+    assert!(deps.iter().any(|d| d == "serde_json"), "{deps:?}");
 }
 
 #[test]

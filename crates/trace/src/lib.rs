@@ -122,10 +122,14 @@ impl MetricsSample {
 /// recording one is allocation-free; human-readable names and track
 /// assignments are resolved at export time, never on the hot path.
 ///
-/// Serializes internally tagged: a JSON object whose `ev` member is the
-/// snake_case variant name, with the variant's fields alongside it (see
-/// the hand-written [`Serialize`] impl below).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Serializes internally tagged, through the derive: a JSON object whose
+/// `ev` member comes first and is the snake_case variant name
+/// (`DmaToBoard` is `dma_to_board`), followed by the variant's fields in
+/// declaration order. `Metrics` writes its sample's fields after the tag.
+/// Reading a value that is not an object, has no `ev` tag or names no
+/// variant is an error that says which.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "ev", rename_all = "snake_case")]
 pub enum TraceEvent {
     /// The engine's event queue dispatched an event (`seq` is the queue's
     /// insertion sequence number, `pending` the events still queued).
@@ -408,324 +412,6 @@ impl TraceEvent {
             UtilNode { .. } | UtilQueue { .. } => "util",
         }
     }
-
-    /// The snake_case wire tag stored under the `ev` key.
-    fn tag(&self) -> &'static str {
-        use TraceEvent::*;
-        match self {
-            QueueDispatch { .. } => "queue_dispatch",
-            CothreadSwitch { .. } => "cothread_switch",
-            DmaToBoard { .. } => "dma_to_board",
-            DmaToHost { .. } => "dma_to_host",
-            MsgCacheHit { .. } => "msg_cache_hit",
-            MsgCacheMiss { .. } => "msg_cache_miss",
-            MsgCacheInsert { .. } => "msg_cache_insert",
-            MsgCacheSnoop { .. } => "msg_cache_snoop",
-            MsgCacheInvalidate { .. } => "msg_cache_invalidate",
-            Classify { .. } => "classify",
-            AihDispatch { .. } => "aih_dispatch",
-            Interrupt => "interrupt",
-            Poll => "poll",
-            DsmReadFault { .. } => "dsm_read_fault",
-            DsmWriteFault { .. } => "dsm_write_fault",
-            DsmAcquire { .. } => "dsm_acquire",
-            DsmRelease { .. } => "dsm_release",
-            DsmBarrier { .. } => "dsm_barrier",
-            DsmMsg { .. } => "dsm_msg",
-            ProtoTx { .. } => "proto_tx",
-            Metrics(_) => "metrics",
-            CellDropped { .. } => "cell_dropped",
-            CrcFail { .. } => "crc_fail",
-            RetransmitScheduled { .. } => "retransmit_scheduled",
-            RetransmitFired { .. } => "retransmit_fired",
-            RingOverflow { .. } => "ring_overflow",
-            SpanOpen { .. } => "span_open",
-            SpanTx { .. } => "span_tx",
-            SpanRx { .. } => "span_rx",
-            SpanClose { .. } => "span_close",
-            UtilNode { .. } => "util_node",
-            UtilQueue { .. } => "util_queue",
-        }
-    }
-}
-
-// TraceEvent/TraceRecord serialize internally tagged and flattened — shapes
-// the vendored derive does not generate — so their impls are hand-written.
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        use TraceEvent::*;
-        let mut m = serde::Map::new();
-        m.insert("ev".to_string(), Value::String(self.tag().to_string()));
-        let mut put = |k: &str, v: Value| {
-            m.insert(k.to_string(), v);
-        };
-        match *self {
-            QueueDispatch { seq, pending } => {
-                put("seq", seq.to_value());
-                put("pending", pending.to_value());
-            }
-            CothreadSwitch { cpu, enter } => {
-                put("cpu", cpu.to_value());
-                put("enter", enter.to_value());
-            }
-            DmaToBoard { bytes, dur_ps } | DmaToHost { bytes, dur_ps } => {
-                put("bytes", bytes.to_value());
-                put("dur_ps", dur_ps.to_value());
-            }
-            MsgCacheHit { page } | MsgCacheMiss { page } | MsgCacheInvalidate { page } => {
-                put("page", page.to_value());
-            }
-            MsgCacheInsert { page, evicted } => {
-                put("page", page.to_value());
-                put("evicted", evicted.to_value());
-            }
-            MsgCacheSnoop { page, resident } => {
-                put("page", page.to_value());
-                put("resident", resident.to_value());
-            }
-            Classify { cells, matched } => {
-                put("cells", cells.to_value());
-                put("matched", matched.to_value());
-            }
-            AihDispatch { handler } => put("handler", handler.to_value()),
-            Interrupt | Poll => {}
-            DsmReadFault { page } | DsmWriteFault { page } => put("page", page.to_value()),
-            DsmAcquire { lock, local } => {
-                put("lock", lock.to_value());
-                put("local", local.to_value());
-            }
-            DsmRelease { lock } => put("lock", lock.to_value()),
-            DsmBarrier { epoch } => put("epoch", epoch.to_value()),
-            DsmMsg { kind, from } => {
-                put("kind", kind.to_value());
-                put("from", from.to_value());
-            }
-            ProtoTx {
-                kind,
-                bytes,
-                dur_ps,
-            } => {
-                put("kind", kind.to_value());
-                put("bytes", bytes.to_value());
-                put("dur_ps", dur_ps.to_value());
-            }
-            Metrics(sample) => {
-                if let Value::Object(fields) = sample.to_value() {
-                    for (k, v) in fields.entries() {
-                        put(k, v.clone());
-                    }
-                }
-            }
-            CellDropped { vci, cell } => {
-                put("vci", vci.to_value());
-                put("cell", cell.to_value());
-            }
-            CrcFail { vci } => put("vci", vci.to_value()),
-            RetransmitScheduled { seq, rto_ps } => {
-                put("seq", seq.to_value());
-                put("rto_ps", rto_ps.to_value());
-            }
-            RetransmitFired { seq, attempt } => {
-                put("seq", seq.to_value());
-                put("attempt", attempt.to_value());
-            }
-            RingOverflow { channel } => put("channel", channel.to_value()),
-            SpanOpen {
-                span,
-                parent,
-                class,
-                kind,
-                src,
-                dst,
-                bytes,
-            } => {
-                put("span", span.to_value());
-                put("parent", parent.to_value());
-                put("class", class.to_value());
-                put("kind", kind.to_value());
-                put("src", src.to_value());
-                put("dst", dst.to_value());
-                put("bytes", bytes.to_value());
-            }
-            SpanTx {
-                span,
-                host_dma_ps,
-                tx_queue_ps,
-                wire_ps,
-            } => {
-                put("span", span.to_value());
-                put("host_dma_ps", host_dma_ps.to_value());
-                put("tx_queue_ps", tx_queue_ps.to_value());
-                put("wire_ps", wire_ps.to_value());
-            }
-            SpanRx {
-                span,
-                rx_nic_ps,
-                sar_ps,
-            } => {
-                put("span", span.to_value());
-                put("rx_nic_ps", rx_nic_ps.to_value());
-                put("sar_ps", sar_ps.to_value());
-            }
-            SpanClose { span } => put("span", span.to_value()),
-            UtilNode {
-                busy_ps,
-                ingress_ps,
-                egress_ps,
-                ring_hw,
-                interval_ps,
-            } => {
-                put("busy_ps", busy_ps.to_value());
-                put("ingress_ps", ingress_ps.to_value());
-                put("egress_ps", egress_ps.to_value());
-                put("ring_hw", ring_hw.to_value());
-                put("interval_ps", interval_ps.to_value());
-            }
-            UtilQueue { depth } => put("depth", depth.to_value()),
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::DeError;
-        let o = v
-            .as_object()
-            .ok_or_else(|| DeError::msg("expected trace event object"))?;
-        let tag = o
-            .get("ev")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| DeError::msg("missing \"ev\" tag"))?;
-        fn field<T: Deserialize>(o: &serde::Map, k: &str) -> Result<T, serde::DeError> {
-            T::from_value(o.get(k).unwrap_or(&serde::Value::Null)).map_err(|e| e.at(k))
-        }
-        use TraceEvent::*;
-        Ok(match tag {
-            "queue_dispatch" => QueueDispatch {
-                seq: field(o, "seq")?,
-                pending: field(o, "pending")?,
-            },
-            "cothread_switch" => CothreadSwitch {
-                cpu: field(o, "cpu")?,
-                enter: field(o, "enter")?,
-            },
-            "dma_to_board" => DmaToBoard {
-                bytes: field(o, "bytes")?,
-                dur_ps: field(o, "dur_ps")?,
-            },
-            "dma_to_host" => DmaToHost {
-                bytes: field(o, "bytes")?,
-                dur_ps: field(o, "dur_ps")?,
-            },
-            "msg_cache_hit" => MsgCacheHit {
-                page: field(o, "page")?,
-            },
-            "msg_cache_miss" => MsgCacheMiss {
-                page: field(o, "page")?,
-            },
-            "msg_cache_insert" => MsgCacheInsert {
-                page: field(o, "page")?,
-                evicted: field(o, "evicted")?,
-            },
-            "msg_cache_snoop" => MsgCacheSnoop {
-                page: field(o, "page")?,
-                resident: field(o, "resident")?,
-            },
-            "msg_cache_invalidate" => MsgCacheInvalidate {
-                page: field(o, "page")?,
-            },
-            "classify" => Classify {
-                cells: field(o, "cells")?,
-                matched: field(o, "matched")?,
-            },
-            "aih_dispatch" => AihDispatch {
-                handler: field(o, "handler")?,
-            },
-            "interrupt" => Interrupt,
-            "poll" => Poll,
-            "dsm_read_fault" => DsmReadFault {
-                page: field(o, "page")?,
-            },
-            "dsm_write_fault" => DsmWriteFault {
-                page: field(o, "page")?,
-            },
-            "dsm_acquire" => DsmAcquire {
-                lock: field(o, "lock")?,
-                local: field(o, "local")?,
-            },
-            "dsm_release" => DsmRelease {
-                lock: field(o, "lock")?,
-            },
-            "dsm_barrier" => DsmBarrier {
-                epoch: field(o, "epoch")?,
-            },
-            "dsm_msg" => DsmMsg {
-                kind: field(o, "kind")?,
-                from: field(o, "from")?,
-            },
-            "proto_tx" => ProtoTx {
-                kind: field(o, "kind")?,
-                bytes: field(o, "bytes")?,
-                dur_ps: field(o, "dur_ps")?,
-            },
-            "metrics" => Metrics(MetricsSample::from_value(v)?),
-            "cell_dropped" => CellDropped {
-                vci: field(o, "vci")?,
-                cell: field(o, "cell")?,
-            },
-            "crc_fail" => CrcFail {
-                vci: field(o, "vci")?,
-            },
-            "retransmit_scheduled" => RetransmitScheduled {
-                seq: field(o, "seq")?,
-                rto_ps: field(o, "rto_ps")?,
-            },
-            "retransmit_fired" => RetransmitFired {
-                seq: field(o, "seq")?,
-                attempt: field(o, "attempt")?,
-            },
-            "ring_overflow" => RingOverflow {
-                channel: field(o, "channel")?,
-            },
-            "span_open" => SpanOpen {
-                span: field(o, "span")?,
-                parent: field(o, "parent")?,
-                class: field(o, "class")?,
-                kind: field(o, "kind")?,
-                src: field(o, "src")?,
-                dst: field(o, "dst")?,
-                bytes: field(o, "bytes")?,
-            },
-            "span_tx" => SpanTx {
-                span: field(o, "span")?,
-                host_dma_ps: field(o, "host_dma_ps")?,
-                tx_queue_ps: field(o, "tx_queue_ps")?,
-                wire_ps: field(o, "wire_ps")?,
-            },
-            "span_rx" => SpanRx {
-                span: field(o, "span")?,
-                rx_nic_ps: field(o, "rx_nic_ps")?,
-                sar_ps: field(o, "sar_ps")?,
-            },
-            "span_close" => SpanClose {
-                span: field(o, "span")?,
-            },
-            "util_node" => UtilNode {
-                busy_ps: field(o, "busy_ps")?,
-                ingress_ps: field(o, "ingress_ps")?,
-                egress_ps: field(o, "egress_ps")?,
-                ring_hw: field(o, "ring_hw")?,
-                interval_ps: field(o, "interval_ps")?,
-            },
-            "util_queue" => UtilQueue {
-                depth: field(o, "depth")?,
-            },
-            other => return Err(DeError::msg(format!("unknown trace event {other:?}"))),
-        })
-    }
 }
 
 /// One recorded event: virtual timestamp, originating node and payload.
@@ -733,43 +419,15 @@ impl Deserialize for TraceEvent {
 ///
 /// Serializes flat: `{"t_ps": …, "node": …, "ev": …, …event fields…}` —
 /// one self-describing JSON object per record (the JSONL line format).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Virtual time in picoseconds.
     pub t_ps: u64,
     /// Originating node, or [`NO_NODE`].
     pub node: u32,
-    /// The event.
+    /// The event, its members written in place.
+    #[serde(flatten)]
     pub event: TraceEvent,
-}
-
-impl Serialize for TraceRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("t_ps".to_string(), self.t_ps.to_value());
-        m.insert("node".to_string(), self.node.to_value());
-        if let serde::Value::Object(ev) = self.event.to_value() {
-            for (k, v) in ev.entries() {
-                m.insert(k.clone(), v.clone());
-            }
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for TraceRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::{DeError, Value};
-        let o = v
-            .as_object()
-            .ok_or_else(|| DeError::msg("expected trace record object"))?;
-        let t_ps =
-            u64::from_value(o.get("t_ps").unwrap_or(&Value::Null)).map_err(|e| e.at("t_ps"))?;
-        let node =
-            u32::from_value(o.get("node").unwrap_or(&Value::Null)).map_err(|e| e.at("node"))?;
-        let event = TraceEvent::from_value(v)?;
-        Ok(TraceRecord { t_ps, node, event })
-    }
 }
 
 /// End-of-run accounting for a trace: how much was recorded and how much
