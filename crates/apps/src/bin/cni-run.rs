@@ -728,6 +728,10 @@ fn main() -> ExitCode {
             usage();
         }
     };
+    if let Err(e) = app.check() {
+        eprintln!("invalid app: {e}");
+        return ExitCode::from(2);
+    }
 
     let kinds: Vec<(&str, Config)> = if args.contains_key("compare") {
         vec![("cni", base.cni()), ("standard", base.standard())]

@@ -95,6 +95,8 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             App::from_value(a)
                 .map_err(|e| semantic(&format!("snapshot app metadata does not parse: {e}")))
         })?;
+    app.check()
+        .map_err(|e| semantic(&format!("snapshot app metadata is invalid: {e}")))?;
     let config = meta
         .get("config")
         .ok_or_else(|| semantic("snapshot metadata has no `config`"))

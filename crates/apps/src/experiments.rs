@@ -44,6 +44,10 @@ pub enum App {
     },
 }
 
+/// The largest shared segment one app may allocate: 1 GiB, 64 times the
+/// two 1024 × 1024 grids of the paper's largest Jacobi run.
+pub const MAX_SHARED_BYTES: u64 = 1 << 30;
+
 impl App {
     /// Human-readable name for reports.
     pub fn name(&self) -> String {
@@ -51,6 +55,34 @@ impl App {
             App::Jacobi { n, .. } => format!("Jacobi {n}x{n}"),
             App::Water { molecules, .. } => format!("Water {molecules} molecules"),
             App::Cholesky { matrix } => format!("Cholesky {matrix:?}"),
+        }
+    }
+
+    /// Refuse a size from outside the program — a sweep entry, a
+    /// checkpoint's metadata, a `cni-run` flag — that the app cannot be
+    /// built with: a Jacobi `n` or a Water `molecules` of 0, or one whose
+    /// shared segment overflows or exceeds [`MAX_SHARED_BYTES`]. Building
+    /// such an app panics, or aborts the whole process on the allocation,
+    /// not just its run.
+    pub fn check(&self) -> Result<(), String> {
+        let (key, size, bytes) = match *self {
+            // Two n × n grids of f64.
+            App::Jacobi { n, .. } => ("n", n, n.checked_mul(n).and_then(|c| c.checked_mul(16))),
+            // Position and force records of MOL_STRIDE f64 each.
+            App::Water { molecules, .. } => (
+                "molecules",
+                molecules,
+                molecules.checked_mul(2 * water::MOL_STRIDE * 8),
+            ),
+            App::Cholesky { .. } => return Ok(()),
+        };
+        match bytes {
+            _ if size == 0 => Err(format!("`{key}` must be at least 1")),
+            Some(b) if b as u64 <= MAX_SHARED_BYTES => Ok(()),
+            _ => Err(format!(
+                "`{key}` = {size} needs a shared segment over the {} MiB bound",
+                MAX_SHARED_BYTES >> 20
+            )),
         }
     }
 }

@@ -14,10 +14,10 @@
 //! ]
 //! ```
 //!
-//! Parsing is strict: unknown keys, malformed values and configurations
-//! that fail [`Config::check`] are reported with the run's index rather
-//! than silently ignored or left to panic — a typo in a 100-run sweep must
-//! not cost a night of compute.
+//! Parsing is strict: unknown keys, malformed values, app sizes that fail
+//! [`App::check`] and configurations that fail [`Config::check`] are
+//! reported with the run's index rather than silently ignored or left to
+//! panic — a typo in a 100-run sweep must not cost a night of compute.
 
 use crate::cholesky::CholeskyMatrix;
 use crate::experiments::App;
@@ -135,6 +135,7 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
         },
         other => return Err(format!("unknown app {other:?} (jacobi|water|cholesky)")),
     };
+    app.check()?;
 
     let mut cfg = Config::paper_default();
     cfg.atm.topology = match get_str(obj, "topology", "single")? {
@@ -307,6 +308,79 @@ mod tests {
         assert!(err.contains("unpaired surrogate"), "{err}");
         let runs = parse_sweep(r#"[{"app": "jacobi", "label": "\uD83D\uDE00"}]"#).unwrap();
         assert_eq!(runs[0].label, "\u{1F600}");
+    }
+
+    /// A size from outside is checked before anything is allocated: one
+    /// bad entry used to abort the whole batch, finished jobs and all.
+    #[test]
+    fn app_sizes_are_bounded_before_any_run_is_built() {
+        for (spec, needle) in [
+            (
+                r#"[{"app":"jacobi","n":16,"iters":1},{"app":"jacobi","n":4294967295,"iters":1}]"#,
+                "run 1: `n` = 4294967295",
+            ),
+            (
+                r#"[{"app":"jacobi","n":9223372036854775807}]"#,
+                "run 0: `n`",
+            ),
+            (
+                r#"[{"app":"jacobi","n":0}]"#,
+                "run 0: `n` must be at least 1",
+            ),
+            (
+                r#"[{"app":"water","molecules":1000000000}]"#,
+                "run 0: `molecules`",
+            ),
+            (
+                r#"[{"app":"water","molecules":0}]"#,
+                "run 0: `molecules` must be at least 1",
+            ),
+        ] {
+            let err = parse_sweep(spec).unwrap_err();
+            assert!(err.contains(needle), "spec {spec}: {err}");
+        }
+        // The largest sizes under the bound still parse.
+        parse_sweep(r#"[{"app":"jacobi","n":8192},{"app":"water","molecules":1560671}]"#).unwrap();
+    }
+
+    /// A `\u` escape is exactly four hex digits: `\u+041` used to decode
+    /// as "A", because the digits went through `u32::from_str_radix`.
+    #[test]
+    fn a_signed_unicode_escape_is_an_error() {
+        for label in [r"\u+041x", r"\u-041", r"\u 041", r"\u004"] {
+            let spec = format!(r#"[{{"app": "jacobi", "label": "{label}"}}]"#);
+            let err = parse_sweep(&spec).unwrap_err();
+            assert!(err.contains("\\u escape"), "{label}: {err}");
+        }
+        let runs = parse_sweep(r#"[{"app": "jacobi", "label": "\u0041\u00e9"}]"#).unwrap();
+        assert_eq!(runs[0].label, "Aé");
+    }
+
+    /// A repeated key keeps its first position and takes its last value.
+    #[test]
+    fn a_repeated_key_keeps_its_place_and_takes_the_last_value() {
+        let v: Value = serde_json::from_str(r#"{"a":1,"b":2,"a":3,"c":4,"b":5,"a":6}"#).unwrap();
+        assert_eq!(serde_json::to_string(&v).unwrap(), r#"{"a":6,"b":5,"c":4}"#);
+        let runs = parse_sweep(r#"[{"app": "water", "n": 16, "app": "jacobi"}]"#).unwrap();
+        assert_eq!(runs[0].workload, App::Jacobi { n: 16, iters: 25 });
+    }
+
+    /// Decoding an object took time quadratic in its member count: each
+    /// member was checked against every earlier key, 2.45 s for a run
+    /// entry with 40,000 extra keys in a release build.
+    #[test]
+    fn a_40k_key_entry_is_refused_in_under_a_second() {
+        let keys: String = (0..40_000)
+            .map(|i| format!(r#","extra_{i:05}":{i}"#))
+            .collect();
+        let spec = format!(r#"[{{"app": "jacobi"{keys}}}]"#);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(parse_sweep(&spec)));
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("a 40k-key entry took over a second to parse")
+            .unwrap_err();
+        assert!(err.contains("unknown key `extra_00000`"), "{err}");
     }
 
     #[test]

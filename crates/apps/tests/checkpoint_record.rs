@@ -110,6 +110,59 @@ fn invalid_stored_configs_are_refused_when_read() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Stored app sizes that would abort the process when the resume builds
+/// the app are refused when the file is read: a grid or a molecule count
+/// whose shared segment overflows or exceeds the bound, or is empty.
+#[test]
+fn invalid_stored_app_sizes_are_refused_when_read() {
+    let dir = tmp_dir("apps");
+    let src = write(&dir, "ck.cnisnap", &checkpoint().0);
+    for (name, needle, app) in [
+        (
+            "n2^32",
+            "`n` = 4294967295",
+            App::Jacobi {
+                n: (1 << 32) - 1,
+                iters: 3,
+            },
+        ),
+        (
+            "n2^63",
+            "`n`",
+            App::Jacobi {
+                n: (1 << 63) - 1,
+                iters: 3,
+            },
+        ),
+        (
+            "n0",
+            "`n` must be at least 1",
+            App::Jacobi { n: 0, iters: 3 },
+        ),
+        (
+            "water2^40",
+            "`molecules`",
+            App::Water {
+                molecules: 1 << 40,
+                steps: 1,
+            },
+        ),
+    ] {
+        let mut payload = cni_snap::read_value(&src).expect("checkpoint reads");
+        let Some(Value::Object(meta)) = payload.as_object_mut().and_then(|p| p.get_mut("meta"))
+        else {
+            panic!("payload has a meta object");
+        };
+        meta.insert("app".into(), app.to_value());
+        let path = dir.join(format!("{name}.cnisnap"));
+        cni_snap::write_value(&path, &payload).expect("rewritten checkpoint writes");
+        let err = read_snapshot(&path).expect_err(name);
+        assert!(err.starts_with("error:"), "not a diagnostic: {err}");
+        assert!(err.contains(needle), "{name}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A resume may change the fault plan (a fork) and the engine worker
 /// count, nothing else.
 #[test]

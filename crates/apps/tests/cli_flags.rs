@@ -97,6 +97,29 @@ fn engine_workers_is_refused_in_every_mode() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An app size that would abort the process when the app is built exits
+/// 2 instead, from a flag or from any entry of a sweep file.
+#[test]
+fn invalid_app_sizes_exit_2() {
+    for (flags, needle) in [
+        (["--app", "jacobi", "--n", "4294967295"], "`n` = 4294967295"),
+        (["--app", "jacobi", "--n", "0"], "`n` must be at least 1"),
+        (["--app", "water", "--molecules", "0"], "`molecules`"),
+    ] {
+        assert_refused(&run(&flags), needle, &flags.join(" "));
+    }
+    let dir = tmp_dir("app-size");
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"[{"app":"jacobi","n":16,"iters":1},{"app":"jacobi","n":4294967295,"iters":1}]"#,
+    )
+    .unwrap();
+    let out = run(&["--sweep", spec.to_str().unwrap()]);
+    assert_refused(&out, "run 1: `n` = 4294967295", "sweep with n = 2^32 - 1");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_sweep_config_exits_2() {
     let dir = tmp_dir("sweep");
