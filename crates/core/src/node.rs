@@ -739,8 +739,9 @@ impl Node {
         let rx = self.nic.receive(t, env.seg.cell_count(bytes), &header);
         self.record_rx_span(env, t, span, &rx);
         let cfg = &env.cfg;
-        match (cfg.nic_kind, rx.disposition) {
-            (NicKind::Cni, RxDisposition::Handler(h)) => {
+        // `Nic::receive` dispatches to a handler only on the CNI.
+        match rx.disposition {
+            RxDisposition::Handler(h) => {
                 debug_assert_eq!(h, DSM_HANDLER);
                 let info = delivery_info(&msg.payload);
                 let kind = msg.payload.kind();
@@ -817,7 +818,7 @@ impl Node {
                     self.close_span(env, d.at + ov, span);
                 }
             }
-            (nic_kind, RxDisposition::HostBound) => {
+            RxDisposition::HostBound => {
                 // The protocol runs on the host CPU behind an interrupt:
                 // the standard interface, or the CNI with its AIH
                 // disabled (ablation), whose sends still take the ADC
@@ -835,7 +836,7 @@ impl Node {
                 // interrupts) for the occupancy part; the rest of the
                 // interrupt cost is pipeline/cache disruption charged to
                 // whatever was running.
-                let kernel_recv = match nic_kind {
+                let kernel_recv = match cfg.nic_kind {
                     NicKind::Standard => cfg.nic.kernel_recv_cycles,
                     NicKind::Cni => 0,
                 };
@@ -874,10 +875,6 @@ impl Node {
                     self.close_span(env, start + stolen, span);
                 }
             }
-            (kind, disp) => {
-                // cni-lint: allow(panic-path) -- the (NicKind, dispatch) pairing is decided by this engine when the message was sent, not parsed off the wire; a mismatch is an engine bug
-                panic!("protocol message mis-dispatched: {kind:?} / {disp:?}")
-            }
         }
     }
 
@@ -895,15 +892,15 @@ impl Node {
             self.nic
                 .deliver_to_host(rx.ready_at, len as usize, msg.page, msg.cacheable, waiting);
         let ov = env.host(d.host_cycles);
-        self.cpu.inbox.push_back((msg.src as u32, len, msg.data));
+        let src = msg.src as u32;
         if waiting {
+            // `Op::Recv` waits only on an empty inbox, so the message
+            // goes straight to the waiting receiver.
             self.cpu.waiting_recv = false;
-            // cni-lint: allow(panic-path) -- the inbox was pushed two lines up; pop_front on it cannot fail and the value is local engine state
-            let (s, l, data) = self.cpu.inbox.pop_front().expect("just pushed");
             self.cpu.pending_reply = Some(Reply::Received {
-                src: s,
-                len: l,
-                data,
+                src,
+                len,
+                data: msg.data,
             });
             sh.q.schedule_at(
                 d.at + ov,
@@ -915,6 +912,7 @@ impl Node {
             self.cpu.last_wake_span = span;
             self.close_span(env, d.at + ov, span);
         } else {
+            self.cpu.inbox.push_back((src, len, msg.data));
             self.cpu.stolen += ov;
             // The payload is in host memory once the delivery DMA ends;
             // the receiver just has not polled for it yet.
