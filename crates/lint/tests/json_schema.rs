@@ -1,7 +1,7 @@
-//! The `--json` and `--sarif` envelopes are written by hand (the lint
-//! is zero-dependency), so nothing at build time proves they are valid
-//! JSON. These tests round-trip both through the vendored `serde_json`
-//! and pin the schema-versioned envelope shape CI tooling keys on.
+//! The `--json` and `--sarif` envelopes are built as `serde_json` values
+//! and printed by the vendored `serde_json`. These tests read both back
+//! and pin the schema-versioned envelope shape CI tooling keys on: every
+//! key, value and schema number they check.
 
 use cni_lint::rules::analyze_sources;
 use cni_lint::walk::WorkspaceReport;

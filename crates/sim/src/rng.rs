@@ -2,9 +2,10 @@
 //!
 //! A SplitMix64 generator: tiny state, excellent statistical quality for
 //! simulation purposes, and — crucially — fully deterministic from its seed
-//! so simulation runs are reproducible. (Workload *generation* in
-//! `cni-apps` uses the `rand` crate; this generator is for in-simulation
-//! decisions such as approximate-LRU sampling.)
+//! so simulation runs are reproducible. It is the workspace's one
+//! SplitMix64: in-simulation decisions such as approximate-LRU sampling
+//! draw from it, and so does workload generation (`cni-apps`' sparse
+//! matrices).
 
 /// A seedable SplitMix64 pseudo-random number generator.
 #[derive(Clone, Debug)]
