@@ -416,7 +416,7 @@ fn run_resumable_job(cfg: Config, app: App, every: u64, ck_dir: &Path, label: &s
     }
 }
 
-/// Execute `--sweep`: parse the spec, run every job on a work-stealing
+/// Execute `--sweep`: parse the spec, run every job on the worker
 /// pool, print/persist the batch report. Per-run reports are bit-identical
 /// to what the same spec produces under `--jobs 1` (or a plain single
 /// run); only wall-clock changes with the worker count.
@@ -479,26 +479,20 @@ fn run_sweep(args: &HashMap<String, String>, spec_path: &str) -> ExitCode {
         "jsonl"
     };
     let report = Pool::new(jobs).run_batch(specs, |i, spec| {
-        let cfg = spec.effective_config();
+        let cfg = spec.config;
         if let Some(dir) = &resume_dir {
             let dir = Path::new(dir);
             let report_path = job_trace_path(dir, i, &spec.label, "report.json");
             if let Ok(text) = std::fs::read_to_string(&report_path) {
-                // Through the schema gate: a report another build wrote is
-                // not this build's result, even when it decodes.
+                // `parse_json` reads this build's schema only: a report
+                // another build wrote is rerun, like an unreadable one.
                 match RunReport::parse_json(&text) {
-                    Ok(r) if r.version == REPORT_VERSION => {
+                    Ok(r) => {
                         eprintln!("[resume] {}: already complete, skipping", spec.label);
                         return r;
                     }
-                    Ok(r) => eprintln!(
-                        "[resume] {}: {} is a version {} report, rerunning",
-                        spec.label,
-                        report_path.display(),
-                        r.version
-                    ),
                     Err(e) => eprintln!(
-                        "[resume] {}: ignoring unreadable {}: {e}",
+                        "[resume] {}: {} is not this build's report, rerunning: {e}",
                         spec.label,
                         report_path.display()
                     ),

@@ -30,7 +30,7 @@
 
 use crate::experiments::{build_programs, App};
 use cni::{Config, RunReport, World};
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -42,16 +42,19 @@ pub fn render_semantic(path: &Path, msg: &str, help: &str) -> String {
     format!("error: {msg}\n  --> {}\n  = help: {help}\n", path.display())
 }
 
-/// Wrap an engine checkpoint record with the app/config metadata that
-/// makes a snapshot self-describing.
-fn payload_value(app: App, cfg: &Config, state: Value) -> Value {
-    let mut meta = Map::new();
-    meta.insert("app".into(), app.to_value());
-    meta.insert("config".into(), cfg.to_value());
-    let mut payload = Map::new();
-    payload.insert("meta".into(), Value::Object(meta));
-    payload.insert("state".into(), state);
-    Value::Object(payload)
+/// A snapshot file's payload, in its derived serde form: the metadata
+/// that makes it self-describing and the engine's checkpoint record.
+#[derive(Serialize, Deserialize)]
+struct Payload {
+    meta: Meta,
+    state: Value,
+}
+
+/// Which app ran, under which configuration.
+#[derive(Serialize, Deserialize)]
+struct Meta {
+    app: App,
+    config: Config,
 }
 
 /// A snapshot read back from disk: the run's app, its full configuration
@@ -81,36 +84,16 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             "the container is intact but was not written by `cni-run --checkpoint-every`",
         )
     };
-    let obj = v
-        .as_object()
-        .ok_or_else(|| semantic("snapshot payload is not an object"))?;
-    let meta = obj
-        .get("meta")
-        .and_then(Value::as_object)
-        .ok_or_else(|| semantic("snapshot payload has no `meta` object"))?;
-    let app = meta
-        .get("app")
-        .ok_or_else(|| semantic("snapshot metadata has no `app`"))
-        .and_then(|a| {
-            App::from_value(a)
-                .map_err(|e| semantic(&format!("snapshot app metadata does not parse: {e}")))
-        })?;
+    let Payload {
+        meta: Meta { app, config },
+        state,
+    } = Payload::from_value(&v)
+        .map_err(|e| semantic(&format!("snapshot payload does not parse: {e}")))?;
     app.check()
         .map_err(|e| semantic(&format!("snapshot app metadata is invalid: {e}")))?;
-    let config = meta
-        .get("config")
-        .ok_or_else(|| semantic("snapshot metadata has no `config`"))
-        .and_then(|c| {
-            Config::from_value(c)
-                .map_err(|e| semantic(&format!("snapshot configuration does not parse: {e}")))
-        })?;
     config
         .check()
         .map_err(|e| semantic(&format!("snapshot configuration is invalid: {e}")))?;
-    let state = obj
-        .get("state")
-        .cloned()
-        .ok_or_else(|| semantic("snapshot payload has no `state`"))?;
     let events = state.get("events").and_then(Value::as_u64).unwrap_or(0);
     Ok(Snapshot {
         app,
@@ -226,9 +209,15 @@ pub fn run_app_checkpointed(
             if failed_s.borrow().is_some() {
                 return;
             }
-            let payload = payload_value(app, w.config(), w.take_snapshot());
+            let payload = Payload {
+                meta: Meta {
+                    app,
+                    config: *w.config(),
+                },
+                state: w.take_snapshot(),
+            };
             let path = dir_s.join(snapshot_file_name(w.events_dispatched()));
-            match cni_snap::write_value(&path, &payload) {
+            match cni_snap::write_value(&path, &payload.to_value()) {
                 Ok(()) => written_s.borrow_mut().push(path),
                 Err(e) => {
                     *failed_s.borrow_mut() = Some(e.render(&path.display().to_string()));

@@ -9,10 +9,10 @@
 //! Message-Cache size sensitivity (Figure 13), node-to-node latency
 //! (Figure 14) and the unrestricted-cell-size improvement (Table 5).
 //!
-//! Every sweep executes its runs through `cni-batch`'s work-stealing
-//! [`Pool`]: each run is an independent deterministic simulation, so the
-//! harness enumerates the full run list up front, hands it to the pool,
-//! and assembles results *by index*. Results are identical whatever
+//! Every sweep executes its runs through `cni-batch`'s [`Pool`]: each
+//! run is an independent deterministic simulation, so the harness
+//! enumerates the full run list up front, hands it to the pool, and
+//! assembles results *by index*. Results are identical whatever
 //! `$CNI_JOBS` says — parallelism only changes the wall clock.
 
 use crate::{cholesky, jacobi, water};

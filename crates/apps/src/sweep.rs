@@ -196,7 +196,7 @@ mod tests {
         let specs = parse_sweep(r#"[{"app": "jacobi"}, {"app": "water"}]"#).unwrap();
         assert_eq!(specs.len(), 2);
         assert_eq!(specs[0].config.procs, 8);
-        assert_eq!(specs[0].seed, 0x5EED);
+        assert_eq!(specs[0].config.seed, 0x5EED);
         assert!(matches!(
             specs[0].workload,
             App::Jacobi { n: 256, iters: 25 }
@@ -225,14 +225,11 @@ mod tests {
         let s = &specs[0];
         assert_eq!(s.label, "x");
         assert_eq!(s.config.procs, 4);
-        assert_eq!(s.seed, 7);
-        assert_eq!(s.faults.drop_prob, 0.05);
-        assert_eq!(s.faults.corrupt_prob, 0.01);
-        assert_eq!(s.faults.jitter_ps, 1000);
-        assert_eq!(s.faults.seed, 3);
-        let cfg = s.effective_config();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.faults.drop_prob, 0.05);
+        assert_eq!(s.config.seed, 7);
+        assert_eq!(s.config.faults.drop_prob, 0.05);
+        assert_eq!(s.config.faults.corrupt_prob, 0.01);
+        assert_eq!(s.config.faults.jitter_ps, 1000);
+        assert_eq!(s.config.faults.seed, 3);
     }
 
     #[test]

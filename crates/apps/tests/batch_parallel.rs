@@ -26,15 +26,15 @@ fn sweep() -> Vec<RunSpec<App>> {
         RunSpec::new("water-std", base.standard(), water),
     ];
     for (k, s) in specs.iter_mut().enumerate() {
-        s.seed = 0x5EED + k as u64;
+        s.config.seed = 0x5EED + k as u64;
     }
     specs
 }
 
 fn run_with(workers: usize) -> BatchReport {
-    Pool::new(workers).quiet().run_batch(sweep(), |_, spec| {
-        run_app(spec.effective_config(), spec.workload)
-    })
+    Pool::new(workers)
+        .quiet()
+        .run_batch(sweep(), |_, spec| run_app(spec.config, spec.workload))
 }
 
 #[test]
@@ -86,9 +86,9 @@ fn a_panicking_job_is_isolated_and_reported() {
     // inside the run; the pool must convert that into a failed JobRecord
     // while the sibling job completes normally.
     specs[1].config.procs = 0;
-    let report = Pool::new(2).quiet().run_batch(specs, |_, spec| {
-        run_app(spec.effective_config(), spec.workload)
-    });
+    let report = Pool::new(2)
+        .quiet()
+        .run_batch(specs, |_, spec| run_app(spec.config, spec.workload));
     assert_eq!(report.jobs.len(), 2);
     assert_eq!(report.completed(), 1);
     assert_eq!(report.failures().len(), 1);

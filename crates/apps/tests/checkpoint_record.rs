@@ -5,7 +5,8 @@
 //! older build wrote with `--engine-workers` still resumes, and fault
 //! probabilities survive the file bit for bit.
 
-use cni::{Config, FaultPlan, RunReport};
+use cni::config::MAX_DURATION;
+use cni::{Config, FaultPlan, RunReport, SimTime};
 use cni_apps::checkpoint::{read_snapshot, run_app_checkpointed};
 use cni_apps::experiments::App;
 use proptest::prelude::*;
@@ -69,18 +70,20 @@ fn with_stored_config(src: &Path, dst: &Path, edit: impl Fn(&mut Config)) {
 }
 
 /// Stored configurations that `World::new` would panic on, or abort on,
-/// are refused when the file is read: a probability out of range, no
-/// processors, more processors than the fabric has hosts, a zero page
-/// size (which divides by zero sizing the Message Cache), a Message Cache
-/// too large to allocate, cache lines `NodeSpace::new` refuses, a zero
-/// cell payload, and a link rate of zero or one whose bits per second
-/// overflow.
+/// or that would overflow simulated time in the run, are refused when the
+/// file is read: a probability out of range, no processors, more
+/// processors than the fabric has hosts, a zero page size (which divides
+/// by zero sizing the Message Cache), a Message Cache too large to
+/// allocate, cache lines `NodeSpace::new` refuses, a zero cell payload, a
+/// link rate of zero or one whose bits per second overflow, and a cycle
+/// cost, clock period or switch latency longer than one second. A cost
+/// of exactly one second is read.
 #[test]
 fn invalid_stored_configs_are_refused_when_read() {
     let dir = tmp_dir("configs");
     let src = write(&dir, "ck.cnisnap", &checkpoint().0);
     type Edit = fn(&mut Config);
-    let cases: [(&str, &str, Edit); 10] = [
+    let cases: [(&str, &str, Edit); 13] = [
         ("drop", "drop_prob", |c| c.faults.drop_prob = 1.5),
         ("procs0", "procs", |c| c.procs = 0),
         ("procs9999", "procs", |c| c.procs = 9999),
@@ -99,6 +102,15 @@ fn invalid_stored_configs_are_refused_when_read() {
         ("mbps_overflow", "link_mbps", |c| {
             c.atm.link_mbps = u64::MAX / 1000
         }),
+        ("trap2^62", "costs.fault_trap_cycles", |c| {
+            c.costs.fault_trap_cycles = 1 << 62
+        }),
+        ("period2^62", "nic.host_clock", |c| {
+            c.nic.host_clock = clock(1 << 62)
+        }),
+        ("switch_max", "atm.switch_latency", |c| {
+            c.atm.switch_latency = SimTime::MAX
+        }),
     ];
     for (name, needle, edit) in cases {
         let path = dir.join(format!("{name}.cnisnap"));
@@ -106,8 +118,26 @@ fn invalid_stored_configs_are_refused_when_read() {
         let err = read_snapshot(&path).expect_err(name);
         assert!(err.starts_with("error:"), "not a diagnostic: {err}");
         assert!(err.contains(needle), "{name}: {err}");
+        let out = Command::new(env!("CARGO_BIN_EXE_cni-run"))
+            .arg("--resume")
+            .arg(&path)
+            .output()
+            .expect("cni-run runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{name}: {stderr}");
     }
+    let edge = dir.join("trap1s.cnisnap");
+    with_stored_config(&src, &edge, |c| {
+        c.costs.fault_trap_cycles = MAX_DURATION.as_ps() / c.nic.host_clock.period_ps()
+    });
+    read_snapshot(&edge).expect("a one-second cost is read");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clock whose period is `ps` picoseconds, through its serde form.
+fn clock(ps: u64) -> cni_sim::Clock {
+    serde::Deserialize::from_value(&serde_json::json!({ "period_ps": ps })).expect("clock parses")
 }
 
 /// Stored app sizes that would abort the process when the resume builds

@@ -29,7 +29,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// The configuration the sweep runs its one job under.
 fn job_config() -> Config {
     let specs = cni_apps::sweep::parse_sweep(SPEC).expect("spec parses");
-    specs[0].effective_config()
+    specs[0].config
 }
 
 /// The uninterrupted run's report, as the sweep persists it.
@@ -102,13 +102,13 @@ fn a_rerun_skips_completed_jobs() {
 }
 
 /// A persisted report of another schema version is not this build's
-/// result: the job reruns, whether the version is newer than this build
-/// parses or older and migratable.
+/// result: the job reruns, whether the version is newer or older than
+/// this build's.
 #[test]
 fn a_report_of_another_version_is_rerun() {
     for (name, version, says) in [
-        ("v99", 99u64, "newer than this build understands"),
-        ("v5", 5, "is a version 5 report, rerunning"),
+        ("v99", 99u64, "schema version 99 is not this build's"),
+        ("v5", 5, "schema version 5 is not this build's"),
     ] {
         let dir = tmp_dir(name);
         let out = sweep(&dir, &[]);

@@ -1,4 +1,4 @@
-//! `cni-batch` — work-stealing parallel experiment executor.
+//! `cni-batch` — parallel experiment executor.
 //!
 //! The paper's evaluation (§3) is 18 experiments over three DSM
 //! applications, each a sweep of many independent simulation runs. Every
@@ -7,15 +7,14 @@
 //! harness preserves each run's determinism while overlapping them. This
 //! crate is that harness:
 //!
-//! * [`RunSpec`] — one job of a batch: a label, a [`cni::Config`], the
-//!   fault plan and seed applied to it, and an arbitrary workload payload
-//!   (the application to run, a message size to measure, …).
-//! * [`Pool`] — a bounded worker pool with per-worker deques and work
-//!   stealing. Jobs are dealt round-robin; an idle worker first drains its
-//!   own deque from the front, then steals from the *back* of a victim's,
-//!   so long and short jobs mix without a central bottleneck.
-//!   [`Pool::map`] is the low-level deterministic parallel map; results
-//!   are always collected **by job index**, never by completion order.
+//! * [`RunSpec`] — one job of a batch: a label, a [`cni::Config`] (seed
+//!   and fault plan included), and an arbitrary workload payload (the
+//!   application to run, a message size to measure, …).
+//! * [`Pool`] — a bounded pool of scoped worker threads. Each idle worker
+//!   takes the next job index from one shared counter, so long and short
+//!   jobs mix without a scheduler. [`Pool::map`] is the low-level
+//!   deterministic parallel map; results are always collected **by job
+//!   index**, never by completion order.
 //! * [`Pool::run_batch`] — the high-level entry: executes every
 //!   [`RunSpec`], isolates panics (one diverging run becomes an errored
 //!   [`JobRecord`], not a dead batch), times each job (host wall clock and
@@ -41,7 +40,7 @@
 //!     .map(|i| RunSpec::new(format!("job-{i}"), Config::paper_default(), i))
 //!     .collect();
 //! let report = Pool::new(2).quiet().run_batch(specs, |_, spec| {
-//!     // A real runner would build a `World` from `spec.effective_config()`.
+//!     // A real runner would build a `World` from `spec.config`.
 //!     let mut r = cni_batch::doctest_report();
 //!     r.messages = spec.workload;
 //!     r
@@ -52,57 +51,35 @@
 
 #![deny(missing_docs)]
 
-use cni::{Config, FaultPlan, KindHistogram, RunReport, REPORT_VERSION};
+use cni::{Config, KindHistogram, RunReport, REPORT_VERSION};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Schema version of [`BatchReport`]'s serialized form.
 pub const BATCH_VERSION: u32 = 1;
 
 /// One job of a batch: everything that determines a simulation run.
-///
-/// The fault plan and seed are carried explicitly (not only inside
-/// `config`) so a sweep can be *described* as "this base config × these
-/// seeds × these fault plans" and each job remains self-describing;
-/// [`RunSpec::effective_config`] folds them back in before the run.
 #[derive(Clone, Debug)]
 pub struct RunSpec<W> {
     /// Human-readable job name, used in progress output and reports.
     pub label: String,
-    /// Base cluster configuration.
+    /// The run's cluster configuration, its fault plan and seed included.
     pub config: Config,
-    /// Fault plan applied to `config` for this run.
-    pub faults: FaultPlan,
-    /// Timing-jitter seed applied to `config` for this run.
-    pub seed: u64,
     /// Workload payload interpreted by the runner (e.g. which application
     /// to execute). The executor itself never looks inside.
     pub workload: W,
 }
 
 impl<W> RunSpec<W> {
-    /// A spec inheriting `config`'s own fault plan and seed.
+    /// A spec that runs `workload` under `config`.
     pub fn new(label: impl Into<String>, config: Config, workload: W) -> Self {
         RunSpec {
             label: label.into(),
-            faults: config.faults,
-            seed: config.seed,
             config,
             workload,
         }
-    }
-
-    /// The configuration the run must use: `config` with this spec's fault
-    /// plan and seed folded in.
-    pub fn effective_config(&self) -> Config {
-        let mut c = self.config;
-        c.faults = self.faults;
-        c.seed = self.seed;
-        c
     }
 }
 
@@ -148,7 +125,7 @@ pub struct BatchReport {
     /// Schema version of this batch report ([`BATCH_VERSION`]).
     pub version: u32,
     /// Schema version of the embedded [`RunReport`]s
-    /// ([`cni::REPORT_VERSION`], currently 4).
+    /// ([`cni::REPORT_VERSION`]).
     pub report_version: u32,
     /// Worker threads the batch ran on.
     pub workers: u64,
@@ -199,24 +176,6 @@ impl BatchReport {
     }
 }
 
-/// Live progress of a batch, handed to the progress callback after each
-/// job completes (from the worker that finished it).
-#[derive(Clone, Copy, Debug)]
-pub struct Progress<'a> {
-    /// Index of the job that just finished.
-    pub index: usize,
-    /// Its label.
-    pub label: &'a str,
-    /// Jobs finished so far (including this one).
-    pub done: usize,
-    /// Total jobs in the batch.
-    pub total: usize,
-    /// Wall-clock seconds this job took.
-    pub wall_s: f64,
-    /// Whether it completed (vs. panicked).
-    pub ok: bool,
-}
-
 /// The number of parallel jobs to use when the caller didn't say:
 /// `$CNI_JOBS` when set to a positive integer, else the machine's
 /// available parallelism, else 1.
@@ -232,7 +191,7 @@ pub fn default_jobs() -> usize {
         })
 }
 
-/// A bounded work-stealing worker pool for deterministic parallel runs.
+/// A bounded worker pool for deterministic parallel runs.
 #[derive(Clone, Debug)]
 pub struct Pool {
     workers: usize,
@@ -270,69 +229,47 @@ impl Pool {
     /// results **in item order**, regardless of which worker ran what or
     /// when it finished.
     ///
-    /// With one worker (or zero/one items) the map degenerates to a plain
-    /// in-place sequential loop — no threads are spawned, so a `--jobs 1`
-    /// batch is *exactly* the sequential harness.
+    /// Up to `workers` scoped threads, one at least per item, each take
+    /// the next item index from one shared counter until none is left.
     ///
-    /// A panic in `f` propagates out of `map` (after all workers stop
-    /// picking up new items); use [`Pool::run_batch`] when individual
-    /// jobs must be isolated instead.
+    /// A panic in `f` propagates out of `map` with its own payload, after
+    /// the other workers have run out of items; use [`Pool::run_batch`]
+    /// when individual jobs must be isolated instead.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let n = items.len();
-        if self.workers == 1 || n <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let nw = self.workers.min(n);
-        // Deal jobs round-robin into per-worker deques. Worker `w` owns
-        // jobs w, w+nw, w+2nw, … and pops them front-first (lowest index
-        // first); a worker whose deque runs dry steals from the *back* of
-        // the next non-empty victim, so stolen work is the work the owner
-        // would have reached last.
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..nw)
-            .map(|w| Mutex::new((w..n).step_by(nw).collect()))
-            .collect();
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
-            for w in 0..nw {
-                let deques = &deques;
-                let slots = &slots;
-                let items = &items;
-                let f = &f;
-                scope.spawn(move || {
-                    while let Some(i) = Self::next_job(deques, w) {
-                        let r = f(i, &items[i]);
-                        *slots[i].lock().unwrap() = Some(r);
-                    }
-                });
+            let workers: Vec<_> = (0..self.workers.min(items.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // Relaxed: the counter only hands out indices;
+                            // results come back through `join`.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else {
+                                return done;
+                            };
+                            done.push((i, f(i, item)));
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                match w.join() {
+                    Ok(done) => done.into_iter().for_each(|(i, r)| out[i] = Some(r)),
+                    Err(payload) => resume_unwind(payload),
+                }
             }
         });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                m.into_inner()
-                    .unwrap()
-                    .unwrap_or_else(|| panic!("job {i} produced no result"))
-            })
+        out.into_iter()
+            .map(|r| r.expect("every index is taken exactly once"))
             .collect()
-    }
-
-    fn next_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-        if let Some(i) = deques[w].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-        for k in 1..deques.len() {
-            let victim = (w + k) % deques.len();
-            if let Some(i) = deques[victim].lock().unwrap().pop_back() {
-                return Some(i);
-            }
-        }
-        None
     }
 
     /// Execute every spec through `runner` and aggregate a
@@ -473,6 +410,30 @@ mod tests {
         }
     }
 
+    /// A panicking job's own message reaches the caller, whatever the
+    /// worker count.
+    #[test]
+    fn map_reraises_a_job_panic_with_its_own_message() {
+        for workers in [1, 2, 3] {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Pool::new(workers)
+                    .quiet()
+                    .map((0..8u64).collect(), |i, &v| {
+                        if i == 5 {
+                            panic!("job {i} diverged");
+                        }
+                        v
+                    })
+            }))
+            .expect_err("the job's panic propagates");
+            assert_eq!(
+                panic_message(payload),
+                "job 5 diverged",
+                "{workers} workers"
+            );
+        }
+    }
+
     #[test]
     fn map_with_more_workers_than_items() {
         let out = Pool::new(16).quiet().map(vec![1u64, 2], |_, &v| v + 1);
@@ -556,16 +517,6 @@ mod tests {
         // A kind no run observed has no entry; an empty histogram's
         // percentile is the documented 0.
         assert_eq!(Histogram::new().percentile(99.0), 0.0);
-    }
-
-    #[test]
-    fn effective_config_folds_overrides_back_in() {
-        let mut spec = RunSpec::new("s", Config::paper_default(), ());
-        spec.seed = 42;
-        spec.faults.drop_prob = 0.25;
-        let cfg = spec.effective_config();
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.faults.drop_prob, 0.25);
     }
 
     #[test]

@@ -51,6 +51,13 @@ impl Default for ProtoCosts {
 /// process on allocation.
 pub const MAX_MSG_CACHE_BYTES: usize = 64 << 20;
 
+/// The longest clock period, cycle cost or fabric latency
+/// [`Config::check`] accepts: 1 s of simulated time, 12,500 times the
+/// largest cost the figure harnesses set (`interrupt_sweep`'s 80 µs
+/// interrupt). Every operation adds such durations to `u64` picoseconds,
+/// so an unbounded one from outside would overflow simulated time.
+pub const MAX_DURATION: SimTime = SimTime::from_ms(1_000);
+
 /// Full configuration of one simulated cluster.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct Config {
@@ -211,8 +218,10 @@ impl Config {
     /// fabric [`AtmConfig::check`] accepts that serves every processor,
     /// word-aligned pages of at least 512 bytes, a power-of-two cache line
     /// of 8 bytes up to a page, a Message Cache of at most
-    /// [`MAX_MSG_CACHE_BYTES`], at least one engine worker and a valid
-    /// fault plan. [`crate::World::new`] panics through this check;
+    /// [`MAX_MSG_CACHE_BYTES`], clock periods of 1 ps up to
+    /// [`MAX_DURATION`], cycle costs and fabric latencies of at most
+    /// [`MAX_DURATION`], at least one engine worker and a valid fault
+    /// plan. [`crate::World::new`] panics through this check;
     /// configurations read from outside (checkpoints, sweep files,
     /// command-line flags) are checked with it first.
     pub fn check(&self) -> Result<(), String> {
@@ -243,10 +252,97 @@ impl Config {
                 self.nic.msg_cache_bytes
             ));
         }
+        self.check_durations()?;
         if self.engine_workers == 0 {
             return Err("engine_workers must be at least 1".into());
         }
         self.faults.check()
+    }
+
+    /// `Err` naming the first clock, cycle cost or fabric latency whose
+    /// duration is 0 (a clock period) or longer than [`MAX_DURATION`].
+    fn check_durations(&self) -> Result<(), String> {
+        let (n, c, max) = (&self.nic, &self.costs, MAX_DURATION.as_ps());
+        let clocks = [
+            ("nic.host_clock", n.host_clock),
+            ("nic.nic_clock", n.nic_clock),
+            ("nic.bus_clock", n.bus_clock),
+        ];
+        for (name, clock) in clocks {
+            if !(1..=max).contains(&clock.period_ps()) {
+                return Err(format!(
+                    "{name}.period_ps must be between 1 and {max} (1 s), got {}",
+                    clock.period_ps()
+                ));
+            }
+        }
+        let (host, nic, bus) = (
+            n.host_clock.period_ps(),
+            n.nic_clock.period_ps(),
+            n.bus_clock.period_ps(),
+        );
+        // Protocol handlers run on the host, or under the CNI on the NIC
+        // processor: their costs are bounded on the slower clock.
+        let proto = host.max(nic);
+        let costs = [
+            ("costs.fault_trap_cycles", c.fault_trap_cycles, host),
+            ("costs.lock_op_cycles", c.lock_op_cycles, host),
+            ("costs.barrier_op_cycles", c.barrier_op_cycles, host),
+            ("costs.msg_base_cycles", c.msg_base_cycles, proto),
+            ("costs.per_word_cycles", c.per_word_cycles, proto),
+            ("costs.per_notice_cycles", c.per_notice_cycles, proto),
+            ("costs.shared_read_cycles", c.shared_read_cycles, host),
+            ("costs.shared_write_cycles", c.shared_write_cycles, host),
+            ("nic.bus_acquire_cycles", n.bus_acquire_cycles, bus),
+            ("nic.bus_cycles_per_word", n.bus_cycles_per_word, bus),
+            ("nic.interrupt_cycles", n.interrupt_cycles, host),
+            (
+                "nic.interrupt_occupancy_cycles",
+                n.interrupt_occupancy_cycles,
+                host,
+            ),
+            ("nic.kernel_send_cycles", n.kernel_send_cycles, host),
+            ("nic.kernel_recv_cycles", n.kernel_recv_cycles, host),
+            ("nic.adc_enqueue_cycles", n.adc_enqueue_cycles, host),
+            ("nic.poll_cycles", n.poll_cycles, host),
+            ("nic.descriptor_cycles", n.descriptor_cycles, nic),
+            ("nic.sar_tx_cycles_per_cell", n.sar_tx_cycles_per_cell, nic),
+            ("nic.sar_rx_cycles_per_cell", n.sar_rx_cycles_per_cell, nic),
+            (
+                "nic.classify_cycles_per_cell",
+                n.classify_cycles_per_cell,
+                nic,
+            ),
+            ("nic.buffer_map_cycles", n.buffer_map_cycles, nic),
+            (
+                "nic.board_copy_cycles_per_word",
+                n.board_copy_cycles_per_word,
+                nic,
+            ),
+            ("nic.rtlb_miss_cycles", n.rtlb_miss_cycles, nic),
+            ("nic.coll_combine_cycles", n.coll_combine_cycles, nic),
+            ("nic.coll_forward_cycles", n.coll_forward_cycles, nic),
+        ];
+        for (name, cycles, period) in costs {
+            if cycles.checked_mul(period).is_none_or(|ps| ps > max) {
+                return Err(format!(
+                    "{name} must last at most 1 s, got {cycles} cycles of {period} ps"
+                ));
+            }
+        }
+        let latencies = [
+            ("atm.switch_latency", self.atm.switch_latency),
+            ("atm.prop_delay", self.atm.prop_delay),
+        ];
+        for (name, t) in latencies {
+            if t > MAX_DURATION {
+                return Err(format!(
+                    "{name} must be at most {max} ps (1 s), got {} ps",
+                    t.as_ps()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Render the Table 1 parameter listing.
@@ -383,6 +479,49 @@ mod tests {
         assert!(bad.check().unwrap_err().contains("link_mbps"));
         bad.atm.link_mbps = u64::MAX / 1_000_000;
         assert_eq!(bad.check(), Ok(()));
+
+        // A clock period of 0, or a cycle cost, clock period or fabric
+        // latency longer than `MAX_DURATION`, would divide by zero or
+        // overflow simulated time once the run charges it.
+        let clock = |ps: u64| -> cni_sim::Clock {
+            serde_json::from_str(&format!("{{\"period_ps\": {ps}}}")).unwrap()
+        };
+        let max = MAX_DURATION.as_ps();
+        for ps in [0, max + 1, 1 << 62] {
+            let mut bad = ok;
+            bad.nic.host_clock = clock(ps);
+            assert!(bad.check().unwrap_err().contains("nic.host_clock"));
+            let mut bad = ok;
+            bad.nic.bus_clock = clock(ps);
+            assert!(bad.check().unwrap_err().contains("nic.bus_clock"));
+        }
+        let host = ok.nic.host_clock.period_ps();
+        let mut edge = ok;
+        edge.costs.fault_trap_cycles = max / host;
+        assert_eq!(edge.check(), Ok(()));
+        let mut bad = ok;
+        for cycles in [max / host + 1, 1 << 62, u64::MAX] {
+            bad.costs.fault_trap_cycles = cycles;
+            assert!(bad.check().unwrap_err().contains("costs.fault_trap_cycles"));
+        }
+        let mut bad = ok;
+        bad.nic.sar_rx_cycles_per_cell = 1 << 62;
+        assert!(bad
+            .check()
+            .unwrap_err()
+            .contains("nic.sar_rx_cycles_per_cell"));
+        let mut edge = ok;
+        edge.atm.switch_latency = MAX_DURATION;
+        edge.atm.prop_delay = MAX_DURATION;
+        assert_eq!(edge.check(), Ok(()));
+        let mut bad = ok;
+        for ps in [max + 1, u64::MAX] {
+            bad.atm.switch_latency = SimTime::from_ps(ps);
+            assert!(bad.check().unwrap_err().contains("atm.switch_latency"));
+        }
+        let mut bad = ok;
+        bad.atm.prop_delay = SimTime::MAX;
+        assert!(bad.check().unwrap_err().contains("atm.prop_delay"));
     }
 
     #[test]

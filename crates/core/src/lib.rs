@@ -45,8 +45,7 @@ pub mod world;
 pub use config::{Config, ProtoCosts};
 pub use ctx::{ProcCtx, ReadF64, ReadU64, Reply, WriteU64};
 pub use report::{
-    kind_name, speedup, KindHistogram, KindLatency, ProcTimes, RunReport, OLDEST_PARSEABLE_VERSION,
-    REPORT_VERSION,
+    kind_name, speedup, KindHistogram, KindLatency, ProcTimes, RunReport, REPORT_VERSION,
 };
 pub use snapshot::{ResumeError, SNAPSHOT_SCHEMA};
 pub use world::{program, Program, World};

@@ -153,9 +153,6 @@ pub(crate) struct Env {
     pub(crate) trace: TraceSink,
     /// The fabric's AAL5 segmenter, for cell counts.
     pub(crate) seg: Segmenter,
-    /// A fault plan is active: every send takes the go-back-N path
-    /// (and the shared fault injector exists).
-    pub(crate) reliable: bool,
 }
 
 impl Env {
@@ -208,12 +205,9 @@ pub(crate) struct Cpu {
     pub(crate) delay: SimTime,
     pub(crate) blocked_at: Option<SimTime>,
     pub(crate) stolen: SimTime,
-    pub(crate) done: bool,
     pub(crate) inbox: VecDeque<InboxMsg>,
     pub(crate) waiting_recv: bool,
     pub(crate) pending_reply: Option<Reply>,
-    pub(crate) blocked_kind: usize,
-    pub(crate) blocked_detail: u64,
     /// The span whose delivery last woke this processor: program-order
     /// causality for the messages its next operations send (0 until the
     /// first wakeup, or always when tracing is disabled).
@@ -232,12 +226,9 @@ impl Cpu {
             delay: SimTime::ZERO,
             blocked_at: None,
             stolen: SimTime::ZERO,
-            done: false,
             inbox: VecDeque::new(),
             waiting_recv: false,
             pending_reply: None,
-            blocked_kind: 0,
-            blocked_detail: 0,
             last_wake_span: 0,
         }
     }
@@ -502,22 +493,16 @@ impl Node {
         match op {
             Op::ReadFault(page) => {
                 self.charge_ov(env, costs.fault_trap_cycles);
-                self.cpu.blocked_kind = 1;
-                self.cpu.blocked_detail = page.0 as u64;
                 let res = self.dsm.on_read_fault(page);
                 self.apply_sync_result(env, sh, res, true);
             }
             Op::WriteFault(page) => {
                 self.charge_ov(env, costs.fault_trap_cycles);
-                self.cpu.blocked_kind = 1;
-                self.cpu.blocked_detail = 0x1_0000_0000 | page.0 as u64;
                 let res = self.dsm.on_write_fault(page);
                 self.apply_sync_result(env, sh, res, true);
             }
             Op::Acquire(l) => {
                 self.charge_ov(env, costs.lock_op_cycles);
-                self.cpu.blocked_kind = 0;
-                self.cpu.blocked_detail = l.0 as u64;
                 let res = self.dsm.on_acquire(l);
                 self.apply_sync_result(env, sh, res, true);
             }
@@ -528,7 +513,6 @@ impl Node {
             }
             Op::Barrier => {
                 self.charge_ov(env, costs.barrier_op_cycles);
-                self.cpu.blocked_kind = 2;
                 let res = self.dsm.on_barrier();
                 self.apply_sync_result(env, sh, res, true);
             }
@@ -590,12 +574,10 @@ impl Node {
                     self.cpu.blocked_at = Some(at);
                 } else {
                     self.cpu.waiting_recv = true;
-                    self.cpu.blocked_kind = 3;
                     self.cpu.blocked_at = Some(self.cpu.clock);
                 }
             }
             Op::Done => {
-                self.cpu.done = true;
                 sh.live -= 1;
                 // Let the program run to completion.
                 self.resume(env, sh, Reply::Ok);
@@ -679,7 +661,8 @@ impl Node {
         if let WireMsg::Proto(_) = msg {
             sh.count_proto(kind);
         }
-        if env.reliable {
+        // The injector exists exactly when a fault plan is active.
+        if sh.injector.is_some() {
             self.queue_reliable(env, sh, now, msg, span);
             return;
         }
@@ -745,6 +728,8 @@ impl Node {
                 debug_assert_eq!(h, DSM_HANDLER);
                 let info = delivery_info(&msg.payload);
                 let kind = msg.payload.kind();
+                // Read before `on_message` completes the fault.
+                let wants_write = self.dsm.awaits_write_fault();
                 let res = self.dsm.on_message(msg);
                 // NIC-resident collectives (generalised AIH, after the
                 // Quadrics/Myrinet NIC-collective protocol of
@@ -795,8 +780,6 @@ impl Node {
                     // sender. A pure reader (a Jacobi boundary row) is
                     // not, and caching its fetches would only pollute the
                     // buffer map.
-                    let wants_write =
-                        self.cpu.blocked_kind == 1 && self.cpu.blocked_detail & 0x1_0000_0000 != 0;
                     let migratory = wants_write
                         || page
                             .map(|pg| self.dsm.has_written(PageId(pg as u32)))
@@ -933,10 +916,6 @@ impl Node {
         cpu.overhead += ov;
         cpu.clock = cpu.clock.max(t);
         let reply = cpu.pending_reply.take().unwrap_or(Reply::Ok);
-        let kind = cpu.blocked_kind.min(3);
-        let slot = &mut sh.wait_stats[kind];
-        slot.0 += raw;
-        slot.1 += 1;
         self.resume(env, sh, reply);
     }
 }

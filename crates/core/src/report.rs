@@ -27,12 +27,10 @@ use serde::{Deserialize, Serialize};
 ///   counters (`coll_combines` / `coll_forwards`), added when barrier
 ///   combining moved onto the NIC processor.
 ///
-/// Reports from any version in [`OLDEST_PARSEABLE_VERSION`]`..=`
-/// [`REPORT_VERSION`] still parse — see [`RunReport::parse_json`].
+/// [`RunReport::parse_json`] reads this version only. A run is a pure
+/// function of its configuration, so a report of another schema is
+/// replaced by rerunning it, never migrated.
 pub const REPORT_VERSION: u32 = 6;
-
-/// The oldest archived report schema [`RunReport::parse_json`] accepts.
-pub const OLDEST_PARSEABLE_VERSION: u32 = 2;
 
 /// Raw one-way latency histogram of one wire message kind, in
 /// nanoseconds (the unit the engine records; [`KindLatency`] divides by
@@ -109,103 +107,43 @@ pub struct RunReport {
     /// One-way wire latency distribution per message kind (kinds that
     /// never appeared are omitted).
     pub latency: Vec<KindLatency>,
-    /// Raw per-kind latency histograms behind `latency` (schema ≥ 4;
-    /// empty when parsed from an older archive). These are what
+    /// Raw per-kind latency histograms behind `latency`. These are what
     /// `cni-batch` merges across the runs of a batch.
     pub latency_hist: Vec<KindHistogram>,
     /// Trace-buffer accounting when tracing was enabled, `None` otherwise.
     pub trace: Option<TraceSummary>,
     /// Fault-injection and reliability-protocol counters (all zero when
-    /// the run used a zero fault plan). Schema ≥ 3; zeroes when parsed
-    /// from a version-2 archive.
+    /// the run used a zero fault plan).
     pub faults: FaultStats,
     /// Span-derived per-message stage decomposition, present when the
     /// run was executed with observability enabled (`cni-run --obs`).
-    /// Schema ≥ 5; `None` when parsed from an older archive.
     pub stages: Option<cni_obs::ObsReport>,
 }
 
 impl RunReport {
-    /// Parse a serialized report of any supported schema version.
+    /// Parse a serialized report of this build's schema,
+    /// [`REPORT_VERSION`].
     ///
-    /// * Versions [`OLDEST_PARSEABLE_VERSION`]`..=`[`REPORT_VERSION`]
-    ///   parse; fields a version predates are filled with their
-    ///   documented defaults (`faults` zeroed below 3, `latency_hist`
-    ///   empty below 4). The parsed struct keeps the archive's original
-    ///   `version` value.
-    /// * A missing, non-integer, too-old or too-new `version` field is
-    ///   rejected with a descriptive error — a report written by a future
-    ///   major schema must not be silently misread.
+    /// A missing or non-integer `version`, or any other version, is
+    /// refused with an error that names it: a report another build wrote
+    /// is not this build's result, even when it decodes.
     pub fn parse_json(s: &str) -> Result<RunReport, String> {
-        let mut v: serde_json::Value =
+        let v: serde_json::Value =
             serde_json::from_str(s).map_err(|e| format!("malformed report JSON: {e}"))?;
-        let obj = v
-            .as_object_mut()
-            .ok_or_else(|| "report JSON is not an object".to_string())?;
-        let version = obj
+        let version = v
+            .as_object()
+            .ok_or_else(|| "report JSON is not an object".to_string())?
             .get("version")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| "report has no integer `version` field".to_string())?;
-        if version < OLDEST_PARSEABLE_VERSION as u64 {
+        if version != REPORT_VERSION as u64 {
             return Err(format!(
-                "report schema version {version} predates the oldest supported \
-                 version {OLDEST_PARSEABLE_VERSION}"
+                "report schema version {version} is not this build's ({REPORT_VERSION})"
             ));
-        }
-        if version > REPORT_VERSION as u64 {
-            return Err(format!(
-                "report schema version {version} is newer than this build \
-                 understands (max {REPORT_VERSION})"
-            ));
-        }
-        // Migrate: materialise fields the archive's schema predates.
-        if version < 3 && !obj.contains_key("faults") {
-            obj.insert("faults".to_string(), FaultStats::default().to_value());
-        }
-        if version < 4 && !obj.contains_key("latency_hist") {
-            obj.insert(
-                "latency_hist".to_string(),
-                Vec::<KindHistogram>::new().to_value(),
-            );
-        }
-        if version < 5 {
-            if !obj.contains_key("stages") {
-                obj.insert("stages".to_string(), serde_json::Value::Null);
-            }
-            // v5 also widened `TraceSummary` with the span accounting
-            // counters; a pre-v5 archive's (non-null) trace object lacks
-            // them and would fail strict field deserialization.
-            if let Some(mut t) = obj.remove("trace") {
-                if let Some(tm) = t.as_object_mut() {
-                    for key in ["spans_opened", "spans_closed", "span_drops"] {
-                        if !tm.contains_key(key) {
-                            tm.insert(key.to_string(), 0u64.to_value());
-                        }
-                    }
-                }
-                obj.insert("trace".to_string(), t);
-            }
-        }
-        if version < 6 {
-            // v6 widened the per-NIC stats with the collective offload
-            // counters; older archives never offloaded, so zero is exact.
-            if let Some(mut nic) = obj.remove("nic") {
-                if let Some(entries) = nic.as_array_mut() {
-                    for entry in entries.iter_mut() {
-                        if let Some(em) = entry.as_object_mut() {
-                            for key in ["coll_combines", "coll_forwards"] {
-                                if !em.contains_key(key) {
-                                    em.insert(key.to_string(), 0u64.to_value());
-                                }
-                            }
-                        }
-                    }
-                }
-                obj.insert("nic".to_string(), nic);
-            }
         }
         RunReport::from_value(&v).map_err(|e| format!("invalid v{version} report: {e}"))
     }
+
     /// The paper's *network cache hit ratio*, aggregated across nodes:
     /// board-resident transmissions over page-backed transmissions.
     pub fn hit_ratio(&self) -> f64 {
@@ -360,79 +298,11 @@ mod tests {
         assert!((RunReport::gcycles(t, clock) - 2.0).abs() < 1e-9);
     }
 
-    /// A hand-written archive at `version`, shaped like the fields that
-    /// schema actually had: v2 predates `faults`, v3 predates
-    /// `latency_hist`, v4 predates `stages` and the span counters inside
-    /// `trace`, v5 predates the per-NIC collective counters.
+    /// A report of this build's shape stamped with `version`.
     fn archived_json(version: u32) -> String {
         let mut r = report(&[(3, 4)]);
         r.version = version;
-        let mut v = serde_json::to_value(&r).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        if version < 6 {
-            for entry in obj.get_mut("nic").unwrap().as_array_mut().unwrap() {
-                let em = entry.as_object_mut().unwrap();
-                em.remove("coll_combines");
-                em.remove("coll_forwards");
-            }
-        }
-        if version < 5 {
-            obj.remove("stages");
-        }
-        if version < 4 {
-            obj.remove("latency_hist");
-        }
-        if version < 3 {
-            obj.remove("faults");
-        }
-        serde_json::to_string(&v).unwrap()
-    }
-
-    #[test]
-    fn parse_json_reads_v2_archives() {
-        let r = RunReport::parse_json(&archived_json(2)).unwrap();
-        assert_eq!(r.version, 2);
-        assert_eq!(r.faults, FaultStats::default());
-        assert!(r.latency_hist.is_empty());
-        assert_eq!(r.nic[0].tx_cache_hits, 3);
-        assert!((r.hit_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_json_reads_v3_archives() {
-        let r = RunReport::parse_json(&archived_json(3)).unwrap();
-        assert_eq!(r.version, 3);
-        assert!(r.latency_hist.is_empty());
-    }
-
-    #[test]
-    fn parse_json_reads_v4_archives_with_pre_span_trace() {
-        // A v4 archive whose `trace` summary predates the span
-        // accounting counters: migration must default them to zero
-        // instead of failing the missing-field check.
-        let mut v: serde_json::Value = serde_json::from_str(&archived_json(4)).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        obj.insert(
-            "trace".to_string(),
-            serde_json::from_str("{\"recorded\": 12, \"dropped\": 3, \"capacity\": 64}").unwrap(),
-        );
-        let r = RunReport::parse_json(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert_eq!(r.version, 4);
-        assert!(r.stages.is_none());
-        let t = r.trace.unwrap();
-        assert_eq!(t.recorded, 12);
-        assert_eq!(t.spans_opened, 0);
-        assert_eq!(t.spans_closed, 0);
-        assert_eq!(t.span_drops, 0);
-    }
-
-    #[test]
-    fn parse_json_reads_v5_archives_without_collective_counters() {
-        let r = RunReport::parse_json(&archived_json(5)).unwrap();
-        assert_eq!(r.version, 5);
-        assert_eq!(r.nic[0].coll_combines, 0);
-        assert_eq!(r.nic[0].coll_forwards, 0);
-        assert_eq!(r.nic[0].tx_cache_hits, 3);
+        serde_json::to_string(&r).unwrap()
     }
 
     #[test]
@@ -462,9 +332,12 @@ mod tests {
 
     #[test]
     fn parse_json_rejects_unknown_majors() {
-        for bad in [0, 1, REPORT_VERSION + 1, 99] {
+        for bad in [0, 1, 2, 3, 4, 5, REPORT_VERSION + 1, 99] {
             let err = RunReport::parse_json(&archived_json(bad)).unwrap_err();
-            assert!(err.contains("version") || err.contains("schema"), "{err}");
+            assert!(
+                err.contains(&format!("schema version {bad} is not this build's")),
+                "{err}"
+            );
         }
         let err = RunReport::parse_json("{\"wall\": 0}").unwrap_err();
         assert!(err.contains("version"), "{err}");

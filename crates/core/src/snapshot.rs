@@ -50,7 +50,7 @@ use crate::report::RunReport;
 use crate::world::{Program, World};
 use cni_faults::{FaultInjector, FaultPlan};
 use cni_nic::NicKind;
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Schema version of the record produced by [`World::take_snapshot`].
@@ -122,8 +122,11 @@ impl fmt::Display for ResumeError {
     }
 }
 
-/// The record's fields, decoded.
+/// The checkpoint record, in the order its fields are written. Its
+/// derived serde form is the record [`World::take_snapshot`] returns.
+#[derive(Serialize, Deserialize)]
 struct Record {
+    schema: u64,
     procs: u64,
     nic_kind: u64,
     pages: u64,
@@ -133,38 +136,19 @@ struct Record {
 }
 
 impl Record {
+    /// Decode `v`, then refuse any schema but [`SNAPSHOT_SCHEMA`] and a
+    /// fault plan [`FaultPlan::check`] refuses.
     fn decode(v: &Value) -> Result<Record, ResumeError> {
-        let bad = |m: String| ResumeError::Malformed(m);
-        let m = v
-            .as_object()
-            .ok_or_else(|| bad("the record is not an object".into()))?;
-        let field = |k: &str| m.get(k).ok_or_else(|| bad(format!("missing field `{k}`")));
-        let uint = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| bad(format!("field `{k}` is not an unsigned integer")))
-        };
-        let schema = uint("schema")?;
-        if schema != SNAPSHOT_SCHEMA {
+        let bad = ResumeError::Malformed;
+        let r = Record::from_value(v).map_err(|e| bad(e.to_string()))?;
+        if r.schema != SNAPSHOT_SCHEMA {
             return Err(bad(format!(
-                "schema v{schema} is not supported (this build reads v{SNAPSHOT_SCHEMA})"
+                "schema v{} is not supported (this build reads v{SNAPSHOT_SCHEMA})",
+                r.schema
             )));
         }
-        let faults = FaultPlan::from_value(field("faults")?)
-            .map_err(|e| bad(format!("field `faults`: {e}")))?;
-        faults
-            .check()
-            .map_err(|e| bad(format!("field `faults`: {e}")))?;
-        let digest = u32::try_from(uint("digest")?)
-            .map_err(|_| bad("field `digest` overflows u32".into()))?;
-        Ok(Record {
-            procs: uint("procs")?,
-            nic_kind: uint("nic_kind")?,
-            pages: uint("pages")?,
-            events: uint("events")?,
-            faults,
-            digest,
-        })
+        r.faults.check().map_err(|e| bad(format!("faults: {e}")))?;
+        Ok(r)
     }
 }
 
@@ -184,15 +168,16 @@ impl World {
     /// store it (normally via `cni-snap`'s crash-safe container).
     pub fn take_snapshot(&self) -> Value {
         let cfg = &self.env.cfg;
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(SNAPSHOT_SCHEMA));
-        m.insert("procs".into(), Value::from(cfg.procs as u64));
-        m.insert("nic_kind".into(), Value::from(nic_kind_code(cfg.nic_kind)));
-        m.insert("pages".into(), Value::from(self.next_page as u64));
-        m.insert("events".into(), Value::from(self.shared.events_dispatched));
-        m.insert("faults".into(), cfg.faults.to_value());
-        m.insert("digest".into(), Value::from(self.digest() as u64));
-        Value::Object(m)
+        Record {
+            schema: SNAPSHOT_SCHEMA,
+            procs: cfg.procs as u64,
+            nic_kind: nic_kind_code(cfg.nic_kind),
+            pages: self.next_page as u64,
+            events: self.shared.events_dispatched,
+            faults: cfg.faults,
+            digest: self.digest(),
+        }
+        .to_value()
     }
 
     /// CRC-32 of the report JSON at the current event: what a
@@ -208,13 +193,12 @@ impl World {
     /// switch, from a faulty plan to a zero one.
     fn switch_faults(&mut self, plan: FaultPlan) {
         self.env.cfg.faults = plan;
-        self.env.reliable = !plan.is_zero();
         self.shared.injector = match self.shared.injector.take() {
             Some(mut inj) => {
                 inj.set_plan(plan);
                 Some(inj)
             }
-            None => self.env.reliable.then(|| FaultInjector::new(plan)),
+            None => (!plan.is_zero()).then(|| FaultInjector::new(plan)),
         };
     }
 
@@ -315,6 +299,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Map;
 
     const FIELDS: [&str; 7] = [
         "schema", "procs", "nic_kind", "pages", "events", "faults", "digest",
@@ -363,17 +348,19 @@ mod tests {
             Value::from(7u64),
             Value::Array(vec![]),
         ] {
-            assert!(malformed(&junk).contains("not an object"));
+            assert!(malformed(&junk).contains("expected object"));
         }
+        // A missing field reads as null: each refusal names its field.
         for k in FIELDS {
             let mut m = record();
             m.remove(k);
             let e = malformed(&Value::Object(m));
-            assert!(e.contains(&format!("missing field `{k}`")), "{e}");
+            assert!(e.starts_with(&format!("{k}: expected ")), "{e}");
         }
         // Every field but the plan is an unsigned integer: booleans,
         // strings, negatives and fractions are refused by name.
         for k in FIELDS.iter().filter(|&&k| k != "faults") {
+            let want = if *k == "digest" { "u32" } else { "u64" };
             for v in [
                 Value::Bool(false),
                 Value::from("4"),
@@ -381,21 +368,20 @@ mod tests {
                 Value::from(0.5f64),
             ] {
                 let e = malformed(&with(k, v));
-                assert!(
-                    e.contains(&format!("field `{k}` is not an unsigned integer")),
-                    "{e}"
-                );
+                assert_eq!(e, format!("{k}: expected {want}"));
             }
         }
         let e = malformed(&with("digest", Value::from(1u64 << 32)));
-        assert!(e.contains("overflows u32"), "{e}");
+        assert_eq!(e, "digest: expected u32");
+        let e = malformed(&with("schema", Value::from(3u64)));
+        assert!(e.contains("schema v3 is not supported"), "{e}");
         // A plan of the wrong shape, and one `FaultPlan::check` refuses,
         // error instead of reaching `FaultPlan::validate`'s assert.
         let e = malformed(&with("faults", Value::from(3u64)));
-        assert!(e.contains("field `faults`"), "{e}");
+        assert!(e.starts_with("faults: "), "{e}");
         let mut lossy = FaultPlan::none();
         lossy.drop_prob = 1.5;
         let e = malformed(&with("faults", lossy.to_value()));
-        assert!(e.contains("drop_prob"), "{e}");
+        assert!(e.starts_with("faults: ") && e.contains("drop_prob"), "{e}");
     }
 }

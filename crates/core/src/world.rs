@@ -164,9 +164,6 @@ pub(crate) struct Shared {
     pub(crate) live: usize,
     pub(crate) proto_messages: u64,
     pub(crate) msg_kinds: [u64; 9],
-    /// Wait-time diagnostics per blocking-op kind (lock, fault, barrier,
-    /// recv): (total wait, count).
-    pub(crate) wait_stats: [(SimTime, u64); 4],
     /// Reliability-protocol counters (retransmits, duplicates, overflows).
     pub(crate) rel_stats: FaultStats,
     /// Last allocated span id (0 = none; span ids are 1-based and only
@@ -206,8 +203,7 @@ impl World {
         if let Err(e) = cfg.check() {
             panic!("invalid configuration: {e}");
         }
-        let reliable = !cfg.faults.is_zero();
-        let injector = reliable.then(|| FaultInjector::new(cfg.faults));
+        let injector = (!cfg.faults.is_zero()).then(|| FaultInjector::new(cfg.faults));
         let mut nic_cfg = cfg.nic;
         nic_cfg.page_bytes = cfg.page_bytes;
         // NIC collectives imply the tree barrier (the NIC combines along
@@ -239,7 +235,6 @@ impl World {
                 live: 0,
                 proto_messages: 0,
                 msg_kinds: [0; 9],
-                wait_stats: [(SimTime::ZERO, 0); 4],
                 rel_stats: FaultStats::default(),
                 next_span: 0,
                 events_dispatched: 0,
@@ -247,7 +242,6 @@ impl World {
             },
             env: Env {
                 seg,
-                reliable,
                 trace: TraceSink::Disabled,
                 cfg,
             },
@@ -316,12 +310,6 @@ impl World {
     /// Processor `p`'s shared-memory space (inspection after a run).
     pub fn space(&self, p: usize) -> &Rc<NodeSpace> {
         self.nodes[p].dsm.space()
-    }
-
-    /// Diagnostic: (total wait, count) per blocking-op kind
-    /// [locks, faults, barriers, receives].
-    pub fn wait_stats(&self) -> [(SimTime, u64); 4] {
-        self.shared.wait_stats
     }
 
     /// Allocate shared memory (whole pages, zero-filled, homes assigned

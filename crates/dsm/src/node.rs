@@ -281,6 +281,19 @@ impl DsmNode {
         ProcId(lock.0 % self.cfg.procs as u32)
     }
 
+    /// Is the application thread blocked on a write fault? Such a
+    /// processor is the faulted page's next sender, the same reason
+    /// [`DsmNode::has_written`] gives.
+    pub fn awaits_write_fault(&self) -> bool {
+        matches!(
+            self.blocked,
+            Some(Blocked::Fault {
+                want_write: true,
+                ..
+            })
+        )
+    }
+
     /// Has this processor ever published a write to `page`? Used by the
     /// cluster's receive-caching policy: a node that writes a page is a
     /// future sender of it (the page migrates through it), so its board

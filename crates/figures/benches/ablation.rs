@@ -17,8 +17,8 @@ fn tree_barrier_study() {
     );
     let app = App::Jacobi { n: 128, iters: 25 }; // barrier-bound at scale
     const PROCS: [usize; 3] = [8, 16, 32];
-    // One batch job per (procs, barrier) pair; the pool work-steals
-    // across them and results come back in sweep order.
+    // One batch job per (procs, barrier) pair; the pool's workers share
+    // them out and results come back in sweep order.
     let mut cfgs: Vec<Config> = Vec::new();
     for procs in PROCS {
         cfgs.push(Config::paper_default().with_procs(procs));

@@ -17,8 +17,8 @@ fn main() {
         "{:>16} {:>12} {:>12} {:>12}",
         "interrupt(us)", "CNI(ms)", "Std(ms)", "Std/CNI"
     );
-    // Both interfaces at every cost point, as one flat work-stealing
-    // batch; rows come back in sweep order regardless of completion.
+    // Both interfaces at every cost point, as one flat batch; rows come
+    // back in sweep order regardless of completion.
     let mut cfgs: Vec<(u64, Config)> = Vec::new();
     for us in [5u64, 10, 20, 40, 80] {
         let cycles = us * 166; // 166 cycles per microsecond at 166 MHz

@@ -42,13 +42,11 @@
 //! not of test scaffolding, is the contract.
 //!
 //! The binary adds CI plumbing: `--json` (schema-versioned envelope),
-//! `--sarif` (SARIF 2.1.0), `--baseline`/`--write-baseline` (committed
-//! findings baseline; CI fails only on *new* findings), and
-//! `--explain <rule>`.
+//! `--sarif` (SARIF 2.1.0), `--check` (fail on any finding; there is no
+//! baseline of accepted ones) and `--explain <rule>`.
 
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lex;
 pub mod parse;

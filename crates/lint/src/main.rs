@@ -2,9 +2,7 @@
 //! contract, print diagnostics.
 //!
 //! ```text
-//! cni-lint [--root <dir>] [--json | --sarif] [--check]
-//!          [--baseline <file>] [--write-baseline <file>]
-//!          [--explain <rule>]
+//! cni-lint [--root <dir>] [--json | --sarif] [--check] [--explain <rule>]
 //! ```
 //!
 //! * `--root <dir>` — workspace root (default: walk up from the current
@@ -12,11 +10,7 @@
 //! * `--json` — machine-readable schema-versioned report on stdout.
 //! * `--sarif` — SARIF 2.1.0 report on stdout (for code-scanning UIs).
 //! * `--check` — exit non-zero when any unsuppressed finding exists
-//!   (the CI gate mode). With `--baseline`, only *new* findings fail.
-//! * `--baseline <file>` — committed findings baseline; accepted
-//!   findings are filtered from the report and from `--check`.
-//! * `--write-baseline <file>` — snapshot current findings as the new
-//!   baseline and exit.
+//!   (the CI gate mode). A finding is fixed or waived in place.
 //! * `--explain <rule>` — print the long-form rationale for a rule (by
 //!   id `P1` or slug `panic-path`) and exit.
 
@@ -30,8 +24,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut sarif = false;
     let mut check = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -45,20 +37,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--sarif" => sarif = true,
             "--check" => check = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--baseline needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--write-baseline needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--explain" => {
                 let Some(name) = args.next() else {
                     eprintln!("--explain needs a rule id or slug (try `--explain P1`)");
@@ -84,8 +62,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: cni-lint [--root <dir>] [--json | --sarif] [--check] \
-                     [--baseline <file>] [--write-baseline <file>] [--explain <rule>]"
+                    "usage: cni-lint [--root <dir>] [--json | --sarif] [--check] [--explain <rule>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -106,56 +83,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut report = match analyze_workspace(&root) {
+    let report = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cni-lint: I/O error while scanning {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = write_baseline {
-        let text = cni_lint::baseline::render(&report.findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cni-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "baseline written: {} entr{} -> {}",
-            report.findings.len(),
-            if report.findings.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cni-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match cni_lint::baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cni-lint: bad baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let before = report.findings.len();
-        report.findings.retain(|f| !baseline.accepts(f));
-        let accepted = before - report.findings.len();
-        if accepted > 0 && !json && !sarif {
-            eprintln!(
-                "{accepted} finding(s) accepted by baseline {}",
-                path.display()
-            );
-        }
-    }
     if json {
         print!("{}", render_json(&report));
     } else if sarif {

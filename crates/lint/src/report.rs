@@ -79,7 +79,7 @@ fn count_by_rule(r: &WorkspaceReport) -> String {
 }
 
 /// `v` as pretty JSON (two-space indents) and a final newline.
-pub(crate) fn pretty<T: serde::Serialize>(v: &T) -> String {
+fn pretty(v: &Value) -> String {
     let mut out = serde_json::to_string_pretty(v).expect("the vendored serializer cannot fail");
     out.push('\n');
     out

@@ -360,7 +360,7 @@ fn t1_fires_on_every_lock_and_channel_in_the_program_runtime() {
 
 #[test]
 fn t1_quiet_outside_sim_crates() {
-    // cni-batch is a host-side work-stealing pool: threads are its job.
+    // cni-batch is a host-side worker pool: threads are its job.
     let src = fixture("t1_bad.rs");
     assert!(hits("crates/batch/src/fixture.rs", &src).is_empty());
 }

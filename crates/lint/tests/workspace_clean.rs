@@ -309,7 +309,7 @@ fn sim_crates_depend_only_on_sim_crates() {
 
 /// The lint must stay buildable while the rest of the workspace is
 /// mid-refactor, so it depends on no first-party crate; its JSON goes
-/// through the vendored `serde` and `serde_json`.
+/// through the vendored `serde_json`.
 #[test]
 fn the_lint_depends_on_no_first_party_crate() {
     let root = workspace_root();

@@ -11,17 +11,18 @@ pub struct PatternId(pub u32);
 ///
 /// The field is `width` bytes starting at `offset` (big-endian), masked
 /// with `mask` and compared with `value`. This is PATHFINDER's comparison
-/// "cell": real hardware evaluates one such cell per clock.
+/// "cell": real hardware evaluates one such cell per clock. The
+/// constructors below build widths 1, 2 and 4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FieldTest {
     /// Byte offset of the field in the packet header.
-    pub offset: u16,
+    pub(crate) offset: u16,
     /// Field width in bytes: 1, 2, or 4.
-    pub width: u8,
+    pub(crate) width: u8,
     /// Mask applied before comparison.
-    pub mask: u32,
+    pub(crate) mask: u32,
     /// Expected value (after masking).
-    pub value: u32,
+    pub(crate) value: u32,
 }
 
 impl FieldTest {
@@ -69,22 +70,8 @@ impl FieldTest {
     /// packet is too short.
     pub fn extract(&self, packet: &[u8]) -> Option<u32> {
         let start = self.offset as usize;
-        let end = start + self.width as usize;
-        if end > packet.len() {
-            return None;
-        }
-        let raw = match self.width {
-            1 => packet[start] as u32,
-            2 => u16::from_be_bytes([packet[start], packet[start + 1]]) as u32,
-            4 => u32::from_be_bytes([
-                packet[start],
-                packet[start + 1],
-                packet[start + 2],
-                packet[start + 3],
-            ]),
-            // cni-lint: allow(panic-path) -- the width comes from the classifier program built by the host, not from the packet; programs are validated at construction
-            w => panic!("unsupported field width {w}"),
-        };
+        let field = packet.get(start..start + self.width as usize)?;
+        let raw = field.iter().fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
         Some(raw & self.mask)
     }
 

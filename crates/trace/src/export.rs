@@ -86,25 +86,15 @@ fn ts_us(t_ps: u64) -> f64 {
     t_ps as f64 / 1e6
 }
 
-/// The event's payload fields as a Chrome `args` object (the serde
-/// representation minus the `ev` tag).
-fn args(event: &TraceEvent) -> Value {
-    let mut v = serde_json::to_value(event).expect("trace events serialize");
-    if let Value::Object(m) = &mut v {
-        m.remove("ev");
-    }
-    v
-}
-
-fn name(event: &TraceEvent) -> String {
-    match serde_json::to_value(event).expect("trace events serialize") {
-        Value::Object(m) => m
-            .get("ev")
-            .and_then(Value::as_str)
-            .unwrap_or("event")
-            .to_string(),
+/// An event's Chrome slice name and `args` object, from one
+/// serialization: the `ev` tag, and the serde representation without it.
+fn name_and_args(event: &TraceEvent) -> (String, Value) {
+    let mut args = serde_json::to_value(event).expect("trace events serialize");
+    let name = match args.as_object_mut().and_then(|m| m.remove("ev")) {
+        Some(Value::String(name)) => name,
         _ => "event".to_string(),
-    }
+    };
+    (name, args)
 }
 
 /// Counter tracks derived from one metrics sample: (counter name, series).
@@ -142,14 +132,15 @@ fn chrome_events(rec: &TraceRecord) -> Vec<Value> {
         | TraceEvent::ProtoTx { dur_ps, .. } => {
             // Duration slice: the record is stamped at completion time.
             let start = rec.t_ps.saturating_sub(*dur_ps);
+            let (name, args) = name_and_args(&rec.event);
             vec![json!({
-                "name": name(&rec.event),
+                "name": name,
                 "ph": "X",
                 "ts": ts_us(start),
                 "dur": ts_us(*dur_ps),
                 "pid": p,
                 "tid": t,
-                "args": args(&rec.event),
+                "args": args,
             })]
         }
         TraceEvent::Metrics(sample) => counters(sample)
@@ -213,15 +204,18 @@ fn chrome_events(rec: &TraceRecord) -> Vec<Value> {
             "tid": t,
             "args": json!({"pending": *depth}),
         })],
-        _ => vec![json!({
-            "name": name(&rec.event),
-            "ph": "i",
-            "ts": ts_us(rec.t_ps),
-            "pid": p,
-            "tid": t,
-            "s": "t",
-            "args": args(&rec.event),
-        })],
+        _ => {
+            let (name, args) = name_and_args(&rec.event);
+            vec![json!({
+                "name": name,
+                "ph": "i",
+                "ts": ts_us(rec.t_ps),
+                "pid": p,
+                "tid": t,
+                "s": "t",
+                "args": args,
+            })]
+        }
     }
 }
 
