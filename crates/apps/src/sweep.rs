@@ -1,4 +1,5 @@
-//! Sweep specifications: the JSON format behind `cni-run --sweep`.
+//! Sweep specifications: the JSON format behind `cni-run --sweep`, and
+//! the one description of a run.
 //!
 //! A sweep file is a JSON array of run objects. Every field except `app`
 //! is optional and defaults to `cni-run`'s single-run defaults, so a
@@ -14,19 +15,26 @@
 //! ]
 //! ```
 //!
-//! Parsing is strict: unknown keys, malformed values, app sizes that fail
-//! [`App::check`] and configurations that fail [`Config::check`] are
-//! reported with the run's index rather than silently ignored or left to
-//! panic — a typo in a 100-run sweep must not cost a night of compute.
+//! A single `cni-run` is a one-entry sweep: [`flag_entry`] turns its run
+//! flags into an entry, which the same parser reads; `--app latency`
+//! reads only its [`parse_config`] and `--fork-at` its [`parse_faults`].
+//!
+//! Parsing is strict: unknown keys, a size key the entry's app does not
+//! read, malformed values, app sizes that fail [`App::check`] and
+//! configurations that fail [`Config::check`] are reported with the run's
+//! index rather than silently ignored or left to panic — a typo in a
+//! 100-run sweep must not cost a night of compute.
 
 use crate::cholesky::CholeskyMatrix;
 use crate::experiments::App;
-use cni::{Config, FaultPlan};
+use cni::{Config, FaultPlan, NicKind};
 use cni_batch::RunSpec;
-use serde_json::Value;
+use serde_json::{Map, Value};
+use std::collections::BTreeMap;
 
-/// Every key a sweep entry may carry.
-const KNOWN_KEYS: &[&str] = &[
+/// Every key a sweep entry may carry. `cni-run` takes each but `label`
+/// as a flag, `_` written `-` ([`run_key`]).
+pub const KNOWN_KEYS: [&str; 20] = [
     "label",
     "app",
     "n",
@@ -49,6 +57,16 @@ const KNOWN_KEYS: &[&str] = &[
     "fault_seed",
 ];
 
+/// The keys that size an app. Each app reads its own and refuses the
+/// others.
+pub const SIZE_KEYS: [&str; 5] = ["n", "iters", "molecules", "steps", "matrix"];
+
+/// The keys [`parse_faults`] reads.
+pub const FAULT_KEYS: [&str; 4] = ["loss_prob", "corrupt_prob", "jitter_ps", "fault_seed"];
+
+/// The keys that take `true` or `false`: their flags take no value.
+pub const SWITCH_KEYS: [&str; 3] = ["jumbo", "tree_barrier", "collectives"];
+
 /// Parse a sweep file into executable [`RunSpec`]s, one per array entry,
 /// in file order (which is also the batch's job-index order).
 pub fn parse_sweep(text: &str) -> Result<Vec<RunSpec<App>>, String> {
@@ -66,43 +84,65 @@ pub fn parse_sweep(text: &str) -> Result<Vec<RunSpec<App>>, String> {
         .collect()
 }
 
-fn get_u64(obj: &serde_json::Map, key: &str, default: u64) -> Result<u64, String> {
+/// The run key `--flag` sets: a key of [`KNOWN_KEYS`] but `label`, with
+/// `-` for `_`.
+pub fn run_key(flag: &str) -> Option<&'static str> {
+    KNOWN_KEYS
+        .into_iter()
+        .find(|key| *key != "label" && key.replace('_', "-") == flag)
+}
+
+/// The sweep entry a command line's run flags describe, each flag mapped
+/// to its value (`None` for a switch): `--page-bytes 4096` is
+/// `"page_bytes": 4096`, a switch is `true`, and a value is a JSON number
+/// when it parses as one and a string otherwise. Other flags are skipped.
+pub fn flag_entry(flags: &BTreeMap<String, Option<String>>) -> Map {
+    let mut entry = Map::new();
+    for (flag, value) in flags {
+        let Some(key) = run_key(flag) else { continue };
+        let value = match value.as_deref().map(|v| (v, serde_json::from_str(v))) {
+            None => Value::Bool(true),
+            Some((_, Ok(n @ Value::Number(_)))) => n,
+            Some((v, _)) => Value::String(v.to_string()),
+        };
+        entry.insert(key.to_string(), value);
+    }
+    entry
+}
+
+/// `key`'s value as `read` takes it, or `default` if the entry has none;
+/// `what` names what `read` takes.
+fn get<'a, T>(
+    obj: &'a Map,
+    key: &str,
+    default: T,
+    read: fn(&'a Value) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
     match obj.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        Some(v) => read(v).ok_or_else(|| format!("`{key}` must be {what}")),
     }
 }
 
-fn get_f64(obj: &serde_json::Map, key: &str, default: f64) -> Result<f64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("`{key}` must be a number")),
-    }
+fn get_u64(obj: &Map, key: &str, default: u64) -> Result<u64, String> {
+    get(obj, key, default, Value::as_u64, "a non-negative integer")
 }
 
-fn get_bool(obj: &serde_json::Map, key: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| format!("`{key}` must be a boolean")),
-    }
+fn get_f64(obj: &Map, key: &str, default: f64) -> Result<f64, String> {
+    get(obj, key, default, Value::as_f64, "a number")
 }
 
-fn get_str<'a>(obj: &'a serde_json::Map, key: &str, default: &'a str) -> Result<&'a str, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| format!("`{key}` must be a string")),
-    }
+fn get_bool(obj: &Map, key: &str) -> Result<bool, String> {
+    get(obj, key, false, Value::as_bool, "a boolean")
 }
 
-fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
+fn get_str<'a>(obj: &'a Map, key: &str, default: &'a str) -> Result<&'a str, String> {
+    get(obj, key, default, Value::as_str, "a string")
+}
+
+/// Parse one sweep entry. `index` names the run when it has no `label`.
+pub fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
     let obj = v
         .as_object()
         .ok_or_else(|| "entry is not a JSON object".to_string())?;
@@ -117,42 +157,67 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
         .get("app")
         .and_then(|v| v.as_str())
         .ok_or_else(|| "missing required string `app` (jacobi|water|cholesky)".to_string())?;
-    let app = match app_name {
-        "jacobi" => App::Jacobi {
-            n: get_u64(obj, "n", 256)? as usize,
-            iters: get_u64(obj, "iters", 25)? as usize,
-        },
-        "water" => App::Water {
-            molecules: get_u64(obj, "molecules", 216)? as usize,
-            steps: get_u64(obj, "steps", 2)? as usize,
-        },
-        "cholesky" => App::Cholesky {
-            matrix: match get_str(obj, "matrix", "bcsstk14")? {
-                "bcsstk14" => CholeskyMatrix::Bcsstk14,
-                "bcsstk15" => CholeskyMatrix::Bcsstk15,
-                other => return Err(format!("unknown matrix {other:?}")),
+    let (app, sizes): (App, &[&str]) = match app_name {
+        "jacobi" => (
+            App::Jacobi {
+                n: get_u64(obj, "n", 256)? as usize,
+                iters: get_u64(obj, "iters", 25)? as usize,
             },
-        },
+            &["n", "iters"],
+        ),
+        "water" => (
+            App::Water {
+                molecules: get_u64(obj, "molecules", 216)? as usize,
+                steps: get_u64(obj, "steps", 2)? as usize,
+            },
+            &["molecules", "steps"],
+        ),
+        "cholesky" => (
+            App::Cholesky {
+                matrix: match get_str(obj, "matrix", "bcsstk14")? {
+                    "bcsstk14" => CholeskyMatrix::Bcsstk14,
+                    "bcsstk15" => CholeskyMatrix::Bcsstk15,
+                    other => return Err(format!("unknown matrix {other:?}")),
+                },
+            },
+            &["matrix"],
+        ),
         other => return Err(format!("unknown app {other:?} (jacobi|water|cholesky)")),
     };
+    let unread = |key: &&str| obj.contains_key(key) && !sizes.contains(key);
+    if let Some(key) = SIZE_KEYS.into_iter().find(unread) {
+        return Err(format!("`{key}` does not size a {app_name} run"));
+    }
     app.check()?;
 
-    let mut cfg = Config::paper_default();
-    cfg.atm.topology = match get_str(obj, "topology", "single")? {
-        "single" => cni_atm::Topology::Single,
-        s => s.parse()?,
-    };
-    let procs = get_u64(obj, "procs", 8)? as usize;
-    cfg.procs = procs;
+    let cfg = parse_config(obj)?;
     let nic = get_str(obj, "nic", "cni")?;
-    if !matches!(nic, "cni" | "standard") {
-        return Err(format!("unknown nic {nic:?} (cni|standard)"));
-    }
+    let label = match get(obj, "label", None, |v| v.as_str().map(Some), "a string")? {
+        Some(label) => label.to_string(),
+        None => format!("{index:03}-{app_name}-{}p-{nic}", cfg.procs),
+    };
+    Ok(RunSpec::new(label, cfg, app))
+}
+
+/// The configuration a sweep entry describes, its app aside: the
+/// cluster, the interface and the fault plan, checked. A key left out
+/// keeps [`Config::paper_default`]'s value.
+pub fn parse_config(obj: &Map) -> Result<Config, String> {
+    let mut cfg = Config::paper_default();
+    cfg.atm.topology = get_str(obj, "topology", "single")?.parse()?;
+    cfg.procs = get_u64(obj, "procs", cfg.procs as u64)? as usize;
+    cfg.nic_kind = match get_str(obj, "nic", "cni")? {
+        "cni" => NicKind::Cni,
+        "standard" => NicKind::Standard,
+        other => return Err(format!("unknown nic {other:?} (cni|standard)")),
+    };
 
     let mut cfg = cfg
-        .with_page_bytes(get_u64(obj, "page_bytes", 2048)? as usize)
-        .with_msg_cache_bytes(get_u64(obj, "msg_cache_bytes", 32 * 1024)? as usize);
-    cfg.seed = get_u64(obj, "seed", 0x5EED)?;
+        .with_page_bytes(get_u64(obj, "page_bytes", cfg.page_bytes as u64)? as usize)
+        .with_msg_cache_bytes(
+            get_u64(obj, "msg_cache_bytes", cfg.nic.msg_cache_bytes as u64)? as usize,
+        );
+    cfg.seed = get_u64(obj, "seed", cfg.seed)?;
     if get_bool(obj, "jumbo")? {
         cfg = cfg.with_unrestricted_cells();
     }
@@ -162,34 +227,28 @@ fn parse_entry(index: usize, v: &Value) -> Result<RunSpec<App>, String> {
     if get_bool(obj, "collectives")? {
         cfg = cfg.with_collectives();
     }
-
-    let mut plan = FaultPlan::none();
-    plan.drop_prob = get_f64(obj, "loss_prob", 0.0)?;
-    plan.corrupt_prob = get_f64(obj, "corrupt_prob", 0.0)?;
-    plan.jitter_ps = get_u64(obj, "jitter_ps", 0)?;
-    plan.seed = get_u64(obj, "fault_seed", 1)?;
-    cfg = cfg.with_faults(plan);
-
-    cfg = if nic == "cni" {
-        cfg.cni()
-    } else {
-        cfg.standard()
-    };
+    cfg = cfg.with_faults(parse_faults(obj)?);
     cfg.check()?;
+    Ok(cfg)
+}
 
-    let label = match obj.get("label") {
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| "`label` must be a string".to_string())?
-            .to_string(),
-        None => format!("{index:03}-{app_name}-{procs}p-{nic}"),
-    };
-    Ok(RunSpec::new(label, cfg, app))
+/// The fault plan a sweep entry's [`FAULT_KEYS`] describe, checked. A
+/// key left out keeps [`FaultPlan::none`]'s value.
+pub fn parse_faults(obj: &Map) -> Result<FaultPlan, String> {
+    let mut plan = FaultPlan::none();
+    plan.drop_prob = get_f64(obj, "loss_prob", plan.drop_prob)?;
+    plan.corrupt_prob = get_f64(obj, "corrupt_prob", plan.corrupt_prob)?;
+    plan.jitter_ps = get_u64(obj, "jitter_ps", plan.jitter_ps)?;
+    plan.seed = get_u64(obj, "fault_seed", plan.seed)?;
+    plan.check()?;
+    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
+    use std::collections::BTreeSet;
 
     #[test]
     fn minimal_sweep_gets_defaults() {
@@ -284,10 +343,119 @@ mod tests {
             ),
             (r#"[{"app": "jacobi", "n": "big"}]"#, "non-negative integer"),
             (r#"[{"app": "jacobi"}, {"app": 3}]"#, "run 1"),
+            (
+                r#"[{"app":"water","molecules":8,"steps":1,"procs":2,"n":64,"iters":9,"matrix":"bcsstk15"}]"#,
+                "run 0: `n` does not size a water run",
+            ),
+            (
+                r#"[{"app": "cholesky", "iters": 9}]"#,
+                "`iters` does not size a cholesky run",
+            ),
+            (
+                r#"[{"app": "jacobi", "molecules": 8}]"#,
+                "`molecules` does not size a jacobi run",
+            ),
+            (
+                r#"[{"app": "cholesky", "steps": 1}]"#,
+                "`steps` does not size a cholesky run",
+            ),
+            (
+                r#"[{"app": "jacobi", "matrix": "bcsstk15"}]"#,
+                "`matrix` does not size a jacobi run",
+            ),
+            (
+                r#"[{"app": "water", "matrix": "bcsstk14"}]"#,
+                "`matrix` does not size a water run",
+            ),
         ] {
             let err = parse_sweep(spec).unwrap_err();
             assert!(err.contains(needle), "spec {spec}: {err}");
         }
+    }
+
+    /// A command line of run flags, each flag mapped to its value.
+    fn flags(line: &str) -> BTreeMap<String, Option<String>> {
+        let mut words = line.split_whitespace();
+        let mut out = BTreeMap::new();
+        while let Some(word) = words.next() {
+            let flag = word.strip_prefix("--").expect("a flag");
+            let key = run_key(flag).expect("a run flag");
+            let value = (!SWITCH_KEYS.contains(&key)).then(|| words.next().expect("a value"));
+            out.insert(flag.to_string(), value.map(str::to_string));
+        }
+        out
+    }
+
+    /// A command line that sets every run flag an app reads, and the sweep
+    /// entry with the same keys, describe the same run. Together the
+    /// three lines set every run flag.
+    #[test]
+    fn a_flag_line_and_its_entry_describe_the_same_run() {
+        let common = "--procs 4 --nic cni --page-bytes 4096 --msg-cache-bytes 65536 \
+                      --jumbo --topology 2x16x16 --tree-barrier --collectives --seed 7 \
+                      --loss-prob 0.05 --corrupt-prob 0.01 --jitter-ps 1000 --fault-seed 3";
+        let common_keys = r#""procs": 4, "nic": "cni", "page_bytes": 4096,
+            "msg_cache_bytes": 65536, "jumbo": true, "topology": "2x16x16",
+            "tree_barrier": true, "collectives": true, "seed": 7, "loss_prob": 0.05,
+            "corrupt_prob": 0.01, "jitter_ps": 1000, "fault_seed": 3"#;
+        let mut set = BTreeSet::new();
+        for (app_flags, app_keys) in [
+            (
+                "--app jacobi --n 64 --iters 3",
+                r#""app": "jacobi", "n": 64, "iters": 3"#,
+            ),
+            (
+                "--app water --molecules 64 --steps 1",
+                r#""app": "water", "molecules": 64, "steps": 1"#,
+            ),
+            (
+                "--app cholesky --matrix bcsstk15",
+                r#""app": "cholesky", "matrix": "bcsstk15""#,
+            ),
+        ] {
+            let line = format!("{app_flags} {common}");
+            let flags = flags(&line);
+            set.extend(flags.keys().filter_map(|flag| run_key(flag)));
+            let from_flags = parse_entry(0, &Value::Object(flag_entry(&flags))).unwrap();
+            let from_json = &parse_sweep(&format!("[{{{app_keys}, {common_keys}}}]")).unwrap()[0];
+            assert_eq!(from_flags.workload, from_json.workload, "{line}");
+            assert_eq!(
+                from_flags.config.to_value(),
+                from_json.config.to_value(),
+                "{line}"
+            );
+        }
+        assert_eq!(set.len(), KNOWN_KEYS.len() - 1, "every key but `label`");
+    }
+
+    /// A flag's value is a JSON number when it parses as one and a string
+    /// otherwise; a switch is `true`, and a flag that is not a run key is
+    /// skipped.
+    #[test]
+    fn flag_values_become_numbers_strings_and_switches() {
+        let mut flags = BTreeMap::new();
+        for (flag, value) in [
+            ("procs", Some("4")),
+            ("loss-prob", Some("0.02")),
+            ("seed", Some("0x5EED")),
+            ("topology", Some("4x16x16")),
+            ("jumbo", None),
+            ("json", None),
+            ("label", Some("x")),
+            ("page_bytes", Some("4096")),
+        ] {
+            flags.insert(flag.to_string(), value.map(str::to_string));
+        }
+        let entry = flag_entry(&flags);
+        assert_eq!(
+            serde_json::to_string(&Value::Object(entry.clone())).unwrap(),
+            r#"{"jumbo":true,"loss_prob":0.02,"procs":4,"seed":"0x5EED","topology":"4x16x16"}"#
+        );
+        let err = parse_config(&entry).unwrap_err();
+        assert!(
+            err.contains("`seed` must be a non-negative integer"),
+            "{err}"
+        );
     }
 
     #[test]

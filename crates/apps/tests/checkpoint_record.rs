@@ -135,6 +135,64 @@ fn invalid_stored_configs_are_refused_when_read() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `cni-run --resume --json` on `path`: its exit code and stdout.
+fn resume_json(path: &Path) -> (Option<i32>, Vec<u8>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cni-run"))
+        .arg("--resume")
+        .arg(path)
+        .arg("--json")
+        .output()
+        .expect("cni-run runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), out.stdout, stderr)
+}
+
+/// Bytes per bus word are a constant, not a stored field: a file that
+/// stores `word_bytes` (every file older builds wrote, or a forged 0,
+/// which divided by zero) resumes to the untouched file's report.
+#[test]
+fn a_stored_word_bytes_is_ignored() {
+    let dir = tmp_dir("word-bytes");
+    let src = write(&dir, "ck.cnisnap", &checkpoint().0);
+    let mut payload = cni_snap::read_value(&src).expect("checkpoint reads");
+    let Some(Value::Object(nic)) = payload
+        .as_object_mut()
+        .and_then(|p| p.get_mut("meta"))
+        .and_then(Value::as_object_mut)
+        .and_then(|m| m.get_mut("config"))
+        .and_then(Value::as_object_mut)
+        .and_then(|c| c.get_mut("nic"))
+    else {
+        panic!("payload has meta.config.nic");
+    };
+    assert!(!nic.contains_key("word_bytes"), "the field is written");
+    nic.insert("word_bytes".into(), Value::from(0u64));
+    let forged = dir.join("word_bytes0.cnisnap");
+    cni_snap::write_value(&forged, &payload).expect("rewritten checkpoint writes");
+    let (code, stdout, stderr) = resume_json(&forged);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout == resume_json(&src).1, "the resume diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored fault plan whose jitter outlasts the longest retransmission
+/// timeout is refused when the file is read: no frame would arrive
+/// before its resends ran out.
+#[test]
+fn a_stored_jitter_past_the_rto_cap_is_refused() {
+    let dir = tmp_dir("jitter");
+    let src = write(&dir, "ck.cnisnap", &checkpoint().0);
+    let path = dir.join("jitter.cnisnap");
+    with_stored_config(&src, &path, |c| c.faults.jitter_ps = i64::MAX as u64);
+    let err = read_snapshot(&path).expect_err("a huge jitter is read");
+    assert!(err.starts_with("error:"), "not a diagnostic: {err}");
+    assert!(err.contains("jitter_ps"), "{err}");
+    let (code, _, stderr) = resume_json(&path);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A clock whose period is `ps` picoseconds, through its serde form.
 fn clock(ps: u64) -> cni_sim::Clock {
     serde::Deserialize::from_value(&serde_json::json!({ "period_ps": ps })).expect("clock parses")

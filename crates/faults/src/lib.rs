@@ -182,8 +182,9 @@ impl FaultPlan {
                 .any(BrownoutWindow::is_active)
     }
 
-    /// `Err` naming the first probability outside `[0, 1)` or degenerate
-    /// protocol knob. Plans read from outside (flags, sweep files,
+    /// `Err` naming the first probability outside `[0, 1)`, degenerate
+    /// protocol knob or jitter longer than the longest retransmission
+    /// timeout. Plans read from outside (flags, sweep files,
     /// checkpoints) are checked with this before a simulation is built.
     pub fn check(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.drop_prob) {
@@ -212,6 +213,14 @@ impl FaultPlan {
         }
         if self.rto_cap_ps < self.rto_base_ps {
             return Err("rto_cap_ps must be at least rto_base_ps".into());
+        }
+        // A cell delayed past the longest retransmission timeout arrives
+        // after every resend of its frame has timed out.
+        if self.jitter_ps > self.rto_cap_ps {
+            return Err(format!(
+                "jitter_ps must be at most rto_cap_ps ({}), got {}",
+                self.rto_cap_ps, self.jitter_ps
+            ));
         }
         Ok(())
     }
@@ -717,6 +726,20 @@ mod tests {
                 },
                 "rto_cap_ps",
             ),
+            (
+                FaultPlan {
+                    jitter_ps: none.rto_cap_ps + 1,
+                    ..none
+                },
+                "jitter_ps",
+            ),
+            (
+                FaultPlan {
+                    jitter_ps: i64::MAX as u64,
+                    ..none
+                },
+                "jitter_ps",
+            ),
         ];
         for (plan, field) in cases {
             let e = plan.check().expect_err(field);
@@ -730,6 +753,7 @@ mod tests {
             max_frame_bytes: 64,
             rto_base_ps: 1,
             rto_cap_ps: 1,
+            jitter_ps: 1,
             ..none
         };
         assert_eq!(edge.check(), Ok(()));

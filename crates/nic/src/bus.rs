@@ -7,7 +7,7 @@
 //! device used for network links. This path is the one the Message Cache
 //! exists to avoid: a 4 KB page costs ~41 µs to DMA across this bus.
 
-use crate::config::NicConfig;
+use crate::config::{NicConfig, WORD_BYTES};
 use cni_sim::SimTime;
 
 /// A completed bus transaction.
@@ -24,7 +24,6 @@ pub struct BusXfer {
 pub struct MemoryBus {
     acquire: SimTime,
     per_word: SimTime,
-    word_bytes: usize,
     next_free: SimTime,
     bytes_moved: u64,
     transactions: u64,
@@ -36,7 +35,6 @@ impl MemoryBus {
         MemoryBus {
             acquire: cfg.bus(cfg.bus_acquire_cycles),
             per_word: cfg.bus(cfg.bus_cycles_per_word),
-            word_bytes: cfg.word_bytes,
             next_free: SimTime::ZERO,
             bytes_moved: 0,
             transactions: 0,
@@ -46,7 +44,7 @@ impl MemoryBus {
     /// Pure timing: how long a burst of `bytes` occupies the bus
     /// (acquisition + transfer), ignoring queueing.
     pub fn burst_time(&self, bytes: usize) -> SimTime {
-        let words = (bytes as u64).div_ceil(self.word_bytes as u64);
+        let words = (bytes as u64).div_ceil(WORD_BYTES);
         self.acquire + SimTime::from_ps(self.per_word.as_ps() * words)
     }
 

@@ -9,6 +9,10 @@
 use cni_sim::{Clock, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Bytes per memory-bus word: one 64-bit Alpha word, the `u64` unit of
+/// shared memory.
+pub const WORD_BYTES: u64 = 8;
+
 /// Which network-interface personality a node uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NicKind {
@@ -54,8 +58,6 @@ pub struct NicConfig {
     /// Memory bus clock (25 MHz).
     pub bus_clock: Clock,
 
-    /// Bytes per bus word (Alpha: 8).
-    pub word_bytes: usize,
     /// Bus acquisition cost in bus cycles (4).
     pub bus_acquire_cycles: u64,
     /// Bus transfer cost per word in bus cycles (2).
@@ -135,7 +137,6 @@ impl Default for NicConfig {
             host_clock: Clock::from_mhz(166),
             nic_clock: Clock::from_mhz(33),
             bus_clock: Clock::from_mhz(25),
-            word_bytes: 8,
             bus_acquire_cycles: 4,
             bus_cycles_per_word: 2,
             cache_line_bytes: 32,
@@ -193,7 +194,7 @@ impl NicConfig {
 
     /// Words needed to carry `bytes` (rounded up).
     pub fn words(&self, bytes: usize) -> u64 {
-        (bytes as u64).div_ceil(self.word_bytes as u64)
+        (bytes as u64).div_ceil(WORD_BYTES)
     }
 
     /// Per-cell segmentation gap on the transmit side: how often the NIC
