@@ -12,10 +12,11 @@
 //! CNI_BLESS=1 cargo test --test golden_reports
 //! ```
 //!
-//! The ten configs cover the matrix that matters: both NIC kinds, the
+//! The eleven configs cover the matrix that matters: both NIC kinds, the
 //! lossless fast path and the go-back-N fault path, single-switch and
 //! fat-tree fabrics (lossless and lossy with delivery jitter), four
-//! process counts, and both programming paradigms: shared memory, and
+//! process counts, the centralised barrier and combining trees of
+//! fan-out 2 and 16, and both programming paradigms: shared memory, and
 //! message passing through `send_data`/`recv_data`.
 //!
 //! What a fixture may pin: anything observable through the `(time, seq)`
@@ -116,6 +117,19 @@ fn jacobi8_standard_report_is_golden() {
     check_golden(
         "jacobi8_std",
         Config::paper_default().standard(),
+        App::Jacobi { n: 48, iters: 6 },
+    );
+}
+
+#[test]
+fn jacobi8_tree_report_is_golden() {
+    // The canonical configuration with the binary combining-tree
+    // barrier: pins arrivals combined up a fan-out-2 tree and releases
+    // forwarded down it, where the other fixtures run the centralised
+    // manager or the fat-tree's leaf-wide fan-out.
+    check_golden(
+        "jacobi8_tree",
+        Config::paper_default().with_tree_barrier(),
         App::Jacobi { n: 48, iters: 6 },
     );
 }
