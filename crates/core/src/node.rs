@@ -26,9 +26,7 @@ use crate::ctx::{Op, Reply, YieldMsg};
 use crate::gbn::{ChanRx, ChanTx};
 use crate::world::{Ev, Shared};
 use cni_atm::Segmenter;
-use cni_dsm::{
-    DsmConfig, DsmNode, HandleResult, Msg, NodeSpace, NoticeLog, PageId, Payload, ProcId, Work,
-};
+use cni_dsm::{DsmConfig, DsmNode, HandleResult, Msg, NoticeLog, PageId, Payload, ProcId, Work};
 use cni_nic::{Nic, NicConfig, NicKind, RxDisposition, TxRequest};
 use cni_pathfinder::{FieldTest, Pattern};
 use cni_sim::{SimTime, SplitMix64, Task, Yield};
@@ -278,7 +276,6 @@ impl Node {
         dsm_cfg: DsmConfig,
         log: &Rc<NoticeLog>,
     ) -> Self {
-        let space = Rc::new(NodeSpace::new(cfg.page_bytes, cfg.nic.cache_line_bytes));
         let mut nic = Nic::new(cfg.nic_kind, nic_cfg);
         if cfg.nic_kind == NicKind::Cni && cfg.nic.cni_features.aih {
             // Install the DSM protocol as an Application Interrupt
@@ -295,7 +292,7 @@ impl Node {
             id,
             cpu: Cpu::new(),
             nic,
-            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, space, Rc::clone(log)),
+            dsm: DsmNode::new(ProcId(id as u32), dsm_cfg, Rc::clone(log)),
             jitter: SplitMix64::new(cfg.seed ^ 0xC31_0C31 ^ id as u64),
             rel_tx: BTreeMap::new(),
             rel_rx: BTreeMap::new(),

@@ -206,19 +206,20 @@ impl World {
         let injector = (!cfg.faults.is_zero()).then(|| FaultInjector::new(cfg.faults));
         let mut nic_cfg = cfg.nic;
         nic_cfg.page_bytes = cfg.page_bytes;
+        // The barrier is a combining tree. Fan-out N is the paper's
+        // centralised manager at processor 0; the tree barrier is binary.
         // NIC collectives imply the tree barrier (the NIC combines along
-        // a tree); the tree's fan-out follows the fabric — on a fat-tree,
+        // a tree), and on a fat-tree its fan-out follows the fabric:
         // leaf-wide subtrees keep combining traffic off the spine.
-        let tree_barrier = cfg.tree_barrier || cfg.collectives;
         let barrier_arity = match cfg.atm.topology {
             cni_atm::Topology::FatTree { down, .. } if cfg.collectives => down.max(2),
-            _ => 2,
+            _ if cfg.tree_barrier || cfg.collectives => 2,
+            _ => cfg.procs,
         };
         let dsm_cfg = DsmConfig {
             procs: cfg.procs,
             page_bytes: cfg.page_bytes,
             line_bytes: cfg.nic.cache_line_bytes,
-            tree_barrier,
             barrier_arity,
         };
         let fabric = Fabric::new(cfg.atm);
@@ -691,7 +692,6 @@ mod tests {
             procs: 4,
             page_bytes: 2048,
             line_bytes: 32,
-            tree_barrier: true,
             barrier_arity: 2,
         });
         let base = c.alloc(4 * 2048);

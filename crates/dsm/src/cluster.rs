@@ -24,7 +24,6 @@ use std::rc::Rc;
 ///     procs: 2,
 ///     page_bytes: 2048,
 ///     line_bytes: 32,
-///     tree_barrier: false,
 ///     barrier_arity: 2,
 /// });
 /// let base = c.alloc(2048);
@@ -48,10 +47,9 @@ pub struct DsmCluster {
 impl DsmCluster {
     /// Build a cluster of `cfg.procs` engines sharing one notice log.
     pub fn new(cfg: DsmConfig) -> Self {
-        let space = || Rc::new(NodeSpace::new(cfg.page_bytes, cfg.line_bytes));
         let log = Rc::new(NoticeLog::default());
         let nodes = (0..cfg.procs)
-            .map(|p| DsmNode::new(ProcId(p as u32), cfg, space(), Rc::clone(&log)))
+            .map(|p| DsmNode::new(ProcId(p as u32), cfg, Rc::clone(&log)))
             .collect();
         DsmCluster {
             nodes,
@@ -340,19 +338,17 @@ mod tests {
         /// The shared log read through a node's clock is exactly what the
         /// protocol delivered to it, after every delivery of random
         /// lock, barrier, read and write schedules on 2–8 processors under
-        /// the centralised barrier and combining trees of arity 2 and 4.
+        /// combining trees of fan-out N (the centralised barrier), 2 and 4.
         fn each_nodes_view_of_the_log_is_what_was_delivered_to_it(
             procs in 2u32..9,
             barrier in 0usize..3,
             ops in proptest::collection::vec(arb_op(), 1..120),
         ) {
-            let (tree_barrier, barrier_arity) = [(false, 2), (true, 2), (true, 4)][barrier];
             let cfg = DsmConfig {
                 procs: procs as usize,
                 page_bytes: 1024,
                 line_bytes: 32,
-                tree_barrier,
-                barrier_arity,
+                barrier_arity: [procs as usize, 2, 4][barrier],
             };
             let mut t = Checked {
                 c: DsmCluster::new(cfg),

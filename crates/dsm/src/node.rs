@@ -16,9 +16,14 @@
 //! itself is identical in both configurations, exactly as in the paper.
 //!
 //! Lock management is distributed (manager = `lock mod N`, Li/Hudak-style
-//! probable-owner forwarding with chained grant transfer); the barrier
-//! manager is processor 0, or the root of a combining tree
-//! ([`DsmConfig::tree_barrier`]).
+//! probable-owner forwarding with chained grant transfer). The barrier is
+//! a combining tree rooted at processor 0 ([`DsmConfig::barrier_arity`]);
+//! a fan-out of N is the paper's centralised manager.
+//!
+//! A reply or grant the node is not waiting for, a barrier arrival that is
+//! not a tree child's at the epoch being combined, and a reply that does
+//! not fit the page are duplicates or forged: each is dropped with the
+//! node's state unchanged.
 
 use crate::diff::Diff;
 use crate::notices::NoticeLog;
@@ -29,6 +34,7 @@ use cni_trace::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Included};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -41,16 +47,13 @@ pub struct DsmConfig {
     pub page_bytes: usize,
     /// Host cache line size in bytes (dirty-line tracking granularity).
     pub line_bytes: usize,
-    /// Use a combining-tree barrier instead of the centralised manager
-    /// (extension: the manager serialises 2N messages at one node, which
-    /// is the scalability bottleneck at 32 processors; the tree spreads
-    /// them over log N levels).
-    pub tree_barrier: bool,
-    /// Fan-out of the combining tree (k-ary heap layout: the children of
-    /// processor `i` are `k*i+1 ..= k*i+k`). 2 is the classic binary
-    /// tree; a fabric-aware embedder raises it so each subtree matches a
-    /// fat-tree leaf and combining traffic stays off the spine. Must be
-    /// ≥ 2; ignored when `tree_barrier` is false.
+    /// Fan-out of the barrier's combining tree (k-ary heap layout: the
+    /// children of processor `i` are `k*i+1 ..= k*i+k`). `procs` is the
+    /// paper's centralised manager, every other processor a child of
+    /// processor 0, which serialises 2N messages at one node. 2 is the
+    /// binary tree, which spreads them over log N levels; a fabric-aware
+    /// embedder picks a fat-tree leaf's width so each subtree matches a
+    /// leaf and combining traffic stays off the spine. 0 reads as 1.
     pub barrier_arity: usize,
 }
 
@@ -119,13 +122,52 @@ struct HolderState {
     pending: VecDeque<(ProcId, VClock)>,
 }
 
-/// Barrier-manager state (processor 0 only).
+impl HolderState {
+    /// Give up the token, held and free, with the requests queued behind
+    /// it: they travel with the grant.
+    fn hand_over(&mut self) -> Vec<(ProcId, VClock)> {
+        debug_assert!(self.held && !self.in_use);
+        self.held = false;
+        self.pending.drain(..).collect()
+    }
+}
+
+/// This processor's node in the barrier's combining tree.
 #[derive(Debug)]
 struct BarrierMgr {
+    /// The epoch being combined.
     epoch: u32,
-    arrived: u32,
+    /// Arrivals combined this epoch, the node's own and its children's.
+    arrived: u64,
+    /// The tree children, whose arrivals this node combines with its own.
+    children: Range<u64>,
+    /// Where the combined arrival goes; `None` at the root.
+    parent: Option<ProcId>,
     vc: VClock,
     notices: Vec<WriteNotice>,
+}
+
+impl BarrierMgr {
+    /// Processor `me`'s node in a k-ary heap over `procs` processors: the
+    /// children of `i` are `k*i+1 ..= k*i+k` below `procs`, and its parent
+    /// is `(i-1)/k`. The bounds saturate in u64, so no fan-out, N
+    /// included, overflows.
+    fn new(me: ProcId, procs: usize, fan_out: usize) -> Self {
+        let k = fan_out.max(1) as u64;
+        let first = k.saturating_mul(u64::from(me.0)).saturating_add(1);
+        let end = first.saturating_add(k).min(procs as u64);
+        BarrierMgr {
+            epoch: 0,
+            arrived: 0,
+            children: first.min(end)..end,
+            parent: me
+                .0
+                .checked_sub(1)
+                .map(|i| ProcId((u64::from(i) / k) as u32)),
+            vc: VClock::zero(procs),
+            notices: Vec::new(),
+        }
+    }
 }
 
 /// What the application thread is blocked on.
@@ -204,8 +246,8 @@ pub struct DsmNode {
     /// Per allocated page, indexed by id: its home. Sized with the log's
     /// page table; pages past it default to `page mod N`.
     homes: Vec<ProcId>,
-    /// Barrier manager (processor 0).
-    barrier_mgr: Option<BarrierMgr>,
+    /// This processor's node in the barrier's combining tree.
+    barrier: BarrierMgr,
     /// Next barrier epoch this processor will arrive at.
     barrier_epoch: u32,
     /// Own interval watermark already shipped at a barrier.
@@ -216,15 +258,16 @@ pub struct DsmNode {
 }
 
 impl DsmNode {
-    /// Engine for processor `me` of `cfg.procs`, operating on `space` and
-    /// sharing the cluster's write-notice `log` with every other node.
-    pub fn new(me: ProcId, cfg: DsmConfig, space: Rc<NodeSpace>, log: Rc<NoticeLog>) -> Self {
+    /// Engine for processor `me` of `cfg.procs`, on a shared-memory space
+    /// of `cfg`'s page and line sizes, sharing the cluster's write-notice
+    /// `log` with every other node.
+    pub fn new(me: ProcId, cfg: DsmConfig, log: Rc<NoticeLog>) -> Self {
         let n = cfg.procs;
         assert!((me.0 as usize) < n, "proc id out of range");
         DsmNode {
             me,
             cfg,
-            space,
+            space: Rc::new(NodeSpace::new(cfg.page_bytes, cfg.line_bytes)),
             vc: VClock::zero(n),
             log,
             pv: BTreeMap::new(),
@@ -235,12 +278,7 @@ impl DsmNode {
             probable: BTreeMap::new(),
             holders: BTreeMap::new(),
             homes: Vec::new(),
-            barrier_mgr: (me.0 == 0 || cfg.tree_barrier).then(|| BarrierMgr {
-                epoch: 0,
-                arrived: 0,
-                vc: VClock::zero(n),
-                notices: Vec::new(),
-            }),
+            barrier: BarrierMgr::new(me, n, cfg.barrier_arity),
             barrier_epoch: 0,
             barrier_shipped: 0,
             blocked: None,
@@ -468,12 +506,8 @@ impl DsmNode {
         if h.flags.state() == access::INVALID {
             return;
         }
-        if h.flags.state() == access::WRITE {
-            let twin = self
-                .twins
-                .remove(&page)
-                // cni-lint: allow(panic-path) -- the twin is created by this node's own write fault; WRITE state without a twin is a protocol-engine bug, not corrupt input
-                .expect("write-state page must have a twin");
+        // A page written this interval has a twin: keep its writes.
+        if let Some(twin) = self.twins.remove(&page) {
             work.diff_scan_words += twin.len() as u64;
             let d = Diff::create(&twin, &h.frame);
             work.diff_words += d.words() as u64;
@@ -726,30 +760,33 @@ impl DsmNode {
     ) {
         let hs = self.holder_entry(lock);
         if hs.held && !hs.in_use {
+            let then_serve = hs.hand_over();
             debug_assert_ne!(requester, self.me, "self-grant outside acquire path");
-            self.grant(lock, requester, &vc, res);
+            res.out.push(self.grant(lock, requester, &vc, then_serve));
         } else {
             hs.pending.push_back((requester, vc));
         }
     }
 
-    fn grant(&mut self, lock: LockId, to: ProcId, to_vc: &VClock, res: &mut HandleResult) {
-        let notices = self.notices_since(to_vc);
-        // cni-lint: allow(panic-path) -- grant() runs only for locks this node manages and has marked held; an unheld grant is a lock-manager bug
-        let hs = self.holders.get_mut(&lock).expect("granting unheld lock");
-        debug_assert!(hs.held && !hs.in_use);
-        hs.held = false;
-        let then_serve: Vec<(ProcId, VClock)> = hs.pending.drain(..).collect();
-        res.out.push(Msg {
+    /// The grant of `lock`'s token, handed over by its holder with the
+    /// requests queued behind it, to `to`, whose clock is `to_vc`.
+    fn grant(
+        &self,
+        lock: LockId,
+        to: ProcId,
+        to_vc: &VClock,
+        then_serve: Vec<(ProcId, VClock)>,
+    ) -> Msg {
+        Msg {
             src: self.me,
             dst: to,
             payload: Payload::AcquireGrant {
                 lock,
                 vc: self.vc.clone(),
-                notices,
+                notices: self.notices_since(to_vc),
                 then_serve,
             },
-        });
+        }
     }
 
     /// The application releases `lock`. Closes the interval and passes the
@@ -768,7 +805,8 @@ impl DsmNode {
         hs.in_use = false;
         if let Some((next, next_vc)) = hs.pending.pop_front() {
             debug_assert_ne!(next, self.me);
-            self.grant(lock, next, &next_vc, &mut res);
+            let then_serve = hs.hand_over();
+            res.out.push(self.grant(lock, next, &next_vc, then_serve));
         }
         res
     }
@@ -786,105 +824,48 @@ impl DsmNode {
         self.barrier_shipped = self.vc.get(self.me);
         assert!(self.blocked.is_none(), "proc {:?} double-blocked", self.me);
         self.blocked = Some(Blocked::Barrier(epoch));
-        if self.me.0 == 0 || self.cfg.tree_barrier {
-            // Centralised manager, or any tree node: combine the local
-            // arrival (interior tree nodes forward upward once their
-            // subtree is complete).
-            let vc = self.vc.clone();
-            self.barrier_arrive(epoch, self.me, vc, notices, &mut res);
-        } else {
-            res.out.push(Msg {
-                src: self.me,
-                dst: ProcId(0),
-                payload: Payload::BarrierArrive {
-                    epoch,
-                    proc: self.me,
-                    vc: self.vc.clone(),
-                    notices,
-                },
-            });
-        }
+        let vc = self.vc.clone();
+        self.barrier_combine(vc, notices, &mut res);
         res
     }
 
-    /// Combining-tree children of this processor (k-ary heap layout:
-    /// children of `i` are `k*i+1 ..= k*i+k`).
-    fn tree_children(&self) -> impl Iterator<Item = ProcId> {
-        let n = self.cfg.procs as u32;
-        let k = self.cfg.barrier_arity.max(2) as u32;
-        let me = self.me.0;
-        (k * me + 1..=k * me + k)
-            .filter(move |&c| c < n)
-            .map(ProcId)
-    }
-
-    /// Combining-tree parent of this processor (`(i-1)/k`; only
-    /// meaningful for `me != 0`).
-    fn tree_parent(&self) -> ProcId {
-        let k = self.cfg.barrier_arity.max(2) as u32;
-        ProcId((self.me.0 - 1) / k)
-    }
-
-    /// How many arrivals this processor combines before passing up: its
-    /// own plus one per subtree child (tree mode), or all N (centralised
-    /// manager at processor 0).
-    fn barrier_expected(&self) -> u32 {
-        if self.cfg.tree_barrier {
-            1 + self.tree_children().count() as u32
-        } else {
-            self.cfg.procs as u32
-        }
-    }
-
-    fn barrier_arrive(
-        &mut self,
-        epoch: u32,
-        _proc: ProcId,
-        vc: VClock,
-        notices: Vec<WriteNotice>,
-        res: &mut HandleResult,
-    ) {
-        let expected = self.barrier_expected();
-        let mgr = self
-            .barrier_mgr
-            .as_mut()
-            // cni-lint: allow(panic-path) -- only the configured barrier manager node receives BarrierArrive; missing combining state is a routing bug in this engine
-            .expect("barrier combining state present");
-        debug_assert_eq!(mgr.epoch, epoch, "barrier epoch skew");
+    /// Combine one arrival, this node's own or a tree child's, into the
+    /// epoch. Once its own and every child's are in, an interior node
+    /// passes the combined arrival to its parent, and the root releases
+    /// the barrier.
+    fn barrier_combine(&mut self, vc: VClock, notices: Vec<WriteNotice>, res: &mut HandleResult) {
+        let mgr = &mut self.barrier;
         mgr.arrived += 1;
         mgr.vc.merge(&vc);
         mgr.notices.extend(notices);
-        if mgr.arrived < expected {
+        if mgr.arrived <= mgr.children.end - mgr.children.start {
             return;
         }
+        let epoch = mgr.epoch;
         let combined_vc = mgr.vc.clone();
         let mut combined_notices = std::mem::take(&mut mgr.notices);
         mgr.arrived = 0;
         mgr.epoch += 1;
-        if self.cfg.tree_barrier && self.me.0 != 0 {
-            // Subtree complete: pass the combined arrival to the parent;
-            // the release will come back down the tree.
+        if let Some(parent) = mgr.parent {
+            // Subtree complete: the release will come back down the tree.
             res.out.push(Msg {
                 src: self.me,
-                dst: self.tree_parent(),
+                dst: parent,
                 payload: Payload::BarrierArrive {
                     epoch,
-                    proc: self.me,
                     vc: combined_vc,
                     notices: combined_notices,
                 },
             });
             return;
         }
-        // Root (or centralised manager): release. Sort the union once here;
-        // every receiver shares this one list and walks it in order.
+        // Root: release. Sort the union once here; every receiver shares
+        // this one list and walks it in order.
         combined_notices.sort_unstable_by_key(|n| (n.writer, n.interval, n.page));
         let combined_notices: Arc<[WriteNotice]> = combined_notices.into();
         self.send_barrier_release(epoch, &combined_vc, &combined_notices, &mut res.out);
-        let mut work = Work::default();
-        let wakeup = self.apply_barrier_release(epoch, &combined_vc, &combined_notices, &mut work);
-        res.work.add(&work);
-        res.wakeup = wakeup;
+        res.wakeup =
+            self.apply_barrier_release(epoch, &combined_vc, &combined_notices, &mut res.work);
     }
 
     fn apply_barrier_release(
@@ -906,10 +887,9 @@ impl DsmNode {
         }
     }
 
-    /// Send a barrier release on, sharing its notice list: the centralised
-    /// manager sends it to every other processor, and a tree node to its
-    /// children (the root first, then every interior node before applying
-    /// the release it received).
+    /// Send a barrier release on to this node's tree children, sharing its
+    /// notice list: the root first, then every interior node before
+    /// applying the release it received.
     fn send_barrier_release(
         &self,
         epoch: u32,
@@ -917,20 +897,15 @@ impl DsmNode {
         notices: &Arc<[WriteNotice]>,
         out: &mut Vec<Msg>,
     ) {
-        let release = |dst| Msg {
+        out.extend(self.barrier.children.clone().map(|c| Msg {
             src: self.me,
-            dst,
+            dst: ProcId(c as u32),
             payload: Payload::BarrierRelease {
                 epoch,
                 vc: vc.clone(),
                 notices: Arc::clone(notices),
             },
-        };
-        if self.cfg.tree_barrier {
-            out.extend(self.tree_children().map(release));
-        } else if self.me.0 == 0 {
-            out.extend((1..self.cfg.procs as u32).map(ProcId).map(release));
-        }
+        }));
     }
 
     // --- Message dispatch -------------------------------------------------------
@@ -967,7 +942,7 @@ impl DsmNode {
                 vc,
                 notices,
                 then_serve,
-            } => {
+            } if matches!(self.blocked, Some(Blocked::Acquire(l)) if l == lock) => {
                 self.vc.merge_except(&vc, self.me);
                 self.integrate_notices(&notices, &mut work);
                 let hs = self.holders.entry(lock).or_default();
@@ -975,23 +950,19 @@ impl DsmNode {
                 hs.held = true;
                 hs.in_use = true;
                 hs.pending.extend(then_serve);
-                match self.blocked {
-                    Some(Blocked::Acquire(l)) if l == lock => {
-                        self.blocked = None;
-                        res.wakeup = Some(Wakeup::AcquireDone(lock));
-                    }
-                    // cni-lint: allow(panic-path) -- a LockGrant only ever answers this node's own AcquireReq; any other blocked state is a protocol-engine bug
-                    ref b => panic!("grant for {lock:?} while {:?} blocked on {b:?}", self.me),
-                }
+                self.blocked = None;
+                res.wakeup = Some(Wakeup::AcquireDone(lock));
             }
-            Payload::BarrierArrive {
-                epoch,
-                proc,
-                vc,
-                notices,
-            } => {
-                self.barrier_arrive(epoch, proc, vc, notices, &mut res);
+            Payload::BarrierArrive { epoch, vc, notices }
+                if epoch == self.barrier.epoch
+                    && self.barrier.children.contains(&u64::from(msg.src.0)) =>
+            {
+                self.barrier_combine(vc, notices, &mut res);
             }
+            // A grant the node is not waiting for, or an arrival that is
+            // not a tree child's at the epoch being combined: a duplicate
+            // or forged message. Dropped.
+            Payload::AcquireGrant { .. } | Payload::BarrierArrive { .. } => {}
             Payload::BarrierRelease { epoch, vc, notices } => {
                 self.send_barrier_release(epoch, &vc, &notices, &mut res.out);
                 res.wakeup = self.apply_barrier_release(epoch, &vc, &notices, &mut work);
@@ -1082,18 +1053,17 @@ impl DsmNode {
         work: &mut Work,
         out: &mut Vec<Msg>,
     ) -> Option<Wakeup> {
-        let (want_write, fault_page) = match &self.blocked {
+        let want_write = match &self.blocked {
             Some(Blocked::Fault {
                 page: p,
                 want_write,
                 awaiting_page: true,
                 ..
-            }) => (*want_write, *p),
-            // Not waiting for a page: a duplicate or forged reply. Drop it
-            // before it touches a frame.
+            }) if *p == page => *want_write,
+            // Not waiting for this page: a duplicate or forged reply. Drop
+            // it before it touches a frame.
             _ => return None,
         };
-        debug_assert_eq!(fault_page, page, "PageResp for wrong page");
         let h = self.space.page(page);
         if data.len() != h.frame.len() {
             // Not one page: a forged reply. Drop it; the fault keeps
@@ -1201,47 +1171,45 @@ impl DsmNode {
             // fault keeps waiting for the writer's real one.
             return None;
         }
-        let (want_write, done) = match &mut self.blocked {
-            Some(Blocked::Fault {
-                page: p,
-                want_write,
-                awaiting_page: false,
-                outstanding,
-                buffered,
-                committed,
-            }) => {
-                debug_assert_eq!(*p, page, "DiffResp for wrong page");
-                let upto = outstanding
-                    .remove(&writer)
-                    // cni-lint: allow(panic-path) -- the outstanding set was built from this node's own DiffReq fan-out; a reply from outside it is an engine bug
-                    .expect("DiffResp from unexpected writer");
-                for ((i, vc), d) in intervals.into_iter().zip(vcs).zip(diffs) {
-                    debug_assert!(i <= upto);
-                    buffered.push((writer, i, vc, d));
-                }
-                // Do NOT raise pv yet: the diffs are only buffered. Raising
-                // early would let a concurrent PageReq be served with a
-                // version vector claiming updates the frame does not hold —
-                // a lost update at the requester.
-                committed.push((writer, upto));
-                (*want_write, outstanding.is_empty())
-            }
-            // Not waiting for diffs: a duplicate or forged reply. Drop it.
+        // Only a reply to one of this fault's own requests is taken: a
+        // duplicate, forged or stray one is dropped before it is buffered.
+        let Some(Blocked::Fault {
+            page: p,
+            awaiting_page: false,
+            outstanding,
+            buffered,
+            committed,
+            ..
+        }) = &mut self.blocked
+        else {
+            return None;
+        };
+        let upto = match outstanding.get(&writer) {
+            Some(&upto) if *p == page && intervals.iter().all(|&i| i <= upto) => upto,
             _ => return None,
         };
-        if !done {
+        outstanding.remove(&writer);
+        for ((i, vc), d) in intervals.into_iter().zip(vcs).zip(diffs) {
+            buffered.push((writer, i, vc, d));
+        }
+        // Do NOT raise pv yet: the diffs are only buffered. Raising early
+        // would let a concurrent PageReq be served with a version vector
+        // claiming updates the frame does not hold — a lost update at the
+        // requester.
+        committed.push((writer, upto));
+        if !outstanding.is_empty() {
             return None;
         }
-        let Some(Blocked::Fault {
+        if let Some(Blocked::Fault {
+            want_write,
             buffered,
             committed,
             ..
         }) = self.blocked.take()
-        else {
-            // cni-lint: allow(panic-path) -- the match above returned unless self.blocked is this exact Fault variant; the take() cannot observe anything else
-            unreachable!("checked above");
-        };
-        self.finish_diff_merge(page, want_write, buffered, committed, work)
+        {
+            return self.finish_diff_merge(page, want_write, buffered, committed, work);
+        }
+        None
     }
 }
 
@@ -1272,7 +1240,6 @@ mod tests {
             procs,
             page_bytes: 2048,
             line_bytes: 32,
-            tree_barrier: true,
             barrier_arity: 16,
         }
     }
@@ -1280,12 +1247,7 @@ mod tests {
     /// Processor `me` of `procs` on its own log, with pages `0..pages`
     /// registered round-robin.
     fn node_with_pages(me: u32, procs: usize, pages: u32) -> DsmNode {
-        let mut node = DsmNode::new(
-            ProcId(me),
-            config(procs),
-            Rc::new(NodeSpace::new(2048, 32)),
-            Rc::new(NoticeLog::default()),
-        );
+        let mut node = DsmNode::new(ProcId(me), config(procs), Rc::new(NoticeLog::default()));
         for p in 0..pages {
             node.set_home(PageId(p), ProcId(p % procs as u32));
         }
@@ -1398,12 +1360,7 @@ mod tests {
     #[test]
     fn set_home_sizes_the_tables_and_keeps_round_robin_gaps() {
         let mut node = node_with_pages(0, 4, 0);
-        let mut peer = DsmNode::new(
-            ProcId(1),
-            config(4),
-            Rc::new(NodeSpace::new(2048, 32)),
-            Rc::clone(&node.log),
-        );
+        let mut peer = DsmNode::new(ProcId(1), config(4), Rc::clone(&node.log));
         assert_eq!(node.page_home(PageId(6)), ProcId(2));
         node.set_home(PageId(5), ProcId(0));
         assert_eq!((node.homes.len(), node.log.segment_pages()), (6, 6));
@@ -1444,7 +1401,7 @@ mod tests {
         // a zero frame, and the log takes only the write inside, so no
         // barrier and no grant carries the other.
         let mut c = crate::DsmCluster::new(DsmConfig {
-            tree_barrier: false,
+            barrier_arity: 4,
             ..config(4)
         });
         let base = c.alloc(2 * 2048);
@@ -1622,13 +1579,18 @@ mod tests {
 
     /// Writer 2's diff of page 1 for its interval 1.
     fn diff_resp(entries: Vec<(u32, u64)>) -> Msg {
+        diff_from(2, 1, 1, entries)
+    }
+
+    /// Writer `w`'s diff of `page` for its interval `i`.
+    fn diff_from(w: u32, page: u32, i: u32, entries: Vec<(u32, u64)>) -> Msg {
         Msg {
-            src: ProcId(2),
+            src: ProcId(w),
             dst: ProcId(0),
             payload: Payload::DiffResp {
-                page: PageId(1),
-                writer: ProcId(2),
-                intervals: vec![1],
+                page: PageId(page),
+                writer: ProcId(w),
+                intervals: vec![i],
                 vcs: vec![VClock(vec![0, 0, 1, 0])],
                 diffs: vec![Diff { entries }],
             },
@@ -1636,13 +1598,19 @@ mod tests {
     }
 
     /// Deliver `msg`, which the node must drop: no message out, no
-    /// wake-up, and the fault state, page versions and clock as before.
+    /// wake-up, and the fault state, page versions, clock, lock tokens and
+    /// barrier state as before.
     fn assert_dropped(node: &mut DsmNode, msg: Msg) {
-        let before = format!("{:?} {:?} {:?}", node.blocked, node.pv, node.vc);
+        let state = |node: &DsmNode| {
+            format!(
+                "{:?} {:?} {:?} {:?} {:?} {}",
+                node.blocked, node.pv, node.vc, node.holders, node.barrier, node.barrier_epoch
+            )
+        };
+        let before = state(node);
         let res = node.on_message(msg);
         assert!(res.out.is_empty() && res.wakeup.is_none());
-        let after = format!("{:?} {:?} {:?}", node.blocked, node.pv, node.vc);
-        assert_eq!(before, after);
+        assert_eq!(before, state(node));
     }
 
     /// A page or diff reply comes from the wire. One that does not fit
@@ -1725,6 +1693,143 @@ mod tests {
         let frame = &node.space().page(PageId(1)).frame;
         assert_eq!((frame.load(0), frame.load(3)), (42, 7));
         assert_eq!(node.pv[&PageId(1)], VClock(vec![0, 0, 1, 2]));
+    }
+
+    /// A page reply for a page other than the faulting one is dropped
+    /// before it touches a frame, and the real reply and diff that follow
+    /// complete the fault as they would alone.
+    #[test]
+    fn a_page_reply_for_another_page_is_dropped() {
+        let mut node = node_with_concurrent_writers();
+        node.on_read_fault(PageId(1));
+        let other = Payload::PageResp {
+            page: PageId(0),
+            version: VClock::zero(4),
+            data: copy(5),
+        };
+        assert_dropped(
+            &mut node,
+            Msg {
+                payload: other,
+                ..page_resp(vec![])
+            },
+        );
+        assert!(node.space().try_page(PageId(0)).is_none(), "no frame made");
+        let res = node.on_message(page_resp(copy(42)));
+        assert_eq!(res.out.len(), 1, "one DiffReq, to writer 2");
+        let res = node.on_message(diff_resp(vec![(3, 7)]));
+        assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
+        let frame = &node.space().page(PageId(1)).frame;
+        assert_eq!((frame.load(0), frame.load(3)), (42, 7));
+    }
+
+    /// A diff reply counts only from a writer the fault asked, for the
+    /// faulting page and within the intervals asked for. Processor 0 asked
+    /// writer 2 for page 1 up to interval 1: a reply from writer 3 (which
+    /// served the page) or from processor 9, one for page 0 and one
+    /// carrying interval 2 are each dropped, and writer 2's real reply
+    /// completes the fault as it would alone.
+    #[test]
+    fn a_diff_reply_from_a_writer_not_asked_is_dropped() {
+        let mut node = node_with_concurrent_writers();
+        node.on_read_fault(PageId(1));
+        node.on_message(page_resp(copy(42)));
+        for (w, page, i) in [(3, 1, 1), (9, 1, 1), (2, 0, 1), (2, 1, 2)] {
+            assert_dropped(&mut node, diff_from(w, page, i, vec![(3, 5)]));
+        }
+        let res = node.on_message(diff_resp(vec![(3, 7)]));
+        assert_eq!(res.wakeup, Some(Wakeup::FaultDone(PageId(1))));
+        let frame = &node.space().page(PageId(1)).frame;
+        assert_eq!((frame.load(0), frame.load(3)), (42, 7));
+        assert_eq!(node.pv[&PageId(1)], VClock(vec![0, 0, 1, 2]));
+    }
+
+    /// A lock grant reaches a node that is not waiting for it: an idle
+    /// node, one waiting for another lock, or one already granted (a
+    /// duplicate). The node drops it, its clock, copies and tokens
+    /// untouched; the real grant still completes the acquire.
+    #[test]
+    fn a_grant_the_node_is_not_waiting_for_is_dropped() {
+        let mut node = node_with_pages(0, 4, 2);
+        node.init_home_page(PageId(0));
+        node.log.publish_write(ProcId(1), 1, PageId(0));
+        let forged = |lock| grant(lock, VClock(vec![0, 1, 0, 0]), vec![notice(1, 1, 0)]);
+        assert_dropped(&mut node, forged(1));
+        node.on_acquire(LockId(2));
+        assert_dropped(&mut node, forged(1));
+        let res = node.on_message(grant(2, VClock::zero(4), vec![]));
+        assert_eq!(res.wakeup, Some(Wakeup::AcquireDone(LockId(2))));
+        assert_dropped(&mut node, forged(2));
+        assert_eq!(node.stats().notices_in, 0);
+        assert_eq!(
+            node.space().page(PageId(0)).flags.state(),
+            access::READ,
+            "no notice invalidated the copy"
+        );
+    }
+
+    /// A barrier arrival counts only from a tree child at the epoch being
+    /// combined. Processor 0 of 4 on a binary tree combines 1 and 2 (3 is
+    /// 1's child): an arrival from 3, from 0 itself or from processor 9,
+    /// and one of another epoch, are each dropped, and the real ones
+    /// release the barrier as they would alone. Under fan-out N no
+    /// processor but 0 has children, so processor 2 drops every arrival.
+    #[test]
+    fn an_arrival_not_from_a_child_at_this_epoch_is_dropped() {
+        let arrive = |src, dst, epoch| Msg {
+            src: ProcId(src),
+            dst: ProcId(dst),
+            payload: Payload::BarrierArrive {
+                epoch,
+                vc: VClock(vec![0, 0, 0, 1]),
+                notices: vec![],
+            },
+        };
+        let log = Rc::new(NoticeLog::default());
+        let fan_out = |k| DsmConfig {
+            barrier_arity: k,
+            ..config(4)
+        };
+        let mut root = DsmNode::new(ProcId(0), fan_out(2), Rc::clone(&log));
+        for (src, epoch) in [(3, 0), (0, 0), (9, 0), (1, 1), (2, u32::MAX)] {
+            assert_dropped(&mut root, arrive(src, 0, epoch));
+        }
+        assert!(root.on_message(arrive(1, 0, 0)).out.is_empty());
+        assert!(root.on_barrier().out.is_empty());
+        let res = root.on_message(arrive(2, 0, 0));
+        let released: Vec<_> = res
+            .out
+            .iter()
+            .map(|m| match &m.payload {
+                Payload::BarrierRelease { epoch, vc, .. } => (m.dst, *epoch, vc.clone()),
+                other => panic!("expected a release, got {other:?}"),
+            })
+            .collect();
+        let vc = VClock(vec![0, 0, 0, 1]);
+        assert_eq!(released, [(ProcId(1), 0, vc.clone()), (ProcId(2), 0, vc)]);
+        assert_eq!(res.wakeup, Some(Wakeup::BarrierDone(0)));
+
+        let mut leaf = DsmNode::new(ProcId(2), fan_out(4), log);
+        for src in [0, 1, 3] {
+            assert_dropped(&mut leaf, arrive(src, 2, 0));
+        }
+    }
+
+    /// The tree's bounds saturate in u64: fan-out N puts every processor
+    /// under 0 even where `k*i` overflows a u32 (N = 70,000), and so does
+    /// a fan-out of `usize::MAX`.
+    #[test]
+    fn a_fan_out_of_n_never_overflows() {
+        let n = 70_000;
+        for fan_out in [n, usize::MAX] {
+            let root = BarrierMgr::new(ProcId(0), n, fan_out);
+            assert_eq!((root.children, root.parent), (1..70_000, None));
+            let leaf = BarrierMgr::new(ProcId(69_999), n, fan_out);
+            assert_eq!(
+                (leaf.children.is_empty(), leaf.parent),
+                (true, Some(ProcId(0)))
+            );
+        }
     }
 
     /// Only a node advances its own clock component. A grant or barrier

@@ -22,9 +22,9 @@ pub mod kind {
     pub const ACQUIRE_FWD: u8 = 0xD1;
     /// Lock grant with piggybacked write notices.
     pub const ACQUIRE_GRANT: u8 = 0xD2;
-    /// Barrier arrival (client to manager).
+    /// Barrier arrival (tree child to parent).
     pub const BARRIER_ARRIVE: u8 = 0xD3;
-    /// Barrier release broadcast.
+    /// Barrier release (tree parent to children).
     pub const BARRIER_RELEASE: u8 = 0xD4;
     /// Full-page fetch request.
     pub const PAGE_REQ: u8 = 0xD5;
@@ -70,18 +70,18 @@ pub enum Payload {
         /// Requests queued behind this one (chain transfer).
         then_serve: Vec<(ProcId, VClock)>,
     },
-    /// Client reached the barrier.
+    /// A subtree reached the barrier: a tree child's combined arrival,
+    /// sent to its parent.
     BarrierArrive {
         /// Barrier epoch.
         epoch: u32,
-        /// Arriving processor.
-        proc: ProcId,
-        /// Its vector time.
+        /// The subtree's merged vector time.
         vc: VClock,
-        /// Its own write notices created since the last barrier.
+        /// The subtree's write notices created since the last barrier.
         notices: Vec<WriteNotice>,
     },
-    /// Manager releases the barrier.
+    /// The root releases the barrier; each node forwards it to its tree
+    /// children.
     BarrierRelease {
         /// Barrier epoch.
         epoch: u32,
@@ -276,7 +276,6 @@ mod tests {
             },
             Payload::BarrierArrive {
                 epoch: 0,
-                proc: ProcId(0),
                 vc: vc.clone(),
                 notices: vec![],
             },

@@ -3,7 +3,7 @@
 //! (`then_serve`) that keep queued requests moving when several
 //! processors pile onto one lock.
 
-use cni_dsm::{DsmConfig, DsmNode, LockId, Msg, NodeSpace, NoticeLog, ProcId, Wakeup};
+use cni_dsm::{DsmConfig, DsmNode, LockId, Msg, NoticeLog, ProcId, Wakeup};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -19,16 +19,12 @@ impl Net {
             procs: n,
             page_bytes: 1024,
             line_bytes: 32,
-            tree_barrier: false,
-            barrier_arity: 2,
+            barrier_arity: n,
         };
         let log = Rc::new(NoticeLog::default());
         Net {
             nodes: (0..n)
-                .map(|p| {
-                    let space = Rc::new(NodeSpace::new(1024, 32));
-                    DsmNode::new(ProcId(p as u32), cfg, space, Rc::clone(&log))
-                })
+                .map(|p| DsmNode::new(ProcId(p as u32), cfg, Rc::clone(&log)))
                 .collect(),
             queue: VecDeque::new(),
             wakeups: vec![Vec::new(); n],

@@ -7,13 +7,13 @@
 
 use cni_dsm::{DsmCluster, DsmConfig, LockId, PageId, ProcId};
 
+/// `procs` processors on the centralised barrier (fan-out N).
 fn cluster(procs: usize) -> DsmCluster {
     DsmCluster::new(DsmConfig {
         procs,
         page_bytes: 2048,
         line_bytes: 32,
-        tree_barrier: false,
-        barrier_arity: 2,
+        barrier_arity: procs,
     })
 }
 
@@ -368,7 +368,6 @@ fn tree_barrier_publishes_all_writers() {
         procs: 7, // a full-ish binary tree: 0 -> (1,2) -> (3,4,5,6)
         page_bytes: 2048,
         line_bytes: 32,
-        tree_barrier: true,
         barrier_arity: 2,
     });
     let base = c.alloc(7 * 2048);
@@ -391,31 +390,34 @@ fn tree_barrier_publishes_all_writers() {
 
 #[test]
 fn tree_barrier_matches_central_message_pattern() {
-    // Tree mode spreads arrivals across log N levels; the centralised
-    // manager takes all N-1 at processor 0.
-    let run = |tree: bool| {
+    // Fan-out N is the centralised manager: processor 0 takes all N-1
+    // arrivals and sends all N-1 releases. A binary tree spreads them over
+    // log N levels, but every other processor still sends one arrival and
+    // gets one release: 2(N-1) messages per barrier either way.
+    for fan_out in [8, 2] {
         let mut c = DsmCluster::new(DsmConfig {
             procs: 8,
             page_bytes: 2048,
             line_bytes: 32,
-            tree_barrier: tree,
-            barrier_arity: 2,
+            barrier_arity: fan_out,
         });
         let base = c.alloc(8 * 2048);
-        for p in 0..8u64 {
-            c.write_u64(ProcId(p as u32), base.add(p * 2048), p + 1);
+        for round in 1..=2u64 {
+            for p in 0..8u64 {
+                c.write_u64(ProcId(p as u32), base.add(p * 2048), round * 10 + p);
+            }
+            let before = c.messages();
+            c.barrier_all();
+            assert_eq!(
+                c.messages() - before,
+                2 * 7,
+                "fan-out {fan_out}, round {round}"
+            );
+            for p in 0..8u64 {
+                assert_eq!(c.read_u64(ProcId(0), base.add(p * 2048)), round * 10 + p);
+            }
         }
-        c.barrier_all();
-        for p in 0..8u64 {
-            assert_eq!(c.read_u64(ProcId(0), base.add(p * 2048)), p + 1);
-        }
-        c.messages()
-    };
-    // Both complete correctly; the tree uses the same order of messages
-    // (N-1 arrivals + N-1 releases) but no single hot node.
-    let central = run(false);
-    let tree = run(true);
-    assert!(tree > 0 && central > 0);
+    }
 }
 
 /// A 64-processor cluster on a combining tree of fan-out 16, the host-port
@@ -426,7 +428,6 @@ fn wide_tree_cluster() -> DsmCluster {
         procs: 64,
         page_bytes: 2048,
         line_bytes: 32,
-        tree_barrier: true,
         barrier_arity: 16,
     })
 }
@@ -484,18 +485,17 @@ fn far_apart_writers_of_one_page_merge_through_diffs() {
 /// no longer sorts on receipt. Here each processor dirties two pages per
 /// interval and closes two intervals per round, all 20 write every page,
 /// and the lists travel on lock grants, through the centralised barrier
-/// and down combining trees of fan-out 2 and 16, whose arrivals reach the
-/// root out of writer order.
+/// (fan-out N) and down combining trees of fan-out 2 and 16, whose
+/// arrivals reach the root out of writer order.
 #[test]
 fn notice_lists_arrive_sorted_at_every_receiver() {
     const PROCS: u32 = 20;
     const PAGES: u64 = 4;
-    for (tree_barrier, barrier_arity) in [(false, 2), (true, 2), (true, 16)] {
+    for barrier_arity in [PROCS as usize, 2, 16] {
         let mut c = DsmCluster::new(DsmConfig {
             procs: PROCS as usize,
             page_bytes: 2048,
             line_bytes: 32,
-            tree_barrier,
             barrier_arity,
         });
         let base = c.alloc(PAGES as usize * 2048);
@@ -519,7 +519,7 @@ fn notice_lists_arrive_sorted_at_every_receiver() {
                         assert_eq!(
                             c.read_u64(reader, word(p, page)),
                             value(round, p, page),
-                            "tree {tree_barrier} arity {barrier_arity} round {round}: \
+                            "fan-out {barrier_arity} round {round}: \
                              {reader:?} missed proc {p} on page {page}"
                         );
                     }

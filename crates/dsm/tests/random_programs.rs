@@ -2,8 +2,8 @@
 //! through the synchronous DSM cluster must agree with a flat reference
 //! memory. This is the release-consistency contract checked in bulk:
 //! every read under a lock sees exactly the value the serialised lock
-//! order produced. Each case runs under the centralised barrier or a
-//! combining tree of arity 2 or 4.
+//! order produced. Each case runs on a combining-tree barrier of fan-out
+//! N (the centralised barrier), 2 or 4.
 
 use cni_dsm::{DsmCluster, DsmConfig, LockId, ProcId, VAddr};
 use proptest::prelude::*;
@@ -20,16 +20,14 @@ struct Cs {
 }
 
 /// The cluster for `procs` processors, `page_bytes` pages and barrier
-/// kind `barrier`: 0 centralised, 1 a binary combining tree, 2 a tree of
-/// arity 4.
+/// kind `barrier`: 0 centralised (fan-out N), 1 a binary combining tree,
+/// 2 a tree of fan-out 4.
 fn cluster(procs: usize, page_bytes: usize, barrier: usize) -> DsmCluster {
-    let (tree_barrier, barrier_arity) = [(false, 2), (true, 2), (true, 4)][barrier];
     DsmCluster::new(DsmConfig {
         procs,
         page_bytes,
         line_bytes: 32,
-        tree_barrier,
-        barrier_arity,
+        barrier_arity: [procs, 2, 4][barrier],
     })
 }
 
