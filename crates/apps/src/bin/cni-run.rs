@@ -69,7 +69,8 @@ water:    --molecules N (default 216) --steps N (default 2)
 cholesky: --matrix <bcsstk14|bcsstk15> (default bcsstk14)
 latency:  --bytes N (message size, default 4096)
 
-single-run options (a mode exits 2 on a flag it does not read):
+single-run options (a mode exits 2 on a flag it does not read, and on
+a flag without the partner flag it is read with):
   --json              machine-readable output (every mode)
   --compare           run both interfaces and print both
   --brownout L:S:E    total cell loss on link L from S to E (virtual
@@ -77,12 +78,15 @@ single-run options (a mode exits 2 on a flag it does not read):
   --obs               causal span tracing + analysis: stage
                       decomposition, critical path, utilization
   --trace PATH        record simulation events to PATH
-  --trace-format F    chrome (default) | jsonl; also read by --sweep
-  --metrics-interval-us N  metrics sample spacing in virtual us
-                      (default 100, which --obs uses; 0 disables)
+  --trace-format F    chrome (default) | jsonl, with --trace; also read
+                      by --sweep, with --trace-dir
+  --metrics-interval-us N  metrics sample spacing in virtual us, with
+                      --trace and without --obs, which samples every
+                      100 us (default 100; 0 disables)
   --checkpoint-every N  seal a snapshot after every N events as
                       DIR/ck-<events>.cnisnap; also read by --sweep
-  --checkpoint-dir DIR  snapshot directory (default cni-checkpoints)
+  --checkpoint-dir DIR  snapshot directory, with --checkpoint-every
+                      (default cni-checkpoints)
 
 resume and fork (the run comes from the snapshot):
   --resume PATH       finish it, byte-identical to the uninterrupted run
@@ -130,6 +134,15 @@ const FLAGS: [(&str, bool, &[&str]); 18] = [
     ("out", true, &[SWEEP]),
     ("trace-dir", true, &[SWEEP]),
     ("resume-dir", true, &[SWEEP]),
+];
+
+/// Flags a mode reads only beside a partner flag: (flag, partner, mode).
+/// Alone, the flag would be dropped, so it exits 2 naming the partner.
+const PARTNERS: [(&str, &str, &str); 4] = [
+    ("trace-format", "trace", RUN),
+    ("trace-format", "trace-dir", SWEEP),
+    ("metrics-interval-us", "trace", RUN),
+    ("checkpoint-dir", "checkpoint-every", RUN),
 ];
 
 /// Whether `--name` takes a value, and the modes that read it; `None` if
@@ -594,6 +607,16 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             return Err(format!("--{name} cannot be combined with {mode}"));
         }
     }
+    if args.contains_key("obs") && args.contains_key("metrics-interval-us") {
+        return Err("--metrics-interval-us cannot be combined with --obs \
+                    (which samples every 100 us)"
+            .into());
+    }
+    for (name, partner, m) in PARTNERS {
+        if m == mode && args.contains_key(name) && !args.contains_key(partner) {
+            return Err(format!("--{name} is read only with --{partner}"));
+        }
+    }
     let jsonl = match value(args, "trace-format") {
         None | Some("chrome") => false,
         Some("jsonl") => true,
@@ -726,7 +749,7 @@ fn run_single(args: &Args, jsonl: bool) -> Result<ExitCode, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{flag, write_records, EVERY_MODE, FLAGS, FORK, RUN, USAGE};
+    use super::{flag, write_records, EVERY_MODE, FLAGS, FORK, PARTNERS, RUN, USAGE};
     use cni_apps::sweep::{run_key, FAULT_KEYS, KNOWN_KEYS, SWITCH_KEYS};
     use std::collections::BTreeSet;
     use std::io::{self, Write};
@@ -763,8 +786,9 @@ mod tests {
 
     /// Each flag is listed once and read by some mode; a run key's flag
     /// is a switch exactly when the key takes a boolean, a single run
-    /// reads it, and `--fork-at` reads exactly the fault keys; and every
-    /// mode reads `--json`.
+    /// reads it, and `--fork-at` reads exactly the fault keys; every
+    /// mode reads `--json`; and a flag and its partner are both read by
+    /// the mode that pairs them.
     #[test]
     fn flag_tables_are_consistent() {
         let flags = every_flag();
@@ -781,6 +805,12 @@ mod tests {
         }
         for key in SWITCH_KEYS.into_iter().chain(FAULT_KEYS) {
             assert!(KNOWN_KEYS.contains(&key), "{key} is no sweep key");
+        }
+        for (name, partner, mode) in PARTNERS {
+            for f in [name, partner] {
+                let read = flag(f).is_some_and(|(_, modes)| modes.contains(&mode));
+                assert!(read, "{mode} does not read --{f}");
+            }
         }
         assert_eq!(flag("json"), Some((false, EVERY_MODE)));
         assert_eq!(flag("label"), None, "a run's label is no flag");

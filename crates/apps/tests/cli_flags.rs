@@ -1,9 +1,10 @@
 //! `cni-run` refuses input it cannot honour with exit code 2 and a
 //! message, instead of panicking or silently dropping it: configurations
 //! that fail `Config::check`, from flags or a sweep file, values past
-//! their bounds, flags it does not know, and flags its mode does not
-//! read. A single run's flags describe the same run as a one-entry
-//! sweep: both write the same trace.
+//! their bounds, flags it does not know, flags its mode does not read,
+//! and flags without the partner flag they are read with. A single run's
+//! flags describe the same run as a one-entry sweep: both write the same
+//! trace.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -290,6 +291,67 @@ fn each_mode_refuses_the_flags_it_does_not_read() {
             "a refused run wrote {written}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag read only beside a partner flag exits 2 and names the partner
+/// instead of being dropped: a trace format without a trace (or, in a
+/// sweep, a trace directory), a metrics interval without a trace, and a
+/// checkpoint directory without a checkpoint interval. `--obs` samples
+/// every 100 us, so it refuses a metrics interval. Nothing runs, so
+/// nothing is written.
+#[test]
+fn flags_without_their_partner_exit_2() {
+    let dir = tmp_dir("partners");
+    let spec = dir.join("s.json");
+    std::fs::write(&spec, r#"[{"app": "jacobi", "n": 16, "iters": 1}]"#).unwrap();
+    let spec = spec.to_str().unwrap();
+    let single = [
+        "--app", "jacobi", "--n", "16", "--iters", "1", "--procs", "2",
+    ];
+    let in_dir = |args: &[&str]| {
+        let out = Command::new(EXE).args(args).current_dir(&dir).output();
+        out.expect("cni-run runs")
+    };
+    let mut all = single.to_vec();
+    all.extend(["--metrics-interval-us", "5", "--trace-format", "jsonl"]);
+    all.extend(["--checkpoint-dir", "xx"]);
+    assert_refused(&in_dir(&all), "is read only with --", &all.join(" "));
+    for (extra, needle) in [
+        (
+            &["--trace-format", "jsonl"][..],
+            "--trace-format is read only with --trace",
+        ),
+        (
+            &["--metrics-interval-us", "5"][..],
+            "--metrics-interval-us is read only with --trace",
+        ),
+        (
+            &["--checkpoint-dir", "xx"][..],
+            "--checkpoint-dir is read only with --checkpoint-every",
+        ),
+        (
+            &["--obs", "--metrics-interval-us", "5"][..],
+            "cannot be combined with --obs",
+        ),
+        (
+            &["--obs", "--trace", "t.json", "--metrics-interval-us", "5"][..],
+            "cannot be combined with --obs",
+        ),
+    ] {
+        let mut args = single.to_vec();
+        args.extend(extra);
+        assert_refused(&in_dir(&args), needle, &args.join(" "));
+    }
+    let sweep = ["--sweep", spec, "--trace-format", "jsonl"];
+    let needle = "--trace-format is read only with --trace-dir";
+    assert_refused(&in_dir(&sweep), needle, &sweep.join(" "));
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name())
+        .collect();
+    assert_eq!(written, ["s.json"], "a refused run wrote a file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
