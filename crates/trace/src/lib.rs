@@ -705,36 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn records_serialize_flat_and_roundtrip() {
-        let rec = TraceRecord {
-            t_ps: 42,
-            node: 1,
-            event: TraceEvent::DmaToBoard {
-                bytes: 2048,
-                dur_ps: 9,
-            },
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        assert!(json.contains("\"ev\":\"dma_to_board\""), "{json}");
-        assert!(json.contains("\"t_ps\":42"), "{json}");
-        let back: TraceRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-    }
-
-    /// The Application Device Channel rings were never simulated, so no
-    /// run recorded their `adc_enqueue`/`adc_dequeue` events and the tags
-    /// are not part of the vocabulary: a line carrying one is refused with
-    /// an error naming it, as any unknown tag is.
-    #[test]
-    fn a_record_with_an_adc_ring_tag_is_refused() {
-        for tag in ["adc_enqueue", "adc_dequeue"] {
-            let line = format!(r#"{{"t_ps":1,"node":0,"ev":"{tag}","channel":0,"len":64}}"#);
-            let err = serde_json::from_str::<TraceRecord>(&line).unwrap_err();
-            assert!(err.to_string().contains(tag), "{err}");
-        }
-    }
-
-    #[test]
     fn tracks_cover_the_component_taxonomy() {
         let events = [
             TraceEvent::QueueDispatch { seq: 0, pending: 0 },
@@ -776,50 +746,18 @@ mod tests {
         ];
         let tracks: std::collections::BTreeSet<_> = events.iter().map(|e| e.track()).collect();
         assert_eq!(tracks.len(), 12);
-    }
-
-    #[test]
-    fn span_and_util_events_roundtrip_through_jsonl() {
-        let events = [
-            TraceEvent::SpanOpen {
-                span: 7,
-                parent: 3,
-                class: SPAN_FRAME,
-                kind: 0xD5,
-                src: 2,
-                dst: 5,
-                bytes: 2048,
+        let faults = [
+            TraceEvent::CellDropped { vci: 6, cell: 12 },
+            TraceEvent::CrcFail { vci: 6 },
+            TraceEvent::RetransmitScheduled {
+                seq: 9,
+                rto_ps: 100_000,
             },
-            TraceEvent::SpanTx {
-                span: 7,
-                host_dma_ps: 100,
-                tx_queue_ps: 200,
-                wire_ps: 300,
-            },
-            TraceEvent::SpanRx {
-                span: 7,
-                rx_nic_ps: 40,
-                sar_ps: 60,
-            },
-            TraceEvent::SpanClose { span: 7 },
-            TraceEvent::UtilNode {
-                busy_ps: 9,
-                ingress_ps: 8,
-                egress_ps: 7,
-                ring_hw: 2,
-                interval_ps: 1_000,
-            },
-            TraceEvent::UtilQueue { depth: 13 },
+            TraceEvent::RetransmitFired { seq: 9, attempt: 2 },
+            TraceEvent::RingOverflow { channel: 3 },
         ];
-        for (i, ev) in events.iter().enumerate() {
-            let rec = TraceRecord {
-                t_ps: i as u64,
-                node: 4,
-                event: *ev,
-            };
-            let json = serde_json::to_string(&rec).unwrap();
-            let back: TraceRecord = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, rec);
+        for ev in faults {
+            assert_eq!(ev.track(), "faults", "{ev:?}");
         }
     }
 
@@ -848,30 +786,5 @@ mod tests {
         assert_eq!(s.spans_closed, 1);
         assert_eq!(s.span_drops, 1);
         assert_eq!(s.dropped, 1);
-    }
-
-    #[test]
-    fn fault_events_roundtrip_through_jsonl() {
-        let events = [
-            TraceEvent::CellDropped { vci: 6, cell: 12 },
-            TraceEvent::CrcFail { vci: 6 },
-            TraceEvent::RetransmitScheduled {
-                seq: 9,
-                rto_ps: 100_000,
-            },
-            TraceEvent::RetransmitFired { seq: 9, attempt: 2 },
-            TraceEvent::RingOverflow { channel: 3 },
-        ];
-        for (i, ev) in events.iter().enumerate() {
-            assert_eq!(ev.track(), "faults");
-            let rec = TraceRecord {
-                t_ps: i as u64,
-                node: 2,
-                event: *ev,
-            };
-            let json = serde_json::to_string(&rec).unwrap();
-            let back: TraceRecord = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, rec);
-        }
     }
 }
