@@ -469,63 +469,39 @@ pub fn latency_curve(base: Config, sizes: &[usize], rounds: u32) -> Vec<LatencyP
 
 fn one_way_latency(cfg: Config, bytes: usize, rounds: u32) -> f64 {
     let cfg = cfg.with_procs(2);
-    let mut world = World::new(cfg);
     let warmup: u32 = 2;
-    let total = warmup + rounds;
-    let line_bytes = cfg.nic.cache_line_bytes as u32;
-    let r = world.run(vec![
-        cni::program(move |ctx| {
-            Box::pin(async move {
-                for i in 0..total {
-                    // The first (warm-up) send pays the flush + DMA and binds
-                    // the buffer; steady-state sends reuse the same clean
-                    // buffer — the best case the paper plots.
-                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                    ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty)
-                        .await;
-                    let _ = ctx.recv().await;
-                }
-            })
-        }),
-        cni::program(move |ctx| {
-            Box::pin(async move {
-                for i in 0..total {
-                    let _ = ctx.recv().await;
-                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                    ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty)
-                        .await;
-                }
-            })
-        }),
-    ]);
-    // Round-trip time for the measured rounds, halved.
-    // Total wall covers all rounds including warm-up; subtract the warm-up
-    // cost by measuring with a second run of only the warm-up rounds.
-    let mut warm_world = World::new(cfg);
-    let w = warm_world.run(vec![
-        cni::program(move |ctx| {
-            Box::pin(async move {
-                for i in 0..warmup {
-                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                    ctx.send_to(1, bytes as u32, Some(0x0100_0000), true, dirty)
-                        .await;
-                    let _ = ctx.recv().await;
-                }
-            })
-        }),
-        cni::program(move |ctx| {
-            Box::pin(async move {
-                for i in 0..warmup {
-                    let _ = ctx.recv().await;
-                    let dirty = if i == 0 { bytes as u32 / line_bytes } else { 0 };
-                    ctx.send_to(0, bytes as u32, Some(0x0200_0000), true, dirty)
-                        .await;
-                }
-            })
-        }),
-    ]);
+    // Round-trip time for the measured rounds, halved. Total wall covers
+    // all rounds including warm-up; subtract the warm-up cost by measuring
+    // with a second run of only the warm-up rounds.
+    let r = World::new(cfg).run(ping_pong(cfg, bytes as u32, warmup + rounds));
+    let w = World::new(cfg).run(ping_pong(cfg, bytes as u32, warmup));
     let steady = r.wall.saturating_sub(w.wall);
     steady.as_us_f64() / (rounds as f64) / 2.0
+}
+
+/// Processor 0 sends `bytes` to processor 1 and waits for the echo,
+/// `rounds` times. The first (warm-up) send on each side pays the flush +
+/// DMA and binds the buffer; steady-state sends reuse the same clean
+/// buffer — the best case the paper plots.
+fn ping_pong(cfg: Config, bytes: u32, rounds: u32) -> Vec<cni::Program> {
+    let dirty_lines = bytes / cfg.nic.cache_line_bytes as u32;
+    let side = |peer: u32, buf: u64, echo: bool| {
+        cni::program(move |ctx| {
+            Box::pin(async move {
+                for i in 0..rounds {
+                    if echo {
+                        let _ = ctx.recv().await;
+                    }
+                    let dirty = if i == 0 { dirty_lines } else { 0 };
+                    ctx.send_to(peer, bytes, Some(buf), true, dirty).await;
+                    if !echo {
+                        let _ = ctx.recv().await;
+                    }
+                }
+            })
+        })
+    };
+    vec![side(1, 0x0100_0000, false), side(0, 0x0200_0000, true)]
 }
 
 #[cfg(test)]
