@@ -69,8 +69,7 @@ water:    --molecules N (default 216) --steps N (default 2)
 cholesky: --matrix <bcsstk14|bcsstk15> (default bcsstk14)
 latency:  --bytes N (message size, default 4096)
 
-single-run options (a mode exits 2 on a flag it does not read, and on
-a flag without the partner flag it is read with):
+single-run options (a mode exits 2 on a flag it does not read):
   --json              machine-readable output (every mode)
   --compare           run both interfaces and print both
   --brownout L:S:E    total cell loss on link L from S to E (virtual
@@ -78,14 +77,14 @@ a flag without the partner flag it is read with):
   --obs               causal span tracing + analysis: stage
                       decomposition, critical path, utilization
   --trace PATH        record simulation events to PATH
-  --trace-format F    chrome (default) | jsonl, with --trace; also read
-                      by --sweep, with --trace-dir
-  --metrics-interval-us N  metrics sample spacing in virtual us, with
-                      --trace and without --obs, which samples every
-                      100 us (default 100; 0 disables)
+  --trace-format F    with --trace: chrome (default) | jsonl; also
+                      read by --sweep, with --trace-dir
+  --metrics-interval-us N  with --trace: metrics sample spacing in
+                      virtual us (default 100; 0 disables); --obs
+                      refuses it and samples every 100 us
   --checkpoint-every N  seal a snapshot after every N events as
                       DIR/ck-<events>.cnisnap; also read by --sweep
-  --checkpoint-dir DIR  snapshot directory, with --checkpoint-every
+  --checkpoint-dir DIR  with --checkpoint-every: snapshot directory
                       (default cni-checkpoints)
 
 resume and fork (the run comes from the snapshot):
