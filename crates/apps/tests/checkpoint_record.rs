@@ -147,6 +147,14 @@ fn resume_json(path: &Path) -> (Option<i32>, Vec<u8>, String) {
     (out.status.code(), out.stdout, stderr)
 }
 
+/// The object at `path` in a checkpoint's payload.
+fn object_at<'a>(payload: &'a mut Value, path: &[&str]) -> &'a mut serde::Map {
+    path.iter()
+        .try_fold(payload, |v, k| v.as_object_mut()?.get_mut(k))
+        .and_then(Value::as_object_mut)
+        .unwrap_or_else(|| panic!("payload has an object at {path:?}"))
+}
+
 /// Bytes per bus word are a constant, not a stored field: a file that
 /// stores `word_bytes` (every file older builds wrote, or a forged 0,
 /// which divided by zero) resumes to the untouched file's report.
@@ -155,16 +163,7 @@ fn a_stored_word_bytes_is_ignored() {
     let dir = tmp_dir("word-bytes");
     let src = write(&dir, "ck.cnisnap", &checkpoint().0);
     let mut payload = cni_snap::read_value(&src).expect("checkpoint reads");
-    let Some(Value::Object(nic)) = payload
-        .as_object_mut()
-        .and_then(|p| p.get_mut("meta"))
-        .and_then(Value::as_object_mut)
-        .and_then(|m| m.get_mut("config"))
-        .and_then(Value::as_object_mut)
-        .and_then(|c| c.get_mut("nic"))
-    else {
-        panic!("payload has meta.config.nic");
-    };
+    let nic = object_at(&mut payload, &["meta", "config", "nic"]);
     assert!(!nic.contains_key("word_bytes"), "the field is written");
     nic.insert("word_bytes".into(), Value::from(0u64));
     let forged = dir.join("word_bytes0.cnisnap");
@@ -172,6 +171,41 @@ fn a_stored_word_bytes_is_ignored() {
     let (code, stdout, stderr) = resume_json(&forged);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout == resume_json(&src).1, "the resume diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The go-back-N window, frame size, timeouts and receive ring are
+/// constants, not stored fields: a file whose two stored plans (the
+/// configuration's and the engine record's) carry them, as every file
+/// older builds wrote does, or carry a forged `window` of 0, resumes to
+/// the untouched file's report.
+#[test]
+fn stored_protocol_values_are_ignored() {
+    let dir = tmp_dir("protocol");
+    let src = write(&dir, "ck.cnisnap", &checkpoint().0);
+    let (code, want, stderr) = resume_json(&src);
+    assert_eq!(code, Some(0), "{stderr}");
+    for (name, window) in [("older", 8u64), ("window0", 0)] {
+        let mut payload = cni_snap::read_value(&src).expect("checkpoint reads");
+        for path in [&["meta", "config", "faults"][..], &["state", "faults"]] {
+            let plan = object_at(&mut payload, path);
+            assert!(!plan.contains_key("window"), "the field is written");
+            for (k, v) in [
+                ("rx_ring_frames", 64),
+                ("rto_base_ps", 100_000_000),
+                ("rto_cap_ps", 2_000_000_000),
+                ("window", window),
+                ("max_frame_bytes", 2048),
+            ] {
+                plan.insert(k.into(), Value::from(v));
+            }
+        }
+        let path = dir.join(format!("{name}.cnisnap"));
+        cni_snap::write_value(&path, &payload).expect("rewritten checkpoint writes");
+        let (code, stdout, stderr) = resume_json(&path);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        assert!(stdout == want, "{name}: the resume diverged");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

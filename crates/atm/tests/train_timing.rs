@@ -266,7 +266,6 @@ fn plan(
             None,
             None,
         ],
-        ..FaultPlan::none()
     }
 }
 

@@ -1,8 +1,9 @@
 //! Go-back-N reliable delivery, active only under a fault plan: per-channel
-//! sender windows with cumulative acknowledgements, fragmentation at the
-//! plan's `max_frame_bytes`, duplicate suppression, a bounded receive ring
+//! sender windows with cumulative acknowledgements, fragmentation at
+//! [`MAX_FRAME_BYTES`], duplicate suppression, a bounded receive ring
 //! with drop-and-NAK, dup-ack fast retransmit of the missing frame, and
-//! capped exponential-backoff timeouts.
+//! capped exponential-backoff timeouts. The protocol's tuning is the
+//! constants `cni-faults` defines; a fault plan describes only faults.
 //!
 //! Every channel end belongs to one node: `src`'s [`Node::rel_tx`] holds
 //! the `src -> dst` sender window, `dst`'s [`Node::rel_rx`] its receive
@@ -18,14 +19,15 @@
 use crate::node::{latency_slot, Env, Node, WireMsg};
 use crate::world::{Ev, Shared};
 use cni_atm::CellTrain;
+use cni_faults::{MAX_FRAME_BYTES, RTO_BASE_PS, RTO_CAP_PS, RX_RING_FRAMES, WINDOW};
 use cni_nic::{TxPath, TxRequest};
 use cni_sim::SimTime;
 use cni_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One wire frame of a logical message. Messages longer than the plan's
-/// `max_frame_bytes` are split into several frames, each with its own
+/// One wire frame of a logical message. Messages longer than
+/// [`MAX_FRAME_BYTES`] are split into several frames, each with its own
 /// sequence number and CRC domain — otherwise a multi-kilobyte PDU's
 /// per-attempt survival probability `(1 - drop_prob)^cells` collapses and
 /// no amount of retransmission delivers it. The receiver dispatches the
@@ -65,21 +67,21 @@ pub(crate) struct ChanTx {
     pub(crate) window: VecDeque<InFlight>,
     /// Frames waiting for window space.
     pub(crate) pending: VecDeque<Frag>,
-    /// Current retransmission timeout (doubles per timeout up to the
-    /// plan's cap; resets on forward progress).
+    /// Current retransmission timeout (doubles per timeout up to
+    /// [`RTO_CAP_PS`]; resets on forward progress).
     pub(crate) rto: SimTime,
     pub(crate) timer_gen: u64,
     pub(crate) dup_acks: u32,
 }
 
 impl ChanTx {
-    pub(crate) fn new(rto: SimTime) -> Self {
+    pub(crate) fn new() -> Self {
         ChanTx {
             next_seq: 0,
             base: 0,
             window: VecDeque::new(),
             pending: VecDeque::new(),
-            rto,
+            rto: SimTime::from_ps(RTO_BASE_PS),
             timer_gen: 0,
             dup_acks: 0,
         }
@@ -98,11 +100,8 @@ impl Node {
     /// use. Access is always by key — channel state never depends on what
     /// other channels exist — so lazy creation is timing-neutral and a
     /// lossless run allocates nothing here.
-    fn chan_tx(&mut self, env: &Env, dst: usize) -> &mut ChanTx {
-        let rto0 = SimTime::from_ps(env.cfg.faults.rto_base_ps);
-        self.rel_tx
-            .entry(dst as u32)
-            .or_insert_with(|| ChanTx::new(rto0))
+    fn chan_tx(&mut self, dst: usize) -> &mut ChanTx {
+        self.rel_tx.entry(dst as u32).or_insert_with(ChanTx::new)
     }
 
     /// The `self <- src` receive channel, materialised on first use.
@@ -126,16 +125,14 @@ impl Node {
     ) {
         let dst = wire.dst();
         let total = wire.wire_bytes().max(1);
-        let fmax = env.cfg.faults.max_frame_bytes as usize;
-        let nfrags = total.div_ceil(fmax) as u32;
-        let cap = env.cfg.faults.window as usize;
+        let nfrags = total.div_ceil(MAX_FRAME_BYTES) as u32;
         let wire = Arc::new(wire);
         let mut armed = false;
         for i in 0..nfrags {
             let bytes = if i + 1 < nfrags {
-                fmax
+                MAX_FRAME_BYTES
             } else {
-                total - fmax * (nfrags as usize - 1)
+                total - MAX_FRAME_BYTES * (nfrags as usize - 1)
             } as u32;
             let frag = Frag {
                 wire: wire.clone(),
@@ -144,8 +141,8 @@ impl Node {
                 bytes,
                 span,
             };
-            let ch = self.chan_tx(env, dst);
-            if ch.window.len() >= cap {
+            let ch = self.chan_tx(dst);
+            if ch.window.len() >= WINDOW {
                 ch.pending.push_back(frag);
                 continue;
             }
@@ -153,7 +150,7 @@ impl Node {
             ch.next_seq += 1;
             let was_empty = ch.window.is_empty();
             let fspan = self.send_frame(env, sh, now, dst, seq, &frag, now, span);
-            let ch = self.chan_tx(env, dst);
+            let ch = self.chan_tx(dst);
             ch.window.push_back(InFlight {
                 seq,
                 frag: frag.clone(),
@@ -281,14 +278,8 @@ impl Node {
         tx: &TxPath,
     ) -> Option<(Box<CellTrain>, SimTime)> {
         let src = self.id;
-        let inj = sh
-            .injector
-            .as_mut()
-            // cni-lint: allow(panic-path) -- frames are only sent on reliable runs (a non-zero fault plan), which always build an injector; this Option is engine state, not wire data
-            .expect("fault transmit needs an injector");
-        let fpt = sh
-            .fabric
-            .send_pdu_faulty(tx.wire_start, src, dst, bytes, tx.cell_gap, inj);
+        let (fabric, inj) = (&mut sh.fabric, &mut sh.injector);
+        let fpt = fabric.send_pdu_faulty(tx.wire_start, src, dst, bytes, tx.cell_gap, inj);
         for (i, fate) in fpt.fates.iter().enumerate() {
             if fate.is_drop() {
                 env.trace.emit_at(
@@ -303,14 +294,14 @@ impl Node {
         }
         let arrival = fpt.last_delivered.filter(|_| fpt.eop_delivered())?;
         self.record_tx_span(env, span, now, tx.wire_start, arrival);
-        let train = sh.fabric.segmenter().train(vci, prefix, bytes, fpt.fates);
+        let train = env.seg.train(vci, prefix, bytes, fpt.fates);
         Some((Box::new(train), arrival))
     }
 
     /// Restart the `self -> dst` retransmission timer (invalidating any
     /// previously armed one via the generation counter).
     fn arm_timer(&mut self, env: &Env, sh: &mut Shared, now: SimTime, dst: usize) {
-        let ch = self.chan_tx(env, dst);
+        let ch = self.chan_tx(dst);
         ch.timer_gen += 1;
         let (gen, rto, seq) = (ch.timer_gen, ch.rto, ch.base);
         let src = self.id;
@@ -427,8 +418,7 @@ impl Node {
             return;
         }
         // Only whole messages occupy receive-ring slots.
-        let ring = env.cfg.faults.rx_ring_frames;
-        if ring > 0 && self.ring_used >= ring {
+        if self.ring_used >= RX_RING_FRAMES {
             sh.rel_stats.ring_overflows += 1;
             env.trace.emit_at(
                 t.as_ps(),
@@ -476,9 +466,7 @@ impl Node {
             _ => return,
         }
         self.close_span(env, t, span);
-        let cap = env.cfg.faults.window as usize;
-        let rto0 = SimTime::from_ps(env.cfg.faults.rto_base_ps);
-        let ch = self.chan_tx(env, from);
+        let ch = self.chan_tx(from);
         if ack > ch.base {
             while ch.base < ack {
                 let acked = ch.window.pop_front();
@@ -486,10 +474,10 @@ impl Node {
                 ch.base += 1;
             }
             ch.dup_acks = 0;
-            ch.rto = rto0;
+            ch.rto = SimTime::from_ps(RTO_BASE_PS);
             // Admit parked frames into the freed window.
             let mut admitted = Vec::new();
-            while ch.window.len() < cap {
+            while ch.window.len() < WINDOW {
                 let Some(frag) = ch.pending.pop_front() else {
                     break;
                 };
@@ -507,18 +495,13 @@ impl Node {
             let empty = ch.window.is_empty();
             for (seq, frag) in &admitted {
                 let fspan = self.send_frame(env, sh, t, from, *seq, frag, t, frag.span);
-                if let Some(f) = self
-                    .chan_tx(env, from)
-                    .window
-                    .iter_mut()
-                    .find(|f| f.seq == *seq)
-                {
+                if let Some(f) = self.chan_tx(from).window.iter_mut().find(|f| f.seq == *seq) {
                     f.span = fspan;
                 }
             }
             if empty {
                 // The window is fully acked: invalidate the pending timer.
-                self.chan_tx(env, from).timer_gen += 1;
+                self.chan_tx(from).timer_gen += 1;
             } else {
                 self.arm_timer(env, sh, t, from);
             }
@@ -532,74 +515,51 @@ impl Node {
                 // provokes another duplicate ack, so a W-frame window turns
                 // 2 dup-acks into W more — an ack storm with gain W/2. The
                 // full go-back-N resend belongs to the paced timeout path.
-                self.resend_front(env, sh, t, from);
+                self.resend(env, sh, t, from, 1);
             }
         }
     }
 
-    /// Fast-retransmit the oldest unacknowledged frame on `self -> dst`
-    /// (the one the duplicate acks say is missing) and restart the timer.
-    fn resend_front(&mut self, env: &Env, sh: &mut Shared, t: SimTime, dst: usize) {
+    /// Resend the first `n` unacknowledged frames on `self -> dst` (1 on
+    /// two duplicate acks, the whole window on a timeout) and restart the
+    /// timer.
+    fn resend(&mut self, env: &Env, sh: &mut Shared, t: SimTime, dst: usize, n: usize) {
         let src = self.id;
-        let ch = self.chan_tx(env, dst);
-        let Some(f) = ch.window.front_mut() else {
+        let ch = self.chan_tx(dst);
+        let Some(front) = ch.window.front() else {
             return;
         };
-        f.attempts += 1;
-        let (seq, frag, attempt, sent_at, first_span) =
-            (f.seq, f.frag.clone(), f.attempts, f.sent_at, f.span);
-        if attempt >= 10_000 {
+        // The front frame is in every resend, so no frame has been sent
+        // more often.
+        if front.attempts + 1 >= 10_000 {
             // cni-lint: allow(panic-path) -- deliberate livelock detector: 10k resends of one seq means the retransmit logic is broken and the run must die loudly, not spin forever
             panic!(
-                "reliable delivery cannot make progress: {src}->{dst} seq {seq} resent {attempt} times \
+                "reliable delivery cannot make progress: {src}->{dst} seq {} resent {} times \
                  (base {}, next {}, window {}, pending {})",
+                front.seq,
+                front.attempts + 1,
                 ch.base,
                 ch.next_seq,
                 ch.window.len(),
                 ch.pending.len(),
             );
         }
-        sh.rel_stats.retransmits += 1;
-        env.trace.emit_at(
-            t.as_ps(),
-            src as u32,
-            TraceEvent::RetransmitFired { seq, attempt },
-        );
-        // The retransmission's span is a child of the first attempt's, so
-        // every wire attempt hangs off the originating send.
-        self.send_frame(env, sh, t, dst, seq, &frag, sent_at, first_span);
-        self.arm_timer(env, sh, t, dst);
-    }
-
-    /// Resend every unacknowledged frame on the `self -> dst` channel
-    /// (go-back-N recovers the whole window) and restart the timer.
-    fn resend_window(&mut self, env: &Env, sh: &mut Shared, t: SimTime, dst: usize) {
-        let frames: Vec<(u64, Frag, u32, SimTime, u64)> = self
-            .chan_tx(env, dst)
-            .window
-            .iter_mut()
-            .map(|f| {
-                f.attempts += 1;
-                assert!(
-                    f.attempts < 10_000,
-                    "reliable delivery cannot make progress (seq {} resent {} times)",
-                    f.seq,
-                    f.attempts
-                );
-                (f.seq, f.frag.clone(), f.attempts, f.sent_at, f.span)
-            })
-            .collect();
-        for (seq, frag, attempt, sent_at, first_span) in &frames {
+        for i in 0..n {
+            let Some(f) = self.chan_tx(dst).window.get_mut(i) else {
+                break;
+            };
+            f.attempts += 1;
+            let (seq, frag, attempt, sent_at, first_span) =
+                (f.seq, f.frag.clone(), f.attempts, f.sent_at, f.span);
             sh.rel_stats.retransmits += 1;
             env.trace.emit_at(
                 t.as_ps(),
-                self.id as u32,
-                TraceEvent::RetransmitFired {
-                    seq: *seq,
-                    attempt: *attempt,
-                },
+                src as u32,
+                TraceEvent::RetransmitFired { seq, attempt },
             );
-            self.send_frame(env, sh, t, dst, *seq, frag, *sent_at, *first_span);
+            // The retransmission's span is a child of the first attempt's,
+            // so every wire attempt hangs off the originating send.
+            self.send_frame(env, sh, t, dst, seq, &frag, sent_at, first_span);
         }
         self.arm_timer(env, sh, t, dst);
     }
@@ -615,13 +575,12 @@ impl Node {
         dst: usize,
         gen: u64,
     ) {
-        let cap_ps = env.cfg.faults.rto_cap_ps;
-        let ch = self.chan_tx(env, dst);
+        let ch = self.chan_tx(dst);
         if gen != ch.timer_gen || ch.window.is_empty() {
             return;
         }
-        ch.rto = SimTime::from_ps((ch.rto.as_ps() * 2).min(cap_ps));
+        ch.rto = SimTime::from_ps((ch.rto.as_ps() * 2).min(RTO_CAP_PS));
         sh.rel_stats.timeouts += 1;
-        self.resend_window(env, sh, t, dst);
+        self.resend(env, sh, t, dst, WINDOW);
     }
 }

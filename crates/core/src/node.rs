@@ -658,8 +658,7 @@ impl Node {
         if let WireMsg::Proto(_) = msg {
             sh.count_proto(kind);
         }
-        // The injector exists exactly when a fault plan is active.
-        if sh.injector.is_some() {
+        if !sh.injector.plan().is_zero() {
             self.queue_reliable(env, sh, now, msg, span);
             return;
         }

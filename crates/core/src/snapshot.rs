@@ -33,11 +33,12 @@
 //!
 //! The world's own plan may differ from the record's: that is a fork.
 //! The switch happens after the checkpoint's last event, so the child
-//! diverges only in the future. A faulty prefix keeps its injector, PCG
-//! stream and counters ([`FaultInjector::set_plan`]); a lossless prefix
-//! forked into faults starts a fresh injector there. Forking a faulty
-//! prefix into a zero plan is refused: frames already in flight on the
-//! reliable channels would have no protocol to complete them.
+//! diverges only in the future. A faulty prefix keeps its injector's PCG
+//! stream and counters ([`FaultInjector::set_plan`]); a lossless prefix,
+//! whose injector never drew, is forked into faults by a fresh injector
+//! seeded from the new plan. Forking a faulty prefix into a zero plan is
+//! refused: frames already in flight on the reliable channels would have
+//! no protocol to complete them.
 //!
 //! ### Versioning
 //!
@@ -187,19 +188,18 @@ impl World {
         cni_atm::crc::crc32(json.as_bytes())
     }
 
-    /// Run under `plan` from the next event on. An existing injector
-    /// keeps its PCG stream and counters; a lossless run switched to a
-    /// faulty plan starts a fresh one. Callers refuse the one unsound
-    /// switch, from a faulty plan to a zero one.
+    /// Run under `plan` from the next event on. A faulty run's injector
+    /// keeps its PCG stream and counters; a lossless run's never drew, and
+    /// a fresh one seeded from `plan` replaces it. Callers refuse the one
+    /// unsound switch, from a faulty plan to a zero one.
     fn switch_faults(&mut self, plan: FaultPlan) {
         self.env.cfg.faults = plan;
-        self.shared.injector = match self.shared.injector.take() {
-            Some(mut inj) => {
-                inj.set_plan(plan);
-                Some(inj)
-            }
-            None => (!plan.is_zero()).then(|| FaultInjector::new(plan)),
-        };
+        let inj = &mut self.shared.injector;
+        if inj.plan().is_zero() {
+            *inj = FaultInjector::new(plan);
+        } else {
+            inj.set_plan(plan);
+        }
     }
 
     /// Resume a checkpoint in this freshly built `World` and run it to
@@ -265,8 +265,8 @@ impl World {
 
         // Re-execute the prefix under the checkpointed run's plan, with a
         // fresh injector: this world's was seeded from its own plan.
-        self.shared.injector = None;
-        self.switch_faults(r.faults);
+        self.env.cfg.faults = r.faults;
+        self.shared.injector = FaultInjector::new(r.faults);
         self.start(programs);
         self.event_loop(r.events);
         let ended = self.shared.events_dispatched;

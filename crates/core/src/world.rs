@@ -152,10 +152,10 @@ impl Ev {
 pub(crate) struct Shared {
     pub(crate) q: EventQueue<Ev>,
     pub(crate) fabric: Fabric,
-    /// Fault injector, present only for a non-zero fault plan. When `None`
-    /// every transmission takes the legacy lossless path and timing is
+    /// Fault injector executing the run's plan. Under a zero plan it draws
+    /// nothing: every transmission takes the lossless path and timing is
     /// bit-identical to a build without the faults layer.
-    pub(crate) injector: Option<FaultInjector>,
+    pub(crate) injector: FaultInjector,
     /// One-way wire latency per message kind, in nanoseconds:
     /// indices 0..=8 are the protocol kinds `0xD0..=0xD8`, index 9 is the
     /// application kind `0xA0`.
@@ -203,7 +203,6 @@ impl World {
         if let Err(e) = cfg.check() {
             panic!("invalid configuration: {e}");
         }
-        let injector = (!cfg.faults.is_zero()).then(|| FaultInjector::new(cfg.faults));
         let mut nic_cfg = cfg.nic;
         nic_cfg.page_bytes = cfg.page_bytes;
         // The barrier is a combining tree. Fan-out N is the paper's
@@ -231,7 +230,7 @@ impl World {
                 .collect(),
             shared: Shared {
                 q: EventQueue::new(),
-                injector,
+                injector: FaultInjector::new(cfg.faults),
                 latency: vec![Histogram::new(); 10].into_boxed_slice(),
                 live: 0,
                 proto_messages: 0,
@@ -546,9 +545,7 @@ impl World {
             trace: self.env.trace.summary(),
             faults: {
                 let mut f = sh.rel_stats;
-                if let Some(inj) = &sh.injector {
-                    f.merge(&inj.stats());
-                }
+                f.merge(&sh.injector.stats());
                 f.crc_failures = self
                     .nodes
                     .iter()

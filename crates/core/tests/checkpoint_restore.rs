@@ -383,9 +383,9 @@ fn snapshot_bytes_are_pinned_lossy() {
 /// The pinned records: `digest` is the CRC-32 of the report JSON at the
 /// checkpoint, `(len, crc)` covers the record as compact JSON.
 const DIGEST_LOSSLESS: u64 = 199_767_212;
-const PIN_LOSSLESS: (usize, u32) = (283, 3_068_287_409);
+const PIN_LOSSLESS: (usize, u32) = (181, 4_106_028_384);
 const DIGEST_LOSSY: u64 = 2_796_599_457;
-const PIN_LOSSY: (usize, u32) = (286, 2_996_480_527);
+const PIN_LOSSY: (usize, u32) = (184, 1_780_970_853);
 
 #[test]
 fn events_past_the_end_of_the_run_are_refused() {

@@ -725,7 +725,7 @@ impl DsmNode {
         res
     }
 
-    /// Manager-side request routing.
+    /// Manager-side routing of a request for a lock this node manages.
     fn manage_acquire(
         &mut self,
         lock: LockId,
@@ -733,7 +733,6 @@ impl DsmNode {
         vc: VClock,
         res: &mut HandleResult,
     ) {
-        debug_assert_eq!(self.lock_manager(lock), self.me);
         let target = *self.probable.get(&lock).unwrap_or(&self.me);
         self.probable.insert(lock, requester);
         if target == self.me {
@@ -761,7 +760,6 @@ impl DsmNode {
         let hs = self.holder_entry(lock);
         if hs.held && !hs.in_use {
             let then_serve = hs.hand_over();
-            debug_assert_ne!(requester, self.me, "self-grant outside acquire path");
             res.out.push(self.grant(lock, requester, &vc, then_serve));
         } else {
             hs.pending.push_back((requester, vc));
@@ -910,9 +908,12 @@ impl DsmNode {
 
     // --- Message dispatch -------------------------------------------------------
 
-    /// Handle an incoming protocol message.
+    /// Handle an incoming protocol message. A message for another node is
+    /// dropped unread.
     pub fn on_message(&mut self, msg: Msg) -> HandleResult {
-        debug_assert_eq!(msg.dst, self.me, "misrouted message");
+        if msg.dst != self.me {
+            return HandleResult::default();
+        }
         self.trace.emit(
             self.me.0,
             TraceEvent::DsmMsg {
@@ -927,14 +928,14 @@ impl DsmNode {
                 lock,
                 requester,
                 vc,
-            } => {
+            } if requester != self.me && self.lock_manager(lock) == self.me => {
                 self.manage_acquire(lock, requester, vc, &mut res);
             }
             Payload::AcquireFwd {
                 lock,
                 requester,
                 vc,
-            } => {
+            } if requester != self.me => {
                 self.local_enqueue_or_grant(lock, requester, vc, &mut res);
             }
             Payload::AcquireGrant {
@@ -959,14 +960,20 @@ impl DsmNode {
             {
                 self.barrier_combine(vc, notices, &mut res);
             }
-            // A grant the node is not waiting for, or an arrival that is
-            // not a tree child's at the epoch being combined: a duplicate
-            // or forged message. Dropped.
-            Payload::AcquireGrant { .. } | Payload::BarrierArrive { .. } => {}
-            Payload::BarrierRelease { epoch, vc, notices } => {
+            Payload::BarrierRelease { epoch, vc, notices }
+                if Some(msg.src) == self.barrier.parent
+                    && matches!(self.blocked, Some(Blocked::Barrier(e)) if e == epoch) =>
+            {
                 self.send_barrier_release(epoch, &vc, &notices, &mut res.out);
                 res.wakeup = self.apply_barrier_release(epoch, &vc, &notices, &mut work);
             }
+            // A duplicate or forged message: a request this node cannot
+            // serve, or a grant, arrival or release it is not waiting for.
+            Payload::AcquireReq { .. }
+            | Payload::AcquireFwd { .. }
+            | Payload::AcquireGrant { .. }
+            | Payload::BarrierArrive { .. }
+            | Payload::BarrierRelease { .. } => {}
             Payload::PageReq { page, requester } => {
                 // Serve the current frame with its version vector. The
                 // frame always has a base here: home pages are installed at
@@ -1277,6 +1284,30 @@ mod tests {
         }
     }
 
+    /// The same grant from processor 0 to processor 1.
+    fn grant_to_1(lock: u32, vc: VClock, notices: Vec<WriteNotice>) -> Msg {
+        Msg {
+            src: ProcId(0),
+            dst: ProcId(1),
+            ..grant(lock, vc, notices)
+        }
+    }
+
+    /// Processor 0's release of barrier epoch 0 to processor 1, its tree
+    /// child under `config`'s fan-out, which must be blocked on that
+    /// barrier.
+    fn release_to_1(vc: VClock, notices: Vec<WriteNotice>) -> Msg {
+        Msg {
+            src: ProcId(0),
+            dst: ProcId(1),
+            payload: Payload::BarrierRelease {
+                epoch: 0,
+                vc,
+                notices: notices.into(),
+            },
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Page knowledge read through the shared log answers every query
@@ -1377,22 +1408,17 @@ mod tests {
     /// grants, releases and faults; none of them may panic or size a table.
     #[test]
     fn a_page_past_the_segment_grows_no_table() {
-        let mut node = node_with_pages(0, 64, 2);
-        node.on_acquire(LockId(1));
-        node.on_message(grant(
-            1,
+        let mut node = node_with_pages(1, 64, 2);
+        node.on_acquire(LockId(0));
+        let res = node.on_message(grant_to_1(
+            0,
             VClock::zero(64),
-            vec![notice(1, 1, 2), notice(1, 1, u32::MAX)],
+            vec![notice(2, 1, 2), notice(2, 1, u32::MAX)],
         ));
-        node.on_message(Msg {
-            src: ProcId(1),
-            dst: ProcId(0),
-            payload: Payload::BarrierRelease {
-                epoch: 0,
-                vc: VClock::zero(64),
-                notices: vec![notice(1, 1, 1000)].into(),
-            },
-        });
+        assert_eq!(res.wakeup, Some(Wakeup::AcquireDone(LockId(0))));
+        node.on_barrier();
+        let res = node.on_message(release_to_1(VClock::zero(64), vec![notice(2, 1, 1000)]));
+        assert_eq!(res.wakeup, Some(Wakeup::BarrierDone(0)));
         assert_eq!((node.homes.len(), node.log.segment_pages()), (2, 2));
         assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
 
@@ -1432,29 +1458,24 @@ mod tests {
     /// shared log unchanged, and the clock keeps its width.
     #[test]
     fn a_writer_outside_the_cluster_and_a_clock_of_another_width_are_ignored() {
-        let mut node = node_with_pages(0, 4, 2);
+        let mut node = node_with_pages(1, 4, 2);
         node.log.publish_write(ProcId(2), 1, PageId(1));
         let before = (*node.log).clone();
         let outsider = vec![notice(9, 3, 1)];
         let wide = VClock(vec![1, 2, 3, 4, 5]);
-        node.on_acquire(LockId(1));
-        node.on_message(grant(1, wide.clone(), outsider.clone()));
-        node.on_message(Msg {
-            src: ProcId(1),
-            dst: ProcId(0),
-            payload: Payload::BarrierRelease {
-                epoch: 0,
-                vc: wide,
-                notices: outsider.into(),
-            },
-        });
+        node.on_acquire(LockId(0));
+        let res = node.on_message(grant_to_1(0, wide.clone(), outsider.clone()));
+        assert_eq!(res.wakeup, Some(Wakeup::AcquireDone(LockId(0))));
+        node.on_barrier();
+        let res = node.on_message(release_to_1(wide, outsider));
+        assert_eq!(res.wakeup, Some(Wakeup::BarrierDone(0)));
         // A lock request with a narrower clock, granted at once by this
-        // node (lock 4's manager): the grant reads every writer's floor.
+        // node (lock 5's manager): the grant reads every writer's floor.
         let res = node.on_message(Msg {
             src: ProcId(2),
-            dst: ProcId(0),
+            dst: ProcId(1),
             payload: Payload::AcquireReq {
-                lock: LockId(4),
+                lock: LockId(5),
                 requester: ProcId(2),
                 vc: VClock::zero(3),
             },
@@ -1465,9 +1486,9 @@ mod tests {
         ));
         assert_eq!(*node.log, before);
         assert_eq!(node.stats().notices_in, 0, "skipped, not integrated");
-        // The node's own component is its own to advance: the forged 1
+        // The node's own component is its own to advance: the forged 2
         // there is not merged.
-        assert_eq!(node.vc, VClock(vec![0, 2, 3, 4]));
+        assert_eq!(node.vc, VClock(vec![1, 0, 3, 4]));
     }
 
     /// A real message's clock covers every notice it carries; a forged one
@@ -1598,13 +1619,19 @@ mod tests {
     }
 
     /// Deliver `msg`, which the node must drop: no message out, no
-    /// wake-up, and the fault state, page versions, clock, lock tokens and
-    /// barrier state as before.
+    /// wake-up, and the fault state, page versions, clock, lock routing
+    /// and tokens and barrier state as before.
     fn assert_dropped(node: &mut DsmNode, msg: Msg) {
         let state = |node: &DsmNode| {
             format!(
-                "{:?} {:?} {:?} {:?} {:?} {}",
-                node.blocked, node.pv, node.vc, node.holders, node.barrier, node.barrier_epoch
+                "{:?} {:?} {:?} {:?} {:?} {:?} {}",
+                node.blocked,
+                node.pv,
+                node.vc,
+                node.probable,
+                node.holders,
+                node.barrier,
+                node.barrier_epoch
             )
         };
         let before = state(node);
@@ -1815,6 +1842,163 @@ mod tests {
         }
     }
 
+    /// A barrier release counts only from the node's tree parent, for the
+    /// barrier the node is blocked on. Processor 1 of 4 on a binary tree
+    /// (parent 0, child 3) drops a release while it is not blocked, then,
+    /// blocked at epoch 0, one from 2, from its child 3, from itself or
+    /// from processor 9, and one from 0 of epoch 1, 5 or `u32::MAX`; the
+    /// real release wakes it and goes on to 3 as it would alone.
+    #[test]
+    fn a_release_not_from_the_parent_for_the_blocked_barrier_is_dropped() {
+        let release = |src, epoch| Msg {
+            src: ProcId(src),
+            dst: ProcId(1),
+            payload: Payload::BarrierRelease {
+                epoch,
+                vc: VClock::zero(4),
+                notices: vec![].into(),
+            },
+        };
+        let binary = DsmConfig {
+            barrier_arity: 2,
+            ..config(4)
+        };
+        let mut node = DsmNode::new(ProcId(1), binary, Rc::new(NoticeLog::default()));
+        assert_dropped(&mut node, release(0, 0));
+        assert!(node.on_barrier().out.is_empty(), "waiting for child 3");
+        let res = node.on_message(Msg {
+            src: ProcId(3),
+            dst: ProcId(1),
+            payload: Payload::BarrierArrive {
+                epoch: 0,
+                vc: VClock::zero(4),
+                notices: vec![],
+            },
+        });
+        assert_eq!(res.out.len(), 1, "the subtree's arrival, to 0");
+        let forged = [
+            (2, 0),
+            (3, 0),
+            (1, 0),
+            (9, 0),
+            (0, 1),
+            (0, 5),
+            (0, u32::MAX),
+        ];
+        for (src, epoch) in forged {
+            assert_dropped(&mut node, release(src, epoch));
+        }
+        let res = node.on_message(release(0, 0));
+        assert_eq!(res.wakeup, Some(Wakeup::BarrierDone(0)));
+        assert!(matches!(
+            res.out.as_slice(),
+            [Msg {
+                dst: ProcId(3),
+                payload: Payload::BarrierRelease { epoch: 0, .. },
+                ..
+            }]
+        ));
+        assert_eq!(node.barrier_epoch, 1);
+    }
+
+    /// A lock request processor 0 would grant at once, addressed to
+    /// another node: 0 drops it unread, and grants it addressed to itself.
+    #[test]
+    fn a_message_for_another_node_is_dropped() {
+        let mut node = node_with_pages(0, 4, 2);
+        let request = |dst| Msg {
+            src: ProcId(2),
+            dst: ProcId(dst),
+            payload: Payload::AcquireReq {
+                lock: LockId(4),
+                requester: ProcId(2),
+                vc: VClock::zero(4),
+            },
+        };
+        for dst in [1, 3, 9] {
+            assert_dropped(&mut node, request(dst));
+        }
+        let res = node.on_message(request(0));
+        assert!(matches!(
+            res.out.as_slice(),
+            [Msg {
+                dst: ProcId(2),
+                payload: Payload::AcquireGrant { .. },
+                ..
+            }]
+        ));
+    }
+
+    /// A lock request reaches processor 0 for a lock another processor
+    /// manages: 0 drops it, with no probable owner recorded and no token
+    /// made.
+    #[test]
+    fn a_request_at_a_node_not_managing_the_lock_is_dropped() {
+        let mut node = node_with_pages(0, 4, 2);
+        for lock in [1, 2, 3, 7] {
+            assert_dropped(
+                &mut node,
+                Msg {
+                    src: ProcId(2),
+                    dst: ProcId(0),
+                    payload: Payload::AcquireReq {
+                        lock: LockId(lock),
+                        requester: ProcId(2),
+                        vc: VClock::zero(4),
+                    },
+                },
+            );
+        }
+        assert!(node.probable.is_empty() && node.holders.is_empty());
+    }
+
+    /// No real request or forward names its receiver as the requester: a
+    /// node asks for a lock it manages without a message. Processor 0
+    /// drops both for lock 0, whose token it holds, and still grants the
+    /// lock to a real requester.
+    #[test]
+    fn a_request_naming_the_node_itself_is_dropped() {
+        let mut node = node_with_pages(0, 4, 2);
+        let (lock, requester, vc) = (LockId(0), ProcId(0), VClock::zero(4));
+        let forged = [
+            Payload::AcquireReq {
+                lock,
+                requester,
+                vc: vc.clone(),
+            },
+            Payload::AcquireFwd {
+                lock,
+                requester,
+                vc: vc.clone(),
+            },
+        ];
+        for payload in forged {
+            let msg = Msg {
+                src: ProcId(2),
+                dst: ProcId(0),
+                payload,
+            };
+            assert_dropped(&mut node, msg);
+        }
+        let res = node.on_message(Msg {
+            src: ProcId(2),
+            dst: ProcId(0),
+            payload: Payload::AcquireReq {
+                lock,
+                requester: ProcId(2),
+                vc,
+            },
+        });
+        assert!(matches!(
+            res.out.as_slice(),
+            [Msg {
+                dst: ProcId(2),
+                payload: Payload::AcquireGrant { .. },
+                ..
+            }]
+        ));
+    }
+
     /// The tree's bounds saturate in u64: fan-out N puts every processor
     /// under 0 even where `k*i` overflows a u32 (N = 70,000), and so does
     /// a fan-out of `usize::MAX`.
@@ -1837,35 +2021,29 @@ mod tests {
     /// does) leaves it alone, so the next interval is numbered on.
     #[test]
     fn a_forged_clock_leaves_the_receivers_own_component_alone() {
-        let mut node = node_with_pages(0, 4, 2);
-        node.init_home_page(PageId(0));
+        let mut node = node_with_pages(1, 4, 2);
+        node.init_home_page(PageId(1));
         let write_and_release = |node: &mut DsmNode, value| {
-            node.on_acquire(LockId(0));
-            node.on_write_fault(PageId(0));
-            let page = node.space().page(PageId(0));
+            node.on_acquire(LockId(1));
+            node.on_write_fault(PageId(1));
+            let page = node.space().page(PageId(1));
             page.frame.store(3, value);
             page.flags.mark_dirty(0);
-            node.on_release(LockId(0));
+            node.on_release(LockId(1));
         };
         write_and_release(&mut node, 1);
-        assert_eq!(node.vc.get(ProcId(0)), 1);
-        node.on_acquire(LockId(1));
-        node.on_message(grant(1, VClock(vec![u32::MAX, 2, 0, 0]), vec![]));
-        assert_eq!(node.vc, VClock(vec![1, 2, 0, 0]));
+        assert_eq!(node.vc.get(ProcId(1)), 1);
+        node.on_acquire(LockId(0));
+        node.on_message(grant_to_1(0, VClock(vec![2, u32::MAX, 0, 0]), vec![]));
+        assert_eq!(node.vc, VClock(vec![2, 1, 0, 0]));
         write_and_release(&mut node, 2);
-        assert_eq!(node.vc.get(ProcId(0)), 2);
-        node.on_message(Msg {
-            src: ProcId(1),
-            dst: ProcId(0),
-            payload: Payload::BarrierRelease {
-                epoch: 0,
-                vc: VClock(vec![u32::MAX, 2, 5, 0]),
-                notices: vec![].into(),
-            },
-        });
+        assert_eq!(node.vc.get(ProcId(1)), 2);
+        node.on_barrier();
+        let res = node.on_message(release_to_1(VClock(vec![2, u32::MAX, 5, 0]), vec![]));
+        assert_eq!(res.wakeup, Some(Wakeup::BarrierDone(0)));
         assert_eq!(node.vc, VClock(vec![2, 2, 5, 0]));
         write_and_release(&mut node, 3);
-        assert_eq!(node.vc.get(ProcId(0)), 3);
+        assert_eq!(node.vc.get(ProcId(1)), 3);
         assert_eq!(node.stats().intervals, 3);
     }
 

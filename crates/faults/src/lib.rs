@@ -14,7 +14,10 @@
 //! the event queue. The fabric asks the injector for a [`CellFate`] per cell
 //! and applies the verdict itself; the recovery protocol (go-back-N
 //! retransmission in `cni-core`) accumulates its counters into the same
-//! [`FaultStats`] record that lands in the run report.
+//! [`FaultStats`] record that lands in the run report. That protocol's
+//! tuning is not part of a plan: it is fixed by the constants
+//! [`WINDOW`], [`MAX_FRAME_BYTES`], [`RTO_BASE_PS`], [`RTO_CAP_PS`] and
+//! [`RX_RING_FRAMES`].
 
 #![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
@@ -109,8 +112,32 @@ impl BrownoutWindow {
 /// array keeps [`FaultPlan`] `Copy`, so `Config` stays `Copy` too).
 pub const MAX_BROWNOUTS: usize = 4;
 
-/// The complete, seeded description of the faults a run will experience,
-/// plus the knobs of the recovery protocol layered on top.
+/// Go-back-N sender window, in frames per (source, destination) channel.
+pub const WINDOW: usize = 8;
+
+/// Largest wire frame the reliable layer puts into one AAL5 PDU; longer
+/// messages are fragmented into frames of at most this size, each with
+/// its own sequence number and CRC. This bounds the cells at risk per
+/// retransmission: a PDU of `n` cells survives a lossy fabric with
+/// probability `(1 - drop_prob)^n`, so without a cap a multi-kilobyte
+/// message may effectively never arrive intact.
+pub const MAX_FRAME_BYTES: usize = 2048;
+
+/// Initial retransmission timeout, picoseconds: 100 us, a few page
+/// round-trips.
+pub const RTO_BASE_PS: u64 = 100_000_000;
+
+/// Ceiling of the exponential backoff on the retransmission timeout,
+/// picoseconds: 2 ms. It also bounds a plan's jitter, so no cell is
+/// delayed past every resend of its frame.
+pub const RTO_CAP_PS: u64 = 2_000_000_000;
+
+/// Receive-ring capacity, in frames, the reliability layer models per
+/// node: an in-order frame arriving while the ring is full is counted,
+/// NAKed and dropped instead of stalling.
+pub const RX_RING_FRAMES: u32 = 64;
+
+/// The complete, seeded description of the faults a run will experience.
 ///
 /// Two runs configured with equal plans observe byte-identical fault
 /// sequences. A plan for which [`FaultPlan::is_zero`] holds injects nothing
@@ -127,23 +154,6 @@ pub struct FaultPlan {
     pub jitter_ps: u64,
     /// Seed of the injector's PCG-32 stream (`--fault-seed`).
     pub seed: u64,
-    /// Receive-ring capacity in frames the reliability layer models per
-    /// node; an in-order frame arriving while the ring is full is counted,
-    /// NAKed and dropped instead of stalling. Zero means unbounded.
-    pub rx_ring_frames: u32,
-    /// Initial retransmission timeout, picoseconds.
-    pub rto_base_ps: u64,
-    /// Ceiling of the exponential backoff on the retransmission timeout.
-    pub rto_cap_ps: u64,
-    /// Go-back-N sender window, in frames per (source, destination) channel.
-    pub window: u32,
-    /// Largest wire frame the reliable layer puts into one AAL5 PDU;
-    /// longer messages are fragmented into frames of at most this size,
-    /// each with its own sequence number and CRC. This bounds the cells
-    /// at risk per retransmission: a PDU of `n` cells survives a lossy
-    /// fabric with probability `(1 - drop_prob)^n`, so without a cap a
-    /// multi-kilobyte message may effectively never arrive intact.
-    pub max_frame_bytes: u32,
     /// Scheduled link brownout windows (unused slots are `None`).
     pub brownouts: [Option<BrownoutWindow>; MAX_BROWNOUTS],
 }
@@ -156,11 +166,6 @@ impl FaultPlan {
             corrupt_prob: 0.0,
             jitter_ps: 0,
             seed: 1,
-            rx_ring_frames: 64,
-            rto_base_ps: 100_000_000,  // 100 us: a few page round-trips
-            rto_cap_ps: 2_000_000_000, // 2 ms backoff ceiling
-            window: 8,
-            max_frame_bytes: 2048,
             brownouts: [None; MAX_BROWNOUTS],
         }
     }
@@ -182,10 +187,10 @@ impl FaultPlan {
                 .any(BrownoutWindow::is_active)
     }
 
-    /// `Err` naming the first probability outside `[0, 1)`, degenerate
-    /// protocol knob or jitter longer than the longest retransmission
-    /// timeout. Plans read from outside (flags, sweep files,
-    /// checkpoints) are checked with this before a simulation is built.
+    /// `Err` naming the first probability outside `[0, 1)` or a jitter
+    /// longer than the longest retransmission timeout, [`RTO_CAP_PS`].
+    /// Plans read from outside (flags, sweep files, checkpoints) are
+    /// checked with this before a simulation is built.
     pub fn check(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.drop_prob) {
             return Err(format!(
@@ -199,27 +204,12 @@ impl FaultPlan {
                 self.corrupt_prob
             ));
         }
-        if self.window == 0 {
-            return Err("go-back-N window must be nonzero".into());
-        }
-        if self.max_frame_bytes < 64 {
-            return Err(format!(
-                "max_frame_bytes must be at least 64, got {}",
-                self.max_frame_bytes
-            ));
-        }
-        if self.rto_base_ps == 0 {
-            return Err("rto_base_ps must be nonzero".into());
-        }
-        if self.rto_cap_ps < self.rto_base_ps {
-            return Err("rto_cap_ps must be at least rto_base_ps".into());
-        }
         // A cell delayed past the longest retransmission timeout arrives
         // after every resend of its frame has timed out.
-        if self.jitter_ps > self.rto_cap_ps {
+        if self.jitter_ps > RTO_CAP_PS {
             return Err(format!(
-                "jitter_ps must be at most rto_cap_ps ({}), got {}",
-                self.rto_cap_ps, self.jitter_ps
+                "jitter_ps must be at most the retransmission timeout cap ({RTO_CAP_PS}), got {}",
+                self.jitter_ps
             ));
         }
         Ok(())
@@ -704,31 +694,9 @@ mod tests {
                 },
                 "corrupt_prob",
             ),
-            (FaultPlan { window: 0, ..none }, "window"),
             (
                 FaultPlan {
-                    max_frame_bytes: 63,
-                    ..none
-                },
-                "max_frame_bytes",
-            ),
-            (
-                FaultPlan {
-                    rto_base_ps: 0,
-                    ..none
-                },
-                "rto_base_ps",
-            ),
-            (
-                FaultPlan {
-                    rto_cap_ps: none.rto_base_ps - 1,
-                    ..none
-                },
-                "rto_cap_ps",
-            ),
-            (
-                FaultPlan {
-                    jitter_ps: none.rto_cap_ps + 1,
+                    jitter_ps: RTO_CAP_PS + 1,
                     ..none
                 },
                 "jitter_ps",
@@ -749,11 +717,7 @@ mod tests {
         let edge = FaultPlan {
             drop_prob: 0.0,
             corrupt_prob: 0.999,
-            window: 1,
-            max_frame_bytes: 64,
-            rto_base_ps: 1,
-            rto_cap_ps: 1,
-            jitter_ps: 1,
+            jitter_ps: RTO_CAP_PS,
             ..none
         };
         assert_eq!(edge.check(), Ok(()));
@@ -821,7 +785,6 @@ mod tests {
                 None,
                 None,
             ],
-            ..FaultPlan::none()
         };
         let v = serde::Serialize::to_value(&plan);
         let back: FaultPlan = match serde::Deserialize::from_value(&v) {

@@ -10,6 +10,8 @@ use cni_apps::experiments::{run_app, run_app_traced, App};
 use cni_apps::{cholesky, jacobi, sparse, water};
 use cni_dsm::access;
 use cni_trace::export::write_jsonl;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn lossy(drop_prob: f64, corrupt_prob: f64, seed: u64) -> FaultPlan {
     FaultPlan {
@@ -194,32 +196,51 @@ fn pure_corruption_is_caught_by_crc_and_recovered() {
     assert_eq!(f.cells_dropped, 0, "{f:?}");
 }
 
+/// A fan-in burst fills processor 0's 64-frame receive ring: 31
+/// processors each send it four one-word messages at once, under 0.1%
+/// cell loss. The ring overflows, each frame it turns away is NAKed and
+/// resent, and processor 0 receives every message exactly once.
 #[test]
-fn tiny_receive_ring_overflows_are_counted_not_fatal() {
-    let params = jacobi::JacobiParams {
-        n: 24,
-        iters: 4,
-        verify: true,
-    };
-    let expect = jacobi::reference(params.n, params.iters);
-    let plan = FaultPlan {
-        rx_ring_frames: 1,
-        ..lossy(0.01, 0.0, 3)
-    };
-    let cfg = Config::paper_default().with_procs(4).with_faults(plan);
-    let mut world = World::new(cfg);
-    let (layout, progs) = jacobi::programs(&mut world, params);
-    let report = world.run(progs);
-    let grid = jacobi::result_grid(layout, params.iters);
-    let got = collect_f64(&world, grid, params.n * params.n);
-    for (k, (&g, &e)) in got.iter().zip(&expect).enumerate() {
-        assert!((g - e).abs() < 1e-12, "grid[{k}] = {g}, want {e}");
-    }
-    assert!(
-        report.faults.ring_overflows > 0,
-        "a single-frame ring must overflow under concurrent senders: {:?}",
-        report.faults
+fn a_fan_in_burst_overflows_the_receive_ring_and_delivers_each_message_once() {
+    const SENDERS: u32 = 31;
+    const EACH: u64 = 4;
+    let cfg = Config::paper_default()
+        .with_procs(SENDERS as usize + 1)
+        .with_faults(lossy(0.001, 0.0, 3));
+    let got: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
+    let programs = (0..=SENDERS)
+        .map(|me| {
+            let got = Rc::clone(&got);
+            cni::program(move |ctx| {
+                Box::pin(async move {
+                    if me == 0 {
+                        for _ in 0..u64::from(SENDERS) * EACH {
+                            let (src, data) = ctx.recv_data().await;
+                            got.borrow_mut().push((src, data[0]));
+                        }
+                    } else {
+                        for k in 0..EACH {
+                            ctx.send_data(0, vec![k], None, false, 0).await;
+                        }
+                    }
+                })
+            })
+        })
+        .collect();
+    let report = World::new(cfg).run(programs);
+    let mut got = got.take();
+    got.sort_unstable();
+    let sent: Vec<(u32, u64)> = (1..=SENDERS)
+        .flat_map(|p| (0..EACH).map(move |k| (p, k)))
+        .collect();
+    assert_eq!(got, sent, "processor 0 received each message once");
+    let dispatched = report.latency.iter().find(|l| l.kind == 0xA0);
+    assert_eq!(
+        dispatched.map(|l| l.count),
+        Some(u64::from(SENDERS) * EACH),
+        "no message was dispatched twice"
     );
+    assert!(report.faults.ring_overflows > 0, "{:?}", report.faults);
 }
 
 #[test]
